@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,21 +38,7 @@ from .errors import (
     HarnessError,
     NonFiniteError,
 )
-from .harness import (
-    CalibrationAblationSpec,
-    MergingSpec,
-    ModelSpec,
-    SequentialSpec,
-    SparsityAblationSpec,
-    default_calibration_spec,
-    default_merging_spec,
-    default_sequential_spec,
-    default_sparsity_spec,
-    run_calibration_ablation,
-    run_merging_experiment,
-    run_sequential_experiment,
-    run_sparsity_ablation,
-)
+from .harness import DEFAULT_SEEDS, EXPERIMENT_KINDS, ModelSpec, run_experiment
 from .merging import merge_lota, run_merge_spec, MergeEntry, MergeSpec
 from .params import digest, load_checkpoint, save_checkpoint
 from .sparsity import compute_task_vector, load_mask, save_mask, sparsify
@@ -84,18 +69,6 @@ def _print_error(exc: Exception) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("LOTA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad LOTA_THREADS value {env!r}") from exc
-    return 1
 
 
 def _load_json(path: str) -> dict:
@@ -418,28 +391,16 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-_EXPERIMENT_KINDS = {
-    "sequential": (SequentialSpec, run_sequential_experiment,
-                   default_sequential_spec),
-    "sparsity-ablation": (SparsityAblationSpec, run_sparsity_ablation,
-                          default_sparsity_spec),
-    "calibration-ablation": (CalibrationAblationSpec, run_calibration_ablation,
-                             default_calibration_spec),
-    "merging": (MergingSpec, run_merging_experiment, default_merging_spec),
-}
-
-
 def _experiment_spec_from_config(config: dict):
     kind = config.get("kind")
-    if kind not in _EXPERIMENT_KINDS:
+    if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"unknown experiment kind {kind!r}; expected one of "
-            f"{sorted(_EXPERIMENT_KINDS)}"
+            f"{sorted(EXPERIMENT_KINDS)}"
         )
-    spec_cls, runner, default_factory = _EXPERIMENT_KINDS[kind]
+    spec_cls, default_factory = EXPERIMENT_KINDS[kind]
     if config.get("defaults"):
-        seeds = tuple(config.get("seeds", (0, 1, 2, 3, 4)))
-        return default_factory(seeds=seeds), runner
+        return default_factory(seeds=tuple(config.get("seeds", DEFAULT_SEEDS)))
     fields = {k: v for k, v in config.items() if k not in ("kind", "defaults")}
     try:
         fields["model"] = ModelSpec.from_json_dict(fields["model"])
@@ -453,7 +414,7 @@ def _experiment_spec_from_config(config: dict):
         spec = spec_cls(**fields)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad experiment spec: {exc}") from exc
-    return spec, runner
+    return spec
 
 
 def cmd_experiment(args) -> int:
@@ -461,8 +422,7 @@ def cmd_experiment(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seeds"] = [args.seed]
-    spec, runner = _experiment_spec_from_config(config)
-    report = runner(spec, threads=_resolve_threads(args.threads))
+    report = run_experiment(_experiment_spec_from_config(config))
     out = _out_dir(args)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.csv").write_text(report.to_csv())
@@ -543,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
 
     return parser
 

@@ -1,9 +1,11 @@
-"""Experiment drivers over synthetic tasks, with reproducible JSON reports.
+"""Seeded experiments over synthetic tasks, with reproducible JSON reports.
 
-Utility is exact-match accuracy for classification tasks and negative mean
-squared error for regression tasks; all instruction-following-style claims
-are mapped onto these desk-scale metrics. Reports are deterministic for a
-given spec: wall time is kept out of the serialized payload by default.
+`run_experiment` runs one seed at a time and aggregates the per-seed dicts
+into mean/SE report rows. Utility is exact-match accuracy for classification
+tasks and negative mean squared error for regression tasks; all
+instruction-following-style claims are mapped onto these desk-scale metrics.
+Reports are deterministic for a given spec and carry no timing; the CLI
+records wall time in provenance.json.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import dataclasses
 import hashlib
 import io
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,13 +79,6 @@ class ModelSpec:
     def build(self, seed: int) -> ToyModel:
         return ToyModel.initialize(self.widths, self.activation, self.head, seed)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "widths": list(self.widths),
-            "activation": self.activation,
-            "head": self.head,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelSpec":
         return cls(
@@ -102,24 +95,12 @@ class MetricsReport:
     seeds: list[int]
     rows: list[dict]
     notes: str = METRIC_NOTE
-    wall_time_s: float = 0.0
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "kind": self.kind,
-            "spec": self.spec,
-            "seeds": self.seeds,
-            "rows": self.rows,
-            "notes": self.notes,
-        }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
+    def to_json_dict(self) -> dict:
+        return dataclasses.asdict(self)
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_json_dict(include_timing), sort_keys=True, indent=2
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         """Flat CSV of the report rows (scalar fields only)."""
@@ -144,18 +125,35 @@ class MetricsReport:
         return buf.getvalue()
 
 
-def _mean_se(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, se
+def _stats(entries: Sequence[dict], fields: Sequence[str], se: bool = True) -> dict:
+    """`<field>_mean` (and `<field>_se`) over per-seed entries, in field order."""
+    out = {}
+    for name in fields:
+        arr = np.asarray([e[name] for e in entries], dtype=np.float64)
+        out[f"{name}_mean"] = float(arr.mean())
+        if se:
+            out[f"{name}_se"] = (
+                float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+            )
+    return out
 
 
-def _map_seeds(seeds, fn, threads: int = 1):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, seeds))
-    return [fn(seed) for seed in seeds]
+def _baseline_row(task: str, method: str, utilities: Sequence[float]) -> dict:
+    return {
+        "role": "baseline",
+        "task": task,
+        "method": method,
+        **_stats([{"utility": u} for u in utilities], ("utility",)),
+    }
+
+
+class _ExperimentSpec:
+    """Base of the four experiment specs; subclasses set `kind`."""
+
+    kind = ""
+
+    def to_json_dict(self) -> dict:
+        return dataclasses.asdict(self)
 
 
 def _train_config(base: dict, seed: int, **overrides) -> TrainConfig:
@@ -170,7 +168,9 @@ def _train_config(base: dict, seed: int, **overrides) -> TrainConfig:
 
 
 @dataclass(frozen=True)
-class SequentialSpec:
+class SequentialSpec(_ExperimentSpec):
+    kind = "sequential"
+
     model: ModelSpec
     task_a: SyntheticTaskSpec
     task_b: SyntheticTaskSpec
@@ -186,13 +186,6 @@ class SequentialSpec:
         for pair in self.method_pairs:
             if pair not in SEQUENTIAL_METHOD_PAIRS:
                 raise ConfigError(f"unknown method pair {pair!r}")
-
-    def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["model"] = self.model.to_json_dict()
-        out["task_a"] = self.task_a.to_json_dict()
-        out["task_b"] = self.task_b.to_json_dict()
-        return out
 
 
 def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
@@ -256,59 +249,24 @@ def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
     return out
 
 
-def run_sequential_experiment(spec: SequentialSpec, threads: int = 1) -> MetricsReport:
-    """Train A then B per method pair; report post-B utilities and drops."""
-    started = time.perf_counter()
-    per_seed = _map_seeds(
-        spec.seeds, lambda s: _sequential_one_seed(spec, s), threads
-    )
-    rows = []
-    base_a_mean, base_a_se = _mean_se([r["baseline_a"]["fft"] for r in per_seed])
-    rows.append(
-        {
-            "role": "baseline",
-            "task": spec.task_a.task_id or "task_a",
-            "method": "fft",
-            "utility_mean": base_a_mean,
-            "utility_se": base_a_se,
-        }
-    )
-    lota_a_mean, lota_a_se = _mean_se([r["baseline_a"]["lota"] for r in per_seed])
-    rows.append(
-        {
-            "role": "baseline",
-            "task": spec.task_a.task_id or "task_a",
-            "method": "lota",
-            "utility_mean": lota_a_mean,
-            "utility_se": lota_a_se,
-        }
-    )
-    base_b_mean, base_b_se = _mean_se([r["baseline_b"] for r in per_seed])
-    rows.append(
-        {
-            "role": "baseline",
-            "task": spec.task_b.task_id or "task_b",
-            "method": "fft",
-            "utility_mean": base_b_mean,
-            "utility_se": base_b_se,
-        }
-    )
+def _sequential_rows(spec: SequentialSpec, per_seed: list[dict]) -> list[dict]:
+    """Post-B utilities and drops per method pair; checks the pair interferes."""
+    task_a = spec.task_a.task_id or "task_a"
+    rows = [
+        _baseline_row(task_a, "fft", [r["baseline_a"]["fft"] for r in per_seed]),
+        _baseline_row(task_a, "lota", [r["baseline_a"]["lota"] for r in per_seed]),
+        _baseline_row(
+            spec.task_b.task_id or "task_b", "fft", [r["baseline_b"] for r in per_seed]
+        ),
+    ]
     for pair in spec.method_pairs:
         entries = [r["pairs"][pair] for r in per_seed]
-        ua_mean, ua_se = _mean_se([e["utility_a"] for e in entries])
-        ub_mean, ub_se = _mean_se([e["utility_b"] for e in entries])
-        da_mean, _ = _mean_se([e["drop_a"] for e in entries])
-        db_mean, _ = _mean_se([e["drop_b"] for e in entries])
         rows.append(
             {
                 "role": "pair",
                 "pair": pair,
-                "utility_a_mean": ua_mean,
-                "utility_a_se": ua_se,
-                "utility_b_mean": ub_mean,
-                "utility_b_se": ub_se,
-                "drop_a_mean": da_mean,
-                "drop_b_mean": db_mean,
+                **_stats(entries, ("utility_a", "utility_b")),
+                **_stats(entries, ("drop_a", "drop_b"), se=False),
                 "per_seed": entries,
             }
         )
@@ -325,13 +283,7 @@ def run_sequential_experiment(spec: SequentialSpec, threads: int = 1) -> Metrics
                 f"task pair does not interfere enough: fft->fft drop {drop:.3f} "
                 f"< {spec.interference_threshold}"
             )
-    return MetricsReport(
-        kind="sequential",
-        spec=spec.to_json_dict(),
-        seeds=list(spec.seeds),
-        rows=rows,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +291,15 @@ def run_sequential_experiment(spec: SequentialSpec, threads: int = 1) -> Metrics
 
 
 @dataclass(frozen=True)
-class SparsityAblationSpec:
+class SparsityAblationSpec(_ExperimentSpec):
+    kind = "sparsity-ablation"
+
     model: ModelSpec
     task: SyntheticTaskSpec
     train: dict
     seeds: tuple[int, ...]
     grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99)
     iterative_schedule: tuple[float, ...] | None = (0.9, 0.99)
-
-    def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["model"] = self.model.to_json_dict()
-        out["task"] = self.task.to_json_dict()
-        return out
 
 
 def _sparsity_one_seed(spec: SparsityAblationSpec, seed: int) -> dict:
@@ -374,33 +322,20 @@ def _sparsity_one_seed(spec: SparsityAblationSpec, seed: int) -> dict:
     return out
 
 
-def run_sparsity_ablation(spec: SparsityAblationSpec, threads: int = 1) -> MetricsReport:
+def _sparsity_rows(spec: SparsityAblationSpec, per_seed: list[dict]) -> list[dict]:
     """Utility across the sparsity grid, plus the iterative schedule row."""
-    started = time.perf_counter()
-    per_seed = _map_seeds(spec.seeds, lambda s: _sparsity_one_seed(spec, s), threads)
     rows = []
-    labels = [f"s={s}" for s in spec.grid] + (
-        ["iterative"] if spec.iterative_schedule else []
-    )
-    for label in labels:
-        utilities = [r[label]["utility"] for r in per_seed]
-        mean, se = _mean_se(utilities)
+    for label in per_seed[0]:
+        entries = [r[label] for r in per_seed]
         rows.append(
             {
                 "row": label,
-                "k": per_seed[0][label]["k"],
-                "utility_mean": mean,
-                "utility_se": se,
-                "per_seed": utilities,
+                "k": entries[0]["k"],
+                **_stats(entries, ("utility",)),
+                "per_seed": [e["utility"] for e in entries],
             }
         )
-    return MetricsReport(
-        kind="sparsity-ablation",
-        spec=spec.to_json_dict(),
-        seeds=list(spec.seeds),
-        rows=rows,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +343,9 @@ def run_sparsity_ablation(spec: SparsityAblationSpec, threads: int = 1) -> Metri
 
 
 @dataclass(frozen=True)
-class CalibrationAblationSpec:
+class CalibrationAblationSpec(_ExperimentSpec):
+    kind = "calibration-ablation"
+
     model: ModelSpec
     task: SyntheticTaskSpec
     train: dict
@@ -421,13 +358,9 @@ class CalibrationAblationSpec:
     base_task: SyntheticTaskSpec | None = None
     base_train: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["model"] = self.model.to_json_dict()
-        out["task"] = self.task.to_json_dict()
-        if self.base_task is not None:
-            out["base_task"] = self.base_task.to_json_dict()
-        return out
+    def __post_init__(self):
+        if 1.0 not in self.fractions:
+            raise ConfigError("fractions must include 1.0 as the zero-drop reference")
 
 
 def _calibration_one_seed(spec: CalibrationAblationSpec, seed: int) -> dict:
@@ -451,40 +384,26 @@ def _calibration_one_seed(spec: CalibrationAblationSpec, seed: int) -> dict:
     return utilities
 
 
-def run_calibration_ablation(
-    spec: CalibrationAblationSpec, threads: int = 1
-) -> MetricsReport:
+def _calibration_rows(
+    spec: CalibrationAblationSpec, per_seed: list[dict]
+) -> list[dict]:
     """Performance drop as the calibration data fraction shrinks to random."""
-    if 1.0 not in spec.fractions:
-        raise ConfigError("fractions must include 1.0 as the zero-drop reference")
-    started = time.perf_counter()
-    per_seed = _map_seeds(
-        spec.seeds, lambda s: _calibration_one_seed(spec, s), threads
-    )
     rows = []
     for fraction in spec.fractions:
-        utilities = [r[fraction] for r in per_seed]
-        drops = [r[1.0] - r[fraction] for r in per_seed]
-        u_mean, u_se = _mean_se(utilities)
-        d_mean, _ = _mean_se(drops)
+        entries = [
+            {"utility": r[fraction], "drop": r[1.0] - r[fraction]} for r in per_seed
+        ]
         rows.append(
             {
                 "fraction": fraction,
                 "mask_source": "random" if fraction == 0.0 else "calibrated",
-                "utility_mean": u_mean,
-                "utility_se": u_se,
-                "drop_mean": d_mean,
-                "per_seed_drop": drops,
-                "per_seed": utilities,
+                **_stats(entries, ("utility",)),
+                **_stats(entries, ("drop",), se=False),
+                "per_seed_drop": [e["drop"] for e in entries],
+                "per_seed": [e["utility"] for e in entries],
             }
         )
-    return MetricsReport(
-        kind="calibration-ablation",
-        spec=spec.to_json_dict(),
-        seeds=list(spec.seeds),
-        rows=rows,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +411,9 @@ def run_calibration_ablation(
 
 
 @dataclass(frozen=True)
-class MergingSpec:
+class MergingSpec(_ExperimentSpec):
+    kind = "merging"
+
     model: ModelSpec
     task_a: SyntheticTaskSpec
     task_b: SyntheticTaskSpec
@@ -507,13 +428,6 @@ class MergingSpec:
         for pair in self.pairs:
             if pair not in MERGE_PAIRS:
                 raise ConfigError(f"unknown merge pair {pair!r}")
-
-    def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["model"] = self.model.to_json_dict()
-        out["task_a"] = self.task_a.to_json_dict()
-        out["task_b"] = self.task_b.to_json_dict()
-        return out
 
 
 def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:
@@ -583,47 +497,46 @@ def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:
     return out
 
 
-def run_merging_experiment(spec: MergingSpec, threads: int = 1) -> MetricsReport:
-    """Merge A and B models per method pair; grid-search dense sides only."""
-    started = time.perf_counter()
-    per_seed = _map_seeds(spec.seeds, lambda s: _merging_one_seed(spec, s), threads)
-    rows = []
-    for task, key in (("task_a", "baseline_a"), ("task_b", "baseline_b")):
-        mean, se = _mean_se([r[key] for r in per_seed])
-        rows.append(
-            {
-                "role": "baseline",
-                "task": task,
-                "method": "fft",
-                "utility_mean": mean,
-                "utility_se": se,
-            }
-        )
+def _merging_rows(spec: MergingSpec, per_seed: list[dict]) -> list[dict]:
+    """Merged utilities per method pair; grid search ran on dense sides only."""
+    rows = [
+        _baseline_row(task, "fft", [r[key] for r in per_seed])
+        for task, key in (("task_a", "baseline_a"), ("task_b", "baseline_b"))
+    ]
     for pair in spec.pairs:
         entries = [r["pairs"][pair] for r in per_seed]
-        ua_mean, ua_se = _mean_se([e["utility_a"] for e in entries])
-        ub_mean, ub_se = _mean_se([e["utility_b"] for e in entries])
-        avg_mean, avg_se = _mean_se([e["task_average"] for e in entries])
         rows.append(
             {
                 "role": "pair",
                 "pair": pair,
                 "cells": entries[0]["cells"],
-                "utility_a_mean": ua_mean,
-                "utility_a_se": ua_se,
-                "utility_b_mean": ub_mean,
-                "utility_b_se": ub_se,
-                "task_average_mean": avg_mean,
-                "task_average_se": avg_se,
+                **_stats(entries, ("utility_a", "utility_b", "task_average")),
                 "per_seed": entries,
             }
         )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the experiment engine
+
+
+def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
+    """Run `spec` once per seed, then aggregate the per-seed dicts into rows."""
+    # looked up per call, not at import: a tracer that rebinds the module's
+    # one-seed functions must see its wrappers used
+    one_seed, build_rows = {
+        SequentialSpec: (_sequential_one_seed, _sequential_rows),
+        SparsityAblationSpec: (_sparsity_one_seed, _sparsity_rows),
+        CalibrationAblationSpec: (_calibration_one_seed, _calibration_rows),
+        MergingSpec: (_merging_one_seed, _merging_rows),
+    }[type(spec)]
+    per_seed = [one_seed(spec, seed) for seed in spec.seeds]
     return MetricsReport(
-        kind="merging",
+        kind=spec.kind,
         spec=spec.to_json_dict(),
         seeds=list(spec.seeds),
-        rows=rows,
-        wall_time_s=time.perf_counter() - started,
+        rows=build_rows(spec, per_seed),
     )
 
 
@@ -631,8 +544,8 @@ def run_merging_experiment(spec: MergingSpec, threads: int = 1) -> MetricsReport
 # tuned default specs
 #
 # Constants below were selected empirically so each experiment shows its
-# directional trend reliably across the five default seeds; see README for
-# the reasoning behind each regime.
+# directional trend reliably across the five default seeds; the docstring of
+# each default_*_spec gives the reasoning behind its regime.
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -763,3 +676,15 @@ def default_merging_spec(seeds=DEFAULT_SEEDS) -> MergingSpec:
         sparsity=0.9,
         scaling=1.0,
     )
+
+
+# kind name -> (spec class, default spec factory)
+EXPERIMENT_KINDS = {
+    spec_cls.kind: (spec_cls, factory)
+    for spec_cls, factory in (
+        (SequentialSpec, default_sequential_spec),
+        (SparsityAblationSpec, default_sparsity_spec),
+        (CalibrationAblationSpec, default_calibration_spec),
+        (MergingSpec, default_merging_spec),
+    )
+}

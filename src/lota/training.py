@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -71,7 +70,7 @@ class TrainConfig:
 
     def snapshot(self) -> dict:
         """JSON-friendly dict; the mask is summarized, not embedded."""
-        out = dataclasses.asdict(self)
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         if self.mask is not None:
             out["mask"] = {
                 "kept_count": self.mask.kept_count,
@@ -102,20 +101,16 @@ class RunRecord:
     initial_digest: str
     final_digest: str | None
     loss_trace: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
     diverged: bool = False
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "config": self.config,
             "initial_digest": self.initial_digest,
             "final_digest": self.final_digest,
             "loss_trace": self.loss_trace,
             "diverged": self.diverged,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 def clip_group_norm(grads: ParameterMap, max_norm: float) -> ParameterMap:
@@ -195,7 +190,6 @@ def train(
         initial_digest=digest(model.params).hex(),
         final_digest=None,
     )
-    started = time.perf_counter()
     n = len(dataset)
     for epoch in range(config.epochs):
         perm = np.random.default_rng(config.seed ^ epoch).permutation(n)
@@ -204,7 +198,6 @@ def train(
             batch = dataset.take(perm[lo : lo + config.batch_size])
             loss, grads = _forward_backward_state(model, state, batch)
             if not np.isfinite(loss):
-                record.wall_time_s = time.perf_counter() - started
                 record.diverged = True
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}", partial_record=record
@@ -215,7 +208,6 @@ def train(
         record.loss_trace.append(float(np.mean(batch_losses)))
     final = ParameterMap._wrap({n_: a for n_, a in sorted(state.items())})
     record.final_digest = digest(final).hex()
-    record.wall_time_s = time.perf_counter() - started
     return final, record
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lota import ParameterMap, load_adapter, load_checkpoint, save_checkpoint
-from lota.cli import dispatch, _resolve_threads
-from lota.errors import ConfigError
+from lota.cli import dispatch, _experiment_spec_from_config
+from lota.harness import EXPERIMENT_KINDS
 
 
 @pytest.fixture
@@ -274,12 +274,10 @@ class TestExperimentCommand:
         path.write_text(json.dumps({"kind": "nonsense"}))
         assert dispatch(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("LOTA_THREADS", raising=False)
-        assert _resolve_threads(None) == 1
-        assert _resolve_threads(4) == 4
-        monkeypatch.setenv("LOTA_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        monkeypatch.setenv("LOTA_THREADS", "junk")
-        with pytest.raises(ConfigError):
-            _resolve_threads(None)
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_defaults_config_resolves_to_default_spec(self, kind):
+        _, default_factory = EXPERIMENT_KINDS[kind]
+        spec = _experiment_spec_from_config(
+            {"kind": kind, "defaults": True, "seeds": [3]}
+        )
+        assert spec == default_factory(seeds=(3,))

@@ -11,10 +11,7 @@ from lota.harness import (
     SequentialSpec,
     derive_seed,
     evaluate,
-    run_calibration_ablation,
-    run_merging_experiment,
-    run_sequential_experiment,
-    run_sparsity_ablation,
+    run_experiment,
     SparsityAblationSpec,
 )
 from lota.models import Dataset
@@ -117,8 +114,8 @@ class TestDeriveSeed:
 class TestSequential:
     def test_report_structure_and_determinism(self):
         spec = small_sequential_spec()
-        report = run_sequential_experiment(spec)
-        again = run_sequential_experiment(spec)
+        report = run_experiment(spec)
+        again = run_experiment(spec)
         assert report.to_json() == again.to_json()
         roles = {row.get("role") for row in report.rows}
         assert roles == {"baseline", "pair"}
@@ -137,7 +134,7 @@ class TestSequential:
             require_interference=True,
         )
         with pytest.raises(HarnessError, match="interfere"):
-            run_sequential_experiment(spec)
+            run_experiment(spec)
 
     def test_unknown_pair_rejected(self):
         from lota import ConfigError
@@ -146,7 +143,7 @@ class TestSequential:
             small_sequential_spec(method_pairs=("fft->nonsense",))
 
     def test_csv_has_pair_rows(self):
-        report = run_sequential_experiment(small_sequential_spec())
+        report = run_experiment(small_sequential_spec())
         csv_text = report.to_csv()
         assert "fft->fft" in csv_text
         assert "utility_a_mean" in csv_text.splitlines()[0]
@@ -164,7 +161,7 @@ class TestSparsityAblation:
             grid=(0.0, 0.5),
             iterative_schedule=None,
         )
-        report = run_sparsity_ablation(spec)
+        report = run_experiment(spec)
         rows = {r["row"]: r for r in report.rows}
         assert rows["s=0.0"]["k"] == ModelSpec(widths=(8, 24, 3)).build(0).params.total_elements
         # bitwise claim: the s=0 run IS an unmasked run from the same seed
@@ -189,7 +186,7 @@ class TestSparsityAblation:
             grid=(0.75,),
             iterative_schedule=None,
         )
-        report = run_sparsity_ablation(spec)
+        report = run_experiment(spec)
         n = ModelSpec(widths=(8, 24, 3)).build(0).params.total_elements
         assert report.rows[0]["k"] == int(np.floor(0.25 * n + 0.5))
 
@@ -199,14 +196,12 @@ class TestCalibrationAblation:
         from lota import ConfigError
 
         with pytest.raises(ConfigError):
-            run_calibration_ablation(
-                CalibrationAblationSpec(
-                    model=ModelSpec(widths=(8, 24, 3)),
-                    task=cluster_task(1, "c"),
-                    train=dict(learning_rate=0.01, batch_size=32, epochs=2),
-                    seeds=(0,),
-                    fractions=(0.5, 0.0),
-                )
+            CalibrationAblationSpec(
+                model=ModelSpec(widths=(8, 24, 3)),
+                task=cluster_task(1, "c"),
+                train=dict(learning_rate=0.01, batch_size=32, epochs=2),
+                seeds=(0,),
+                fractions=(0.5, 0.0),
             )
 
     def test_zero_fraction_row_flagged_random(self):
@@ -219,7 +214,7 @@ class TestCalibrationAblation:
             fractions=(1.0, 0.0),
             sparsity=0.8,
         )
-        report = run_calibration_ablation(spec)
+        report = run_experiment(spec)
         rows = {r["fraction"]: r for r in report.rows}
         assert rows[0.0]["mask_source"] == "random"
         assert rows[1.0]["mask_source"] == "calibrated"
@@ -238,7 +233,7 @@ class TestMerging:
             fraction_grid=(0.2, 0.3),
             sparsity=0.8,
         )
-        report = run_merging_experiment(spec)
+        report = run_experiment(spec)
         rows = {r.get("pair"): r for r in report.rows if r.get("role") == "pair"}
         assert rows["lota+lota"]["cells"] == 1
         assert rows["fft+fft"]["cells"] == 4
