@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import write_atomic
 from .errors import AlignmentError, DigestMismatchError, FormatError
 from .params import MapDigest, ParameterMap, digest
 from .sparsity import TaskVector
@@ -111,6 +112,17 @@ class SparseAdapter:
         n = self.n_total
         return 1.0 - self.c_total / n if n else 1.0
 
+    def require_aligned(self, base: ParameterMap) -> None:
+        """Each record must name a base tensor of its shape; check before decode."""
+        for rec in self.records:
+            if rec.name not in base:
+                raise AlignmentError(f"adapter tensor {rec.name!r} not in base map")
+            if base[rec.name].shape != rec.shape:
+                raise AlignmentError(
+                    f"shape mismatch for {rec.name!r}: base "
+                    f"{base[rec.name].shape}, adapter {rec.shape}"
+                )
+
 
 def encode(tv: TaskVector) -> SparseAdapter:
     """Store only the nonzero coordinates of a task vector."""
@@ -157,19 +169,10 @@ def apply_adapter(
         raise DigestMismatchError(
             "adapter was built against a different base model"
         )
+    adapter.require_aligned(w_p)
     out = w_p.to_dict()
     for rec in adapter.records:
-        if rec.name not in out:
-            raise AlignmentError(f"adapter tensor {rec.name!r} not in base map")
-        target = out[rec.name]
-        if target.shape != rec.shape:
-            raise AlignmentError(
-                f"shape mismatch for {rec.name!r}: base {target.shape}, "
-                f"adapter {rec.shape}"
-            )
-        flat = target.reshape(-1)
-        idx = rec.indices()
-        flat[idx] += rec.values
+        out[rec.name].reshape(-1)[rec.indices()] += rec.values
     return ParameterMap._wrap(out)
 
 
@@ -224,7 +227,7 @@ def serialize_adapter(adapter: SparseAdapter) -> bytes:
 
 
 def save_adapter(adapter: SparseAdapter, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_adapter(adapter))
+    write_atomic(path, serialize_adapter(adapter))
 
 
 class _Reader:

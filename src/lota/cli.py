@@ -337,6 +337,8 @@ def cmd_merge(args) -> int:
             elect_signs=elect,
             scaling=scaling,
         )
+        for adapter in adapters:
+            adapter.require_aligned(base)  # before decode allocates record dims
         merged = run_merge_spec(base, [decode(a) for a in adapters], spec_record)
     out = _out_dir(args)
     save_checkpoint(merged, out / "merged.ckpt")

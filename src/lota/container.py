@@ -15,7 +15,11 @@ The writer is deterministic: identical entries produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
+import os
+import secrets
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +48,25 @@ def build_container(entries: dict[str, np.ndarray], dtype_tag: str) -> bytes:
         header, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     ).encode("utf-8")
     return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(chunks)
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace `path` with `data` as one step.
+
+    The bytes go to a synced temp file in the same directory, which
+    os.replace swaps in: readers see the old file or the new one, and a
+    failed write leaves the old file and no temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _reject_duplicates(pairs):
@@ -91,9 +114,11 @@ def parse_container(blob: bytes, expected_dtype: str) -> dict[str, np.ndarray]:
         try:
             begin, end = meta["data_offsets"]
             dtype_tag = meta["dtype"]
-            shape = tuple(int(d) for d in meta["shape"])
+            shape = tuple(meta["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed header entry for {name!r}") from exc
+        if not all(type(x) is int for x in (begin, end, *shape)):
+            raise FormatError(f"non-integer offsets or shape for {name!r}")
         if dtype_tag != expected_dtype:
             raise FormatError(
                 f"dtype mismatch for {name!r}: expected {expected_dtype}, "
@@ -101,7 +126,9 @@ def parse_container(blob: bytes, expected_dtype: str) -> dict[str, np.ndarray]:
             )
         if any(d <= 0 for d in shape):
             raise FormatError(f"non-positive dimension in shape of {name!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # Python ints: no wrap-around
+        if count * np_dtype.itemsize > len(payload):
+            raise FormatError(f"shape of {name!r} is larger than the payload")
         if begin != cursor:
             raise FormatError(f"non-contiguous payload at {name!r}")
         if end - begin != count * np_dtype.itemsize:

@@ -141,6 +141,8 @@ def merge_lota(
     w_p: ParameterMap, adapters: Sequence[SparseAdapter], lam: float = 1.0
 ) -> ParameterMap:
     """Merge inherently sparse adapters: no trimming, elect/mean only."""
+    for adapter in adapters:
+        adapter.require_aligned(w_p)
     tvs = [decode(a) for a in adapters]
     return ties_merge(w_p, tvs, [1.0] * len(tvs), lam=lam)
 

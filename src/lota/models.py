@@ -168,27 +168,20 @@ def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets: np.ndarray)
     return loss, d_out
 
 
-def _forward_backward_state(model: ToyModel, state: dict, batch: Dataset):
-    """Loss and float32 gradients for float32 `state` arrays."""
+def _forward_backward_state(model: ToyModel, state64, batch: Dataset, grads) -> float:
+    """Loss for float64 `state64` arrays; writes float32 gradients into `grads`."""
     n_layers = len(model.widths) - 1
-    state64 = {n: a.astype(np.float64) for n, a in state.items()}
     x64 = batch.inputs.astype(np.float64)
     out, acts, preacts = _forward_pass(model, state64, x64)
-    targets = (
-        batch.targets
-        if batch.is_classification
-        else batch.targets.astype(np.float64)
-    )
-    loss, d_z = _loss_and_output_grad(model, out, targets)
-    grads: dict[str, np.ndarray] = {}
+    # float32 regression targets promote exactly to float64 inside the loss
+    loss, d_z = _loss_and_output_grad(model, out, batch.targets)
     for i in range(n_layers - 1, -1, -1):
-        grads[f"layer{i}.weight"] = (acts[i].T @ d_z).astype(np.float32)
-        grads[f"layer{i}.bias"] = d_z.sum(axis=0).astype(np.float32)
+        grads[f"layer{i}.weight"][...] = acts[i].T @ d_z
+        grads[f"layer{i}.bias"][...] = d_z.sum(axis=0)
         if i > 0:
             d_a = d_z @ state64[f"layer{i}.weight"].T
-            a = acts[i]
-            d_z = d_a * _activate_grad(preacts[i - 1], a, model.activation)
-    return loss, grads
+            d_z = d_a * _activate_grad(preacts[i - 1], acts[i], model.activation)
+    return loss
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,9 @@ def forward_backward(model: ToyModel, batch: Dataset) -> ForwardBackward:
     """Mean-reduced loss and gradients over a batch."""
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    loss, grads = _forward_backward_state(model, dict(model.params.items()), batch)
+    state64 = {n: a.astype(np.float64) for n, a in model.params.items()}
+    grads = {n: np.empty(a.shape, np.float32) for n, a in model.params.items()}
+    loss = _forward_backward_state(model, state64, batch, grads)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
     return ForwardBackward(loss=loss, grads=ParameterMap._wrap(grads))

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import build_container, parse_container
+from .container import build_container, parse_container, write_atomic
 from .errors import AlignmentError, NonFiniteError
 
 MapDigest = bytes  # 32-byte SHA-256 over the canonical checkpoint serialization
@@ -102,7 +102,7 @@ def serialize_checkpoint(pm: ParameterMap) -> bytes:
 
 
 def save_checkpoint(pm: ParameterMap, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_checkpoint(pm))
+    write_atomic(path, serialize_checkpoint(pm))
 
 
 def load_checkpoint(path: str | Path) -> ParameterMap:

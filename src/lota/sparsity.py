@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import build_container, parse_container
+from .container import build_container, parse_container, write_atomic
 from .errors import AlignmentError, CapacityError, FormatError
 from .params import MapDigest, ParameterMap, digest
 
@@ -279,15 +279,19 @@ def save_mask(
     source: str = "",
     seed: int | None = None,
 ) -> None:
-    """Write mask container plus `<path>.json` sidecar; bit-reproducible."""
+    """Write mask container plus `<path>.json` sidecar; bit-reproducible.
+
+    Both are serialized before either is written, and each is replaced
+    atomically, container first.
+    """
     entries = {n: a.astype(np.uint8) for n, a in mask.items()}
-    Path(path).write_bytes(build_container(entries, "U8"))
+    blob = build_container(entries, "U8")
     sidecar = {"declared_sparsity": mask.declared_sparsity, "source": source}
     if seed is not None:
         sidecar["seed"] = seed
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    text = json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n"
+    write_atomic(path, blob)
+    write_atomic(str(path) + ".json", text.encode())
 
 
 def load_mask(path: str | Path) -> SparsityMask:

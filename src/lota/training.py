@@ -8,8 +8,9 @@ The drivers implement three procedures over a base model w_P:
   * lotto: sequential tasks under a growing constraint set; each task's
     mask is disjoint from every earlier one.
 
-Masked updates are applied after per-group gradient clipping; coordinates
-with mask=false are bitwise-frozen at their initial values.
+`train` keeps flat state and clips each group's gradient norm; with a mask,
+RMSProp gathers and scatters only the kept indices, so coordinates with
+mask=false stay bitwise-frozen at their initial values.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
 from .sparsity import (
     SparsityMask,
+    _from_global,
     all_false_mask,
     apply_mask,
     compute_task_vector,
     mask_complement,
     mask_union,
+    random_mask,
     round_half_up,
     sparsify,
     support_mask,
@@ -89,10 +92,7 @@ class OptimizerState:
 
     @classmethod
     def zeros(cls, params: ParameterMap) -> "OptimizerState":
-        return cls(
-            v={n: np.zeros(a.shape, dtype=np.float32) for n, a in params.items()},
-            step=0,
-        )
+        return cls(v={n: np.zeros(a.shape, np.float32) for n, a in params.items()})
 
 
 @dataclass
@@ -104,13 +104,7 @@ class RunRecord:
     diverged: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "initial_digest": self.initial_digest,
-            "final_digest": self.final_digest,
-            "loss_trace": self.loss_trace,
-            "diverged": self.diverged,
-        }
+        return dataclasses.asdict(self)
 
 
 def clip_group_norm(grads: ParameterMap, max_norm: float) -> ParameterMap:
@@ -123,11 +117,11 @@ def clip_group_norm(grads: ParameterMap, max_norm: float) -> ParameterMap:
 
 
 def _clip_group_norm_inplace(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    for name, g in grads.items():
+    for g in grads.values():
         flat = g.ravel().astype(np.float64)
         norm = math.sqrt(float(np.dot(flat, flat)))
         if norm > max_norm:
-            grads[name] = g * np.float32(max_norm / norm)
+            g *= np.float32(max_norm / norm)
 
 
 def rmsprop_step(
@@ -137,35 +131,47 @@ def rmsprop_step(
     config: TrainConfig,
     mask: SparsityMask | None = None,
 ) -> tuple[ParameterMap, OptimizerState]:
-    """One update: v <- d*v + (1-d)*g^2; w <- w - lr*g/(sqrt(v)+eps)."""
+    """One update: v <- d*v + (1-d)*g^2; w <- w - lr*g/(sqrt(v)+eps).
+
+    A mask zeroes the gradient at mask=false coordinates: their weights stay
+    bitwise, and a nonzero v there decays.
+    """
     params.require_aligned(grads, "params and grads")
-    new_params = params.to_dict()
-    new_v = {n: a.copy() for n, a in state.v.items()}
-    mask_arrays = None
     if mask is not None:
         mask.require_aligned(params, "mask and params")
-        mask_arrays = {n: mask[n] for n in mask.names}
-    _rmsprop_update_inplace(new_params, dict(grads.items()), new_v, config, mask_arrays)
-    if any(not np.isfinite(a).all() for a in new_params.values()):
+    shapes = params.shapes()
+    w, g, v = (np.concatenate([np.ravel(m[n]) for n in shapes])
+               for m in (params, grads, state.v))
+    keep = np.ones(w.size, bool) if mask is None else mask.global_flat()
+    new_w = w.copy()
+    g = np.where(keep, g, np.float32(0.0))
+    _rmsprop_update_inplace(new_w, g, v, config, None, np.empty(w.size))
+    new_w = np.where(keep, new_w, w)  # shields frozen coordinates from ±0.0 flips
+    if not np.isfinite(new_w).all():
         raise DivergenceError("non-finite parameter after optimizer step")
-    return ParameterMap._wrap(new_params), OptimizerState(v=new_v, step=state.step + 1)
+    out = ParameterMap._wrap(_from_global(shapes, new_w))
+    return out, OptimizerState(v=_from_global(shapes, v), step=state.step + 1)
 
 
-def _rmsprop_update_inplace(params, grads, v, config: TrainConfig, mask_arrays) -> None:
+def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, w64) -> None:
+    """RMSProp on flat float32 vectors, only at the `kept` indices if given.
+
+    `w` and `v` hold only the updated coordinates; the gradient `g` and the
+    float64 mirror `w64`, which gets the new weights, are full length.
+    """
     decay = np.float32(config.rmsprop_decay)
     one_minus = np.float32(1.0 - config.rmsprop_decay)
     lr = np.float32(config.learning_rate)
     eps = np.float32(config.rmsprop_epsilon)
-    for name, w in params.items():
-        g = grads[name]
-        if mask_arrays is not None:
-            g = np.where(mask_arrays[name], g, np.float32(0.0))
-        v[name] = decay * v[name] + one_minus * (g * g)
-        updated = w - lr * g / (np.sqrt(v[name]) + eps)
-        if mask_arrays is not None:
-            # np.where shields frozen coordinates from ±0.0 bit flips
-            updated = np.where(mask_arrays[name], updated, w)
-        params[name] = updated
+    if kept is not None:
+        g = g[kept]
+    v *= decay
+    v += one_minus * (g * g)
+    w -= lr * g / (np.sqrt(v) + eps)
+    if kept is None:
+        w64[...] = w
+    else:
+        w64[kept] = w.astype(np.float64)
 
 
 def train(
@@ -173,50 +179,51 @@ def train(
 ) -> tuple[ParameterMap, RunRecord]:
     """Deterministic mini-batch training; returns final weights and record.
 
-    With a mask in the config, the clipped gradient is multiplied by the
-    mask before the optimizer step and every mask=false coordinate stays
-    bitwise equal to its initial value.
+    The state is flat, in sorted name order: a float64 weight mirror that
+    the forward pass reads and float32 gradients that it writes, each with
+    one view per name, plus the float32 weights and RMSProp state. With a
+    mask in the config, those two hold only the kept indices, so every
+    mask=false coordinate stays bitwise equal to its initial value. This is
+    bit-identical to a dense update of the masked gradient, whose v stays 0
+    wherever the gradient is 0. The mirror holds exact float32 values.
     """
     if len(dataset) == 0:
         raise ConfigError("dataset must be nonempty")
-    state = model.params.to_dict()
-    v = {n: np.zeros(a.shape, dtype=np.float32) for n, a in state.items()}
-    mask_arrays = None
+    shapes = model.params.shapes()
+    w = np.concatenate([a.ravel() for _, a in model.params.items()])
+    w64, g = w.astype(np.float64), np.empty_like(w)
+    state64, grads = _from_global(shapes, w64), _from_global(shapes, g)
+    kept = None
     if config.mask is not None:
         config.mask.require_aligned(model.params, "mask and model parameters")
-        mask_arrays = {n: config.mask[n] for n in config.mask.names}
-    record = RunRecord(
-        config=config.snapshot(),
-        initial_digest=digest(model.params).hex(),
-        final_digest=None,
-    )
+        kept = np.flatnonzero(config.mask.global_flat())
+        w = w[kept]  # the float32 weights that RMSProp updates
+    v = np.zeros_like(w)
+    record = RunRecord(config.snapshot(), digest(model.params).hex(), None)
     n = len(dataset)
     for epoch in range(config.epochs):
         perm = np.random.default_rng(config.seed ^ epoch).permutation(n)
         batch_losses = []
         for lo in range(0, n, config.batch_size):
             batch = dataset.take(perm[lo : lo + config.batch_size])
-            loss, grads = _forward_backward_state(model, state, batch)
+            loss = _forward_backward_state(model, state64, batch, grads)
             if not np.isfinite(loss):
                 record.diverged = True
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}", partial_record=record
                 )
             _clip_group_norm_inplace(grads, config.clip_group_norm)
-            _rmsprop_update_inplace(state, grads, v, config, mask_arrays)
+            _rmsprop_update_inplace(w, g, v, config, kept, w64)
             batch_losses.append(loss)
         record.loss_trace.append(float(np.mean(batch_losses)))
-    final = ParameterMap._wrap({n_: a for n_, a in sorted(state.items())})
+    final = ParameterMap._wrap(_from_global(shapes, w64.astype(np.float32)))
     record.final_digest = digest(final).hex()
     return final, record
 
 
 def _calibration_budget(config: TrainConfig) -> int:
-    return (
-        config.calibration_epochs
-        if config.calibration_epochs is not None
-        else config.epochs
-    )
+    cal = config.calibration_epochs
+    return config.epochs if cal is None else cal
 
 
 @dataclass(frozen=True)
@@ -240,8 +247,6 @@ def lota(
     calibration_fraction scales how much data the calibration phase sees;
     0 skips calibration entirely and draws a uniform random mask instead.
     """
-    from .sparsity import random_mask  # local import avoids cycle at module load
-
     if not 0.0 <= calibration_fraction <= 1.0:
         raise ConfigError("calibration_fraction must be in [0, 1]")
     if config.mask is not None:

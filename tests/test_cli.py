@@ -1,9 +1,17 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lota import ParameterMap, load_adapter, load_checkpoint, save_checkpoint
+from lota import (
+    ParameterMap,
+    load_adapter,
+    load_checkpoint,
+    save_adapter,
+    save_checkpoint,
+)
 from lota.cli import dispatch, _experiment_spec_from_config
 from lota.harness import EXPERIMENT_KINDS
 
@@ -238,6 +246,36 @@ class TestMergeCommand:
         merged = load_checkpoint(out / "merged.ckpt")
         assert merged.names == pm.names
         assert (out / "merge_spec.json").exists()
+
+    @pytest.mark.parametrize("elect", [True, False])
+    def test_forged_dims_rejected_before_decode(self, base_ckpt, tmp_path,
+                                                capsys, elect):
+        pm, path = base_ckpt
+        ft_path = tmp_path / "ft.ckpt"
+        save_checkpoint(tweaked(pm), ft_path)
+        dispatch(["diff", str(path), str(ft_path), "--out", str(tmp_path / "d")])
+        adapter = load_adapter(tmp_path / "d" / "adapter.lta")
+        records = tuple(
+            dataclasses.replace(r, shape=(2**40,)) if r.name == "layer0.bias" else r
+            for r in adapter.records
+        )
+        forged = tmp_path / "forged.lta"
+        save_adapter(dataclasses.replace(adapter, records=records), forged)
+        merge_config = tmp_path / "merge.json"
+        merge_config.write_text(json.dumps(
+            {"base": str(path), "adapters": [str(forged)], "elect_signs": elect}
+        ))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = dispatch(["merge", "--config", str(merge_config),
+                             "--out", str(tmp_path / "m")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "AlignmentError"
+        assert peak < 16 * 2**20
 
 
 class TestExperimentCommand:

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -11,10 +12,15 @@ from lota import (
     FormatError,
     NonFiniteError,
     ParameterMap,
+    compute_task_vector,
     digest,
+    encode,
     linear_combine,
     load_checkpoint,
+    random_mask,
+    save_adapter,
     save_checkpoint,
+    save_mask,
 )
 from lota.params import serialize_checkpoint
 
@@ -159,6 +165,32 @@ class TestCheckpointRoundTrip:
         with pytest.raises(NonFiniteError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "shape, payload_floats",
+        [([2**32, 2**32], 0), ([2**70], 1), ([2**31, 2**31, 4], 0)],
+    )
+    def test_forged_shape_product_rejected(self, tmp_path, shape, payload_floats):
+        # the first and last products wrap to 0 in int64; 2**70 overflows it
+        entry = {"data_offsets": [0, 4 * payload_floats], "dtype": "F32",
+                 "shape": shape}
+        header = json.dumps({"a": entry}).encode()
+        payload = np.zeros(payload_floats, dtype="<f4").tobytes()
+        path = tmp_path / "forged.ckpt"
+        path.write_bytes(struct.pack("<Q", len(header)) + header + payload)
+        with pytest.raises(FormatError, match="larger than the payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "offsets, shape", [([0.0, 4.0], [1]), ([0, 4], [1.5]), ([0, 4], [True])]
+    )
+    def test_non_integer_header_fields_rejected(self, tmp_path, offsets, shape):
+        entry = {"data_offsets": offsets, "dtype": "F32", "shape": shape}
+        header = json.dumps({"a": entry}).encode()
+        path = tmp_path / "forged.ckpt"
+        path.write_bytes(struct.pack("<Q", len(header)) + header + bytes(4))
+        with pytest.raises(FormatError, match="non-integer"):
+            load_checkpoint(path)
+
     @settings(max_examples=120, deadline=None)
     @given(parameter_maps())
     def test_round_trip_property(self, tmp_path_factory, pm):
@@ -171,6 +203,50 @@ class TestCheckpointRoundTrip:
         for name, arr in pm.items():
             assert arr.tobytes() == loaded[name].tobytes()
             assert arr.shape == loaded[name].shape
+
+
+SAVERS = {
+    "checkpoint": lambda path, seed: save_checkpoint(small_map(seed), path),
+    "adapter": lambda path, seed: save_adapter(
+        encode(compute_task_vector(small_map(seed), small_map())), path
+    ),
+    "mask": lambda path, seed: save_mask(random_mask(small_map(), 0.5, seed), path),
+}
+
+
+def directory_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("kind", sorted(SAVERS))
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "artifact"
+        SAVERS[kind](path, 1)
+        before = directory_bytes(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            SAVERS[kind](path, 2)
+        assert directory_bytes(tmp_path) == before  # no temp file either
+
+    def test_mask_sidecar_failure_keeps_container(self, tmp_path):
+        path = tmp_path / "mask.bin"
+        save_mask(random_mask(small_map(), 0.5, 1), path)
+        before = directory_bytes(tmp_path)
+        with pytest.raises(TypeError):  # the seed is not JSON-serializable
+            save_mask(random_mask(small_map(), 0.5, 2), path, seed=object())
+        assert directory_bytes(tmp_path) == before
+
+    def test_overwrite_replaces_content(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_map(1), path)
+        save_checkpoint(small_map(2), path)
+        assert load_checkpoint(path) == small_map(2)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 class TestDigest:

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lota import training
 from lota import (
     CapacityError,
     ConfigError,
@@ -26,6 +31,7 @@ from lota import (
     sparsify,
     train,
 )
+from lota.models import _activate_grad, _forward_pass, _loss_and_output_grad
 
 
 def toy_task(seed=0, n=128, dim=6, classes=3):
@@ -143,6 +149,151 @@ class TestTrain:
         assert record.final_digest == digest(w_out).hex()
         assert len(record.loss_trace) == 2
         assert not record.diverged
+
+
+def reference_train(model, dataset, config):
+    """Per-name dense step with np.where masking, as `train` did before it
+    kept flat state; the oracle for its bit identity."""
+    n_layers = len(model.widths) - 1
+    state = model.params.to_dict()
+    v = {n: np.zeros(a.shape, dtype=np.float32) for n, a in state.items()}
+    mask_arrays = None
+    if config.mask is not None:
+        mask_arrays = {n: config.mask[n] for n in config.mask.names}
+    decay = np.float32(config.rmsprop_decay)
+    one_minus = np.float32(1.0 - config.rmsprop_decay)
+    lr = np.float32(config.learning_rate)
+    eps = np.float32(config.rmsprop_epsilon)
+    loss_trace = []
+    for epoch in range(config.epochs):
+        perm = np.random.default_rng(config.seed ^ epoch).permutation(len(dataset))
+        batch_losses = []
+        for lo in range(0, len(dataset), config.batch_size):
+            batch = dataset.take(perm[lo : lo + config.batch_size])
+            state64 = {n: a.astype(np.float64) for n, a in state.items()}
+            out, acts, preacts = _forward_pass(
+                model, state64, batch.inputs.astype(np.float64)
+            )
+            targets = (
+                batch.targets
+                if batch.is_classification
+                else batch.targets.astype(np.float64)
+            )
+            loss, d_z = _loss_and_output_grad(model, out, targets)
+            grads = {}
+            for i in range(n_layers - 1, -1, -1):
+                grads[f"layer{i}.weight"] = (acts[i].T @ d_z).astype(np.float32)
+                grads[f"layer{i}.bias"] = d_z.sum(axis=0).astype(np.float32)
+                if i > 0:
+                    d_a = d_z @ state64[f"layer{i}.weight"].T
+                    act = model.activation
+                    d_z = d_a * _activate_grad(preacts[i - 1], acts[i], act)
+            for name, g in grads.items():
+                flat = g.ravel().astype(np.float64)
+                norm = math.sqrt(float(np.dot(flat, flat)))
+                if norm > config.clip_group_norm:
+                    grads[name] = g * np.float32(config.clip_group_norm / norm)
+            for name, w in state.items():
+                g = grads[name]
+                if mask_arrays is not None:
+                    g = np.where(mask_arrays[name], g, np.float32(0.0))
+                v[name] = decay * v[name] + one_minus * (g * g)
+                updated = w - lr * g / (np.sqrt(v[name]) + eps)
+                if mask_arrays is not None:
+                    updated = np.where(mask_arrays[name], updated, w)
+                state[name] = updated
+            batch_losses.append(loss)
+        loss_trace.append(float(np.mean(batch_losses)))
+    return ParameterMap(state), loss_trace
+
+
+def oracle_problem(head, activation, seed):
+    rng = np.random.default_rng(seed)
+    model = ToyModel.initialize([5, 7, 3], activation, head, seed)
+    inputs = rng.standard_normal((40, 5)).astype(np.float32)
+    if head == "softmax-cross-entropy":
+        targets = rng.integers(0, 3, size=40)
+    else:
+        targets = rng.standard_normal((40, 3)).astype(np.float32)
+    return model, Dataset(inputs, targets, "oracle")
+
+
+def oracle_mask(params, kind, density, seed):
+    n = params.total_elements
+    if kind == "none":
+        return None
+    if kind == "all-true":
+        return all_true_mask(params)
+    if kind == "all-false":
+        return all_false_mask(params)
+    if kind == "single":
+        return random_mask(params, 1.0 - 1.0 / n, seed)
+    return random_mask(params, 1.0 - density, seed)
+
+
+class TestFlatStateOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        head=st.sampled_from(["softmax-cross-entropy", "mean-squared-error"]),
+        activation=st.sampled_from(["tanh", "relu"]),
+        kind=st.sampled_from(["none", "all-true", "all-false", "single", "random"]),
+        density=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**16),
+        clip=st.sampled_from([0.05, 1.0]),
+    )
+    def test_bit_identical_to_per_name_update(
+        self, head, activation, kind, density, seed, clip
+    ):
+        model, data = oracle_problem(head, activation, seed)
+        mask = oracle_mask(model.params, kind, density, seed)
+        if kind == "single":
+            assert mask.kept_count == 1
+        config = quick_config(
+            learning_rate=0.05, batch_size=16, epochs=3, seed=seed,
+            clip_group_norm=clip, mask=mask,
+        )
+        w_ref, trace_ref = reference_train(model, data, config)
+        w_out, record = train(model, data, config)
+        assert w_out.names == w_ref.names
+        for name, arr in w_ref.items():
+            assert w_out[name].tobytes() == arr.tobytes(), name
+        assert record.loss_trace == trace_ref
+        assert record.final_digest == digest(w_ref).hex()
+
+
+STEP_HELPERS = (
+    "_forward_backward_state",
+    "_clip_group_norm_inplace",
+    "_rmsprop_update_inplace",
+)
+
+
+class TestStepHelperContract:
+    """`perfbench --trace 1` times these names in lota.training, and reads the
+    update's 5th positional argument to tell masked steps from dense ones."""
+
+    @pytest.mark.parametrize("kind", ["none", "random", "all-true"])
+    def test_each_helper_called_once_per_step(self, monkeypatch, kind):
+        calls = {name: [] for name in STEP_HELPERS}
+        for name in STEP_HELPERS:
+            original = getattr(training, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name].append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(training, name, counting)
+        model, data = toy_model(), toy_task(n=100)
+        config = quick_config(
+            epochs=3, mask=oracle_mask(model.params, kind, 0.3, seed=5)
+        )
+        train(model, data, config)
+        steps = config.epochs * math.ceil(len(data) / config.batch_size)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(
+            STEP_HELPERS, steps
+        )
+        for args in calls["_rmsprop_update_inplace"]:
+            assert (args[4] is None) == (config.mask is None)
 
 
 class TestLota:
