@@ -153,7 +153,12 @@ def decode(adapter: SparseAdapter) -> TaskVector:
                 f"value count {rec.values.size} != stored count {rec.c} "
                 f"for {rec.name!r}"
             )
-        flat = np.zeros(rec.n, dtype=np.float32)
+        try:
+            flat = np.zeros(rec.n, dtype=np.float32)
+        except (MemoryError, ValueError) as exc:
+            raise FormatError(
+                f"cannot allocate {rec.n} elements for {rec.name!r}: {exc}"
+            ) from exc
         flat[rec.indices()] = rec.values
         entries[rec.name] = flat.reshape(rec.shape)
     return TaskVector(

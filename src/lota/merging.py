@@ -52,6 +52,28 @@ def _global_values(tv: TaskVector) -> np.ndarray:
     return np.concatenate([a.ravel() for _, a in tv.entries.items()])
 
 
+def _weighted_sum(
+    w_p: ParameterMap,
+    tvs: Sequence[TaskVector],
+    fractions: Sequence[float],
+    weights: Sequence[float],
+    lam: float,
+) -> ParameterMap:
+    """w_P + lam * sum_i weights_i * trim(tv_i, fractions_i), no sign election.
+
+    A fraction of 1.0 keeps every coordinate, which is plain task arithmetic.
+    """
+    n = w_p.total_elements
+    _check_base(w_p, tvs)
+    acc = np.zeros(n, dtype=np.float32)
+    for tv, fraction, weight in zip(tvs, fractions, weights):
+        kept = topk_keep_flat(tv.entries, round_half_up(fraction * n))
+        acc += np.float32(weight) * np.where(
+            kept, _global_values(tv), np.float32(0.0)
+        )
+    return _add_scaled(w_p, acc, lam)
+
+
 def task_arithmetic_merge(
     w_p: ParameterMap,
     tvs: Sequence[TaskVector],
@@ -61,11 +83,25 @@ def task_arithmetic_merge(
     """w_P + lam * sum_i weights_i * tv_i."""
     if len(weights) != len(tvs):
         raise ValueError("weights and task vectors must have the same length")
-    _check_base(w_p, tvs)
-    acc = np.zeros(w_p.total_elements, dtype=np.float32)
-    for weight, tv in zip(weights, tvs):
-        acc += np.float32(weight) * _global_values(tv)
-    return _add_scaled(w_p, acc, lam)
+    return _weighted_sum(w_p, tvs, [1.0] * len(tvs), weights, lam)
+
+
+def _sort_columns(stacked: np.ndarray) -> np.ndarray:
+    """Each column of a (tasks, n) stack in ascending order.
+
+    An odd-even transposition network: T passes of compare-exchange
+    between neighbouring rows sort any column of T values. Equal values
+    may end in either order, and among finite floats only +0.0 and -0.0
+    are equal yet distinguishable.
+    """
+    ordered = stacked.copy()
+    t = ordered.shape[0]
+    for p in range(t):
+        lo, hi = ordered[p % 2 : t - 1 : 2], ordered[p % 2 + 1 : t : 2]
+        low = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = low
+    return ordered
 
 
 def _trim_elect_mean(
@@ -75,8 +111,10 @@ def _trim_elect_mean(
 
     Non-kept coordinates must already be zeroed. Rows are value-sorted per
     coordinate before accumulation so the result is task-order invariant.
+    The sort may swap +0.0 and -0.0, which changes no result: zeros never
+    enter the signed sums, and adding either zero never changes the total.
     """
-    ordered = np.sort(stacked, axis=0)
+    ordered = _sort_columns(stacked)
     total = np.zeros(ordered.shape[1], dtype=np.float32)
     pos_sum = np.zeros_like(total)
     neg_sum = np.zeros_like(total)
@@ -190,15 +228,7 @@ def run_merge_spec(
     weights = [e.weight for e in spec.entries]
     if spec.elect_signs:
         return ties_merge(w_p, tvs, fractions, lam=spec.scaling, weights=weights)
-    n = w_p.total_elements
-    _check_base(w_p, tvs)
-    acc = np.zeros(n, dtype=np.float32)
-    for tv, fraction, weight in zip(tvs, fractions, weights):
-        kept = topk_keep_flat(tv.entries, round_half_up(fraction * n))
-        acc += np.float32(weight) * np.where(
-            kept, _global_values(tv), np.float32(0.0)
-        )
-    return _add_scaled(w_p, acc, spec.scaling)
+    return _weighted_sum(w_p, tvs, fractions, weights, spec.scaling)
 
 
 @dataclass

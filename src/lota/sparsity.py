@@ -3,7 +3,9 @@
 Thresholding is GLOBAL: magnitudes from all parameter groups are ranked
 together in lexicographic name order (then flat index within a tensor).
 Ties at the threshold magnitude keep the earlier element in that order,
-so masks are fully deterministic.
+so masks are fully deterministic. The top k is found by selection, not
+by sorting: one partition finds the k-th largest magnitude, everything
+above it is kept, and a tie pass keeps the earliest elements equal to it.
 """
 
 from __future__ import annotations
@@ -150,22 +152,30 @@ def topk_keep_flat(
 
     Ties broken by global position (earlier wins). `allowed` optionally
     restricts candidate positions (global flat boolean vector).
+
+    O(n): `np.partition` finds the threshold t, the k-th largest candidate
+    magnitude. Every candidate above t is kept, then the earliest
+    candidates equal to t fill the remaining slots.
     """
     mags = np.concatenate(
         [np.abs(arr, dtype=np.float32).ravel() for _, arr in entries.items()]
     )
-    n = mags.size
-    if allowed is None:
-        candidates = np.arange(n, dtype=np.int64)
-    else:
-        candidates = np.flatnonzero(allowed)
-    if k > candidates.size:
+    candidates = None if allowed is None else np.flatnonzero(allowed)
+    m = mags if candidates is None else mags[candidates]
+    if k > m.size:
         raise CapacityError(
-            f"cannot keep {k} elements: only {candidates.size} positions allowed"
+            f"cannot keep {k} elements: only {m.size} positions allowed"
         )
-    order = np.lexsort((candidates, -mags[candidates]))
-    kept_flat = np.zeros(n, dtype=bool)
-    kept_flat[candidates[order[:k]]] = True
+    keep = np.full(m.size, k == m.size)
+    if 0 < k < m.size:
+        t = np.partition(m, m.size - k)[m.size - k]
+        np.greater(m, t, out=keep)
+        ties = np.flatnonzero(m == t)
+        keep[ties[: k - int(np.count_nonzero(keep))]] = True
+    if candidates is None:
+        return keep
+    kept_flat = np.zeros(mags.size, dtype=bool)
+    kept_flat[candidates] = keep
     return kept_flat
 
 

@@ -214,6 +214,12 @@ class TestAdapterFile:
         with pytest.raises(FormatError, match="more than"):
             deserialize_adapter(forged_blob((1,) * 33))
 
+    def test_unallocatable_record_rejected_by_decode(self):
+        # 2**62 float32s is 2**64 bytes: numpy refuses without allocating
+        adapter = deserialize_adapter(forged_blob((2**62,)))
+        with pytest.raises(FormatError, match="cannot allocate .* for 'w'"):
+            decode(adapter)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lta"
         path.write_bytes(b"NOPE" + bytes(64))

@@ -14,6 +14,7 @@ from lota import (
 )
 from lota.cli import dispatch, _experiment_spec_from_config
 from lota.harness import EXPERIMENT_KINDS
+from test_adapter import forged_blob
 
 
 @pytest.fixture
@@ -145,6 +146,19 @@ class TestCodecCommands:
         recovered = load_checkpoint(out2 / "delta.ckpt")
         for name, arr in delta_entries.items():
             np.testing.assert_array_equal(recovered[name], arr)
+
+    @pytest.mark.parametrize("command", ["decode", "sparsify"])
+    def test_unallocatable_record_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "forged.lta"
+        path.write_bytes(forged_blob((2**62,)))
+        extra = ["--sparsity", "0.5"] if command == "sparsify" else []
+        code = dispatch(
+            [command, "--adapter", str(path), "--out", str(tmp_path / "o"), *extra]
+        )
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "FormatError"
+        assert "'w'" in error["message"]
 
     def test_inspect_reports_80x(self, tmp_path, capsys):
         n = 1_000_000

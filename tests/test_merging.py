@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from lota import (
     DigestMismatchError,
+    MergeEntry,
+    MergeSpec,
     ParameterMap,
     TaskVector,
     apply_adapter,
@@ -15,9 +17,11 @@ from lota import (
     encode,
     merge_grid_search,
     merge_lota,
+    run_merge_spec,
     task_arithmetic_merge,
     ties_merge,
 )
+from lota.merging import _sort_columns, _trim_elect_mean
 
 F32 = np.float32
 
@@ -72,6 +76,33 @@ def oracle_ties(base_values, per_task_values, fractions, lam=1.0):
             merged = F32(0.0)
         out.append(F32(F32(base_values[i]) + F32(F32(lam) * merged)))
     return np.array(out, dtype=np.float32)
+
+
+def reference_trim_elect_mean(stacked):
+    """Sign election and mean with a full `np.sort` of each column."""
+    ordered = np.sort(stacked, axis=0)
+    total = np.zeros(ordered.shape[1], dtype=np.float32)
+    pos_sum = np.zeros_like(total)
+    neg_sum = np.zeros_like(total)
+    pos_count = np.zeros(ordered.shape[1], dtype=np.int64)
+    neg_count = np.zeros_like(pos_count)
+    zero = np.float32(0.0)
+    for row in ordered:
+        total += row
+        pos_sum += np.where(row > 0, row, zero)
+        neg_sum += np.where(row < 0, row, zero)
+        pos_count += row > 0
+        neg_count += row < 0
+    merged = np.where(
+        total > 0,
+        pos_sum / np.maximum(pos_count, 1).astype(np.float32),
+        np.where(
+            total < 0,
+            neg_sum / np.maximum(neg_count, 1).astype(np.float32),
+            zero,
+        ),
+    )
+    return merged.astype(np.float32)
 
 
 class TestTaskArithmetic:
@@ -171,7 +202,7 @@ class TestTiesMerge:
     @given(
         st.integers(1, 6),
         st.integers(0, 2**32 - 1),
-        st.integers(1, 3),
+        st.integers(1, 6),
     )
     def test_oracle_property(self, n, seed, n_tasks):
         rng = np.random.default_rng(seed)
@@ -186,6 +217,81 @@ class TestTiesMerge:
         merged = ties_merge(base, tvs, fractions)
         expected = oracle_ties(base_vals, vals, fractions)
         np.testing.assert_array_equal(merged["w"], expected)
+
+
+# 3e-8 is below half an ulp of 1.0, so float32 sums of these depend on order
+SIGNED_POOL = [0.0, -0.0, 3e-8, -3e-8, 0.3, -0.3, 1.0, -1.0, 1e-30, -1e-30]
+
+
+class TestElectMeanOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda t: st.lists(
+                st.lists(st.sampled_from(SIGNED_POOL), min_size=t, max_size=t),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    def test_matches_full_sort_bitwise(self, columns):
+        stacked = np.array(columns, dtype=np.float32).T.copy()
+        before = stacked.copy()
+        # equal values, ascending; +0.0 and -0.0 compare equal here
+        np.testing.assert_array_equal(
+            _sort_columns(stacked), np.sort(stacked, axis=0)
+        )
+        got = _trim_elect_mean(stacked)
+        want = reference_trim_elect_mean(stacked)
+        assert got.dtype == np.float32
+        assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+        assert stacked.view(np.uint32).tolist() == before.view(np.uint32).tolist()
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5])
+    def test_every_column_of_the_pool_bitwise(self, n_rows):
+        # an incomplete network changes only a few dozen of these results
+        stacked = np.array(
+            list(itertools.product(SIGNED_POOL, repeat=n_rows)), dtype=np.float32
+        ).T.copy()
+        got = _trim_elect_mean(stacked)
+        want = reference_trim_elect_mean(stacked)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestRunMergeSpec:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 0.5, -2.0]),
+    )
+    def test_untrimmed_sum_is_task_arithmetic_bitwise(self, n_tasks, seed, lam):
+        rng = np.random.default_rng(seed)
+        base = ParameterMap({
+            "a": rng.standard_normal((3, 4)).astype(np.float32),
+            "b": rng.standard_normal(5).astype(np.float32),
+        })
+        tvs = [
+            TaskVector(
+                entries=ParameterMap({
+                    name: np.round(rng.standard_normal(a.shape), 1).astype(F32)
+                    for name, a in base.items()
+                }),
+                base_digest=digest(base),
+            )
+            for _ in range(n_tasks)
+        ]
+        weights = [float(w) for w in rng.choice([1.0, 0.5, -0.75, 3.0], n_tasks)]
+        spec = MergeSpec(
+            base_digest=digest(base).hex(),
+            entries=tuple(MergeEntry(weight=w) for w in weights),
+            elect_signs=False,
+            scaling=lam,
+        )
+        merged = run_merge_spec(base, tvs, spec)
+        plain = task_arithmetic_merge(base, tvs, weights, lam=lam)
+        for name, arr in plain.items():
+            assert merged[name].tobytes() == arr.tobytes()
 
 
 class TestMergeLota:

@@ -23,6 +23,7 @@ from lota import (
     sparsify,
     zeros_like,
 )
+from lota.sparsity import topk_keep_flat
 
 
 def tv_from(entries):
@@ -161,6 +162,60 @@ class TestApplyMask:
         top = np.sort(flat)[::-1][:k]
         kept = np.abs(masked.entries["x"])
         np.testing.assert_array_equal(np.sort(kept[kept > 0])[::-1], top)
+
+
+def reference_topk(entries, k, allowed=None):
+    """Full-sort top-k: magnitude descending, then global position."""
+    mags = np.concatenate(
+        [np.abs(arr, dtype=np.float32).ravel() for _, arr in entries.items()]
+    )
+    n = mags.size
+    if allowed is None:
+        candidates = np.arange(n, dtype=np.int64)
+    else:
+        candidates = np.flatnonzero(allowed)
+    if k > candidates.size:
+        raise CapacityError(
+            f"cannot keep {k} elements: only {candidates.size} positions allowed"
+        )
+    order = np.lexsort((candidates, -mags[candidates]))
+    kept_flat = np.zeros(n, dtype=bool)
+    kept_flat[candidates[order[:k]]] = True
+    return kept_flat
+
+
+TIE_POOL = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e-30]
+
+
+@st.composite
+def tied_entries(draw):
+    """Several tensors of values from a small pool, so ties are heavy."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    return ParameterMap({
+        f"t{i}": np.array(
+            draw(st.lists(st.sampled_from(TIE_POOL), min_size=n, max_size=n)),
+            dtype=np.float32,
+        )
+        for i, n in enumerate(sizes)
+    })
+
+
+class TestTopkOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_entries(), st.data())
+    def test_matches_full_sort_bitwise(self, entries, data):
+        n = entries.total_elements
+        allowed = data.draw(
+            st.none()
+            | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+        )
+        size = n if allowed is None else int(np.count_nonzero(allowed))
+        k = data.draw(st.sampled_from(sorted({0, min(1, size), size // 2, size})))
+        got = topk_keep_flat(entries, k, allowed)
+        assert got.dtype == np.bool_
+        np.testing.assert_array_equal(got, reference_topk(entries, k, allowed))
+        with pytest.raises(CapacityError):
+            topk_keep_flat(entries, size + 1, allowed)
 
 
 bool_arrays = st.integers(2, 40).flatmap(
