@@ -61,6 +61,28 @@ LOTA_CONFIG = {"model": MODEL, "task": cluster_task(4, "l"), "train": {
 LOTA_OUTPUTS = ("final.ckpt", "adapter.lta", "mask.bin", "mask.bin.json",
                 "run.json")
 
+# a second adapter of the same base (same model and init seed), to merge with
+LOTA_CONFIG_B = {**LOTA_CONFIG, "task": cluster_task(5, "m", active=[2, 3, 4]),
+                 "train": {**TRAIN, "seed": 6}}
+
+LOTTO_CONFIG = {"model": MODEL, "tasks": [TASK_A, TASK_B], "train": {
+    **TRAIN, "seed": 7}, "sparsity": 0.7}
+LOTTO_OUTPUTS = ("task0.adapter.lta", "task0.mask.bin", "task0.mask.bin.json",
+                 "task1.adapter.lta", "task1.mask.bin", "task1.mask.bin.json",
+                 "constraints.mask.bin", "constraints.mask.bin.json",
+                 "final.ckpt", "run.json")
+
+# trim fractions below the adapters' 20% density, so trimming drops values
+WEIGHTED_ENTRIES = [{"weight": 0.7, "trim_keep_fraction": 0.1},
+                    {"weight": 1.3, "trim_keep_fraction": 0.15}]
+MERGES = {
+    "merge-elect": {},
+    "merge-sum-weighted": {"elect_signs": False, "scaling": 0.9,
+                           "entries": WEIGHTED_ENTRIES},
+    "merge-elect-weighted": {"elect_signs": True, "scaling": 0.9,
+                             "entries": WEIGHTED_ENTRIES},
+}
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -83,6 +105,20 @@ def current_digests(tmp_path: Path) -> dict[str, str]:
     out = _run(tmp_path, "lota", "lota", LOTA_CONFIG)
     for name in LOTA_OUTPUTS:
         digests[f"lota/{name}"] = _sha256(out / name)
+    out_b = _run(tmp_path, "lota", "lota-b", LOTA_CONFIG_B)
+    out_l = _run(tmp_path, "lotto", "lotto", LOTTO_CONFIG)
+    for name in LOTTO_OUTPUTS:
+        digests[f"lotto/{name}"] = _sha256(out_l / name)
+    base = str(out / "initial.ckpt")
+    adapters = [str(out / "adapter.lta"), str(out_b / "adapter.lta")]
+    for name, extra in MERGES.items():
+        merged = _run(tmp_path, "merge", name,
+                      {"base": base, "adapters": adapters, **extra})
+        digests[f"{name}/merged.ckpt"] = _sha256(merged / "merged.ckpt")
+    applied = tmp_path / "apply"
+    assert dispatch(["apply", "--base", base, "--adapter", adapters[1],
+                     "--out", str(applied)]) == 0
+    digests["apply/model.ckpt"] = _sha256(applied / "model.ckpt")
     return digests
 
 
