@@ -37,7 +37,6 @@ from .params import (
     MapDigest,
     ParameterMap,
     digest,
-    linear_combine,
     load_checkpoint,
     save_checkpoint,
     zeros_like,

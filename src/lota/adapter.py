@@ -175,10 +175,11 @@ def apply_adapter(
             "adapter was built against a different base model"
         )
     adapter.require_aligned(w_p)
-    out = w_p.to_dict()
+    out = w_p.flat.copy()
+    views = w_p.layout.views(out)
     for rec in adapter.records:
-        out[rec.name].reshape(-1)[rec.indices()] += rec.values
-    return ParameterMap._wrap(out)
+        views[rec.name].reshape(-1)[rec.indices()] += rec.values
+    return ParameterMap.from_flat(w_p.layout, out)
 
 
 @dataclass(frozen=True)

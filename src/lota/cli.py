@@ -258,7 +258,7 @@ def cmd_encode(args) -> int:
     started = time.perf_counter()
     base = load_checkpoint(args.base)
     delta = load_checkpoint(args.delta)
-    base.require_aligned(delta, "base and delta")
+    base.layout.require_aligned(delta.layout, "base and delta")
     from .sparsity import TaskVector
 
     tv = TaskVector(entries=delta, base_digest=digest(base))
@@ -328,7 +328,7 @@ def cmd_merge(args) -> int:
             base_digest=digest(base).hex(),
             entries=tuple(
                 MergeEntry(
-                    weight=float(e.get("weight", 1.0)),
+                    weight=e.get("weight", 1.0),
                     trim_keep_fraction=e.get("trim_keep_fraction"),
                     source=p,
                 )

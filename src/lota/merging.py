@@ -13,15 +13,17 @@ task vectors are supplied in.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .adapter import SparseAdapter, decode
-from .errors import DigestMismatchError, NonFiniteError
+from .errors import ConfigError, DigestMismatchError
 from .params import MapDigest, ParameterMap, digest
-from .sparsity import TaskVector, round_half_up, topk_keep_flat, _from_global
+from .sparsity import TaskVector, round_half_up, topk_keep_flat
 
 
 def _check_base(w_p: ParameterMap, tvs: Sequence[TaskVector]) -> MapDigest:
@@ -31,25 +33,14 @@ def _check_base(w_p: ParameterMap, tvs: Sequence[TaskVector]) -> MapDigest:
             raise DigestMismatchError(
                 f"task vector {i} was computed against a different base"
             )
-        tv.entries.require_aligned(w_p, "task vector and base")
+        tv.entries.layout.require_aligned(w_p.layout, "task vector and base")
     return base
 
 
 def _add_scaled(
     w_p: ParameterMap, flat_delta: np.ndarray, lam: float
 ) -> ParameterMap:
-    out = {}
-    split = _from_global(w_p.shapes(), flat_delta)
-    for name, arr in w_p.items():
-        merged = arr + np.float32(lam) * split[name]
-        if not np.isfinite(merged).all():
-            raise NonFiniteError(f"non-finite merge result in {name!r}")
-        out[name] = merged
-    return ParameterMap._wrap(out)
-
-
-def _global_values(tv: TaskVector) -> np.ndarray:
-    return np.concatenate([a.ravel() for _, a in tv.entries.items()])
+    return ParameterMap.from_flat(w_p.layout, w_p.flat + np.float32(lam) * flat_delta)
 
 
 def _weighted_sum(
@@ -68,9 +59,7 @@ def _weighted_sum(
     acc = np.zeros(n, dtype=np.float32)
     for tv, fraction, weight in zip(tvs, fractions, weights):
         kept = topk_keep_flat(tv.entries, round_half_up(fraction * n))
-        acc += np.float32(weight) * np.where(
-            kept, _global_values(tv), np.float32(0.0)
-        )
+        acc += np.float32(weight) * np.where(kept, tv.entries.flat, np.float32(0.0))
     return _add_scaled(w_p, acc, lam)
 
 
@@ -166,7 +155,7 @@ def ties_merge(
     n = w_p.total_elements
     rows = []
     for i, (tv, fraction) in enumerate(zip(tvs, trim_keep_fractions)):
-        values = _global_values(tv)
+        values = tv.entries.flat
         if weights is not None:
             values = values * np.float32(weights[i])
         kept = topk_keep_flat(tv.entries, round_half_up(fraction * n))
@@ -190,6 +179,19 @@ class MergeEntry:
     weight: float = 1.0
     trim_keep_fraction: float | None = None
     source: str | None = None  # adapter path when driven from a file spec
+
+    def __post_init__(self):
+        def real(x) -> bool:
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+        if not (real(self.weight) and math.isfinite(self.weight)):
+            raise ConfigError(f"merge weight must be a finite number: {self.weight!r}")
+        f = self.trim_keep_fraction
+        if f is not None and not (real(f) and 0.0 < f <= 1.0):
+            raise ConfigError(
+                f"trim_keep_fraction must be null or a number in (0, 1]: {f!r}"
+            )
+        object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True)

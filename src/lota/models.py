@@ -94,7 +94,7 @@ class ToyModel:
         for i in range(len(self.widths) - 1):
             expected[f"layer{i}.weight"] = (self.widths[i], self.widths[i + 1])
             expected[f"layer{i}.bias"] = (self.widths[i + 1],)
-        if self.params.shapes() != expected:
+        if self.params.layout.shapes != expected:
             raise ValueError("parameter map does not match architecture")
 
     @classmethod
@@ -116,7 +116,7 @@ class ToyModel:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Network outputs (logits or regression values), float64."""
-        state = {n: a.astype(np.float64) for n, a in self.params.items()}
+        state = self.params.layout.views(self.params.flat.astype(np.float64))
         out, _, _ = _forward_pass(self, state, np.asarray(x, dtype=np.float64))
         return out
 
@@ -194,9 +194,10 @@ def forward_backward(model: ToyModel, batch: Dataset) -> ForwardBackward:
     """Mean-reduced loss and gradients over a batch."""
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    state64 = {n: a.astype(np.float64) for n, a in model.params.items()}
-    grads = {n: np.empty(a.shape, np.float32) for n, a in model.params.items()}
-    loss = _forward_backward_state(model, state64, batch, grads)
+    layout = model.params.layout
+    state64 = layout.views(model.params.flat.astype(np.float64))
+    grads = np.empty(layout.size, np.float32)
+    loss = _forward_backward_state(model, state64, batch, layout.views(grads))
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
-    return ForwardBackward(loss=loss, grads=ParameterMap._wrap(grads))
+    return ForwardBackward(loss=loss, grads=ParameterMap.from_flat(layout, grads))

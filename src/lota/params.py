@@ -1,11 +1,20 @@
-"""Named dense float32 tensor maps, checkpoint IO, and map arithmetic."""
+"""Named tensors stored as one flat buffer, and checkpoint IO.
+
+A `Layout` places named tensors in one flat vector: names in sorted
+order, each tensor row-major at its offset, no gaps. Global top-k, the
+training state, merging and the checkpoint payload all use this one
+order. A `ParameterMap` (float32) and a `SparsityMask` (bool) each own
+one read-only buffer in that order, exposed as `.flat`; `m[name]` is a
+view of it, built once.
+"""
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterator, Mapping
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -15,82 +24,134 @@ from .errors import AlignmentError, NonFiniteError
 MapDigest = bytes  # 32-byte SHA-256 over the canonical checkpoint serialization
 
 
-class ParameterMap:
-    """Ordered map from parameter-group name to a float32 array.
+class Layout:
+    """Where each named tensor sits in a flat buffer; immutable.
 
-    Iteration order is lexicographic by name. Instances are immutable:
-    arrays are copied on construction and marked read-only.
+    Tensor `names[i]` occupies `buffer[offsets[i]:offsets[i + 1]]`. Names
+    are nonempty strings and every tensor has at least one element.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("names", "shapes", "offsets")
 
-    def __init__(self, entries: Mapping[str, np.ndarray]):
-        built: dict[str, np.ndarray] = {}
-        for name in sorted(entries):
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+        names = tuple(sorted(shapes))
+        offsets = [0]
+        for name in names:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"invalid tensor name: {name!r}")
-            # a copy; unlike np.ascontiguousarray it keeps 0-d shapes
-            arr = np.array(entries[name], dtype=np.float32, order="C")
-            if arr.size == 0:
+            size = math.prod(shapes[name])
+            if size == 0:
                 raise ValueError(f"empty tensor: {name!r}")
-            if not np.isfinite(arr).all():
-                raise NonFiniteError(f"non-finite values in tensor {name!r}")
-            arr.flags.writeable = False
-            built[name] = arr
-        self._entries = built
+            offsets.append(offsets[-1] + size)
+        self.names = names
+        self.shapes = MappingProxyType({n: tuple(shapes[n]) for n in names})
+        self.offsets = tuple(offsets)
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """One view of the flat `buffer` per name, in the tensor's shape."""
+        return {
+            name: buffer[lo:hi].reshape(self.shapes[name])
+            for name, lo, hi in zip(self.names, self.offsets, self.offsets[1:])
+        }
+
+    def require_aligned(self, other: "Layout", what: str = "maps") -> None:
+        if self != other:
+            raise AlignmentError(f"{what} are not aligned (names/shapes differ)")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Layout):
+            return NotImplemented
+        return self is other or self.shapes == other.shapes
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Layout({len(self.names)} tensors, {self.size} elements)"
+
+
+class _FlatMap:
+    """One read-only flat buffer of `_dtype` and the Layout that names it."""
+
+    __slots__ = ("layout", "flat", "_views")
+    _dtype: type
+
+    def __init__(self, entries: Mapping[str, np.ndarray]):
+        arrays = {name: np.asarray(entries[name]) for name in entries}
+        layout = Layout({name: arr.shape for name, arr in arrays.items()})
+        flat = np.empty(layout.size, self._dtype)
+        for name, view in layout.views(flat).items():
+            view[...] = arrays[name]
+        self._adopt(layout, flat)
 
     @classmethod
-    def _wrap(cls, entries: dict[str, np.ndarray]) -> "ParameterMap":
-        # Internal fast path: entries already sorted/validated float32 copies.
-        pm = object.__new__(cls)
-        for arr in entries.values():
-            arr.flags.writeable = False
-        pm._entries = entries
-        return pm
+    def from_flat(cls, layout: Layout, buffer: np.ndarray):
+        """Take `buffer`, in `layout` order, without copying; it becomes read-only."""
+        obj = object.__new__(cls)
+        obj._adopt(layout, buffer)
+        return obj
+
+    def _adopt(self, layout: Layout, buffer: np.ndarray) -> None:
+        if buffer.dtype != self._dtype or buffer.shape != (layout.size,):
+            raise ValueError(
+                f"buffer {buffer.dtype}{buffer.shape} does not fit {layout}"
+            )
+        buffer.flags.writeable = False
+        self.layout, self.flat, self._views = layout, buffer, layout.views(buffer)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def items(self):
-        return self._entries.items()
+        return self.layout.names
 
     @property
     def total_elements(self) -> int:
-        return sum(arr.size for arr in self._entries.values())
+        return self.layout.size
 
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: arr.shape for name, arr in self._entries.items()}
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
 
-    def aligned_with(self, other: "ParameterMap") -> bool:
-        return self.shapes() == other.shapes()
+    def __contains__(self, name: str) -> bool:
+        return name in self._views
 
-    def require_aligned(self, other: "ParameterMap", what: str = "maps") -> None:
-        if not self.aligned_with(other):
-            raise AlignmentError(f"{what} are not aligned (names/shapes differ)")
+    def __len__(self) -> int:
+        return len(self._views)
 
-    def to_dict(self) -> dict[str, np.ndarray]:
-        """Mutable copies of all entries, for in-place numerical loops."""
-        return {name: arr.copy() for name, arr in self._entries.items()}
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def items(self):
+        return self._views.items()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ParameterMap):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.names == other.names and all(
-            np.array_equal(a, other[n]) for n, a in self.items()
-        )
+        return self.layout == other.layout and np.array_equal(self.flat, other.flat)
+
+    __hash__ = None
+
+
+class ParameterMap(_FlatMap):
+    """Map from parameter-group name to a finite float32 array.
+
+    Iteration order is lexicographic by name. Instances are immutable:
+    entries are copied into the buffer on construction.
+    """
+
+    __slots__ = ()
+    _dtype = np.float32
+
+    def _adopt(self, layout: Layout, buffer: np.ndarray) -> None:
+        super()._adopt(layout, buffer)
+        if not np.isfinite(buffer).all():
+            bad = next(n for n, a in self.items() if not np.isfinite(a).all())
+            raise NonFiniteError(f"non-finite values in tensor {bad!r}")
+
+    def to_dict(self) -> dict[str, np.ndarray]:
+        """Mutable copies of all entries."""
+        return {name: arr.copy() for name, arr in self.items()}
 
     def __repr__(self) -> str:
         return f"ParameterMap({len(self)} tensors, {self.total_elements} elements)"
@@ -106,8 +167,7 @@ def save_checkpoint(pm: ParameterMap, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ParameterMap:
-    entries = parse_container(Path(path).read_bytes(), "F32")
-    return ParameterMap._wrap({n: entries[n].copy() for n in sorted(entries)})
+    return ParameterMap(parse_container(Path(path).read_bytes(), "F32"))
 
 
 def digest(pm: ParameterMap) -> MapDigest:
@@ -116,28 +176,4 @@ def digest(pm: ParameterMap) -> MapDigest:
 
 
 def zeros_like(pm: ParameterMap) -> ParameterMap:
-    return ParameterMap._wrap(
-        {n: np.zeros(a.shape, dtype=np.float32) for n, a in pm.items()}
-    )
-
-
-def linear_combine(
-    coeffs: Sequence[float], maps: Sequence[ParameterMap]
-) -> ParameterMap:
-    """Elementwise sum of coeff_i * map_i over aligned maps."""
-    if len(coeffs) != len(maps):
-        raise ValueError("coeffs and maps must have the same length")
-    if not maps:
-        raise ValueError("linear_combine needs at least one map")
-    first = maps[0]
-    for other in maps[1:]:
-        first.require_aligned(other)
-    out: dict[str, np.ndarray] = {}
-    for name, base in first.items():
-        acc = np.zeros(base.shape, dtype=np.float32)
-        for coeff, pm in zip(coeffs, maps):
-            acc += np.float32(coeff) * pm[name]
-        if not np.isfinite(acc).all():
-            raise NonFiniteError(f"non-finite result in tensor {name!r}")
-        out[name] = acc
-    return ParameterMap._wrap(out)
+    return ParameterMap.from_flat(pm.layout, np.zeros(pm.layout.size, np.float32))

@@ -28,7 +28,6 @@ from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
 from .sparsity import (
     SparsityMask,
-    _from_global,
     all_false_mask,
     apply_mask,
     compute_task_vector,
@@ -38,7 +37,7 @@ from .sparsity import (
     round_half_up,
     sparsify,
     support_mask,
-    topk_keep_mask,
+    topk_keep_flat,
 )
 
 
@@ -92,7 +91,7 @@ class OptimizerState:
 
     @classmethod
     def zeros(cls, params: ParameterMap) -> "OptimizerState":
-        return cls(v={n: np.zeros(a.shape, np.float32) for n, a in params.items()})
+        return cls(v=params.layout.views(np.zeros(params.total_elements, np.float32)))
 
 
 @dataclass
@@ -111,9 +110,9 @@ def clip_group_norm(grads: ParameterMap, max_norm: float) -> ParameterMap:
     """Scale each named group to L2 norm <= max_norm; smaller groups untouched."""
     if max_norm <= 0:
         raise ConfigError("max_norm must be > 0")
-    out = {n: a.copy() for n, a in grads.items()}
-    _clip_group_norm_inplace(out, max_norm)
-    return ParameterMap._wrap(out)
+    out = grads.flat.copy()
+    _clip_group_norm_inplace(grads.layout.views(out), max_norm)
+    return ParameterMap.from_flat(grads.layout, out)
 
 
 def _clip_group_norm_inplace(grads: dict[str, np.ndarray], max_norm: float) -> None:
@@ -136,21 +135,22 @@ def rmsprop_step(
     A mask zeroes the gradient at mask=false coordinates: their weights stay
     bitwise, and a nonzero v there decays.
     """
-    params.require_aligned(grads, "params and grads")
+    layout = params.layout
+    layout.require_aligned(grads.layout, "params and grads")
+    v = ParameterMap(state.v)
+    layout.require_aligned(v.layout, "params and optimizer state")
     if mask is not None:
-        mask.require_aligned(params, "mask and params")
-    shapes = params.shapes()
-    w, g, v = (np.concatenate([np.ravel(m[n]) for n in shapes])
-               for m in (params, grads, state.v))
-    keep = np.ones(w.size, bool) if mask is None else mask.global_flat()
+        mask.layout.require_aligned(layout, "mask and params")
+    w, v = params.flat, v.flat.copy()
+    keep = np.ones(w.size, bool) if mask is None else mask.flat
     new_w = w.copy()
-    g = np.where(keep, g, np.float32(0.0))
+    g = np.where(keep, grads.flat, np.float32(0.0))
     _rmsprop_update_inplace(new_w, g, v, config, None, np.empty(w.size))
     new_w = np.where(keep, new_w, w)  # shields frozen coordinates from ±0.0 flips
     if not np.isfinite(new_w).all():
         raise DivergenceError("non-finite parameter after optimizer step")
-    out = ParameterMap._wrap(_from_global(shapes, new_w))
-    return out, OptimizerState(v=_from_global(shapes, v), step=state.step + 1)
+    out = ParameterMap.from_flat(layout, new_w)
+    return out, OptimizerState(v=layout.views(v), step=state.step + 1)
 
 
 def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, w64) -> None:
@@ -189,15 +189,15 @@ def train(
     """
     if len(dataset) == 0:
         raise ConfigError("dataset must be nonempty")
-    shapes = model.params.shapes()
-    w = np.concatenate([a.ravel() for _, a in model.params.items()])
+    layout, w = model.params.layout, model.params.flat
     w64, g = w.astype(np.float64), np.empty_like(w)
-    state64, grads = _from_global(shapes, w64), _from_global(shapes, g)
+    state64, grads = layout.views(w64), layout.views(g)
     kept = None
     if config.mask is not None:
-        config.mask.require_aligned(model.params, "mask and model parameters")
-        kept = np.flatnonzero(config.mask.global_flat())
-        w = w[kept]  # the float32 weights that RMSProp updates
+        config.mask.layout.require_aligned(layout, "mask and model parameters")
+        kept = np.flatnonzero(config.mask.flat)
+    # the float32 weights that RMSProp updates
+    w = w.copy() if kept is None else w[kept]
     v = np.zeros_like(w)
     record = RunRecord(config.snapshot(), digest(model.params).hex(), None)
     n = len(dataset)
@@ -216,7 +216,7 @@ def train(
             _rmsprop_update_inplace(w, g, v, config, kept, w64)
             batch_losses.append(loss)
         record.loss_trace.append(float(np.mean(batch_losses)))
-    final = ParameterMap._wrap(_from_global(shapes, w64.astype(np.float32)))
+    final = ParameterMap.from_flat(layout, w64.astype(np.float32))
     record.final_digest = digest(final).hex()
     return final, record
 
@@ -308,8 +308,8 @@ def iterative_lota(
     for s in schedule[1:]:
         tv = compute_task_vector(w_final, w_p)
         k = round_half_up((1.0 - s) * n)
-        kept = topk_keep_mask(tv.entries, k, allowed=mask.global_flat())
-        mask = SparsityMask(kept, declared_sparsity=s)
+        kept = topk_keep_flat(tv.entries, k, allowed=mask.flat)
+        mask = SparsityMask.from_flat(w_p.layout, kept, declared_sparsity=s)
         w_final, rec = train(model, dataset, config.replace(mask=mask))
         masks.append(mask)
         records.append(rec)
@@ -356,7 +356,9 @@ def lotto(
         raise ConfigError("lotto builds its own masks; config.mask must be None")
     w_i = model.params
     if initial_constraints is not None:
-        initial_constraints.require_aligned(w_i, "constraints and model")
+        initial_constraints.layout.require_aligned(
+            w_i.layout, "constraints and model"
+        )
         constraints = initial_constraints
     elif base is not None:
         constraints = support_mask(compute_task_vector(w_i, base))
@@ -369,7 +371,7 @@ def lotto(
     adapters: list[SparseAdapter] = []
     records: list[RunRecord] = []
     for ds in datasets:
-        allowed = ~constraints.global_flat()
+        allowed = ~constraints.flat
         if k > int(allowed.sum()):
             raise CapacityError(
                 f"constraint set exhausted: need {k} free coordinates, "
@@ -380,8 +382,8 @@ def lotto(
         )
         w_c, cal_rec = train(model.with_params(w_i), ds, cal_config)
         tv_c = compute_task_vector(w_c, w_i)
-        task_mask = SparsityMask(
-            topk_keep_mask(tv_c.entries, k, allowed=allowed), declared_sparsity=s
+        task_mask = SparsityMask.from_flat(
+            w_i.layout, topk_keep_flat(tv_c.entries, k, allowed=allowed), s
         )
         w_f, fin_rec = train(
             model.with_params(w_i), ds, config.replace(mask=task_mask)

@@ -291,6 +291,42 @@ class TestMergeCommand:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "AlignmentError"
         assert peak < 16 * 2**20
 
+    def merge_with_entry(self, base_ckpt, tmp_path, elect, entry):
+        pm, path = base_ckpt
+        ft_path = tmp_path / "ft.ckpt"
+        save_checkpoint(tweaked(pm), ft_path)
+        dispatch(["diff", str(path), str(ft_path), "--out", str(tmp_path / "d")])
+        merge_config = tmp_path / "merge.json"
+        merge_config.write_text(json.dumps({
+            "base": str(path), "adapters": [str(tmp_path / "d" / "adapter.lta")],
+            "elect_signs": elect, "entries": [entry],
+        }))
+        out = tmp_path / "m"
+        return dispatch(["merge", "--config", str(merge_config), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("fraction", [-0.5, 0, 1.5, "0.5"])
+    @pytest.mark.parametrize("elect", [True, False])
+    def test_bad_trim_fraction_exits_1(self, base_ckpt, tmp_path, capsys, elect,
+                                       fraction):
+        code, out = self.merge_with_entry(
+            base_ckpt, tmp_path, elect, {"trim_keep_fraction": fraction}
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "trim_keep_fraction" in error["message"]
+        assert not (out / "merged.ckpt").exists()
+
+    @pytest.mark.parametrize("weight", ["1", True, None, float("inf")])
+    @pytest.mark.parametrize("elect", [True, False])
+    def test_bad_weight_exits_1(self, base_ckpt, tmp_path, capsys, elect, weight):
+        code, out = self.merge_with_entry(base_ckpt, tmp_path, elect, {"weight": weight})
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "weight" in error["message"]
+        assert not (out / "merged.ckpt").exists()
+
 
 class TestExperimentCommand:
     def experiment_config(self, tmp_path):

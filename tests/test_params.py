@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lota import (
-    AlignmentError,
     FormatError,
     NonFiniteError,
     ParameterMap,
+    SparsityMask,
     compute_task_vector,
     digest,
     encode,
-    linear_combine,
     load_checkpoint,
     random_mask,
     save_adapter,
@@ -23,6 +24,7 @@ from lota import (
     save_mask,
 )
 from lota.params import serialize_checkpoint
+from lota.sparsity import load_mask
 
 
 def small_map(seed=0):
@@ -77,6 +79,17 @@ class TestParameterMap:
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):
             ParameterMap({"": np.ones(1, np.float32)})
+        with pytest.raises(ValueError):
+            SparsityMask({"": np.ones(1, bool)}, declared_sparsity=0.0)
+
+    def test_rejects_zero_size_tensor(self):
+        with pytest.raises(ValueError, match="empty tensor"):
+            ParameterMap({"w": np.ones(1, np.float32), "z": np.ones((2, 0))})
+        with pytest.raises(ValueError, match="empty tensor"):
+            SparsityMask(
+                {"w": np.ones(1, bool), "z": np.ones((0,), bool)},
+                declared_sparsity=0.0,
+            )
 
     def test_immutable(self):
         pm = small_map()
@@ -270,48 +283,78 @@ class TestDigest:
         assert digest(pm) != digest(ParameterMap(renamed))
 
 
-class TestLinearCombine:
-    def reference(self, coeffs, maps):
-        # independent per-element loop oracle
-        out = {}
-        for name in maps[0].names:
-            shape = maps[0][name].shape
-            acc = np.zeros(shape, dtype=np.float32)
-            flat = acc.reshape(-1)
-            for i in range(flat.size):
-                val = np.float32(0.0)
-                for c, pm in zip(coeffs, maps):
-                    val = np.float32(val + np.float32(c) * pm[name].reshape(-1)[i])
-                flat[i] = val
-            out[name] = acc
-        return out
+# -- the layout contract: one flat buffer in sorted-name, row-major order --
 
-    def test_identity(self):
-        a, b = small_map(1), small_map(2)
-        out = linear_combine([1.0, 0.0], [a, b])
-        assert out == a
 
-    def test_idempotent_average(self):
-        a = small_map(3)
-        assert linear_combine([0.5, 0.5], [a, a]) == a
+@st.composite
+def named_arrays(draw, dtype):
+    names = draw(st.lists(names_st, min_size=1, max_size=4, unique=True))
+    entries = {}
+    for name in names:
+        shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))  # 0-d too
+        count = int(np.prod(shape))
+        if dtype is bool:
+            values = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        else:
+            values = draw(st.lists(finite_f32, min_size=count, max_size=count))
+        entries[name] = np.array(values, dtype=dtype).reshape(shape)
+    return entries
 
-    def test_self_cancel(self):
-        a = small_map(4)
-        out = linear_combine([1.0, -1.0], [a, a])
-        assert all(np.all(arr == 0.0) for _, arr in out.items())
 
-    def test_misalignment_rejected(self):
-        a = small_map()
-        b = ParameterMap({"other": np.ones(2, np.float32)})
-        with pytest.raises(AlignmentError):
-            linear_combine([1.0, 1.0], [a, b])
+def build(entries):
+    if next(iter(entries.values())).dtype == np.bool_:
+        kept = sum(int(a.sum()) for a in entries.values())
+        total = sum(a.size for a in entries.values())
+        return SparsityMask(entries, declared_sparsity=1.0 - kept / total)
+    return ParameterMap(entries)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_against_element_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        maps = [small_map(seed * 10 + i) for i in range(3)]
-        coeffs = [float(rng.choice([-1.0, 0.0, 0.5, 1.0])) for _ in range(3)]
-        expected = self.reference(coeffs, maps)
-        got = linear_combine(coeffs, maps)
-        for name, arr in expected.items():
-            np.testing.assert_array_equal(got[name], arr)
+
+def stored_payload(m, tmp_dir):
+    """The payload region of the map's container file."""
+    path = Path(tmp_dir) / "m.bin"
+    if isinstance(m, SparsityMask):
+        save_mask(m, path)
+    else:
+        save_checkpoint(m, path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    return blob[8 + header_len :]
+
+
+class TestLayoutContract:
+    @given(st.one_of(named_arrays(np.float32), named_arrays(bool)))
+    @settings(max_examples=60)
+    def test_flat_views_and_container_share_one_order(self, entries):
+        m = build(entries)
+        names = sorted(entries)
+        assert m.names == m.layout.names == tuple(names)
+        expected = np.concatenate([entries[n].ravel() for n in names])
+        assert m.flat.dtype == expected.dtype
+        assert m.flat.tobytes() == expected.tobytes()
+        for name in names:
+            view = m[name]
+            assert view.shape == entries[name].shape
+            assert not view.flags.writeable
+            assert np.shares_memory(view, m.flat)
+        again = type(m).from_flat(m.layout, m.flat.copy())
+        assert again == m and again.layout is m.layout
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            assert stored_payload(m, tmp_dir) == m.flat.tobytes()
+            path = Path(tmp_dir) / "m.bin"
+            loaded = load_mask(path) if isinstance(m, SparsityMask) else (
+                load_checkpoint(path))
+            assert loaded == m
+
+    def test_from_flat_rejects_a_buffer_that_does_not_fit(self):
+        pm = small_map()
+        with pytest.raises(ValueError, match="does not fit"):
+            ParameterMap.from_flat(pm.layout, np.zeros(pm.total_elements + 1, np.float32))
+        with pytest.raises(ValueError, match="does not fit"):
+            ParameterMap.from_flat(pm.layout, pm.flat.astype(np.float64))
+
+    def test_from_flat_rejects_non_finite(self):
+        pm = small_map()
+        flat = pm.flat.copy()
+        flat[-1] = np.inf
+        with pytest.raises(NonFiniteError, match="layer0.weight"):
+            ParameterMap.from_flat(pm.layout, flat)

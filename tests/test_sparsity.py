@@ -116,13 +116,13 @@ class TestSparsify:
             order = sorted(range(n), key=lambda i: (-abs(flat[i]), i))
             expected = np.zeros(n, dtype=bool)
             expected[order[:k]] = True
-            np.testing.assert_array_equal(mask.global_flat(), expected)
+            np.testing.assert_array_equal(mask.flat, expected)
 
     def test_monotone_nesting(self):
         tv = random_tv(11)
-        prev = sparsify(tv, 0.1).global_flat()
+        prev = sparsify(tv, 0.1).flat
         for s in (0.3, 0.6, 0.9):
-            cur = sparsify(tv, s).global_flat()
+            cur = sparsify(tv, s).flat
             assert not (cur & ~prev).any()
             prev = cur
 

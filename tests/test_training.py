@@ -349,7 +349,7 @@ class TestIterativeLota:
         model, data = toy_model(7), toy_task(7)
         result = iterative_lota(model, data, [0.8, 0.95], quick_config())
         coarse, fine = result.stage_masks
-        assert not (fine.global_flat() & ~coarse.global_flat()).any()
+        assert not (fine.flat & ~coarse.flat).any()
         assert fine.kept_count < coarse.kept_count
 
     def test_schedule_validation(self):
