@@ -39,7 +39,13 @@ from .errors import (
     NonFiniteError,
 )
 from .harness import DEFAULT_SEEDS, EXPERIMENT_KINDS, ModelSpec, run_experiment
-from .merging import merge_lota, run_merge_spec, MergeEntry, MergeSpec
+from .merging import (
+    MergeEntry,
+    MergeSpec,
+    _finite_real,
+    merge_lota,
+    run_merge_spec,
+)
 from .params import digest, load_checkpoint, save_checkpoint
 from .sparsity import compute_task_vector, load_mask, save_mask, sparsify
 from .tasks import SyntheticTaskSpec
@@ -73,9 +79,12 @@ def _print_error(exc: Exception) -> int:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return config
 
 
 def _out_dir(args) -> Path:
@@ -297,46 +306,63 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _merge_config(config: dict):
+    """Checked (base path, adapter paths, entries, elect_signs, scaling).
+
+    Entries are None for the default elect merge without per-entry items.
+    """
+    try:
+        base_path, paths = config["base"], config["adapters"]
+    except KeyError as exc:
+        raise ConfigError(f"merge config missing key: {exc}") from exc
+    if not isinstance(base_path, str):
+        raise ConfigError(f"merge base must be a path string: {base_path!r}")
+    if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+        raise ConfigError(f"merge adapters must be a list of path strings: {paths!r}")
+    scaling = config.get("scaling", 1.0)
+    if not _finite_real(scaling):
+        raise ConfigError(f"merge scaling must be a finite number: {scaling!r}")
+    scaling = float(scaling)
+    elect = config.get("elect_signs", True)
+    if not isinstance(elect, bool):
+        raise ConfigError(f"elect_signs must be true or false: {elect!r}")
+    items = config.get("entries")
+    if items is None and elect:
+        return base_path, paths, None, elect, scaling
+    items = items or [{} for _ in paths]
+    if not (isinstance(items, list) and all(isinstance(e, dict) for e in items)):
+        raise ConfigError(f"merge entries must be a list of objects: {items!r}")
+    if len(items) != len(paths):
+        raise ConfigError("one entries item per adapter required")
+    entries = tuple(
+        MergeEntry(
+            weight=e.get("weight", 1.0),
+            trim_keep_fraction=e.get("trim_keep_fraction"),
+            source=p,
+        )
+        for e, p in zip(items, paths)
+    )
+    return base_path, paths, entries, elect, scaling
+
+
 def cmd_merge(args) -> int:
     started = time.perf_counter()
     config = _load_json(args.config)
-    try:
-        base = load_checkpoint(config["base"])
-        adapter_paths = config["adapters"]
-    except KeyError as exc:
-        raise ConfigError(f"merge config missing key: {exc}") from exc
+    base_path, adapter_paths, entries, elect, scaling = _merge_config(config)
+    base = load_checkpoint(base_path)
     adapters = [load_adapter(p) for p in adapter_paths]
-    scaling = float(config.get("scaling", 1.0))
-    elect = bool(config.get("elect_signs", True))
-    entries = config.get("entries")
-    if entries is None and elect:
+    spec_record = MergeSpec(
+        base_digest=digest(base).hex(),
+        entries=entries or tuple(
+            MergeEntry(weight=1.0, trim_keep_fraction=1.0, source=p)
+            for p in adapter_paths
+        ),
+        elect_signs=elect,
+        scaling=scaling,
+    )
+    if entries is None:
         merged = merge_lota(base, adapters, lam=scaling)
-        spec_record = MergeSpec(
-            base_digest=digest(base).hex(),
-            entries=tuple(
-                MergeEntry(weight=1.0, trim_keep_fraction=1.0, source=p)
-                for p in adapter_paths
-            ),
-            elect_signs=True,
-            scaling=scaling,
-        )
     else:
-        entries = entries or [{} for _ in adapters]
-        if len(entries) != len(adapters):
-            raise ConfigError("one entries item per adapter required")
-        spec_record = MergeSpec(
-            base_digest=digest(base).hex(),
-            entries=tuple(
-                MergeEntry(
-                    weight=e.get("weight", 1.0),
-                    trim_keep_fraction=e.get("trim_keep_fraction"),
-                    source=p,
-                )
-                for e, p in zip(entries, adapter_paths)
-            ),
-            elect_signs=elect,
-            scaling=scaling,
-        )
         for adapter in adapters:
             adapter.require_aligned(base)  # before decode allocates record dims
         merged = run_merge_spec(base, [decode(a) for a in adapters], spec_record)
@@ -395,16 +421,16 @@ def cmd_inspect(args) -> int:
 
 def _experiment_spec_from_config(config: dict):
     kind = config.get("kind")
-    if kind not in EXPERIMENT_KINDS:
+    if not isinstance(kind, str) or kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"unknown experiment kind {kind!r}; expected one of "
             f"{sorted(EXPERIMENT_KINDS)}"
         )
     spec_cls, default_factory = EXPERIMENT_KINDS[kind]
-    if config.get("defaults"):
-        return default_factory(seeds=tuple(config.get("seeds", DEFAULT_SEEDS)))
     fields = {k: v for k, v in config.items() if k not in ("kind", "defaults")}
     try:
+        if config.get("defaults"):
+            return default_factory(seeds=tuple(config.get("seeds", DEFAULT_SEEDS)))
         fields["model"] = ModelSpec.from_json_dict(fields["model"])
         for key in ("task", "task_a", "task_b", "base_task"):
             if key in fields and fields[key] is not None:

@@ -26,7 +26,15 @@ from .models import Dataset, ToyModel
 from .params import ParameterMap
 from .sparsity import compute_task_vector
 from .tasks import SyntheticTaskSpec
-from .training import TrainConfig, lota, iterative_lota, lotto, mixed_data_fft, train
+from .training import (
+    TrainConfig,
+    _train_cache,
+    iterative_lota,
+    lota,
+    lotto,
+    mixed_data_fft,
+    train,
+)
 
 SEQUENTIAL_METHOD_PAIRS = (
     "fft->fft",
@@ -152,6 +160,22 @@ class _ExperimentSpec:
 
     kind = ""
 
+    def __post_init__(self):
+        seeds = self.seeds
+        if not (
+            isinstance(seeds, (tuple, list))
+            and seeds
+            and all(type(s) is int for s in seeds)
+        ):
+            raise ConfigError(f"seeds must be a nonempty list of integers: {seeds!r}")
+        for train in (self.train, getattr(self, "base_train", None)):
+            if train is None:
+                continue
+            try:
+                _train_config(train, 0)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad train config: {exc}") from exc
+
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -183,6 +207,7 @@ class SequentialSpec(_ExperimentSpec):
     interference_threshold: float = 0.10
 
     def __post_init__(self):
+        super().__post_init__()
         for pair in self.method_pairs:
             if pair not in SEQUENTIAL_METHOD_PAIRS:
                 raise ConfigError(f"unknown method pair {pair!r}")
@@ -359,6 +384,7 @@ class CalibrationAblationSpec(_ExperimentSpec):
     base_train: dict | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if 1.0 not in self.fractions:
             raise ConfigError("fractions must include 1.0 as the zero-drop reference")
 
@@ -425,6 +451,7 @@ class MergingSpec(_ExperimentSpec):
     scaling: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         for pair in self.pairs:
             if pair not in MERGE_PAIRS:
                 raise ConfigError(f"unknown merge pair {pair!r}")
@@ -522,7 +549,13 @@ def _merging_rows(spec: MergingSpec, per_seed: list[dict]) -> list[dict]:
 
 
 def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
-    """Run `spec` once per seed, then aggregate the per-seed dicts into rows."""
+    """Run `spec` once per seed, then aggregate the per-seed dicts into rows.
+
+    Each seed runs inside its own `train` cache, so a training that the seed
+    repeats (a LoTA calibration equal to its FFT arm, or a calibration shared
+    across a sparsity grid) runs once; the cache ends with the seed, which
+    bounds its memory, and the outputs are bit-identical to uncached runs.
+    """
     # looked up per call, not at import: a tracer that rebinds the module's
     # one-seed functions must see its wrappers used
     one_seed, build_rows = {
@@ -531,7 +564,10 @@ def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
         CalibrationAblationSpec: (_calibration_one_seed, _calibration_rows),
         MergingSpec: (_merging_one_seed, _merging_rows),
     }[type(spec)]
-    per_seed = [one_seed(spec, seed) for seed in spec.seeds]
+    per_seed = []
+    for seed in spec.seeds:
+        with _train_cache():
+            per_seed.append(one_seed(spec, seed))
     return MetricsReport(
         kind=spec.kind,
         spec=spec.to_json_dict(),

@@ -13,8 +13,8 @@ task vectors are supplied in.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -174,6 +174,18 @@ def merge_lota(
     return ties_merge(w_p, tvs, [1.0] * len(tvs), lam=lam)
 
 
+def _finite_real(x) -> bool:
+    """A finite real number; JSON's true and false load as bools, which are not.
+
+    The comparison is exact for ints, so one too large for a float fails too.
+    """
+    return (
+        isinstance(x, numbers.Real)
+        and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max
+    )
+
+
 @dataclass(frozen=True)
 class MergeEntry:
     weight: float = 1.0
@@ -181,13 +193,10 @@ class MergeEntry:
     source: str | None = None  # adapter path when driven from a file spec
 
     def __post_init__(self):
-        def real(x) -> bool:
-            return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-        if not (real(self.weight) and math.isfinite(self.weight)):
+        if not _finite_real(self.weight):
             raise ConfigError(f"merge weight must be a finite number: {self.weight!r}")
         f = self.trim_keep_fraction
-        if f is not None and not (real(f) and 0.0 < f <= 1.0):
+        if f is not None and not (_finite_real(f) and 0.0 < f <= 1.0):
             raise ConfigError(
                 f"trim_keep_fraction must be null or a number in (0, 1]: {f!r}"
             )

@@ -328,6 +328,66 @@ class TestMergeCommand:
         assert not (out / "merged.ckpt").exists()
 
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"entries": [1]}, "entries"),
+            ({"entries": [1], "elect_signs": False}, "entries"),
+            ({"entries": {"weight": 1.0}}, "entries"),
+            ({"scaling": "x"}, "scaling"),
+            ({"scaling": "nan"}, "scaling"),
+            ({"scaling": float("nan")}, "scaling"),
+            ({"scaling": float("inf"), "elect_signs": False}, "scaling"),
+            ({"scaling": True}, "scaling"),
+            ({"scaling": 10**400}, "scaling"),
+            ({"elect_signs": "false"}, "elect_signs"),
+            ({"elect_signs": 0}, "elect_signs"),
+            ({"elect_signs": None}, "elect_signs"),
+            ({"adapters": "a.lta"}, "adapters"),
+            ({"adapters": [1]}, "adapters"),
+            ({"adapters": {"a": "a.lta"}}, "adapters"),
+            ({"base": 7}, "base"),
+        ],
+    )
+    def test_bad_config_exits_1_before_loading(
+        self, base_ckpt, tmp_path, capsys, monkeypatch, overrides, field
+    ):
+        pm, path = base_ckpt
+        ft_path = tmp_path / "ft.ckpt"
+        save_checkpoint(tweaked(pm), ft_path)
+        dispatch(["diff", str(path), str(ft_path), "--out", str(tmp_path / "d")])
+        config = {"base": str(path), "adapters": [str(tmp_path / "d" / "adapter.lta")]}
+        config.update(overrides)
+        merge_config = tmp_path / "merge.json"
+        merge_config.write_text(json.dumps(config))
+        loads = []
+        for name in ("load_checkpoint", "load_adapter"):
+            monkeypatch.setattr(f"lota.cli.{name}", lambda *a, _n=name: loads.append(_n))
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert dispatch(["merge", "--config", str(merge_config), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert field in error["message"]
+        assert loads == []
+        assert not out.exists()
+
+
+class TestConfigObject:
+    @pytest.mark.parametrize("command", ["train", "lota", "lotto", "merge", "experiment"])
+    @pytest.mark.parametrize("text", ["[1]", "3", "null", '"x"'])
+    def test_non_object_config_exits_1(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert dispatch([command, "--config", str(path), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {
+            "type": "ConfigError", "message": f"config {path} must be a JSON object"
+        }
+        assert not out.exists()
+
+
 class TestExperimentCommand:
     def experiment_config(self, tmp_path):
         config = {
@@ -369,3 +429,42 @@ class TestExperimentCommand:
             {"kind": kind, "defaults": True, "seeds": [3]}
         )
         assert spec == default_factory(seeds=(3,))
+
+    @pytest.mark.parametrize("defaults", [True, False])
+    @pytest.mark.parametrize(
+        "seeds", [[], 5, [True], [1.5], ["1"], [0, None], "01", {"0": 1}]
+    )
+    def test_bad_seeds_exit_1(self, tmp_path, capsys, defaults, seeds):
+        path = self.experiment_config(tmp_path)
+        config = json.loads(path.read_text())
+        config.update(seeds=seeds, defaults=defaults)
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert dispatch(["experiment", "--config", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "train",
+        [
+            5,
+            "ab",
+            {"learning_rate": 0.01, "batch_size": 32, "epochs": 2, "bogus": 1},
+            {"learning_rate": "x", "batch_size": 32, "epochs": 2},
+        ],
+    )
+    def test_bad_train_config_exits_1(self, tmp_path, capsys, train):
+        path = self.experiment_config(tmp_path)
+        config = json.loads(path.read_text())
+        config["train"] = train
+        path.write_text(json.dumps(config))
+        assert dispatch(["experiment", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+    def test_unhashable_kind_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": ["merging"]}))
+        assert dispatch(["experiment", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"

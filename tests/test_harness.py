@@ -1,9 +1,11 @@
+import contextlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from lota import HarnessError, ParameterMap, digest
+from lota import HarnessError, ParameterMap, digest, harness
 from lota.harness import (
     CalibrationAblationSpec,
     MergingSpec,
@@ -51,6 +53,21 @@ def small_sequential_spec(**overrides):
     )
     defaults.update(overrides)
     return SequentialSpec(**defaults)
+
+
+def small_merging_spec(**overrides):
+    defaults = dict(
+        model=ModelSpec(widths=(8, 24, 3)),
+        task_a=cluster_task(0, "a", active=[0, 1, 2, 3]),
+        task_b=cluster_task(1, "b", active=[4, 5, 6, 7]),
+        train=dict(learning_rate=0.01, batch_size=32, epochs=8,
+                   calibration_epochs=8),
+        seeds=(0,),
+        fraction_grid=(0.2, 0.3),
+        sparsity=0.8,
+    )
+    defaults.update(overrides)
+    return MergingSpec(**defaults)
 
 
 class TestEvaluate:
@@ -223,17 +240,7 @@ class TestCalibrationAblation:
 
 class TestMerging:
     def test_lota_lota_single_cell_and_self_merge(self):
-        spec = MergingSpec(
-            model=ModelSpec(widths=(8, 24, 3)),
-            task_a=cluster_task(0, "a", active=[0, 1, 2, 3]),
-            task_b=cluster_task(1, "b", active=[4, 5, 6, 7]),
-            train=dict(learning_rate=0.01, batch_size=32, epochs=8,
-                       calibration_epochs=8),
-            seeds=(0,),
-            fraction_grid=(0.2, 0.3),
-            sparsity=0.8,
-        )
-        report = run_experiment(spec)
+        report = run_experiment(small_merging_spec())
         rows = {r.get("pair"): r for r in report.rows if r.get("role") == "pair"}
         assert rows["lota+lota"]["cells"] == 1
         assert rows["fft+fft"]["cells"] == 4
@@ -256,3 +263,52 @@ class TestMerging:
         u_merged = evaluate(model.with_params(merged), test)
         u_single = evaluate(model.with_params(result.w_final), test)
         assert u_merged == u_single
+
+
+class TestTrainCachePerSeed:
+    """`run_experiment` memoizes `train` within each seed and never across
+    seeds or calls; the report equals an uncached run's byte for byte."""
+
+    batches = math.ceil(256 / 32)  # cluster_task train_size / batch_size
+
+    def check(self, spec, step_counter, monkeypatch, cached, uncached):
+        report = run_experiment(spec)
+        assert len(step_counter) == cached
+        step_counter.clear()
+        monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
+        assert run_experiment(spec).to_json() == report.to_json()
+        assert len(step_counter) == uncached
+
+    def test_merging_trains_4_of_6_runs_per_seed(self, step_counter, monkeypatch):
+        # lota's dense calibrations repeat the two fft runs; the repeated
+        # seed starts cold, so the cache does not outlive a seed
+        spec = small_merging_spec(seeds=(0, 0))
+        run = 8 * self.batches
+        self.check(spec, step_counter, monkeypatch, 2 * 4 * run, 2 * 6 * run)
+
+    def test_sparsity_ablation_trains_8_of_15_runs_per_seed(
+        self, step_counter, monkeypatch
+    ):
+        # one shared calibration, six grid retrains and iterative stage 1;
+        # iterative stage 0 calibrates and retrains exactly as s=0.9 did
+        spec = SparsityAblationSpec(
+            model=ModelSpec(widths=(8, 24, 3)),
+            task=cluster_task(2, "s"),
+            train=dict(learning_rate=0.01, batch_size=32, epochs=6,
+                       calibration_epochs=2),
+            seeds=(0,),
+            grid=(0.0, 0.25, 0.5, 0.75, 0.9, 0.99),
+            iterative_schedule=(0.9, 0.99),
+        )
+        cal, retrain = 2 * self.batches, 6 * self.batches
+        self.check(
+            spec, step_counter, monkeypatch,
+            cal + 7 * retrain, 7 * cal + 8 * retrain,
+        )
+
+    def test_second_call_starts_cold(self, step_counter):
+        spec = small_merging_spec()
+        run_experiment(spec)
+        first = len(step_counter)
+        run_experiment(spec)
+        assert len(step_counter) == 2 * first == 2 * 4 * 8 * self.batches

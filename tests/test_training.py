@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from lota import (
     CapacityError,
     ConfigError,
     Dataset,
+    DivergenceError,
     OptimizerState,
     ParameterMap,
+    SparsityMask,
     ToyModel,
     TrainConfig,
     all_false_mask,
@@ -294,6 +297,133 @@ class TestStepHelperContract:
         )
         for args in calls["_rmsprop_update_inplace"]:
             assert (args[4] is None) == (config.mask is None)
+
+
+def steps_per_run(config, data):
+    return config.epochs * math.ceil(len(data) / config.batch_size)
+
+
+class TestTrainCache:
+    """Inside `_train_cache()` a repeated `train` call takes no steps and
+    returns what a fresh run returns; any difference in its inputs misses."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_hit_is_bit_identical_to_fresh_run(self, step_counter, masked):
+        model, data = toy_model(), toy_task()
+        mask = random_mask(model.params, 0.5, seed=1) if masked else None
+        config = quick_config(mask=mask)
+        fresh_w, fresh_rec = train(model, data, config)
+        with training._train_cache():
+            train(model, data, config)
+            before_hit = len(step_counter)
+            hit_w, hit_rec = train(model, data, config)
+            assert len(step_counter) == before_hit
+        assert hit_w.flat.tobytes() == fresh_w.flat.tobytes()
+        assert not hit_w.flat.flags.writeable
+        assert hit_rec.final_digest == fresh_rec.final_digest == digest(hit_w).hex()
+        assert hit_rec.loss_trace == fresh_rec.loss_trace
+        assert hit_rec.config == fresh_rec.config
+        assert hit_rec == fresh_rec
+
+    def test_masks_with_equal_counts_but_different_bits_miss(self, step_counter):
+        model, data = toy_model(), toy_task()
+        m1 = random_mask(model.params, 0.7, seed=1)
+        m2 = random_mask(model.params, 0.7, seed=2)
+        c1, c2 = quick_config(mask=m1), quick_config(mask=m2)
+        assert m1 != m2 and c1.snapshot() == c2.snapshot()
+        with training._train_cache():
+            w1, _ = train(model, data, c1)
+            w2, _ = train(model, data, c2)
+        assert len(step_counter) == 2 * steps_per_run(c1, data)
+        assert digest(w1) != digest(w2)
+
+    def test_equal_bits_with_another_declared_sparsity_miss(self, step_counter):
+        # the record's config carries the declared sparsity
+        model, data = toy_model(), toy_task()
+        m1 = random_mask(model.params, 0.7, seed=1)
+        m2 = SparsityMask.from_flat(m1.layout, m1.flat)  # declares the measured
+        assert m1.declared_sparsity == 0.7 != m2.declared_sparsity
+        with training._train_cache():
+            _, r1 = train(model, data, quick_config(mask=m1))
+            _, r2 = train(model, data, quick_config(mask=m2))
+        assert len(step_counter) == 2 * steps_per_run(quick_config(), data)
+        assert r2.config["mask"]["declared_sparsity"] == m2.measured_sparsity
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", 0.02), ("batch_size", 16), ("epochs", 4), ("seed", 8),
+         ("calibration_epochs", 1), ("rmsprop_decay", 0.9),
+         ("rmsprop_epsilon", 1e-6), ("clip_group_norm", 0.5)],
+    )
+    def test_every_config_field_is_in_the_key(self, step_counter, field, value):
+        model, data = toy_model(), toy_task()
+        base, other = quick_config(), quick_config(**{field: value})
+        with training._train_cache():
+            train(model, data, base)
+            train(model, data, other)
+        assert len(step_counter) == (
+            steps_per_run(base, data) + steps_per_run(other, data)
+        )
+
+    def test_equal_content_dataset_copy_hits(self, step_counter):
+        model, data, config = toy_model(), toy_task(), quick_config()
+        same = data.take(np.arange(len(data)))
+        assert same is not data
+        with training._train_cache():
+            w1, _ = train(model, data, config)
+            w2, _ = train(model, same, config)
+        assert len(step_counter) == steps_per_run(config, data)
+        assert w2 is w1
+
+    def test_same_length_different_content_misses(self, step_counter):
+        model, config = toy_model(), quick_config()
+        data, other = toy_task(0), toy_task(1)
+        assert len(data) == len(other)
+        with training._train_cache():
+            train(model, data, config)
+            train(model, other, config)
+        assert len(step_counter) == 2 * steps_per_run(config, data)
+
+    def test_different_init_params_miss(self, step_counter):
+        data, config = toy_task(), quick_config()
+        with training._train_cache():
+            train(toy_model(0), data, config)
+            train(toy_model(1), data, config)
+        assert len(step_counter) == 2 * steps_per_run(config, data)
+
+    def test_nothing_cached_outside_the_context(self, step_counter):
+        model, data, config = toy_model(), toy_task(), quick_config()
+        with training._train_cache():
+            train(model, data, config)
+        train(model, data, config)
+        train(model, data, config)
+        assert len(step_counter) == 3 * steps_per_run(config, data)
+
+    def test_mutating_a_returned_record_leaves_the_next_hit_intact(self):
+        model, data, config = toy_model(), toy_task(), quick_config()
+        with training._train_cache():
+            _, first = train(model, data, config)
+            expected = copy.deepcopy(first)
+            first.loss_trace.append(99.0)
+            first.config["epochs"] = -1
+            first.final_digest = "changed"
+            _, second = train(model, data, config)
+            assert second == expected
+            second.loss_trace.clear()
+            second.config["seed"] = -1
+            _, third = train(model, data, config)
+        assert third == expected
+
+    def test_diverging_config_raises_on_both_calls(self, step_counter):
+        model, data = toy_model(), toy_task()
+        config = quick_config(learning_rate=1e38, epochs=3)
+        counts = []
+        with training._train_cache(), np.errstate(all="ignore"):
+            for _ in range(2):
+                with pytest.raises(DivergenceError):
+                    train(model, data, config)
+                counts.append(len(step_counter))
+        assert counts[0] > 0 and counts[1] == 2 * counts[0]
 
 
 class TestLota:
