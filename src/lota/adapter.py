@@ -91,6 +91,12 @@ class AdapterRecord:
         return math.prod(self.shape)
 
     def indices(self) -> np.ndarray:
+        """Flat positions of `values` within the tensor, checked against n and c."""
+        if self.values.size != self.c:
+            raise FormatError(
+                f"value count {self.values.size} != stored count {self.c} "
+                f"for {self.name!r}"
+            )
         return decode_gaps(self.gap_bytes, self.n, self.c)
 
 
@@ -123,6 +129,22 @@ class SparseAdapter:
                     f"{base[rec.name].shape}, adapter {rec.shape}"
                 )
 
+    def flat_entries(self, base: ParameterMap) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions in `base.flat` and the values stored there.
+
+        Every record is checked against `base` first, so nothing is
+        allocated from dims read out of a file.
+        """
+        self.require_aligned(base)
+        offsets = dict(zip(base.layout.names, base.layout.offsets))
+        records = sorted(self.records, key=lambda r: offsets[r.name])
+        if not records:
+            return np.empty(0, np.intp), np.empty(0, np.float32)
+        return (
+            np.concatenate([r.indices() + offsets[r.name] for r in records]),
+            np.concatenate([r.values for r in records]),
+        )
+
 
 def encode(tv: TaskVector) -> SparseAdapter:
     """Store only the nonzero coordinates of a task vector."""
@@ -148,18 +170,14 @@ def decode(adapter: SparseAdapter) -> TaskVector:
     """Exact reconstruction of the encoded task vector."""
     entries = {}
     for rec in adapter.records:
-        if rec.values.size != rec.c:
-            raise FormatError(
-                f"value count {rec.values.size} != stored count {rec.c} "
-                f"for {rec.name!r}"
-            )
+        indices = rec.indices()
         try:
             flat = np.zeros(rec.n, dtype=np.float32)
         except (MemoryError, ValueError) as exc:
             raise FormatError(
                 f"cannot allocate {rec.n} elements for {rec.name!r}: {exc}"
             ) from exc
-        flat[rec.indices()] = rec.values
+        flat[indices] = rec.values
         entries[rec.name] = flat.reshape(rec.shape)
     return TaskVector(
         entries=ParameterMap(entries), base_digest=adapter.base_digest
@@ -174,11 +192,9 @@ def apply_adapter(
         raise DigestMismatchError(
             "adapter was built against a different base model"
         )
-    adapter.require_aligned(w_p)
+    idx, vals = adapter.flat_entries(w_p)
     out = w_p.flat.copy()
-    views = w_p.layout.views(out)
-    for rec in adapter.records:
-        views[rec.name].reshape(-1)[rec.indices()] += rec.values
+    out[idx] += vals
     return ParameterMap.from_flat(w_p.layout, out)
 
 

@@ -124,6 +124,7 @@ def _model_and_task(config: dict):
         task = SyntheticTaskSpec.from_json_dict(config["task"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad model/task config: {exc}") from exc
+    model_spec.check_task(task)
     init_seed = int(config.get("init_seed", 0))
     return model_spec.build(init_seed), task
 
@@ -363,9 +364,7 @@ def cmd_merge(args) -> int:
     if entries is None:
         merged = merge_lota(base, adapters, lam=scaling)
     else:
-        for adapter in adapters:
-            adapter.require_aligned(base)  # before decode allocates record dims
-        merged = run_merge_spec(base, [decode(a) for a in adapters], spec_record)
+        merged = run_merge_spec(base, adapters, spec_record)
     out = _out_dir(args)
     save_checkpoint(merged, out / "merged.ckpt")
     (out / "merge_spec.json").write_text(

@@ -21,8 +21,8 @@ import numpy as np
 
 from .adapter import compression_report
 from .errors import ConfigError, HarnessError
-from .merging import merge_grid_search, merge_lota, ties_merge
-from .models import Dataset, ToyModel
+from .merging import _finite_real, merge_grid_search, merge_lota, ties_merge
+from .models import ACTIVATIONS, HEADS, Dataset, ToyModel
 from .params import ParameterMap
 from .sparsity import compute_task_vector
 from .tasks import SyntheticTaskSpec
@@ -83,6 +83,24 @@ class ModelSpec:
     widths: tuple[int, ...]
     activation: str = "tanh"
     head: str = "softmax-cross-entropy"
+
+    def __post_init__(self):
+        widths = self.widths
+        if not (
+            len(widths) >= 2 and all(type(w) is int and w > 0 for w in widths)
+        ):
+            raise ConfigError(f"widths must be >= 2 positive integers: {widths!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.head not in HEADS:
+            raise ConfigError(f"unknown head {self.head!r}")
+
+    def check_task(self, task: SyntheticTaskSpec) -> None:
+        """The model's input width must be the task's input_dim."""
+        if self.widths[0] != task.input_dim:
+            raise ConfigError(
+                f"first width {self.widths[0]} != task input_dim {task.input_dim}"
+            )
 
     def build(self, seed: int) -> ToyModel:
         return ToyModel.initialize(self.widths, self.activation, self.head, seed)
@@ -175,6 +193,10 @@ class _ExperimentSpec:
                 _train_config(train, 0)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad train config: {exc}") from exc
+        for f in dataclasses.fields(self):
+            task = getattr(self, f.name)
+            if isinstance(task, SyntheticTaskSpec):
+                self.model.check_task(task)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -325,6 +347,12 @@ class SparsityAblationSpec(_ExperimentSpec):
     seeds: tuple[int, ...]
     grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99)
     iterative_schedule: tuple[float, ...] | None = (0.9, 0.99)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for s in self.grid:
+            if not (_finite_real(s) and 0.0 <= s < 1.0):
+                raise ConfigError(f"grid sparsities must be numbers in [0, 1): {s!r}")
 
 
 def _sparsity_one_seed(spec: SparsityAblationSpec, seed: int) -> dict:

@@ -5,6 +5,18 @@ merging (per-task global magnitude trim, per-coordinate sign election by
 summed value, mean over sign-agreeing kept values). Sparse adapters merge
 through the same path with trimming disabled.
 
+Every merge works in the sparse domain. Each task becomes one row: its
+sorted global indices and their nonzero float32 values, after the trim
+and the weight. Zeros never change a merge: a zero adds nothing to a sum
+and never counts toward a sign. So task arithmetic is a scatter-add of
+the rows in task order, and sign election needs work only where rows
+overlap. A coordinate that one row covers merges to that row's value bit
+for bit (x plus zeros is x, and x / 1 is x); one that no row covers
+merges to +0.0. Only the columns covered by two or more rows are gathered
+into a small (tasks, m) block for the sorting network and the
+elect/mean. With LoTA's sparse or LoTTO's disjoint adapters that block is
+small or empty.
+
 All merge arithmetic is float32. Per-coordinate sums accumulate in
 ascending value order, which makes every merge invariant to the order the
 task vectors are supplied in.
@@ -20,47 +32,104 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adapter import SparseAdapter, decode
-from .errors import ConfigError, DigestMismatchError
-from .params import MapDigest, ParameterMap, digest
-from .sparsity import TaskVector, round_half_up, topk_keep_flat
+from .adapter import SparseAdapter
+from .errors import AlignmentError, ConfigError, DigestMismatchError
+from .params import ParameterMap, digest
+from .sparsity import TaskVector, round_half_up, topk_keep
+
+# sorted global indices (intp) and their nonzero float32 values
+Row = tuple[np.ndarray, np.ndarray]
+Source = TaskVector | SparseAdapter
 
 
-def _check_base(w_p: ParameterMap, tvs: Sequence[TaskVector]) -> MapDigest:
+def _rows(
+    w_p: ParameterMap,
+    sources: Sequence[Source],
+    fractions: Sequence[float],
+    weights: Sequence[float],
+) -> list[Row]:
+    """Each source's trimmed and weighted row, after checking it against `w_p`."""
     base = digest(w_p)
-    for i, tv in enumerate(tvs):
-        if tv.base_digest != base:
+    n = w_p.total_elements
+    rows = []
+    for i, (src, fraction, weight) in enumerate(zip(sources, fractions, weights)):
+        if src.base_digest != base:
             raise DigestMismatchError(
                 f"task vector {i} was computed against a different base"
             )
-        tv.entries.layout.require_aligned(w_p.layout, "task vector and base")
-    return base
+        if isinstance(src, SparseAdapter):
+            idx, vals = src.flat_entries(w_p)
+            if sorted(r.name for r in src.records) != list(w_p.names):
+                raise AlignmentError(f"adapter {i} must hold each base tensor once")
+        else:
+            src.entries.layout.require_aligned(w_p.layout, "task vector and base")
+            idx, vals = None, src.entries.flat
+        rows.append(_trim(idx, vals, round_half_up(fraction * n), weight))
+    return rows
 
 
-def _add_scaled(
-    w_p: ParameterMap, flat_delta: np.ndarray, lam: float
-) -> ParameterMap:
-    return ParameterMap.from_flat(w_p.layout, w_p.flat + np.float32(lam) * flat_delta)
+def _trim(idx: np.ndarray | None, vals: np.ndarray, k: int, weight: float) -> Row:
+    """The k largest magnitudes of `vals` (earlier wins ties) times `weight`.
+
+    `idx` holds the sorted global index of each value, or is None when
+    `vals` is a whole flat vector. Zeros are dropped, and zeros are all a
+    sparse source leaves out, so its top-k is the dense top-k: for k at
+    most its nonzero count they keep the same values, and beyond it the
+    dense top-k adds only zeros.
+    """
+    keep = topk_keep(np.abs(vals), k) if k < vals.size else vals != 0
+    pos = np.flatnonzero(keep)
+    vals = vals[pos] * np.float32(weight)
+    idx = pos if idx is None else idx[pos]
+    nonzero = vals != 0
+    if nonzero.all():
+        return idx, vals
+    pos = np.flatnonzero(nonzero)
+    return idx[pos], vals[pos]
 
 
-def _weighted_sum(
+def _scatter_add(n: int, rows: Sequence[Row]) -> np.ndarray:
+    """sum_i rows_i as a flat vector, added in task order."""
+    acc = np.zeros(n, dtype=np.float32)
+    for idx, vals in rows:
+        acc[idx] += vals
+    return acc
+
+
+def _elect_mean(n: int, rows: Sequence[Row]) -> np.ndarray:
+    """Flat sign-elected mean of the rows; the network runs on overlaps only."""
+    merged = np.zeros(n, dtype=np.float32)
+    for idx, vals in rows:
+        merged[idx] = vals
+    cover = np.bincount(np.concatenate([idx for idx, _ in rows]), minlength=n)
+    multi = np.flatnonzero(cover > 1)
+    if multi.size:
+        # block column of each multiply covered index; the rest land in a
+        # spare last column that is never merged
+        slot = np.full(n, multi.size, dtype=np.intp)
+        slot[multi] = np.arange(multi.size)
+        block = np.zeros((len(rows), multi.size + 1), dtype=np.float32)
+        for row, (idx, vals) in zip(block, rows):
+            row[slot[idx]] = vals
+        merged[multi] = _trim_elect_mean(block[:, :-1])
+    return merged
+
+
+def _merge(
     w_p: ParameterMap,
-    tvs: Sequence[TaskVector],
+    sources: Sequence[Source],
     fractions: Sequence[float],
     weights: Sequence[float],
+    elect: bool,
     lam: float,
 ) -> ParameterMap:
-    """w_P + lam * sum_i weights_i * trim(tv_i, fractions_i), no sign election.
-
-    A fraction of 1.0 keeps every coordinate, which is plain task arithmetic.
-    """
+    """w_P + lam * merge of the trimmed, weighted sources."""
     n = w_p.total_elements
-    _check_base(w_p, tvs)
-    acc = np.zeros(n, dtype=np.float32)
-    for tv, fraction, weight in zip(tvs, fractions, weights):
-        kept = topk_keep_flat(tv.entries, round_half_up(fraction * n))
-        acc += np.float32(weight) * np.where(kept, tv.entries.flat, np.float32(0.0))
-    return _add_scaled(w_p, acc, lam)
+    rows = _rows(w_p, sources, fractions, weights)
+    if elect and not rows:
+        raise ValueError("need at least one task vector")
+    merged = _elect_mean(n, rows) if elect else _scatter_add(n, rows)
+    return ParameterMap.from_flat(w_p.layout, w_p.flat + np.float32(lam) * merged)
 
 
 def task_arithmetic_merge(
@@ -72,7 +141,7 @@ def task_arithmetic_merge(
     """w_P + lam * sum_i weights_i * tv_i."""
     if len(weights) != len(tvs):
         raise ValueError("weights and task vectors must have the same length")
-    return _weighted_sum(w_p, tvs, [1.0] * len(tvs), weights, lam)
+    return _merge(w_p, tvs, [1.0] * len(tvs), weights, False, lam)
 
 
 def _sort_columns(stacked: np.ndarray) -> np.ndarray:
@@ -96,36 +165,27 @@ def _sort_columns(stacked: np.ndarray) -> np.ndarray:
 def _trim_elect_mean(
     stacked: np.ndarray,
 ) -> np.ndarray:
-    """Sign election and sign-matching mean over a (tasks, n) value stack.
+    """Sign election and sign-matching mean over a (tasks, m) value stack.
 
     Non-kept coordinates must already be zeroed. Rows are value-sorted per
     coordinate before accumulation so the result is task-order invariant.
-    The sort may swap +0.0 and -0.0, which changes no result: zeros never
-    enter the signed sums, and adding either zero never changes the total.
+    A row that does not match a column's elected sign adds row * False,
+    a zero of either sign. Neither that nor the sort's swapping of +0.0
+    and -0.0 changes a result: each sum starts at +0.0, and adding a zero
+    of either sign to it never changes it.
     """
     ordered = _sort_columns(stacked)
     total = np.zeros(ordered.shape[1], dtype=np.float32)
-    pos_sum = np.zeros_like(total)
-    neg_sum = np.zeros_like(total)
-    pos_count = np.zeros(ordered.shape[1], dtype=np.int64)
-    neg_count = np.zeros_like(pos_count)
-    zero = np.float32(0.0)
     for row in ordered:
         total += row
-        pos_sum += np.where(row > 0, row, zero)
-        neg_sum += np.where(row < 0, row, zero)
-        pos_count += row > 0
-        neg_count += row < 0
-    merged = np.where(
-        total > 0,
-        pos_sum / np.maximum(pos_count, 1).astype(np.float32),
-        np.where(
-            total < 0,
-            neg_sum / np.maximum(neg_count, 1).astype(np.float32),
-            zero,
-        ),
-    )
-    return merged.astype(np.float32)
+    sign = np.sign(total)
+    matched = np.zeros_like(total)
+    count = np.zeros_like(total)
+    for row in ordered:
+        agree = row * sign > 0
+        matched += row * agree
+        count += agree
+    return matched / np.maximum(count, np.float32(1.0))
 
 
 def ties_merge(
@@ -149,29 +209,16 @@ def ties_merge(
         raise ValueError("trim fractions must be in (0, 1]")
     if weights is not None and len(weights) != len(tvs):
         raise ValueError("one weight per task vector required")
-    _check_base(w_p, tvs)
-    if not tvs:
-        raise ValueError("need at least one task vector")
-    n = w_p.total_elements
-    rows = []
-    for i, (tv, fraction) in enumerate(zip(tvs, trim_keep_fractions)):
-        values = tv.entries.flat
-        if weights is not None:
-            values = values * np.float32(weights[i])
-        kept = topk_keep_flat(tv.entries, round_half_up(fraction * n))
-        rows.append(np.where(kept, values, np.float32(0.0)))
-    merged = _trim_elect_mean(np.stack(rows))
-    return _add_scaled(w_p, merged, lam)
+    weights = [1.0] * len(tvs) if weights is None else weights
+    return _merge(w_p, tvs, trim_keep_fractions, weights, True, lam)
 
 
 def merge_lota(
     w_p: ParameterMap, adapters: Sequence[SparseAdapter], lam: float = 1.0
 ) -> ParameterMap:
     """Merge inherently sparse adapters: no trimming, elect/mean only."""
-    for adapter in adapters:
-        adapter.require_aligned(w_p)
-    tvs = [decode(a) for a in adapters]
-    return ties_merge(w_p, tvs, [1.0] * len(tvs), lam=lam)
+    ones = [1.0] * len(adapters)
+    return _merge(w_p, adapters, ones, ones, True, lam)
 
 
 def _finite_real(x) -> bool:
@@ -227,19 +274,17 @@ class MergeSpec:
 
 
 def run_merge_spec(
-    w_p: ParameterMap, tvs: Sequence[TaskVector], spec: MergeSpec
+    w_p: ParameterMap, sources: Sequence[Source], spec: MergeSpec
 ) -> ParameterMap:
-    """Execute a merge described by a MergeSpec against in-memory vectors."""
-    if len(spec.entries) != len(tvs):
+    """Execute a merge described by a MergeSpec over task vectors or adapters."""
+    if len(spec.entries) != len(sources):
         raise ValueError("spec entries and task vectors must match")
     fractions = [
         1.0 if e.trim_keep_fraction is None else e.trim_keep_fraction
         for e in spec.entries
     ]
     weights = [e.weight for e in spec.entries]
-    if spec.elect_signs:
-        return ties_merge(w_p, tvs, fractions, lam=spec.scaling, weights=weights)
-    return _weighted_sum(w_p, tvs, fractions, weights, spec.scaling)
+    return _merge(w_p, sources, fractions, weights, spec.elect_signs, spec.scaling)
 
 
 @dataclass

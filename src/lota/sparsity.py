@@ -117,21 +117,14 @@ def compute_task_vector(w_f: ParameterMap, w_p: ParameterMap) -> TaskVector:
     return TaskVector(entries=diff, base_digest=digest(w_p))
 
 
-def topk_keep_flat(
-    entries: ParameterMap, k: int, allowed: np.ndarray | None = None
-) -> np.ndarray:
-    """Flat boolean vector keeping the k largest magnitudes of `entries.flat`.
+def topk_keep(m: np.ndarray, k: int) -> np.ndarray:
+    """Boolean vector keeping the k largest of the magnitudes `m`.
 
-    Ties broken by flat position (earlier wins). `allowed` optionally
-    restricts candidate positions (flat boolean vector).
-
-    O(n): `np.partition` finds the threshold t, the k-th largest candidate
-    magnitude. Every candidate above t is kept, then the earliest
-    candidates equal to t fill the remaining slots.
+    Ties broken by position (earlier wins). O(len(m)): `np.partition`
+    finds the threshold t, the k-th largest magnitude. Every element
+    above t is kept, then the earliest elements equal to t fill the
+    remaining slots.
     """
-    mags = np.abs(entries.flat)
-    candidates = None if allowed is None else np.flatnonzero(allowed)
-    m = mags if candidates is None else mags[candidates]
     if k > m.size:
         raise CapacityError(
             f"cannot keep {k} elements: only {m.size} positions allowed"
@@ -142,6 +135,20 @@ def topk_keep_flat(
         np.greater(m, t, out=keep)
         ties = np.flatnonzero(m == t)
         keep[ties[: k - int(np.count_nonzero(keep))]] = True
+    return keep
+
+
+def topk_keep_flat(
+    entries: ParameterMap, k: int, allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """Flat boolean vector keeping the k largest magnitudes of `entries.flat`.
+
+    Ties broken by flat position (earlier wins). `allowed` optionally
+    restricts candidate positions (flat boolean vector).
+    """
+    mags = np.abs(entries.flat)
+    candidates = None if allowed is None else np.flatnonzero(allowed)
+    keep = topk_keep(mags if candidates is None else mags[candidates], k)
     if candidates is None:
         return keep
     kept_flat = np.zeros(mags.size, dtype=bool)

@@ -26,6 +26,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,6 +64,14 @@ class TrainConfig:
     mask: SparsityMask | None = None
 
     def __post_init__(self):
+        counts = (self.batch_size, self.epochs, self.seed, self.calibration_epochs)
+        if not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            for v in counts if v is not None
+        ):
+            raise ConfigError(
+                "batch_size, epochs, seed and calibration_epochs must be integers"
+            )
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.batch_size <= 0 or self.epochs < 0:

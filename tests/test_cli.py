@@ -261,13 +261,17 @@ class TestMergeCommand:
         assert merged.names == pm.names
         assert (out / "merge_spec.json").exists()
 
-    @pytest.mark.parametrize("elect", [True, False])
-    def test_forged_dims_rejected_before_decode(self, base_ckpt, tmp_path,
-                                                capsys, elect):
+    def merge_forged(self, base_ckpt, tmp_path, capsys, source, mode):
+        """Exit code, error type and traced peak of a merge of a forged adapter.
+
+        The adapter is a diff against `source` whose `layer0.bias` record
+        claims dims (2**40,).
+        """
         pm, path = base_ckpt
-        ft_path = tmp_path / "ft.ckpt"
-        save_checkpoint(tweaked(pm), ft_path)
-        dispatch(["diff", str(path), str(ft_path), "--out", str(tmp_path / "d")])
+        source_path, ft_path = tmp_path / "source.ckpt", tmp_path / "ft.ckpt"
+        save_checkpoint(source, source_path)
+        save_checkpoint(tweaked(source), ft_path)
+        dispatch(["diff", str(source_path), str(ft_path), "--out", str(tmp_path / "d")])
         adapter = load_adapter(tmp_path / "d" / "adapter.lta")
         records = tuple(
             dataclasses.replace(r, shape=(2**40,)) if r.name == "layer0.bias" else r
@@ -277,7 +281,7 @@ class TestMergeCommand:
         save_adapter(dataclasses.replace(adapter, records=records), forged)
         merge_config = tmp_path / "merge.json"
         merge_config.write_text(json.dumps(
-            {"base": str(path), "adapters": [str(forged)], "elect_signs": elect}
+            {"base": str(path), "adapters": [str(forged)], **mode}
         ))
         capsys.readouterr()
         tracemalloc.start()
@@ -287,8 +291,31 @@ class TestMergeCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"]["type"] == "AlignmentError"
+        return code, json.loads(capsys.readouterr().err)["error"]["type"], peak
+
+    @pytest.mark.parametrize("elect", [True, False])
+    def test_forged_dims_rejected_before_decode(self, base_ckpt, tmp_path,
+                                                capsys, elect):
+        code, error, peak = self.merge_forged(
+            base_ckpt, tmp_path, capsys, base_ckpt[0], {"elect_signs": elect}
+        )
+        assert (code, error) == (2, "AlignmentError")
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("mode, other_base, error", [
+        ({"entries": [{"trim_keep_fraction": 0.5}]}, False, "AlignmentError"),
+        ({}, True, "DigestMismatchError"),
+        ({"entries": [{"trim_keep_fraction": 0.5}]}, True, "DigestMismatchError"),
+        ({"elect_signs": False}, True, "DigestMismatchError"),
+    ], ids=["elect-entries", "other-base", "other-base-elect-entries",
+            "other-base-no-elect"])
+    def test_forged_adapter_rejected_before_allocating(
+        self, base_ckpt, tmp_path, capsys, mode, other_base, error
+    ):
+        pm, _ = base_ckpt
+        source = tweaked(pm, seed=7) if other_base else pm
+        code, got, peak = self.merge_forged(base_ckpt, tmp_path, capsys, source, mode)
+        assert (code, got) == (2, error)
         assert peak < 16 * 2**20
 
     def merge_with_entry(self, base_ckpt, tmp_path, elect, entry):
@@ -468,3 +495,61 @@ class TestExperimentCommand:
         assert dispatch(["experiment", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("grid",), ["x"], "grid"),
+            (("grid",), [1.5], "grid"),
+            (("model", "widths"), [0, 3], "widths"),
+            (("model", "activation"), "x", "activation"),
+            (("train", "epochs"), 2.5, "epochs"),
+            (("train", "batch_size"), 32.5, "batch_size"),
+            (("model", "widths"), [5, 16, 3], "input_dim"),
+        ],
+        ids=["grid-str", "grid-1.5", "widths-zero", "activation", "epochs-float",
+             "batch-float", "width-input-dim"],
+    )
+    def test_bad_spec_value_exits_1(self, tmp_path, capsys, path, value, field):
+        config_path = self.experiment_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        *parents, key = path
+        target = config
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert dispatch(["experiment", "--config", str(config_path),
+                         "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert field in error["message"]
+        assert not out.exists()
+
+
+class TestTrainConfigTypes:
+    @pytest.mark.parametrize("command", ["train", "lota"])
+    @pytest.mark.parametrize(
+        "key, value", [("epochs", 2.5), ("batch_size", 32.0), ("seed", "9"),
+                       ("calibration_epochs", True)]
+    )
+    def test_non_integer_count_exits_1(self, tmp_path, capsys, command, key, value):
+        config = train_config(tmp_path)
+        data = json.loads(config.read_text())
+        data["train"][key] = value
+        config.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert dispatch([command, "--config", str(config), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert key in error["message"]
+        assert not out.exists()
+
+    def test_first_width_must_match_input_dim(self, tmp_path, capsys):
+        config = train_config(tmp_path, model={"widths": [5, 16, 3]})
+        assert dispatch(["train", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "input_dim" in error["message"]

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lota import (
+    AdapterRecord,
+    AlignmentError,
     DigestMismatchError,
     MergeEntry,
     MergeSpec,
     ParameterMap,
+    SparseAdapter,
     TaskVector,
     apply_adapter,
     digest,
@@ -21,6 +26,7 @@ from lota import (
     task_arithmetic_merge,
     ties_merge,
 )
+from lota.adapter import encode_gaps
 from lota.merging import _sort_columns, _trim_elect_mean
 
 F32 = np.float32
@@ -375,3 +381,170 @@ class TestGridSearch:
         )
         assert len(result.table) == 3
         assert all(row["fractions"][0] == 1.0 for row in result.table)
+
+
+# -- sparse merge core against the dense (tasks, n) reference ----------------
+
+LAYOUTS = [{"w": (7,)}, {"a": (2, 3), "b": (4,), "c": ()}, {"x": (3, 3), "y": (1,)}]
+# 1e-30 * 1e-20 underflows to a float32 zero of the product's sign
+WEIGHTS = [1.0, -1.0, 0.5, 3.0, 1e-20, -1e-20]
+
+
+def reference_merge(base, vectors, fractions, weights, lam, elect):
+    """The dense merge: trim and weight each task, then one (T, n) stack."""
+    n = base.size
+    rows = []
+    for v, f, w in zip(vectors, fractions, weights):
+        kept = np.zeros(n, dtype=bool)
+        kept[list(oracle_trim_kept(list(v), int(math.floor(f * n + 0.5))))] = True
+        rows.append(np.where(kept, v * F32(w), F32(0.0)))
+    if elect:
+        merged = reference_trim_elect_mean(np.stack(rows))
+    else:
+        merged = np.zeros(n, dtype=np.float32)
+        for row in rows:
+            merged += row
+    return base + F32(lam) * merged
+
+
+@st.composite
+def merge_cases(draw):
+    shapes = draw(st.sampled_from(LAYOUTS))
+    n = sum(math.prod(shape) for shape in shapes.values())
+    t = draw(st.integers(1, 6))
+    pool = st.sampled_from(SIGNED_POOL)
+    base = np.array(draw(st.lists(pool, min_size=n, max_size=n)), dtype=F32)
+    support = draw(st.sampled_from(["dense", "disjoint", "nested", "random"]))
+    vectors = []
+    for i in range(t):
+        v = np.array(draw(st.lists(pool, min_size=n, max_size=n)), dtype=F32)
+        if support == "disjoint":
+            v[np.arange(n) % t != i] = 0.0
+        elif support == "nested":
+            v[n - (i * n) // t :] = 0.0
+        elif support == "random":
+            v[~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+        vectors.append(v)
+    fractions = draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]),
+                              min_size=t, max_size=t))
+    weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=t, max_size=t))
+    lam = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
+    return shapes, base, vectors, fractions, weights, lam
+
+
+def as_map(shapes, flat):
+    layout = ParameterMap({k: np.zeros(s, F32) for k, s in shapes.items()}).layout
+    return ParameterMap.from_flat(layout, flat.copy())
+
+
+def with_stored_zeros(tv, extra):
+    """The adapter of `tv`, also storing the zeros at flat positions `extra`."""
+    records = []
+    for name, lo in zip(tv.entries.names, tv.entries.layout.offsets):
+        arr = tv.entries[name].ravel()
+        stored = np.flatnonzero((arr != 0) | extra[lo : lo + arr.size])
+        values = arr[stored].copy()
+        values.flags.writeable = False
+        records.append(AdapterRecord(name, tv.entries[name].shape, int(stored.size),
+                                     encode_gaps(stored), values))
+    return SparseAdapter(tv.base_digest, tuple(records))
+
+
+def assert_bitwise(merged, want):
+    assert merged.flat.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+
+
+class TestSparseCoreOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(merge_cases())
+    def test_task_vectors_match_dense_reference(self, case):
+        shapes, base_flat, vectors, fractions, weights, lam = case
+        base = as_map(shapes, base_flat)
+        tvs = [TaskVector(as_map(shapes, v), digest(base)) for v in vectors]
+        want = reference_merge(base_flat, vectors, fractions, weights, lam, True)
+        assert_bitwise(ties_merge(base, tvs, fractions, lam=lam, weights=weights), want)
+        for elect in (True, False):
+            spec = MergeSpec(
+                base_digest=digest(base).hex(),
+                entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
+                elect_signs=elect,
+                scaling=lam,
+            )
+            want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
+            assert_bitwise(run_merge_spec(base, tvs, spec), want)
+        ones = [1.0] * len(tvs)
+        want = reference_merge(base_flat, vectors, ones, weights, lam, False)
+        assert_bitwise(task_arithmetic_merge(base, tvs, weights, lam=lam), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(merge_cases(), st.booleans(), st.data())
+    def test_adapters_match_dense_reference(self, case, reverse, data):
+        shapes, base_flat, vectors, fractions, weights, lam = case
+        base = as_map(shapes, base_flat)
+        adapters = []
+        for v in vectors:
+            extra = np.array(data.draw(st.lists(st.booleans(), min_size=v.size,
+                                                max_size=v.size)))
+            adapter = with_stored_zeros(TaskVector(as_map(shapes, v), digest(base)), extra)
+            if reverse:  # a file may hold its records in any order
+                adapter = dataclasses.replace(adapter, records=adapter.records[::-1])
+            adapters.append(adapter)
+        ones = [1.0] * len(adapters)
+        want = reference_merge(base_flat, vectors, ones, ones, lam, True)
+        assert_bitwise(merge_lota(base, adapters, lam=lam), want)
+        for elect in (True, False):
+            spec = MergeSpec(
+                base_digest=digest(base).hex(),
+                entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
+                elect_signs=elect,
+                scaling=lam,
+            )
+            want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
+            assert_bitwise(run_merge_spec(base, adapters, spec), want)
+
+
+class TestAdapterMergeChecks:
+    """Adapters are checked against the base before anything is sized from them."""
+
+    def adapter(self, base_values, forge_dims):
+        base = ParameterMap({"a": np.asarray(base_values, F32), "b": np.ones(3, F32)})
+        entries = {"a": np.full(len(base_values), 0.5, F32), "b": np.zeros(3, F32)}
+        adapter = encode(TaskVector(ParameterMap(entries), digest(base)))
+        if forge_dims:
+            adapter = dataclasses.replace(adapter, records=tuple(
+                dataclasses.replace(r, shape=(2**40,)) if r.name == "b" else r
+                for r in adapter.records
+            ))
+        return base, adapter
+
+    def merges(self, base, adapter):
+        spec = MergeSpec(digest(base).hex(), (MergeEntry(0.5, 0.5),), elect_signs=False)
+        return [
+            lambda: merge_lota(base, [adapter]),
+            lambda: run_merge_spec(base, [adapter], dataclasses.replace(spec, elect_signs=True)),
+            lambda: run_merge_spec(base, [adapter], spec),
+        ]
+
+    @pytest.mark.parametrize("other_base, error", [
+        (False, AlignmentError), (True, DigestMismatchError),
+    ])
+    def test_forged_dims_rejected_without_allocating(self, other_base, error):
+        base, adapter = self.adapter([1.0, 2.0], forge_dims=True)
+        if other_base:
+            base, _ = self.adapter([1.0, 3.0], forge_dims=False)
+        for merge in self.merges(base, adapter):
+            tracemalloc.start()
+            try:
+                with pytest.raises(error):
+                    merge()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+    def test_missing_tensor_rejected(self):
+        base, adapter = self.adapter([1.0, 2.0], forge_dims=False)
+        partial = dataclasses.replace(adapter, records=adapter.records[:1])
+        for merge in self.merges(base, partial):
+            with pytest.raises(AlignmentError, match="each base tensor once"):
+                merge()
