@@ -6,33 +6,33 @@ literal; byte 0xFF is a continuation adding 255 to the accumulating gap
 before the next byte is read. The first gap in a tensor is the first index
 itself. Zeros are never stored.
 
-File layout, version 2 (no padding):
-  magic "LTA1" | u16 LE version | 32-byte base digest | u32 LE tensor count
-  per tensor: u16 LE name length | name bytes | u8 ndim | ndim u64 LE dims
-              | u64 LE c | u64 LE gap-stream length | gap bytes
-              | c float32 LE values
-The tensor's element count n is the product of its dims (1 for a 0-d
-tensor). Every dim is positive, n fits in int64, and ndim is at most
-MAX_NDIM. The values are the last bytes of each record.
+An adapter file is one container (see `container`), version 3 of the
+adapter format. A tensor with c > 0 stored values has two entries:
+`<name>/gaps` (U8, its gap stream) and `<name>/values` (F32, its c values).
+A tensor with c = 0 has none, because the container stores no empty
+entry. The header's `__metadata__` holds
+  {"base_digest": <64 hex digits>, "format": "lota-adapter-3",
+   "shapes": {name: [dims], ...}}
+with every tensor's dense shape, so the entry set follows from the shapes
+and the stored counts. The tensor's element count n is the product of its
+dims (1 for a 0-d tensor). Every dim is positive, n fits in int64, and
+ndim is at most `container.MAX_NDIM`.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .container import write_atomic
+from .container import build_container, checked_shape, parse_container, write_atomic
 from .errors import AlignmentError, DigestMismatchError, FormatError
 from .params import MapDigest, ParameterMap, digest
 from .sparsity import TaskVector
 
-MAGIC = b"LTA1"
-VERSION = 2
-MAX_NDIM = 32  # the most dims any supported numpy release can hold
+FORMAT = "lota-adapter-3"
 _INT64_MAX = 2**63 - 1
 
 
@@ -118,8 +118,12 @@ class SparseAdapter:
         n = self.n_total
         return 1.0 - self.c_total / n if n else 1.0
 
-    def require_aligned(self, base: ParameterMap) -> None:
-        """Each record must name a base tensor of its shape; check before decode."""
+    def flat_entries(self, base: ParameterMap) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions in `base.flat` and the values stored there.
+
+        Every record must name a base tensor of its shape. All are checked
+        first, so nothing is allocated from dims read out of a file.
+        """
         for rec in self.records:
             if rec.name not in base:
                 raise AlignmentError(f"adapter tensor {rec.name!r} not in base map")
@@ -128,14 +132,6 @@ class SparseAdapter:
                     f"shape mismatch for {rec.name!r}: base "
                     f"{base[rec.name].shape}, adapter {rec.shape}"
                 )
-
-    def flat_entries(self, base: ParameterMap) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending positions in `base.flat` and the values stored there.
-
-        Every record is checked against `base` first, so nothing is
-        allocated from dims read out of a file.
-        """
-        self.require_aligned(base)
         offsets = dict(zip(base.layout.names, base.layout.offsets))
         records = sorted(self.records, key=lambda r: offsets[r.name])
         if not records:
@@ -213,7 +209,7 @@ def compression_report(adapter: SparseAdapter) -> CompressionReport:
     n_total = adapter.n_total
     c_total = adapter.c_total
     payload_bits = sum(8 * len(r.gap_bytes) + 32 * r.c for r in adapter.records)
-    total_bits = 8 * len(serialize_adapter(adapter))
+    total_bits = 8 * len(_container_bytes(adapter))
     ideal = math.inf if c_total == 0 else 32.0 * n_total / (40.0 * c_total)
     return CompressionReport(
         ideal_ratio=ideal,
@@ -225,94 +221,60 @@ def compression_report(adapter: SparseAdapter) -> CompressionReport:
     )
 
 
-def serialize_adapter(adapter: SparseAdapter) -> bytes:
+def _container_bytes(adapter: SparseAdapter) -> bytes:
     if len(adapter.base_digest) != 32:
         raise ValueError("base digest must be 32 bytes")
-    parts = [
-        MAGIC,
-        struct.pack("<H", VERSION),
-        adapter.base_digest,
-        struct.pack("<I", len(adapter.records)),
-    ]
+    entries = {}
     for rec in adapter.records:
-        name_bytes = rec.name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        ndim = len(rec.shape)
-        if ndim > MAX_NDIM:
-            raise ValueError(f"{rec.name!r} has more than {MAX_NDIM} dims")
-        parts.append(struct.pack(f"<B{ndim}QQQ", ndim, *rec.shape, rec.c,
-                                 len(rec.gap_bytes)))
-        parts.append(rec.gap_bytes)
-        parts.append(rec.values.astype("<f4", copy=False).tobytes())
-    return b"".join(parts)
+        if rec.c:
+            entries[f"{rec.name}/gaps"] = np.frombuffer(rec.gap_bytes, np.uint8)
+            entries[f"{rec.name}/values"] = rec.values
+    metadata = {
+        "base_digest": adapter.base_digest.hex(),
+        "format": FORMAT,
+        "shapes": {rec.name: list(rec.shape) for rec in adapter.records},
+    }
+    return build_container(entries, metadata)
 
 
 def save_adapter(adapter: SparseAdapter, path: str | Path) -> None:
-    write_atomic(path, serialize_adapter(adapter))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
-            raise FormatError("truncated adapter file")
-        out = self.blob[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def deserialize_adapter(blob: bytes) -> SparseAdapter:
-    reader = _Reader(blob)
-    if reader.take(4) != MAGIC:
-        raise FormatError("bad magic: not an adapter file")
-    (version,) = reader.unpack("<H")
-    if version != VERSION:
-        raise FormatError(f"unsupported adapter version {version}")
-    base_digest = reader.take(32)
-    (count,) = reader.unpack("<I")
-    records = []
-    seen = set()
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        try:
-            name = reader.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError("tensor name is not valid UTF-8") from exc
-        if not name or name in seen:
-            raise FormatError(f"empty or duplicate tensor name {name!r}")
-        seen.add(name)
-        (ndim,) = reader.unpack("<B")
-        if ndim > MAX_NDIM:
-            raise FormatError(f"{name!r} has {ndim} dims, more than {MAX_NDIM}")
-        shape = reader.unpack(f"<{ndim}Q")
-        if not all(shape):
-            raise FormatError(f"zero dimension in shape of {name!r}")
-        n = math.prod(shape)
-        if n > _INT64_MAX:
-            raise FormatError(f"element count of {name!r} overflows int64")
-        c, gap_len = reader.unpack("<QQ")
-        gap_bytes = reader.take(gap_len)
-        values = np.frombuffer(reader.take(4 * c), dtype="<f4").copy()
-        if not np.isfinite(values).all():
-            raise FormatError(f"non-finite values in tensor {name!r}")
-        decode_gaps(gap_bytes, n, c)  # validate stream against n and c
-        values.flags.writeable = False
-        records.append(
-            AdapterRecord(
-                name=name, shape=shape, c=c, gap_bytes=gap_bytes, values=values
-            )
-        )
-    if reader.pos != len(blob):
-        raise FormatError("trailing bytes after last tensor record")
-    return SparseAdapter(base_digest=base_digest, records=tuple(records))
+    write_atomic(path, _container_bytes(adapter))
 
 
 def load_adapter(path: str | Path) -> SparseAdapter:
-    return deserialize_adapter(Path(path).read_bytes())
+    """Read an adapter file; any departure from the format is a FormatError."""
+    entries, meta = parse_container(Path(path).read_bytes())
+    tag = (meta or {}).get("format")
+    if tag != FORMAT:
+        raise FormatError(f"not an adapter file: unknown format tag {tag!r}")
+    try:
+        base_digest = bytes.fromhex(meta["base_digest"])
+        shapes = meta["shapes"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed adapter metadata: {exc!r}") from exc
+    if len(base_digest) != 32 or not isinstance(shapes, dict):
+        raise FormatError("malformed adapter metadata: base digest or shapes")
+    stored = {name for name in shapes if f"{name}/values" in entries}
+    if set(entries) != {f"{n}/{part}" for n in stored for part in ("gaps", "values")}:
+        raise FormatError("adapter entries do not match its tensor shapes")
+    records = []
+    for name in sorted(shapes):
+        if not name:
+            raise FormatError("empty tensor name")
+        shape = checked_shape(shapes[name], name)
+        n = math.prod(shape)
+        if n > _INT64_MAX:
+            raise FormatError(f"element count of {name!r} overflows int64")
+        gaps = entries.get(f"{name}/gaps", np.empty(0, np.uint8))
+        values = entries.get(f"{name}/values", np.empty(0, np.float32))
+        if (gaps.dtype, gaps.ndim, values.dtype, values.ndim) != (
+            np.uint8, 1, np.float32, 1
+        ):
+            raise FormatError(f"gaps or values of {name!r}: wrong dtype or rank")
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite values in tensor {name!r}")
+        gap_bytes = gaps.tobytes()
+        decode_gaps(gap_bytes, n, values.size)  # check the stream against n and c
+        values.flags.writeable = False
+        records.append(AdapterRecord(name, shape, values.size, gap_bytes, values))
+    return SparseAdapter(base_digest=base_digest, records=tuple(records))

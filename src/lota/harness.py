@@ -96,10 +96,14 @@ class ModelSpec:
             raise ConfigError(f"unknown head {self.head!r}")
 
     def check_task(self, task: SyntheticTaskSpec) -> None:
-        """The model's input width must be the task's input_dim."""
+        """The first and last widths must be the task's input_dim and output_dim."""
         if self.widths[0] != task.input_dim:
             raise ConfigError(
                 f"first width {self.widths[0]} != task input_dim {task.input_dim}"
+            )
+        if self.widths[-1] != task.output_dim:
+            raise ConfigError(
+                f"last width {self.widths[-1]} != task output_dim {task.output_dim}"
             )
 
     def build(self, seed: int) -> ToyModel:

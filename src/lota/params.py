@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import build_container, parse_container, write_atomic
+from .container import build_container, typed_entries, write_atomic
 from .errors import AlignmentError, NonFiniteError
 
 MapDigest = bytes  # 32-byte SHA-256 over the canonical checkpoint serialization
@@ -140,11 +140,12 @@ class ParameterMap(_FlatMap):
     entries are copied into the buffer on construction.
     """
 
-    __slots__ = ()
+    __slots__ = ("_digest",)
     _dtype = np.float32
 
     def _adopt(self, layout: Layout, buffer: np.ndarray) -> None:
         super()._adopt(layout, buffer)
+        self._digest = None
         if not np.isfinite(buffer).all():
             bad = next(n for n, a in self.items() if not np.isfinite(a).all())
             raise NonFiniteError(f"non-finite values in tensor {bad!r}")
@@ -159,7 +160,7 @@ class ParameterMap(_FlatMap):
 
 def serialize_checkpoint(pm: ParameterMap) -> bytes:
     """Canonical byte serialization; depends only on map content."""
-    return build_container(dict(pm.items()), "F32")
+    return build_container(dict(pm.items()), None)
 
 
 def save_checkpoint(pm: ParameterMap, path: str | Path) -> None:
@@ -167,12 +168,17 @@ def save_checkpoint(pm: ParameterMap, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ParameterMap:
-    return ParameterMap(parse_container(Path(path).read_bytes(), "F32"))
+    return ParameterMap(typed_entries(Path(path).read_bytes(), "F32"))
 
 
 def digest(pm: ParameterMap) -> MapDigest:
-    """32-byte SHA-256 of the canonical serialization."""
-    return hashlib.sha256(serialize_checkpoint(pm)).digest()
+    """32-byte SHA-256 of the canonical serialization.
+
+    Computed once per map and kept: `.flat` is read-only, so it cannot change.
+    """
+    if pm._digest is None:
+        pm._digest = hashlib.sha256(serialize_checkpoint(pm)).digest()
+    return pm._digest
 
 
 def zeros_like(pm: ParameterMap) -> ParameterMap:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import build_container, parse_container, write_atomic
+from .container import build_container, typed_entries, write_atomic
 from .errors import CapacityError, FormatError
 from .params import Layout, MapDigest, ParameterMap, _FlatMap, digest
 
@@ -244,7 +244,7 @@ def save_mask(
     atomically, container first.
     """
     entries = {n: a.astype(np.uint8) for n, a in mask.items()}
-    blob = build_container(entries, "U8")
+    blob = build_container(entries, None)
     sidecar = {"declared_sparsity": mask.declared_sparsity, "source": source}
     if seed is not None:
         sidecar["seed"] = seed
@@ -254,7 +254,7 @@ def save_mask(
 
 
 def load_mask(path: str | Path) -> SparsityMask:
-    raw = parse_container(Path(path).read_bytes(), "U8")
+    raw = typed_entries(Path(path).read_bytes(), "U8")
     entries = {}
     for name, arr in raw.items():
         if not np.isin(arr, (0, 1)).all():
@@ -266,6 +266,9 @@ def load_mask(path: str | Path) -> SparsityMask:
     try:
         sidecar = json.loads(sidecar_path.read_text())
         declared = float(sidecar["declared_sparsity"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed mask sidecar: {exc}") from exc
-    return SparsityMask(entries, declared_sparsity=declared)
+    try:
+        return SparsityMask(entries, declared_sparsity=declared)
+    except ValueError as exc:  # empty mask, or a declared sparsity it does not have
+        raise FormatError(f"mask {path}: {exc}") from exc

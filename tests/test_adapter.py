@@ -1,5 +1,5 @@
+import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -20,16 +20,11 @@ from lota import (
     encode,
     load_adapter,
     save_adapter,
+    save_checkpoint,
     zeros_like,
 )
-from lota.adapter import (
-    MAGIC,
-    VERSION,
-    decode_gaps,
-    deserialize_adapter,
-    encode_gaps,
-    serialize_adapter,
-)
+from lota.adapter import FORMAT, decode_gaps, encode_gaps
+from lota.container import build_container
 
 
 def tv_with_indices(n, indices, values=None, name="w"):
@@ -45,22 +40,25 @@ def tv_of(entries):
     return TaskVector(entries=pm, base_digest=digest(zeros_like(pm)))
 
 
-EMPTY_PAYLOAD = struct.pack("<QQ", 0, 0)  # c = 0, no gap bytes, no values
+def forged_adapter(dims, entries=None, **metadata):
+    """Adapter file bytes for one tensor 'w' of `dims`, written by hand.
+
+    With no `entries`, 'w' stores no values (c = 0).
+    """
+    meta = {"base_digest": "00" * 32, "format": FORMAT, "shapes": {"w": list(dims)}}
+    return build_container(entries or {}, {**meta, **metadata})
 
 
-def forged_blob(dims, ndim=None, version=VERSION, payload=EMPTY_PAYLOAD):
-    """A one-tensor adapter file whose record header is written by hand."""
-    ndim = len(dims) if ndim is None else ndim
-    return b"".join([
-        MAGIC,
-        struct.pack("<H", version),
-        bytes(32),
-        struct.pack("<I", 1),
-        struct.pack("<H", 1),
-        b"w",
-        struct.pack(f"<B{len(dims)}Q", ndim, *dims),
-        payload,
-    ])
+def adapter_bytes(adapter, tmp_path):
+    path = tmp_path / "bytes.lta"
+    save_adapter(adapter, path)
+    return path.read_bytes()
+
+
+def load_bytes(blob, tmp_path):
+    path = tmp_path / "forged.lta"
+    path.write_bytes(blob)
+    return load_adapter(path)
 
 
 class TestGapCodec:
@@ -136,9 +134,10 @@ class TestEncodeDecode:
         back = decode(encode(tv))
         np.testing.assert_array_equal(back.entries["w"], np.zeros(7, np.float32))
 
-    def test_deterministic_bytes(self):
+    def test_deterministic_bytes(self, tmp_path):
         tv = tv_with_indices(50, [1, 30, 49], [0.5, -0.25, 3.0])
-        assert serialize_adapter(encode(tv)) == serialize_adapter(encode(tv))
+        first = adapter_bytes(encode(tv), tmp_path)
+        assert adapter_bytes(encode(tv), tmp_path) == first
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -157,6 +156,9 @@ class TestEncodeDecode:
         assert flat.tobytes() == back.entries["t"].tobytes()
 
 
+GAPS_3_7 = np.array([3, 4], np.uint8)  # indices 3 and 7
+
+
 class TestAdapterFile:
     def test_file_round_trip(self, tmp_path):
         tv = tv_with_indices(400, [0, 256, 399], [1.0, -2.0, 0.5])
@@ -164,7 +166,7 @@ class TestAdapterFile:
         path = tmp_path / "a.lta"
         save_adapter(adapter, path)
         loaded = load_adapter(path)
-        assert serialize_adapter(loaded) == serialize_adapter(adapter)
+        assert adapter_bytes(loaded, tmp_path) == path.read_bytes()
         back = decode(loaded)
         np.testing.assert_array_equal(back.entries["w"], tv.entries["w"])
 
@@ -187,56 +189,95 @@ class TestAdapterFile:
             assert back.entries[name].dtype == arr.dtype
             assert back.entries[name].tobytes() == arr.tobytes()
 
-    def test_forged_header_loads(self):
-        (rec,) = deserialize_adapter(forged_blob((2, 3))).records
+    def test_one_typed_entry_pair_per_stored_tensor(self, tmp_path):
+        tv = tv_of({"a": np.array([0, 2.5, 0, -1], np.float32),
+                    "z": np.zeros((2, 3), np.float32)})
+        path = tmp_path / "a.lta"
+        save_adapter(encode(tv), path)
+        blob = path.read_bytes()
+        header = json.loads(blob[8 : 8 + int.from_bytes(blob[:8], "little")])
+        meta = header.pop("__metadata__")
+        assert meta == {"base_digest": tv.base_digest.hex(), "format": FORMAT,
+                        "shapes": {"a": [4], "z": [2, 3]}}
+        assert {name: (e["dtype"], e["shape"]) for name, e in header.items()} == {
+            "a/gaps": ("U8", [2]), "a/values": ("F32", [2])}
+
+    def test_forged_header_loads(self, tmp_path):
+        (rec,) = load_bytes(forged_adapter((2, 3)), tmp_path).records
         assert (rec.shape, rec.n, rec.c) == ((2, 3), 6, 0)
 
-    def test_version_1_rejected(self):
-        blob = bytearray(serialize_adapter(encode(tv_with_indices(10, [2]))))
-        blob[4:6] = struct.pack("<H", 1)
-        with pytest.raises(FormatError, match="unsupported adapter version 1"):
-            deserialize_adapter(bytes(blob))
+    def test_unknown_format_tag_rejected(self, tmp_path):
+        blob = forged_adapter((10,), format="lota-adapter-2")
+        with pytest.raises(FormatError, match="unknown format tag 'lota-adapter-2'"):
+            load_bytes(blob, tmp_path)
 
-    def test_zero_dim_rejected(self):
-        with pytest.raises(FormatError, match="zero dimension"):
-            deserialize_adapter(forged_blob((4, 0)))
+    def test_zero_dim_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="non-positive dimension"):
+            load_bytes(forged_adapter((4, 0)), tmp_path)
 
-    def test_dims_product_overflow_rejected(self):
+    def test_dims_product_overflow_rejected(self, tmp_path):
         # 2**62 * 4 = 2**64, which a wrapping int64 product would read as 0
         with pytest.raises(FormatError, match="overflows int64"):
-            deserialize_adapter(forged_blob((2**62, 4)))
+            load_bytes(forged_adapter((2**62, 4)), tmp_path)
 
-    def test_truncated_dims_rejected(self):
+    def test_truncated_dims_rejected(self, tmp_path):
+        blob = forged_adapter((5, 5))  # no payload: the cut lands in the dims
         with pytest.raises(FormatError, match="truncated"):
-            deserialize_adapter(forged_blob((5, 5), ndim=3, payload=b""))
+            load_bytes(blob[:-3], tmp_path)
 
-    def test_too_many_dims_rejected(self):
+    def test_too_many_dims_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="more than"):
-            deserialize_adapter(forged_blob((1,) * 33))
+            load_bytes(forged_adapter((1,) * 33), tmp_path)
 
-    def test_unallocatable_record_rejected_by_decode(self):
+    def test_unallocatable_record_rejected_by_decode(self, tmp_path):
         # 2**62 float32s is 2**64 bytes: numpy refuses without allocating
-        adapter = deserialize_adapter(forged_blob((2**62,)))
+        adapter = load_bytes(forged_adapter((2**62,)), tmp_path)
         with pytest.raises(FormatError, match="cannot allocate .* for 'w'"):
             decode(adapter)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.lta"
-        path.write_bytes(b"NOPE" + bytes(64))
-        with pytest.raises(FormatError, match="magic"):
+    def test_not_an_adapter_file_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ParameterMap({"w": np.ones(3, np.float32)}), path)
+        with pytest.raises(FormatError, match="not an adapter file"):
             load_adapter(path)
+        with pytest.raises(FormatError, match="truncated"):
+            load_bytes(b"NOPE" + bytes(64), tmp_path)
+
+    @pytest.mark.parametrize("entries, metadata, match", [
+        ({"w/gaps": GAPS_3_7}, {}, "do not match"),
+        ({"w/values": np.ones(2, np.float32)}, {}, "do not match"),
+        ({"w/gaps": GAPS_3_7, "w/values": np.ones(2, np.float32),
+          "x/gaps": GAPS_3_7}, {}, "do not match"),
+        ({"w/gaps": GAPS_3_7, "w/values": np.ones(2, np.uint8)}, {}, "wrong dtype"),
+        ({"w/gaps": GAPS_3_7, "w/values": np.ones((1, 2), np.float32)}, {},
+         "wrong dtype or rank"),
+        ({"w/gaps": GAPS_3_7, "w/values": np.array([1, np.inf], np.float32)}, {},
+         "non-finite"),
+        ({"w/gaps": GAPS_3_7, "w/values": np.ones(3, np.float32)}, {},
+         "expected 3"),
+        ({"w/gaps": np.array([3, 9], np.uint8), "w/values": np.ones(2, np.float32)},
+         {}, "out of range"),
+        ({}, {"base_digest": "00" * 31}, "base digest"),
+        ({}, {"base_digest": "zz" * 32}, "malformed adapter metadata"),
+        ({}, {"shapes": [["w", [10]]]}, "malformed adapter metadata"),
+        ({}, {"shapes": {"": [10]}}, "empty tensor name"),
+        ({}, {"shapes": {"w": [1.5]}}, "non-integer"),
+    ], ids=["gaps-only", "values-only", "extra-entry", "u8-values", "2d-values",
+            "inf-value", "count-mismatch", "index-range", "short-digest",
+            "hex-digest", "shapes-list", "empty-name", "float-dim"])
+    def test_forged_entries_rejected(self, tmp_path, entries, metadata, match):
+        with pytest.raises(FormatError, match=match):
+            load_bytes(forged_adapter((10,), entries, **metadata), tmp_path)
 
     def test_truncated(self, tmp_path):
-        tv = tv_with_indices(50, [3, 7])
-        blob = serialize_adapter(encode(tv))
+        blob = adapter_bytes(encode(tv_with_indices(50, [3, 7])), tmp_path)
         with pytest.raises(FormatError, match="truncated"):
-            deserialize_adapter(blob[:-3])
+            load_bytes(blob[:-3], tmp_path)
 
     def test_trailing_bytes(self, tmp_path):
-        tv = tv_with_indices(50, [3, 7])
-        blob = serialize_adapter(encode(tv))
+        blob = adapter_bytes(encode(tv_with_indices(50, [3, 7])), tmp_path)
         with pytest.raises(FormatError, match="trailing"):
-            deserialize_adapter(blob + b"x")
+            load_bytes(blob + b"x", tmp_path)
 
 
 class TestApplyAdapter:
@@ -347,8 +388,8 @@ class TestCompressionReport:
         report = compression_report(self.make_adapter(1_000_000, 100_000, seed=1))
         assert report.measured_ratio >= 0.95 * report.ideal_ratio
 
-    def test_bits_accounting(self):
+    def test_bits_accounting(self, tmp_path):
         adapter = self.make_adapter(1000, 100, seed=2)
         report = compression_report(adapter)
-        total_bits = 8 * len(serialize_adapter(adapter))
+        total_bits = 8 * len(adapter_bytes(adapter, tmp_path))
         assert report.payload_bits + report.overhead_bits == total_bits

@@ -7,14 +7,16 @@ import pytest
 
 from lota import (
     ParameterMap,
+    SparsityMask,
     load_adapter,
     load_checkpoint,
     save_adapter,
     save_checkpoint,
+    save_mask,
 )
 from lota.cli import dispatch, _experiment_spec_from_config
 from lota.harness import EXPERIMENT_KINDS
-from test_adapter import forged_blob
+from test_adapter import forged_adapter
 
 
 @pytest.fixture
@@ -150,7 +152,7 @@ class TestCodecCommands:
     @pytest.mark.parametrize("command", ["decode", "sparsify"])
     def test_unallocatable_record_exits_2(self, command, tmp_path, capsys):
         path = tmp_path / "forged.lta"
-        path.write_bytes(forged_blob((2**62,)))
+        path.write_bytes(forged_adapter((2**62,)))
         extra = ["--sparsity", "0.5"] if command == "sparsify" else []
         code = dispatch(
             [command, "--adapter", str(path), "--out", str(tmp_path / "o"), *extra]
@@ -177,6 +179,16 @@ class TestCodecCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["compression"]["ideal_ratio"] == 80.0
         assert payload["c_total"] == n // 100
+
+    def test_inspect_bad_mask_sidecar_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.bin"
+        mask = SparsityMask({"w": np.array([True, False, False, False])}, 0.75)
+        save_mask(mask, path)
+        (tmp_path / "m.bin.json").write_text('{"declared_sparsity": 0.25}')
+        assert dispatch(["inspect", "--mask", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "FormatError"
+        assert "inconsistent" in error["message"]
 
     def test_inspect_requires_one_target(self, capsys):
         assert dispatch(["inspect"]) == 1
@@ -506,9 +518,10 @@ class TestExperimentCommand:
             (("train", "epochs"), 2.5, "epochs"),
             (("train", "batch_size"), 32.5, "batch_size"),
             (("model", "widths"), [5, 16, 3], "input_dim"),
+            (("model", "widths"), [6, 16, 2], "output_dim"),
         ],
         ids=["grid-str", "grid-1.5", "widths-zero", "activation", "epochs-float",
-             "batch-float", "width-input-dim"],
+             "batch-float", "width-input-dim", "width-output-dim"],
     )
     def test_bad_spec_value_exits_1(self, tmp_path, capsys, path, value, field):
         config_path = self.experiment_config(tmp_path)
@@ -553,3 +566,11 @@ class TestTrainConfigTypes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ConfigError"
         assert "input_dim" in error["message"]
+
+    def test_last_width_must_match_output_dim(self, tmp_path, capsys):
+        config = train_config(tmp_path, model={"widths": [6, 16, 2]})
+        assert dispatch(["lota", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert "output_dim" in error["message"]

@@ -26,6 +26,7 @@ from lota import (
     task_arithmetic_merge,
     ties_merge,
 )
+from lota import params
 from lota.adapter import encode_gaps
 from lota.merging import _sort_columns, _trim_elect_mean
 
@@ -352,6 +353,20 @@ class TestGridSearch:
             base, tvs, [0.1, 0.2, 0.3], eval_fn=lambda pm: float(pm["w"].sum())
         )
         assert len(result.table) == 9
+
+    def test_base_is_serialized_once(self, monkeypatch):
+        base = base_map(np.zeros(6))
+        rng = np.random.default_rng(1)
+        tvs = [tv_for(base, rng.standard_normal(6)) for _ in range(2)]
+        fresh = ParameterMap.from_flat(base.layout, base.flat.copy())  # unhashed
+        serialized = []
+        original = params.serialize_checkpoint
+        monkeypatch.setattr(params, "serialize_checkpoint",
+                            lambda pm: serialized.append(pm) or original(pm))
+        result = merge_grid_search(fresh, tvs, [0.1, 0.2, 0.3], eval_fn=lambda pm: 0.0)
+        assert len(result.table) == 9
+        assert len(serialized) == 1 and serialized[0] is fresh
+        assert result.best_spec.base_digest == digest(base).hex()
 
     def test_constant_objective_returns_first_cell(self):
         base = base_map(np.zeros(4))

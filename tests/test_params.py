@@ -155,6 +155,13 @@ class TestCheckpointRoundTrip:
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        header = b"[" * 100_000
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(struct.pack("<Q", len(header)) + header)
+        with pytest.raises(FormatError, match="malformed header"):
+            load_checkpoint(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         blob = serialize_checkpoint(small_map())
         path = tmp_path / "bad.ckpt"
@@ -202,6 +209,12 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "forged.ckpt"
         path.write_bytes(struct.pack("<Q", len(header)) + header + bytes(4))
         with pytest.raises(FormatError, match="non-integer"):
+            load_checkpoint(path)
+
+    def test_checkpoint_refuses_u8_entries(self, tmp_path):
+        path = tmp_path / "m.mask"
+        save_mask(random_mask(small_map(), 0.5, 1), path)
+        with pytest.raises(FormatError, match="dtype mismatch .* expected F32, got U8"):
             load_checkpoint(path)
 
     @settings(max_examples=120, deadline=None)

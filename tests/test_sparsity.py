@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lota import (
     AlignmentError,
     CapacityError,
+    FormatError,
     ParameterMap,
     SparsityMask,
     TaskVector,
@@ -23,6 +24,7 @@ from lota import (
     sparsify,
     zeros_like,
 )
+from lota.container import build_container
 from lota.sparsity import topk_keep_flat
 
 
@@ -344,3 +346,33 @@ class TestMaskIO:
         save_mask(mask, tmp_path / "b", source="x", seed=1)
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"declared_sparsity": 0.25}',  # the mask keeps 1 of 4: it is 0.75
+        '{"declared_sparsity": 1.5}',
+        '{"declared_sparsity": 1e999}',
+        '{"declared_sparsity": 1' + "0" * 400 + "}",
+        '{"declared_sparsity": [0.75]}',
+        '{"source": "x"}',
+        "[0.75]",
+        "{",
+        "[" * 100_000,
+    ], ids=["disagrees", "above-1", "inf", "huge-int", "list", "no-key", "not-object",
+            "cut", "deep"])
+    def test_bad_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "m.mask"
+        mask = SparsityMask({"w": np.array([True, False, False, False])}, 0.75)
+        save_mask(mask, path)
+        assert load_mask(path).declared_sparsity == 0.75
+        (tmp_path / "m.mask.json").write_text(sidecar)
+        with pytest.raises(FormatError):
+            load_mask(path)
+
+    def test_empty_or_float_mask_file_rejected(self, tmp_path):
+        path = tmp_path / "m.mask"
+        (tmp_path / "m.mask.json").write_text('{"declared_sparsity": 0.0}')
+        for entries, match in (({}, "at least one element"),
+                               ({"w": np.ones(2, np.float32)}, "dtype mismatch")):
+            path.write_bytes(build_container(entries, None))
+            with pytest.raises(FormatError, match=match):
+                load_mask(path)
