@@ -32,7 +32,7 @@ from .merging import (
     task_arithmetic_merge,
     ties_merge,
 )
-from .models import Dataset, ForwardBackward, ToyModel, concat_datasets, forward_backward
+from .models import Dataset, ToyModel, concat_datasets
 from .params import (
     MapDigest,
     ParameterMap,
@@ -62,15 +62,12 @@ from .training import (
     IterativeLotaResult,
     LotaResult,
     LottoResult,
-    OptimizerState,
     RunRecord,
     TrainConfig,
-    clip_group_norm,
     iterative_lota,
     lota,
     lotto,
     mixed_data_fft,
-    rmsprop_step,
     train,
 )
 

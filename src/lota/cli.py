@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -118,15 +119,41 @@ def _build_train_config(data: dict, seed_override: int | None) -> TrainConfig:
     return config
 
 
-def _model_and_task(config: dict):
+# key: (default, type, range check, what the value must be)
+_SCALARS = {
+    "sparsity": (0.9, float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"),
+    "calibration_fraction": (
+        1.0, float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"
+    ),
+    "init_seed": (
+        0, int, lambda x: isinstance(x, numbers.Integral) and x >= 0,
+        "an integer >= 0",
+    ),
+}
+
+
+def _scalar(config: dict, key: str, override=None):
+    """`override` if given, else config[key] or its default, checked."""
+    default, cast, in_range, what = _SCALARS[key]
+    value = config.get(key, default) if override is None else override
+    if not (_finite_real(value) and in_range(value)):
+        raise ConfigError(f"{key} must be {what}: {value!r}")
+    return cast(value)
+
+
+def _model_and_task(config: dict, key: str = "task"):
+    """The model built from config["model"] and the task specs under `key`:
+    one for "task", a list for "tasks"; each task is checked against the model.
+    """
     try:
         model_spec = ModelSpec.from_json_dict(config["model"])
-        task = SyntheticTaskSpec.from_json_dict(config["task"])
+        items = config[key] if key == "tasks" else [config[key]]
+        tasks = [SyntheticTaskSpec.from_json_dict(t) for t in items]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad model/task config: {exc}") from exc
-    model_spec.check_task(task)
-    init_seed = int(config.get("init_seed", 0))
-    return model_spec.build(init_seed), task
+    for task in tasks:
+        model_spec.check_task(task)
+    return model_spec.build(_scalar(config, "init_seed")), tasks
 
 
 # -- subcommands ------------------------------------------------------------
@@ -163,7 +190,7 @@ def cmd_sparsify(args) -> int:
 def cmd_train(args) -> int:
     started = time.perf_counter()
     config = _load_json(args.config)
-    model, task = _model_and_task(config)
+    model, [task] = _model_and_task(config)
     train_config = _build_train_config(config.get("train", {}), args.seed)
     if config.get("mask"):
         train_config = train_config.replace(mask=load_mask(config["mask"]))
@@ -184,12 +211,10 @@ def cmd_train(args) -> int:
 def cmd_lota(args) -> int:
     started = time.perf_counter()
     config = _load_json(args.config)
-    model, task = _model_and_task(config)
+    model, [task] = _model_and_task(config)
     train_config = _build_train_config(config.get("train", {}), args.seed)
-    sparsity = args.sparsity if args.sparsity is not None else float(
-        config.get("sparsity", 0.9)
-    )
-    fraction = float(config.get("calibration_fraction", 1.0))
+    sparsity = _scalar(config, "sparsity", args.sparsity)
+    fraction = _scalar(config, "calibration_fraction")
     train_data, _ = task.make()
     result = lota(model, train_data, sparsity, train_config, fraction)
     out = _out_dir(args)
@@ -216,16 +241,9 @@ def cmd_lota(args) -> int:
 def cmd_lotto(args) -> int:
     started = time.perf_counter()
     config = _load_json(args.config)
-    try:
-        model_spec = ModelSpec.from_json_dict(config["model"])
-        tasks = [SyntheticTaskSpec.from_json_dict(t) for t in config["tasks"]]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad lotto config: {exc}") from exc
-    model = model_spec.build(int(config.get("init_seed", 0)))
+    model, tasks = _model_and_task(config, "tasks")
     train_config = _build_train_config(config.get("train", {}), args.seed)
-    sparsity = args.sparsity if args.sparsity is not None else float(
-        config.get("sparsity", 0.9)
-    )
+    sparsity = _scalar(config, "sparsity", args.sparsity)
     constraints = (
         load_mask(config["initial_constraints"])
         if config.get("initial_constraints")

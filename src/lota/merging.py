@@ -24,6 +24,7 @@ task vectors are supplied in.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import numbers
 import sys
@@ -258,19 +259,7 @@ class MergeSpec:
     scaling: float = 1.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "base_digest": self.base_digest,
-            "entries": [
-                {
-                    "weight": e.weight,
-                    "trim_keep_fraction": e.trim_keep_fraction,
-                    "source": e.source,
-                }
-                for e in self.entries
-            ],
-            "elect_signs": self.elect_signs,
-            "scaling": self.scaling,
-        }
+        return dataclasses.asdict(self)
 
 
 def run_merge_spec(

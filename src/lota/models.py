@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError
 from .params import ParameterMap
 
 ACTIVATIONS = ("tanh", "relu")
@@ -66,14 +65,6 @@ def concat_datasets(parts: Sequence[Dataset], task_id: str | None = None) -> Dat
         np.concatenate([p.targets for p in parts]),
         task_id if task_id is not None else parts[0].task_id,
     )
-
-
-def parameter_names(widths: Sequence[int]) -> list[str]:
-    names = []
-    for i in range(len(widths) - 1):
-        names.append(f"layer{i}.weight")
-        names.append(f"layer{i}.bias")
-    return names
 
 
 @dataclass(frozen=True)
@@ -182,22 +173,3 @@ def _forward_backward_state(model: ToyModel, state64, batch: Dataset, grads) -> 
             d_a = d_z @ state64[f"layer{i}.weight"].T
             d_z = d_a * _activate_grad(preacts[i - 1], acts[i], model.activation)
     return loss
-
-
-@dataclass(frozen=True)
-class ForwardBackward:
-    loss: float
-    grads: ParameterMap
-
-
-def forward_backward(model: ToyModel, batch: Dataset) -> ForwardBackward:
-    """Mean-reduced loss and gradients over a batch."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    layout = model.params.layout
-    state64 = layout.views(model.params.flat.astype(np.float64))
-    grads = np.empty(layout.size, np.float32)
-    loss = _forward_backward_state(model, state64, batch, layout.views(grads))
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite loss {loss}")
-    return ForwardBackward(loss=loss, grads=ParameterMap.from_flat(layout, grads))

@@ -265,7 +265,10 @@ def load_mask(path: str | Path) -> SparsityMask:
         raise FormatError(f"missing mask sidecar: {sidecar_path}")
     try:
         sidecar = json.loads(sidecar_path.read_text())
-        declared = float(sidecar["declared_sparsity"])
+        declared = sidecar["declared_sparsity"]
+        if isinstance(declared, bool) or not isinstance(declared, (int, float)):
+            raise TypeError(f"declared_sparsity must be a number: {declared!r}")
+        declared = float(declared)
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed mask sidecar: {exc}") from exc
     try:

@@ -100,18 +100,6 @@ class TrainConfig:
         return out
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Running second-moment accumulators, one per parameter group."""
-
-    v: dict[str, np.ndarray]
-    step: int = 0
-
-    @classmethod
-    def zeros(cls, params: ParameterMap) -> "OptimizerState":
-        return cls(v=params.layout.views(np.zeros(params.total_elements, np.float32)))
-
-
 @dataclass
 class RunRecord:
     config: dict
@@ -124,51 +112,13 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def clip_group_norm(grads: ParameterMap, max_norm: float) -> ParameterMap:
-    """Scale each named group to L2 norm <= max_norm; smaller groups untouched."""
-    if max_norm <= 0:
-        raise ConfigError("max_norm must be > 0")
-    out = grads.flat.copy()
-    _clip_group_norm_inplace(grads.layout.views(out), max_norm)
-    return ParameterMap.from_flat(grads.layout, out)
-
-
 def _clip_group_norm_inplace(grads: dict[str, np.ndarray], max_norm: float) -> None:
+    """Scale each group to L2 norm <= max_norm in place; smaller groups untouched."""
     for g in grads.values():
         flat = g.ravel().astype(np.float64)
         norm = math.sqrt(float(np.dot(flat, flat)))
         if norm > max_norm:
             g *= np.float32(max_norm / norm)
-
-
-def rmsprop_step(
-    params: ParameterMap,
-    grads: ParameterMap,
-    state: OptimizerState,
-    config: TrainConfig,
-    mask: SparsityMask | None = None,
-) -> tuple[ParameterMap, OptimizerState]:
-    """One update: v <- d*v + (1-d)*g^2; w <- w - lr*g/(sqrt(v)+eps).
-
-    A mask zeroes the gradient at mask=false coordinates: their weights stay
-    bitwise, and a nonzero v there decays.
-    """
-    layout = params.layout
-    layout.require_aligned(grads.layout, "params and grads")
-    v = ParameterMap(state.v)
-    layout.require_aligned(v.layout, "params and optimizer state")
-    if mask is not None:
-        mask.layout.require_aligned(layout, "mask and params")
-    w, v = params.flat, v.flat.copy()
-    keep = np.ones(w.size, bool) if mask is None else mask.flat
-    new_w = w.copy()
-    g = np.where(keep, grads.flat, np.float32(0.0))
-    _rmsprop_update_inplace(new_w, g, v, config, None, np.empty(w.size))
-    new_w = np.where(keep, new_w, w)  # shields frozen coordinates from ±0.0 flips
-    if not np.isfinite(new_w).all():
-        raise DivergenceError("non-finite parameter after optimizer step")
-    out = ParameterMap.from_flat(layout, new_w)
-    return out, OptimizerState(v=layout.views(v), step=state.step + 1)
 
 
 def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, w64) -> None:

@@ -3,7 +3,21 @@
 import numpy as np
 
 from lota import Dataset, ParameterMap, ToyModel
-from lota.models import _forward_pass, _loss_and_output_grad
+from lota.models import (
+    _forward_backward_state,
+    _forward_pass,
+    _loss_and_output_grad,
+)
+
+
+def analytic_grads(model, batch):
+    """Loss and float32 gradients (one view per name) from the step helper
+    `train` runs, on a float64 mirror of the params."""
+    layout = model.params.layout
+    state64 = layout.views(model.params.flat.astype(np.float64))
+    grads = layout.views(np.empty(layout.size, np.float32))
+    loss = _forward_backward_state(model, state64, batch, grads)
+    return loss, grads
 
 
 def finite_difference_grads(model, batch, h=1e-4):

@@ -194,6 +194,38 @@ class TestCodecCommands:
         assert dispatch(["inspect"]) == 1
 
 
+def lotto_task(seed, output_dim=3):
+    return {
+        "generator": "gaussian-cluster-classification",
+        "input_dim": 6, "output_dim": output_dim, "train_size": 96,
+        "test_size": 32, "noise": 0.4, "seed": seed,
+        "params": {"separation": 2.0},
+    }
+
+
+def lotto_config(tmp_path, **overrides):
+    config = {
+        "model": {"widths": [6, 16, 3]},
+        "init_seed": 1,
+        "tasks": [lotto_task(3), lotto_task(4)],
+        "train": {"learning_rate": 0.01, "batch_size": 32, "epochs": 2,
+                  "calibration_epochs": 1, "seed": 8},
+        "sparsity": 0.9,
+    }
+    config.update(overrides)
+    path = tmp_path / "lotto.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def config_error(capsys, argv) -> str:
+    """Run `lota argv`: exit 1, a ConfigError on stderr; returns its message."""
+    assert dispatch(argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    return error["message"]
+
+
 class TestTrainingCommands:
     def test_lota_idempotent_artifacts(self, tmp_path):
         config = train_config(tmp_path)
@@ -225,24 +257,7 @@ class TestTrainingCommands:
         assert payload["declared_sparsity"] == 0.99
 
     def test_lotto_outputs_disjoint_masks(self, tmp_path, capsys):
-        config = {
-            "model": {"widths": [6, 16, 3]},
-            "init_seed": 1,
-            "tasks": [
-                {
-                    "generator": "gaussian-cluster-classification",
-                    "input_dim": 6, "output_dim": 3, "train_size": 96,
-                    "test_size": 32, "noise": 0.4, "seed": s,
-                    "params": {"separation": 2.0},
-                }
-                for s in (3, 4)
-            ],
-            "train": {"learning_rate": 0.01, "batch_size": 32, "epochs": 2,
-                      "calibration_epochs": 1, "seed": 8},
-            "sparsity": 0.9,
-        }
-        path = tmp_path / "lotto.json"
-        path.write_text(json.dumps(config))
+        path = lotto_config(tmp_path)
         out = tmp_path / "lo"
         assert dispatch(["lotto", "--config", str(path), "--out", str(out)]) == 0
         from lota import load_mask, overlap_stats
@@ -574,3 +589,52 @@ class TestTrainConfigTypes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ConfigError"
         assert "output_dim" in error["message"]
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"model": {"widths": [5, 16, 3]}}, "input_dim"),
+        ({"model": {"widths": [6, 16, 2]}}, "output_dim"),
+        ({"tasks": [lotto_task(3), lotto_task(4, output_dim=4)]}, "output_dim"),
+    ], ids=["first-width", "last-width", "second-task"])
+    def test_lotto_checks_each_task(self, tmp_path, capsys, overrides, field):
+        out = tmp_path / "o"
+        argv = ["lotto", "--config", str(lotto_config(tmp_path, **overrides)),
+                "--out", str(out)]
+        assert field in config_error(capsys, argv)
+        assert not out.exists()
+
+
+class TestScalarConfigFields:
+    """`sparsity`, `calibration_fraction` and `init_seed` of `lota lota` and
+    `lota lotto` must be finite non-bool numbers in range (an integer >= 0 for
+    `init_seed`)."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("lota", "sparsity", "x"),
+        ("lota", "sparsity", "0.9"),
+        ("lota", "sparsity", 1.5),
+        ("lota", "sparsity", True),
+        ("lota", "calibration_fraction", True),
+        ("lota", "calibration_fraction", "x"),
+        ("lota", "init_seed", "x"),
+        ("lota", "init_seed", 1.5),
+        ("lota", "init_seed", -1),
+        ("lotto", "sparsity", "x"),
+        ("lotto", "sparsity", "0.9"),
+        ("lotto", "init_seed", "x"),
+        ("lotto", "init_seed", 1.5),
+        ("lotto", "init_seed", -1),
+    ])
+    def test_bad_value_exits_1(self, tmp_path, capsys, command, key, value):
+        make = train_config if command == "lota" else lotto_config
+        path = make(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        assert key in config_error(capsys, argv)
+        assert not out.exists()
+
+    def test_sparsity_flag_checked(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["lota", "--config", str(train_config(tmp_path)), "--out", str(out),
+                "--sparsity", "1.0"]
+        assert "sparsity" in config_error(capsys, argv)
+        assert not out.exists()

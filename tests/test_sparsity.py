@@ -347,23 +347,25 @@ class TestMaskIO:
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    @pytest.mark.parametrize("sidecar", [
-        '{"declared_sparsity": 0.25}',  # the mask keeps 1 of 4: it is 0.75
-        '{"declared_sparsity": 1.5}',
-        '{"declared_sparsity": 1e999}',
-        '{"declared_sparsity": 1' + "0" * 400 + "}",
-        '{"declared_sparsity": [0.75]}',
-        '{"source": "x"}',
-        "[0.75]",
-        "{",
-        "[" * 100_000,
-    ], ids=["disagrees", "above-1", "inf", "huge-int", "list", "no-key", "not-object",
-            "cut", "deep"])
-    def test_bad_sidecar_rejected(self, tmp_path, sidecar):
+    @pytest.mark.parametrize("kept, sidecar", [
+        (1, '{"declared_sparsity": 0.25}'),  # the mask keeps 1 of 4: it is 0.75
+        (1, '{"declared_sparsity": 1.5}'),
+        (1, '{"declared_sparsity": 1e999}'),
+        (1, '{"declared_sparsity": 1' + "0" * 400 + "}"),
+        (1, '{"declared_sparsity": [0.75]}'),
+        (1, '{"declared_sparsity": "0.75"}'),
+        (0, '{"declared_sparsity": true}'),  # an all-false mask is 1.0 sparse
+        (1, '{"source": "x"}'),
+        (1, "[0.75]"),
+        (1, "{"),
+        (1, "[" * 100_000),
+    ], ids=["disagrees", "above-1", "inf", "huge-int", "list", "string", "bool",
+            "no-key", "not-object", "cut", "deep"])
+    def test_bad_sidecar_rejected(self, tmp_path, kept, sidecar):
         path = tmp_path / "m.mask"
-        mask = SparsityMask({"w": np.array([True, False, False, False])}, 0.75)
+        mask = SparsityMask({"w": np.arange(4) < kept}, 1.0 - kept / 4)
         save_mask(mask, path)
-        assert load_mask(path).declared_sparsity == 0.75
+        assert load_mask(path).declared_sparsity == 1.0 - kept / 4
         (tmp_path / "m.mask.json").write_text(sidecar)
         with pytest.raises(FormatError):
             load_mask(path)

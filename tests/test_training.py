@@ -12,14 +12,12 @@ from lota import (
     ConfigError,
     Dataset,
     DivergenceError,
-    OptimizerState,
     ParameterMap,
     SparsityMask,
     ToyModel,
     TrainConfig,
     all_false_mask,
     all_true_mask,
-    clip_group_norm,
     compute_task_vector,
     decode,
     digest,
@@ -30,7 +28,6 @@ from lota import (
     mixed_data_fft,
     overlap_stats,
     random_mask,
-    rmsprop_step,
     sparsify,
     train,
 )
@@ -55,58 +52,90 @@ def quick_config(**kwargs):
     return TrainConfig(**defaults)
 
 
+def group_views(entries):
+    """Writable per-name views of one flat float32 buffer, as `train` holds
+    its gradients, and the buffer."""
+    pm = ParameterMap(entries)
+    flat = pm.flat.copy()
+    return pm.layout.views(flat), flat
+
+
 class TestClipGroupNorm:
     def test_large_group_scaled_to_max(self):
-        g = ParameterMap({"w": np.full(4, 1.0, np.float32)})  # norm 2
-        clipped = clip_group_norm(g, 1.0)
-        assert np.linalg.norm(clipped["w"]) == pytest.approx(1.0, abs=1e-6)
-        np.testing.assert_allclose(clipped["w"], 0.5, rtol=1e-6)
+        g, _ = group_views({"w": np.full(4, 1.0, np.float32)})  # norm 2
+        training._clip_group_norm_inplace(g, 1.0)
+        assert np.linalg.norm(g["w"]) == pytest.approx(1.0, abs=1e-6)
+        np.testing.assert_allclose(g["w"], 0.5, rtol=1e-6)
 
     def test_small_group_untouched_bitwise(self):
-        g = ParameterMap({"w": np.full(4, 0.25, np.float32)})  # norm 0.5
-        clipped = clip_group_norm(g, 1.0)
-        assert clipped["w"].tobytes() == g["w"].tobytes()
+        g, flat = group_views({"w": np.full(4, 0.25, np.float32)})  # norm 0.5
+        before = flat.tobytes()
+        training._clip_group_norm_inplace(g, 1.0)
+        assert flat.tobytes() == before
 
     def test_per_group_not_global(self):
-        g = ParameterMap(
+        g, flat = group_views(
             {
                 "big": np.full(4, 1.0, np.float32),  # norm 2 -> scaled
                 "small": np.full(4, 0.25, np.float32),  # norm 0.5 -> kept
             }
         )
-        clipped = clip_group_norm(g, 1.0)
-        assert np.linalg.norm(clipped["big"]) == pytest.approx(1.0, abs=1e-6)
-        assert clipped["small"].tobytes() == g["small"].tobytes()
+        small = g["small"].tobytes()
+        training._clip_group_norm_inplace(g, 1.0)
+        assert np.linalg.norm(g["big"]) == pytest.approx(1.0, abs=1e-6)
+        assert g["small"].tobytes() == small
+        # the groups are views, so the clip lands in the flat buffer
+        np.testing.assert_array_equal(flat[:4], g["big"].ravel())
+
+
+def rmsprop_update(w, g, v, config, kept=None):
+    """Run the in-place update on float32 copies; returns (w, v, w64)."""
+    w = np.array(w, np.float32)
+    g = np.array(g, np.float32)
+    v = np.array(v, np.float32)
+    w64 = np.full(g.size, np.nan)
+    if kept is None:
+        w_kept = w
+    else:
+        kept = np.asarray(kept)
+        w64[...] = w
+        w_kept = w[kept]
+    training._rmsprop_update_inplace(w_kept, g, v, config, kept, w64)
+    return w_kept, v, w64
 
 
 class TestRmspropStep:
     def test_single_step_hand_computation(self):
-        params = ParameterMap({"w": np.array([1.0], np.float32)})
-        grads = ParameterMap({"w": np.array([1.0], np.float32)})
-        state = OptimizerState.zeros(params)
         config = quick_config(learning_rate=0.1, rmsprop_decay=0.99, rmsprop_epsilon=1e-8)
-        new_params, new_state = rmsprop_step(params, grads, state, config)
+        w, v, w64 = rmsprop_update([1.0], [1.0], [0.0], config)
         # v = 0.99*0 + 0.01*1; w = 1 - 0.1*1/(sqrt(0.01)+1e-8)
-        assert new_state.v["w"][0] == pytest.approx(0.01, rel=1e-6)
+        assert v[0] == pytest.approx(0.01, rel=1e-6)
         expected = 1.0 - 0.1 / (np.sqrt(0.01) + 1e-8)
-        assert new_params["w"][0] == pytest.approx(expected, abs=1e-7)
-        assert abs(new_params["w"][0]) < 2e-7
+        assert w[0] == pytest.approx(expected, abs=1e-7)
+        assert abs(w[0]) < 2e-7
+        assert w64[0] == w[0]
 
     def test_zero_grad_decays_v_only(self):
-        params = ParameterMap({"w": np.array([2.0], np.float32)})
-        grads = ParameterMap({"w": np.array([0.0], np.float32)})
-        state = OptimizerState(v={"w": np.array([0.5], np.float32)}, step=3)
-        new_params, new_state = rmsprop_step(params, grads, state, quick_config())
-        assert new_params["w"].tobytes() == params["w"].tobytes()
-        assert new_state.v["w"][0] == pytest.approx(0.99 * 0.5, rel=1e-6)
-        assert new_state.step == 4
+        w, v, w64 = rmsprop_update([2.0], [0.0], [0.5], quick_config())
+        assert w.tobytes() == np.float32(2.0).tobytes()
+        assert v[0] == pytest.approx(0.99 * 0.5, rel=1e-6)
+        assert w64[0] == 2.0
+
+    def test_kept_indices_update_only_kept(self):
+        # w and v hold the kept coordinates; g and the mirror are full length
+        w, v, w64 = rmsprop_update(
+            [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 0.5], quick_config(),
+            kept=[0, 2],
+        )
+        dense_w, dense_v, _ = rmsprop_update([1.0, 3.0], [1.0, 1.0], [0.0, 0.5],
+                                             quick_config())
+        assert w.tobytes() == dense_w.tobytes()
+        assert v.tobytes() == dense_v.tobytes()
+        assert w64.tolist() == [float(w[0]), 2.0, float(w[1])]
 
     def test_tiny_learning_rate_near_noop(self):
-        params = ParameterMap({"w": np.array([2.0], np.float32)})
-        grads = ParameterMap({"w": np.array([1.0], np.float32)})
-        cfg = quick_config(learning_rate=1e-30)
-        new_params, _ = rmsprop_step(params, grads, OptimizerState.zeros(params), cfg)
-        assert new_params["w"][0] == np.float32(2.0)
+        w, _, _ = rmsprop_update([2.0], [1.0], [0.0], quick_config(learning_rate=1e-30))
+        assert w[0] == np.float32(2.0)
 
 
 class TestTrain:
