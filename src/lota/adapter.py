@@ -34,6 +34,8 @@ from .sparsity import TaskVector
 
 FORMAT = "lota-adapter-3"
 _INT64_MAX = 2**63 - 1
+# the first bytes of an adapter file from before the container format
+_LTA_MAGIC = b"LTA1"
 
 
 def encode_gaps(indices: np.ndarray) -> bytes:
@@ -243,7 +245,13 @@ def save_adapter(adapter: SparseAdapter, path: str | Path) -> None:
 
 def load_adapter(path: str | Path) -> SparseAdapter:
     """Read an adapter file; any departure from the format is a FormatError."""
-    entries, meta = parse_container(Path(path).read_bytes())
+    blob = Path(path).read_bytes()
+    if blob.startswith(_LTA_MAGIC):
+        raise FormatError(
+            "old LTA adapter format (before lota-adapter-3) is not readable; "
+            "encode the adapter again"
+        )
+    entries, meta = parse_container(blob)
     tag = (meta or {}).get("format")
     if tag != FORMAT:
         raise FormatError(f"not an adapter file: unknown format tag {tag!r}")

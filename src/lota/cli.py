@@ -29,6 +29,7 @@ from .adapter import (
     load_adapter,
     save_adapter,
 )
+from .container import write_atomic
 from .errors import (
     AlignmentError,
     CapacityError,
@@ -104,9 +105,12 @@ def _write_provenance(out: Path, args, config: dict, outputs: list[str],
         "outputs": sorted(outputs),
         "wall_time_s": time.perf_counter() - started,
     }
-    (out / "provenance.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "provenance.json", record)
+
+
+def _write_json(path: Path, obj) -> None:
+    """Sorted, indented JSON and a newline, written atomically."""
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _build_train_config(data: dict, seed_override: int | None) -> TrainConfig:
@@ -139,6 +143,14 @@ def _scalar(config: dict, key: str, override=None):
     if not (_finite_real(value) and in_range(value)):
         raise ConfigError(f"{key} must be {what}: {value!r}")
     return cast(value)
+
+
+def _path_field(config: dict, key: str) -> str | None:
+    """config[key]: a path string, or None when absent or null."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string: {value!r}")
+    return value
 
 
 def _model_and_task(config: dict, key: str = "task"):
@@ -192,16 +204,15 @@ def cmd_train(args) -> int:
     config = _load_json(args.config)
     model, [task] = _model_and_task(config)
     train_config = _build_train_config(config.get("train", {}), args.seed)
-    if config.get("mask"):
-        train_config = train_config.replace(mask=load_mask(config["mask"]))
+    mask_path = _path_field(config, "mask")
+    if mask_path:
+        train_config = train_config.replace(mask=load_mask(mask_path))
     train_data, _ = task.make()
     final, record = train(model, train_data, train_config)
     out = _out_dir(args)
     save_checkpoint(model.params, out / "initial.ckpt")
     save_checkpoint(final, out / "final.ckpt")
-    (out / "run.json").write_text(
-        json.dumps(record.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "run.json", record.to_json_dict())
     _write_provenance(
         out, args, config, ["initial.ckpt", "final.ckpt", "run.json"], started
     )
@@ -229,9 +240,7 @@ def cmd_lota(args) -> int:
         else None,
         "sparse": result.train_record.to_json_dict(),
     }
-    (out / "run.json").write_text(
-        json.dumps(records, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "run.json", records)
     outputs = ["initial.ckpt", "final.ckpt", "adapter.lta", "mask.bin",
                "mask.bin.json", "run.json"]
     _write_provenance(out, args, {**config, "sparsity": sparsity}, outputs, started)
@@ -244,11 +253,8 @@ def cmd_lotto(args) -> int:
     model, tasks = _model_and_task(config, "tasks")
     train_config = _build_train_config(config.get("train", {}), args.seed)
     sparsity = _scalar(config, "sparsity", args.sparsity)
-    constraints = (
-        load_mask(config["initial_constraints"])
-        if config.get("initial_constraints")
-        else None
-    )
+    constraints_path = _path_field(config, "initial_constraints")
+    constraints = load_mask(constraints_path) if constraints_path else None
     datasets = [task.make()[0] for task in tasks]
     result = lotto(
         model, datasets, sparsity, train_config, initial_constraints=constraints
@@ -271,12 +277,7 @@ def cmd_lotto(args) -> int:
         lambda p: save_mask(result.constraint_trace[-1], p, source="lotto:union"),
     )
     outputs.append("constraints.mask.bin.json")
-    (out / "run.json").write_text(
-        json.dumps(
-            [r.to_json_dict() for r in result.records], sort_keys=True, indent=2
-        )
-        + "\n"
-    )
+    _write_json(out / "run.json", [r.to_json_dict() for r in result.records])
     outputs.append("run.json")
     _write_provenance(out, args, {**config, "sparsity": sparsity}, outputs, started)
     return 0
@@ -385,9 +386,7 @@ def cmd_merge(args) -> int:
         merged = run_merge_spec(base, adapters, spec_record)
     out = _out_dir(args)
     save_checkpoint(merged, out / "merged.ckpt")
-    (out / "merge_spec.json").write_text(
-        json.dumps(spec_record.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "merge_spec.json", spec_record.to_json_dict())
     _write_provenance(
         out, args, config, ["merged.ckpt", "merge_spec.json"], started
     )
@@ -469,8 +468,8 @@ def cmd_experiment(args) -> int:
         config["seeds"] = [args.seed]
     report = run_experiment(_experiment_spec_from_config(config))
     out = _out_dir(args)
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "report.csv").write_text(report.to_csv())
+    write_atomic(out / "report.json", (report.to_json() + "\n").encode())
+    write_atomic(out / "report.csv", report.to_csv().encode())
     _write_provenance(
         out, args, config, ["report.json", "report.csv"], started
     )

@@ -20,14 +20,17 @@ from typing import Sequence
 import numpy as np
 
 from .adapter import compression_report
-from .errors import ConfigError, HarnessError
+from .errors import ConfigError, DivergenceError, HarnessError
 from .merging import _finite_real, merge_grid_search, merge_lota, ties_merge
 from .models import ACTIVATIONS, HEADS, Dataset, ToyModel
 from .params import ParameterMap
 from .sparsity import compute_task_vector
 from .tasks import SyntheticTaskSpec
 from .training import (
+    _TRAIN_CACHE,
     TrainConfig,
+    _lota_mask,
+    _train_batch,
     _train_cache,
     iterative_lota,
     lota,
@@ -213,6 +216,31 @@ def _train_config(base: dict, seed: int, **overrides) -> TrainConfig:
     return TrainConfig(**merged)
 
 
+def _batch_lota_retrains(
+    model: ToyModel, dataset: Dataset, config: TrainConfig, grid
+) -> None:
+    """Run the retrains of a grid of `lota` calls as one replica batch.
+
+    `grid` holds `(s, calibration_fraction)` pairs. Their masks are
+    collected first, then one `_train_batch` leaves every finished retrain
+    in the seed's train cache, so the grid's `lota` calls that follow only
+    hit it. Collection stops at the first `DivergenceError`, which the
+    `lota` call for that pair raises again. With no cache open there is
+    nothing to hand over, so nothing runs.
+    """
+    if _TRAIN_CACHE.get() is None:
+        return
+    configs = []
+    for s, fraction in grid:
+        try:
+            mask, _ = _lota_mask(model, dataset, s, config, fraction)
+        except DivergenceError:
+            break
+        configs.append(config.replace(mask=mask))
+    if configs:
+        _train_batch(model, dataset, configs)
+
+
 # ---------------------------------------------------------------------------
 # sequential forgetting experiment
 
@@ -363,6 +391,7 @@ def _sparsity_one_seed(spec: SparsityAblationSpec, seed: int) -> dict:
     model = spec.model.build(derive_seed("init", seed))
     train_data, test_data = spec.task.reseeded(derive_seed("task", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
+    _batch_lota_retrains(model, train_data, config, [(s, 1.0) for s in spec.grid])
     out = {}
     for s in spec.grid:
         result = lota(model, train_data, s, config)
@@ -433,6 +462,9 @@ def _calibration_one_seed(spec: CalibrationAblationSpec, seed: int) -> dict:
         w_p, _ = train(model, base_train_data, base_config)
         model = model.with_params(w_p)
     config = _train_config(spec.train, derive_seed("train", seed))
+    _batch_lota_retrains(
+        model, train_data, config, [(spec.sparsity, f) for f in spec.fractions]
+    )
     utilities = {}
     for fraction in spec.fractions:
         result = lota(

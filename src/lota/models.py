@@ -117,16 +117,25 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def _activate_grad(z, a, activation: str) -> np.ndarray:
-    return 1.0 - a * a if activation == "tanh" else (z > 0.0).astype(np.float64)
+    if activation == "tanh":
+        g = a * a
+        return np.subtract(1.0, g, out=g)
+    return z > 0.0
 
 
 def _forward_pass(model: ToyModel, state64: dict, x64: np.ndarray):
+    """Outputs, activations and preactivations for float64 `state64`.
+
+    Weights may carry leading replica axes, `(R, in, out)` and `(R, out)`;
+    the inputs are shared, so `np.matmul` broadcasts them over the stack.
+    """
     n_layers = len(model.widths) - 1
     acts = [x64]
     preacts = []
     h = x64
     for i in range(n_layers):
-        z = h @ state64[f"layer{i}.weight"] + state64[f"layer{i}.bias"]
+        z = h @ state64[f"layer{i}.weight"]
+        z += state64[f"layer{i}.bias"][..., None, :]
         preacts.append(z)
         if i < n_layers - 1:
             h = _activate(z, model.activation)
@@ -137,39 +146,47 @@ def _forward_pass(model: ToyModel, state64: dict, x64: np.ndarray):
 
 
 def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets: np.ndarray):
-    batch = out.shape[0]
+    """Mean loss over the batch axis (-2), one per replica, and its gradient."""
+    batch = out.shape[-2]
+    rows = np.arange(batch)
     if model.head == "softmax-cross-entropy":
         if targets.ndim != 1:
             raise ValueError("cross-entropy head needs class-index targets")
-        if targets.min() < 0 or targets.max() >= out.shape[1]:
+        if targets.min() < 0 or targets.max() >= out.shape[-1]:
             raise ValueError("class index out of range for model output width")
-        shifted = out - out.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_p = shifted - log_z
-        loss = float(-log_p[np.arange(batch), targets].mean())
-        d_out = np.exp(log_p)
-        d_out[np.arange(batch), targets] -= 1.0
+        shifted = out - out.max(axis=-1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        log_p = np.subtract(shifted, log_z, out=shifted)
+        # contiguous, so each replica's mean sums in the order a lone one does
+        loss = -np.ascontiguousarray(log_p[..., rows, targets]).mean(axis=-1)
+        d_out = np.exp(log_p, out=log_p)
+        d_out[..., rows, targets] -= 1.0
         d_out /= batch
     else:
         if targets.ndim != 2:
             raise ValueError("mean-squared-error head needs vector targets")
         err = out - targets
-        loss = float((err * err).sum(axis=1).mean())
-        d_out = 2.0 * err / batch
+        loss = (err * err).sum(axis=-1).mean(axis=-1)
+        err *= 2.0
+        d_out = np.divide(err, batch, out=err)
     return loss, d_out
 
 
-def _forward_backward_state(model: ToyModel, state64, batch: Dataset, grads) -> float:
-    """Loss for float64 `state64` arrays; writes float32 gradients into `grads`."""
+def _forward_backward_state(model: ToyModel, state64, batch: Dataset, grads):
+    """Loss for float64 `state64` arrays; writes float32 gradients into `grads`.
+
+    With a leading replica axis on the views of `state64` and `grads`, it
+    returns one loss per replica, each bit-identical to a lone replica's.
+    """
     n_layers = len(model.widths) - 1
     x64 = batch.inputs.astype(np.float64)
     out, acts, preacts = _forward_pass(model, state64, x64)
     # float32 regression targets promote exactly to float64 inside the loss
     loss, d_z = _loss_and_output_grad(model, out, batch.targets)
     for i in range(n_layers - 1, -1, -1):
-        grads[f"layer{i}.weight"][...] = acts[i].T @ d_z
-        grads[f"layer{i}.bias"][...] = d_z.sum(axis=0)
+        grads[f"layer{i}.weight"][...] = acts[i].swapaxes(-1, -2) @ d_z
+        grads[f"layer{i}.bias"][...] = d_z.sum(axis=-2)
         if i > 0:
-            d_a = d_z @ state64[f"layer{i}.weight"].T
-            d_z = d_a * _activate_grad(preacts[i - 1], acts[i], model.activation)
+            d_z = d_z @ state64[f"layer{i}.weight"].swapaxes(-1, -2)
+            d_z *= _activate_grad(preacts[i - 1], acts[i], model.activation)
     return loss

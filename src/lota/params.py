@@ -52,9 +52,13 @@ class Layout:
         return self.offsets[-1]
 
     def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
-        """One view of the flat `buffer` per name, in the tensor's shape."""
+        """One view of `buffer`'s last axis per name, in the tensor's shape.
+
+        Leading axes are kept: a `(R, size)` buffer gives `(R, *shape)` views.
+        """
+        lead = buffer.shape[:-1]
         return {
-            name: buffer[lo:hi].reshape(self.shapes[name])
+            name: buffer[..., lo:hi].reshape(lead + self.shapes[name])
             for name, lo, hi in zip(self.names, self.offsets, self.offsets[1:])
         }
 

@@ -16,6 +16,16 @@ mask=false stay bitwise-frozen at their initial values.
 (which `harness.run_experiment` opens once per seed) a call whose model,
 initial params, data, config and mask bits match an earlier call returns
 that call's result instead of training again; outside it, nothing is cached.
+
+There is one optimizer step loop, over a leading replica axis: R runs of
+one model on one dataset whose configs differ only in the mask train in
+lockstep on an (R, P) state, and each replica is bit-identical to its solo
+run. `train` is the R = 1 case. `_train_batch` runs R > 1 and hands its
+results over through the memo: inside `_train_cache()` it stores each
+finished replica exactly as `train` would, so the harness trains a mask
+grid's retrains as one stack, and the grid's `lota` calls then only hit.
+A replica that diverges leaves the stack and is not cached, so its `train`
+call raises as before.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import contextvars
 import copy
 import dataclasses
 import hashlib
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -34,6 +45,7 @@ import numpy as np
 
 from .adapter import SparseAdapter, encode
 from .errors import CapacityError, ConfigError, DivergenceError
+from .merging import _finite_real
 from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
 from .sparsity import (
@@ -72,6 +84,11 @@ class TrainConfig:
             raise ConfigError(
                 "batch_size, epochs, seed and calibration_epochs must be integers"
             )
+        for name in ("learning_rate", "rmsprop_decay", "rmsprop_epsilon",
+                     "clip_group_norm"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ConfigError(f"{name} must be a finite number: {value!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.batch_size <= 0 or self.epochs < 0:
@@ -112,8 +129,12 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def _clip_group_norm_inplace(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    """Scale each group to L2 norm <= max_norm in place; smaller groups untouched."""
+def _clip_group_norm_inplace(grads: dict, max_norm: float) -> None:
+    """Scale each group to L2 norm <= max_norm in place; smaller groups untouched.
+
+    A group is one view of `grads`; the step loop passes one per replica
+    and parameter name, so each replica is clipped on its own.
+    """
     for g in grads.values():
         flat = g.ravel().astype(np.float64)
         norm = math.sqrt(float(np.dot(flat, flat)))
@@ -201,46 +222,168 @@ def train(
     read-only weights and a fresh copy of its record; a run that diverges
     is not cached.
     """
+    (result,) = _train_batch(model, dataset, [config])
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
+
+
+def _train_batch(
+    model: ToyModel, dataset: Dataset, configs: Sequence[TrainConfig]
+) -> list[tuple[ParameterMap, RunRecord] | DivergenceError]:
+    """`train` for configs that differ only in `mask`, run as one replica stack.
+
+    Returns, per config, what `train` returns for it, or the
+    `DivergenceError` that `train` raises. Inside `_train_cache()` a config
+    whose run is cached is not trained again, and each run that finishes is
+    cached exactly as `train` caches it, so a later `train` call is a hit.
+    """
+    shared = configs[0].replace(mask=None)
+    if any(c.replace(mask=None) != shared for c in configs):
+        raise ConfigError("batched training configs may differ only in mask")
     if len(dataset) == 0:
         raise ConfigError("dataset must be nonempty")
-    layout, w = model.params.layout, model.params.flat
-    if config.mask is not None:
-        config.mask.layout.require_aligned(layout, "mask and model parameters")
+    layout = model.params.layout
+    for c in configs:
+        if c.mask is not None:
+            c.mask.layout.require_aligned(layout, "mask and model parameters")
     initial_digest = digest(model.params).hex()
     cache = _TRAIN_CACHE.get()
-    if cache is not None:
-        key = _train_key(model, initial_digest, dataset, config)
-        if key in cache:
-            final, record = cache[key]
-            return final, copy.deepcopy(record)
-    w64, g = w.astype(np.float64), np.empty_like(w)
-    state64, grads = layout.views(w64), layout.views(g)
-    kept = None if config.mask is None else np.flatnonzero(config.mask.flat)
-    # the float32 weights that RMSProp updates
-    w = w.copy() if kept is None else w[kept]
-    v = np.zeros_like(w)
-    record = RunRecord(config.snapshot(), initial_digest, None)
+    results: list = [None] * len(configs)
+    keys: list = [None] * len(configs)
+    misses = []
+    for i, c in enumerate(configs):
+        if cache is not None:
+            keys[i] = _train_key(model, initial_digest, dataset, c)
+            if keys[i] in cache:
+                final, record = cache[keys[i]]
+                results[i] = (final, copy.deepcopy(record))
+                continue
+        misses.append(i)
+    if not misses:
+        return results
+    records = [RunRecord(configs[i].snapshot(), initial_digest, None) for i in misses]
+    finals = _step_loop(
+        model, dataset, shared, [configs[i].mask for i in misses], records
+    )
+    for i, record, final in zip(misses, records, finals):
+        if isinstance(final, DivergenceError):
+            results[i] = final
+            continue
+        record.final_digest = digest(final).hex()
+        if cache is not None:
+            cache[keys[i]] = (final, copy.deepcopy(record))
+        results[i] = (final, record)
+    return results
+
+
+def _step_loop(
+    model: ToyModel,
+    dataset: Dataset,
+    config: TrainConfig,
+    masks: list[SparsityMask | None],
+    records: list[RunRecord],
+) -> list[ParameterMap | DivergenceError]:
+    """The optimizer step loop: one replica per mask, all in lockstep.
+
+    Each step runs one forward/backward over the stack (the batch is
+    shared), one group clip per replica and name, and one RMSProp update
+    over the replicas' kept sets. A replica whose loss turns non-finite
+    leaves the stack at that step with the `DivergenceError` its solo run
+    raises. Appends each replica's epoch losses to its record.
+    """
+    layout = model.params.layout
+    w64 = np.tile(model.params.flat.astype(np.float64), (len(masks), 1))
+    stack = _ReplicaStack(
+        layout, w64, [None if m is None else np.flatnonzero(m.flat) for m in masks]
+    )
+    replicas = list(range(len(masks)))  # the stack's rows, as indices into masks
+    outcomes: list = [None] * len(masks)
+    losses = [[] for _ in masks]
     n = len(dataset)
     for epoch in range(config.epochs):
         perm = np.random.default_rng(config.seed ^ epoch).permutation(n)
-        batch_losses = []
         for lo in range(0, n, config.batch_size):
             batch = dataset.take(perm[lo : lo + config.batch_size])
-            loss = _forward_backward_state(model, state64, batch, grads)
-            if not np.isfinite(loss):
-                record.diverged = True
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}", partial_record=record
-                )
-            _clip_group_norm_inplace(grads, config.clip_group_norm)
-            _rmsprop_update_inplace(w, g, v, config, kept, w64)
-            batch_losses.append(loss)
-        record.loss_trace.append(float(np.mean(batch_losses)))
-    final = ParameterMap.from_flat(layout, w64.astype(np.float32))
-    record.final_digest = digest(final).hex()
-    if cache is not None:
-        cache[key] = (final, copy.deepcopy(record))
-    return final, record
+            loss = _forward_backward_state(model, stack.state64, batch, stack.grads)
+            values = loss.reshape(-1).tolist()  # one per replica
+            if not all(map(math.isfinite, values)):
+                finite = np.isfinite(values)
+                for r in itertools.compress(replicas, ~finite):
+                    records[r].diverged = True
+                    outcomes[r] = DivergenceError(
+                        f"non-finite loss at epoch {epoch}", partial_record=records[r]
+                    )
+                replicas = list(itertools.compress(replicas, finite))
+                if not replicas:
+                    return outcomes
+                stack = stack.keep(finite)
+                values = list(itertools.compress(values, finite))
+            _clip_group_norm_inplace(stack.groups, config.clip_group_norm)
+            _rmsprop_update_inplace(
+                stack.w, stack.g_flat, stack.v, config, stack.kept, stack.w64_flat
+            )
+            for r, value in zip(replicas, values):
+                losses[r].append(value)
+        for r in replicas:
+            records[r].loss_trace.append(float(np.mean(losses[r])))
+            losses[r].clear()
+    for row, r in enumerate(replicas):
+        outcomes[r] = ParameterMap.from_flat(layout, stack.w64[row].astype(np.float32))
+    return outcomes
+
+
+class _ReplicaStack:
+    """The training state of R replicas that share a `Layout` of size P.
+
+    Row r of the float64 mirror `w64` and of the float32 gradients `g`,
+    both (R, P), belong to replica r. `w` and `v` are the float32 weights
+    and RMSProp state of the updated coordinates: replica r's kept set
+    (all of its P coordinates without a mask) at offset r * P of the
+    flattened stack, concatenated in row order. `kept` holds those
+    indices, or is None when no replica has a mask, so the update needs no
+    gather.
+    """
+
+    def __init__(self, layout, w64, kept_sets, w=None, v=None):
+        size = layout.size
+        self.layout, self.w64, self.kept_sets = layout, w64, kept_sets
+        self.g = np.empty(w64.shape, np.float32)
+        self.w64_flat, self.g_flat = w64.reshape(-1), self.g.reshape(-1)
+        self.kept = None
+        if any(k is not None for k in kept_sets):
+            self.kept = np.concatenate([
+                (np.arange(size) if k is None else k) + row * size
+                for row, k in enumerate(kept_sets)
+            ])
+        if w is None:
+            flat = self.w64_flat if self.kept is None else self.w64_flat[self.kept]
+            w = flat.astype(np.float32)
+            v = np.zeros_like(w)
+        self.w, self.v = w, v
+        # a lone replica runs on views without the replica axis, which is
+        # the same arithmetic with less numpy overhead per call
+        lone = len(w64) == 1
+        self.state64 = layout.views(w64[0] if lone else w64)
+        self.grads = layout.views(self.g[0] if lone else self.g)
+        self.groups = {
+            (row, name): view
+            for row, g_row in enumerate(self.g)
+            for name, view in layout.views(g_row).items()
+        }
+
+    def keep(self, rows: np.ndarray) -> "_ReplicaStack":
+        """The stack of the replicas where the bool `rows` is true."""
+        size = self.layout.size
+        counts = [size if k is None else len(k) for k in self.kept_sets]
+        coords = np.repeat(rows, counts)
+        return _ReplicaStack(
+            self.layout,
+            self.w64[rows],
+            list(itertools.compress(self.kept_sets, rows)),
+            self.w[coords],
+            self.v[coords],
+        )
 
 
 def _calibration_budget(config: TrainConfig) -> int:
@@ -257,6 +400,33 @@ class LotaResult:
     train_record: RunRecord
 
 
+def _lota_mask(
+    model: ToyModel,
+    dataset: Dataset,
+    s: float,
+    config: TrainConfig,
+    calibration_fraction: float,
+) -> tuple[SparsityMask, RunRecord | None]:
+    """LoTA's calibrate-and-extract half: the mask, and the calibration's record.
+
+    The mask is the top (1 - s) of the task vector of dense training on the
+    first `calibration_fraction` of the data, or a uniform random mask (and
+    no record) when that fraction is 0.
+    """
+    if not 0.0 <= calibration_fraction <= 1.0:
+        raise ConfigError("calibration_fraction must be in [0, 1]")
+    if config.mask is not None:
+        raise ConfigError("lota builds its own mask; config.mask must be None")
+    w_p = model.params
+    if calibration_fraction == 0.0:
+        return random_mask(w_p, s, config.seed), None
+    n_cal = math.ceil(calibration_fraction * len(dataset))
+    cal_data = dataset.take(np.arange(n_cal))
+    cal_config = config.replace(epochs=_calibration_budget(config))
+    w_f, calibration_record = train(model, cal_data, cal_config)
+    return sparsify(compute_task_vector(w_f, w_p), s), calibration_record
+
+
 def lota(
     model: ToyModel,
     dataset: Dataset,
@@ -269,22 +439,11 @@ def lota(
     calibration_fraction scales how much data the calibration phase sees;
     0 skips calibration entirely and draws a uniform random mask instead.
     """
-    if not 0.0 <= calibration_fraction <= 1.0:
-        raise ConfigError("calibration_fraction must be in [0, 1]")
-    if config.mask is not None:
-        raise ConfigError("lota builds its own mask; config.mask must be None")
-    w_p = model.params
-    calibration_record = None
-    if calibration_fraction == 0.0:
-        mask = random_mask(w_p, s, config.seed)
-    else:
-        n_cal = math.ceil(calibration_fraction * len(dataset))
-        cal_data = dataset.take(np.arange(n_cal))
-        cal_config = config.replace(epochs=_calibration_budget(config))
-        w_f, calibration_record = train(model, cal_data, cal_config)
-        mask = sparsify(compute_task_vector(w_f, w_p), s)
+    mask, calibration_record = _lota_mask(
+        model, dataset, s, config, calibration_fraction
+    )
     w_final, train_record = train(model, dataset, config.replace(mask=mask))
-    tv = apply_mask(compute_task_vector(w_final, w_p), mask)
+    tv = apply_mask(compute_task_vector(w_final, model.params), mask)
     return LotaResult(
         adapter=encode(tv),
         mask=mask,

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def forged_adapter(dims, entries=None, **metadata):
     """
     meta = {"base_digest": "00" * 32, "format": FORMAT, "shapes": {"w": list(dims)}}
     return build_container(entries or {}, {**meta, **metadata})
+
+
+def old_lta_adapter():
+    """An adapter in the pre-container LTA version-2 layout: one 0-d tensor
+    'w' that stores the value 1.0 at index 0."""
+    record = (
+        struct.pack("<H", 1) + b"w" + struct.pack("<BQQ", 0, 1, 1)
+        + b"\x00" + np.float32(1.0).tobytes()
+    )
+    return b"LTA1" + struct.pack("<H", 2) + bytes(32) + struct.pack("<I", 1) + record
 
 
 def adapter_bytes(adapter, tmp_path):
@@ -242,6 +253,10 @@ class TestAdapterFile:
             load_adapter(path)
         with pytest.raises(FormatError, match="truncated"):
             load_bytes(b"NOPE" + bytes(64), tmp_path)
+
+    def test_old_lta_format_named(self, tmp_path):
+        with pytest.raises(FormatError, match="old LTA adapter format"):
+            load_bytes(old_lta_adapter(), tmp_path)
 
     @pytest.mark.parametrize("entries, metadata, match", [
         ({"w/gaps": GAPS_3_7}, {}, "do not match"),

@@ -16,7 +16,7 @@ from lota import (
 )
 from lota.cli import dispatch, _experiment_spec_from_config
 from lota.harness import EXPERIMENT_KINDS
-from test_adapter import forged_adapter
+from test_adapter import forged_adapter, old_lta_adapter
 
 
 @pytest.fixture
@@ -189,6 +189,14 @@ class TestCodecCommands:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "FormatError"
         assert "inconsistent" in error["message"]
+
+    def test_inspect_old_lta_adapter_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "old.lta"
+        path.write_bytes(old_lta_adapter())
+        assert dispatch(["inspect", "--adapter", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "FormatError"
+        assert "old LTA adapter format" in error["message"]
 
     def test_inspect_requires_one_target(self, capsys):
         assert dispatch(["inspect"]) == 1
@@ -574,6 +582,22 @@ class TestTrainConfigTypes:
         assert key in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "lota"])
+    @pytest.mark.parametrize(
+        "key, value", [("learning_rate", True), ("learning_rate", float("nan")),
+                       ("learning_rate", "0.01"), ("clip_group_norm", float("inf")),
+                       ("rmsprop_decay", False), ("rmsprop_epsilon", float("-inf"))]
+    )
+    def test_non_finite_rate_exits_1(self, tmp_path, capsys, command, key, value):
+        config = train_config(tmp_path)
+        data = json.loads(config.read_text())
+        data["train"][key] = value
+        config.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        assert key in config_error(capsys, argv)
+        assert not out.exists()
+
     def test_first_width_must_match_input_dim(self, tmp_path, capsys):
         config = train_config(tmp_path, model={"widths": [5, 16, 3]})
         assert dispatch(["train", "--config", str(config),
@@ -637,4 +661,22 @@ class TestScalarConfigFields:
         argv = ["lota", "--config", str(train_config(tmp_path)), "--out", str(out),
                 "--sparsity", "1.0"]
         assert "sparsity" in config_error(capsys, argv)
+        assert not out.exists()
+
+
+class TestMaskPathFields:
+    """A mask path in a config must be a string before any file is read."""
+
+    def test_train_mask_must_be_a_string(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["train", "--config", str(train_config(tmp_path, mask=5)),
+                "--out", str(out)]
+        assert "mask" in config_error(capsys, argv)
+        assert not out.exists()
+
+    def test_lotto_initial_constraints_must_be_a_string(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = lotto_config(tmp_path, initial_constraints=5)
+        argv = ["lotto", "--config", str(path), "--out", str(out)]
+        assert "initial_constraints" in config_error(capsys, argv)
         assert not out.exists()

@@ -70,6 +70,30 @@ def small_merging_spec(**overrides):
     return MergingSpec(**defaults)
 
 
+def small_sparsity_spec():
+    return SparsityAblationSpec(
+        model=ModelSpec(widths=(8, 24, 3)),
+        task=cluster_task(2, "s"),
+        train=dict(learning_rate=0.01, batch_size=32, epochs=6,
+                   calibration_epochs=2),
+        seeds=(0,),
+        grid=(0.0, 0.25, 0.5, 0.75, 0.9, 0.99),
+        iterative_schedule=(0.9, 0.99),
+    )
+
+
+def small_calibration_spec():
+    return CalibrationAblationSpec(
+        model=ModelSpec(widths=(8, 24, 3)),
+        task=cluster_task(1, "c"),
+        train=dict(learning_rate=0.01, batch_size=32, epochs=6,
+                   calibration_epochs=2),
+        seeds=(0,),
+        fractions=(1.0, 0.5, 0.0),
+        sparsity=0.8,
+    )
+
+
 class TestEvaluate:
     def test_constant_predictor(self):
         # zero weights, bias favoring class 0 -> always predicts class 0
@@ -291,20 +315,24 @@ class TestTrainCachePerSeed:
     ):
         # one shared calibration, six grid retrains and iterative stage 1;
         # iterative stage 0 calibrates and retrains exactly as s=0.9 did
-        spec = SparsityAblationSpec(
-            model=ModelSpec(widths=(8, 24, 3)),
-            task=cluster_task(2, "s"),
-            train=dict(learning_rate=0.01, batch_size=32, epochs=6,
-                       calibration_epochs=2),
-            seeds=(0,),
-            grid=(0.0, 0.25, 0.5, 0.75, 0.9, 0.99),
-            iterative_schedule=(0.9, 0.99),
-        )
         cal, retrain = 2 * self.batches, 6 * self.batches
         self.check(
-            spec, step_counter, monkeypatch,
+            small_sparsity_spec(), step_counter, monkeypatch,
             cal + 7 * retrain, 7 * cal + 8 * retrain,
         )
+
+    def test_grid_retrains_run_as_one_stack(self, fwd_bwd_calls, monkeypatch):
+        calls = fwd_bwd_calls
+        cal, retrain = 2 * self.batches, 6 * self.batches
+        # one shared calibration, the six grid retrains stacked, iterative stage 1
+        run_experiment(small_sparsity_spec())
+        assert len(calls) == cal + 2 * retrain
+        calls.clear()
+        # calibrations on the full and the half prefix, then one stack of three
+        report = run_experiment(small_calibration_spec())
+        assert len(calls) == cal + cal // 2 + retrain
+        monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
+        assert run_experiment(small_calibration_spec()).to_json() == report.to_json()
 
     def test_second_call_starts_cold(self, step_counter):
         spec = small_merging_spec()

@@ -138,6 +138,19 @@ class TestRmspropStep:
         assert w[0] == np.float32(2.0)
 
 
+class TestTrainConfigFields:
+    @pytest.mark.parametrize("field", [
+        "learning_rate", "rmsprop_decay", "rmsprop_epsilon", "clip_group_norm",
+    ])
+    @pytest.mark.parametrize(
+        "value", [True, float("nan"), float("inf"), -float("inf"), "0.5", 2**1100],
+        ids=["bool", "nan", "inf", "-inf", "str", "huge-int"],
+    )
+    def test_float_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            quick_config(**{field: value})
+
+
 class TestTrain:
     def test_deterministic(self):
         model, data = toy_model(), toy_task()
@@ -326,6 +339,139 @@ class TestStepHelperContract:
         )
         for args in calls["_rmsprop_update_inplace"]:
             assert (args[4] is None) == (config.mask is None)
+
+
+def solo_outcome(model, data, config):
+    """`train`'s result, or the DivergenceError it raises."""
+    try:
+        return train(model, data, config)
+    except DivergenceError as exc:
+        return exc
+
+
+class TestReplicaBatchOracle:
+    """`_train_batch` runs configs that differ only in mask as one replica
+    stack. Each replica must equal its solo `train` run bit for bit, and
+    reach later `train` calls through the open cache."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        head=st.sampled_from(["softmax-cross-entropy", "mean-squared-error"]),
+        activation=st.sampled_from(["tanh", "relu"]),
+        kinds=st.lists(
+            st.sampled_from(["none", "all-true", "all-false", "single", "random"]),
+            min_size=1, max_size=6,
+        ),
+        density=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**16),
+        clip=st.sampled_from([0.05, 1.0]),
+    )
+    def test_each_replica_equals_its_solo_run(
+        self, head, activation, kinds, density, seed, clip
+    ):
+        model, data = oracle_problem(head, activation, seed)
+        configs = [
+            quick_config(
+                learning_rate=0.05, batch_size=16, epochs=3, seed=seed,
+                clip_group_norm=clip,
+                mask=oracle_mask(model.params, kind, density, seed + i),
+            )
+            for i, kind in enumerate(kinds)
+        ]
+        batch = training._train_batch(model, data, configs)
+        for config, (final, record) in zip(configs, batch):
+            solo_final, solo_record = train(model, data, config)
+            assert final.flat.tobytes() == solo_final.flat.tobytes()
+            assert record == solo_record
+
+    @pytest.mark.parametrize("order", [
+        ("dense", "frozen", "half"), ("frozen", "half", "dense"),
+        ("half", "dense", "frozen"),
+    ])
+    def test_diverging_replica_leaves_the_stack_uncached(self, step_counter, order):
+        model, data = toy_model(), toy_task()
+        masks = {
+            "dense": None,
+            "frozen": all_false_mask(model.params),
+            "half": random_mask(model.params, 0.5, seed=1),
+        }
+        configs = [
+            quick_config(learning_rate=1e38, epochs=3, mask=masks[k]) for k in order
+        ]
+        with np.errstate(all="ignore"):
+            solo = [solo_outcome(model, data, c) for c in configs]
+            kinds = dict(zip(order, solo))
+            assert isinstance(kinds["dense"], DivergenceError)
+            assert not isinstance(kinds["frozen"], DivergenceError)
+            with training._train_cache():
+                batch = training._train_batch(model, data, configs)
+                for config, expected, got in zip(configs, solo, batch):
+                    before = len(step_counter)
+                    again = solo_outcome(model, data, config)
+                    if isinstance(expected, DivergenceError):
+                        assert expected.partial_record.diverged
+                        # not cached: the later call trains again and fails alike
+                        assert len(step_counter) > before
+                        for error in (got, again):
+                            assert isinstance(error, DivergenceError)
+                            assert str(error) == str(expected)
+                            assert error.partial_record == expected.partial_record
+                    else:
+                        assert len(step_counter) == before
+                        for final, record in (got, again):
+                            assert final.flat.tobytes() == expected[0].flat.tobytes()
+                            assert record == expected[1]
+
+    def test_dropping_replicas_keeps_each_survivors_state(self):
+        # a dense, a frozen and a masked replica; the weights and RMSProp
+        # state of the updated coordinates must stay with their replica
+        model = toy_model()
+        layout = model.params.layout
+        kept_sets = [
+            None,
+            np.flatnonzero(all_false_mask(model.params).flat),
+            np.flatnonzero(random_mask(model.params, 0.5, seed=1).flat),
+        ]
+        w64 = np.tile(model.params.flat.astype(np.float64), (3, 1))
+        stack = training._ReplicaStack(layout, w64, kept_sets)
+        stack.w[:] = np.arange(stack.w.size)
+        stack.v[:] = 2 * stack.w
+        stack.w64_flat[stack.kept] = stack.w
+        for rows in ([False, True, True], [True, False, True], [True, True, False]):
+            rows = np.array(rows)
+            kept = stack.keep(rows)
+            assert kept.w64.tobytes() == stack.w64[rows].tobytes()
+            assert kept.w.tolist() == kept.w64_flat[kept.kept].tolist()
+            assert kept.v.tolist() == (2 * kept.w).tolist()
+
+    def test_grid_lota_loop_takes_no_steps_after_the_batch(self, fwd_bwd_calls):
+        model, data, config = toy_model(), toy_task(), quick_config()
+        grid = [(0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.9, 0.25), (0.9, 0.0)]
+        expected = [lota(model, data, s, config, f) for s, f in grid]
+        calls = fwd_bwd_calls
+        with training._train_cache():
+            masks = [training._lota_mask(model, data, s, config, f)[0] for s, f in grid]
+            before = len(calls)
+            training._train_batch(
+                model, data, [config.replace(mask=m) for m in masks]
+            )
+            # the grid's retrains ran as one stack
+            assert len(calls) - before == steps_per_run(config, data)
+            before = len(calls)
+            results = [lota(model, data, s, config, f) for s, f in grid]
+            assert len(calls) == before
+        for got, want in zip(results, expected):
+            assert got.mask == want.mask
+            assert got.w_final.flat.tobytes() == want.w_final.flat.tobytes()
+            assert got.train_record == want.train_record
+            assert got.calibration_record == want.calibration_record
+
+    def test_configs_must_differ_only_in_mask(self):
+        model, data = toy_model(), toy_task()
+        with pytest.raises(ConfigError, match="only in mask"):
+            training._train_batch(
+                model, data, [quick_config(), quick_config(learning_rate=0.02)]
+            )
 
 
 def steps_per_run(config, data):
