@@ -20,17 +20,15 @@ from typing import Sequence
 import numpy as np
 
 from .adapter import compression_report
-from .errors import ConfigError, DivergenceError, HarnessError
+from .errors import ConfigError, HarnessError
 from .merging import _finite_real, merge_grid_search, merge_lota, ties_merge
 from .models import ACTIVATIONS, HEADS, Dataset, ToyModel
 from .params import ParameterMap
 from .sparsity import compute_task_vector
 from .tasks import SyntheticTaskSpec
 from .training import (
-    _TRAIN_CACHE,
     TrainConfig,
-    _lota_mask,
-    _train_batch,
+    _lota_grid,
     _train_cache,
     iterative_lota,
     lota,
@@ -180,6 +178,12 @@ def _baseline_row(task: str, method: str, utilities: Sequence[float]) -> dict:
     }
 
 
+def _check_real(name: str, value, in_range=None, what="a finite number") -> None:
+    """A spec number must be finite, not a bool, and `in_range` if given."""
+    if not (_finite_real(value) and (in_range is None or in_range(value))):
+        raise ConfigError(f"{name} must be {what}: {value!r}")
+
+
 class _ExperimentSpec:
     """Base of the four experiment specs; subclasses set `kind`."""
 
@@ -204,6 +208,9 @@ class _ExperimentSpec:
             task = getattr(self, f.name)
             if isinstance(task, SyntheticTaskSpec):
                 self.model.check_task(task)
+        if hasattr(self, "sparsity"):
+            _check_real("sparsity", self.sparsity, lambda x: 0.0 <= x < 1.0,
+                        "a number in [0, 1)")
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -214,31 +221,6 @@ def _train_config(base: dict, seed: int, **overrides) -> TrainConfig:
     merged.update(overrides)
     merged["seed"] = seed
     return TrainConfig(**merged)
-
-
-def _batch_lota_retrains(
-    model: ToyModel, dataset: Dataset, config: TrainConfig, grid
-) -> None:
-    """Run the retrains of a grid of `lota` calls as one replica batch.
-
-    `grid` holds `(s, calibration_fraction)` pairs. Their masks are
-    collected first, then one `_train_batch` leaves every finished retrain
-    in the seed's train cache, so the grid's `lota` calls that follow only
-    hit it. Collection stops at the first `DivergenceError`, which the
-    `lota` call for that pair raises again. With no cache open there is
-    nothing to hand over, so nothing runs.
-    """
-    if _TRAIN_CACHE.get() is None:
-        return
-    configs = []
-    for s, fraction in grid:
-        try:
-            mask, _ = _lota_mask(model, dataset, s, config, fraction)
-        except DivergenceError:
-            break
-        configs.append(config.replace(mask=mask))
-    if configs:
-        _train_batch(model, dataset, configs)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +247,9 @@ class SequentialSpec(_ExperimentSpec):
         for pair in self.method_pairs:
             if pair not in SEQUENTIAL_METHOD_PAIRS:
                 raise ConfigError(f"unknown method pair {pair!r}")
+        _check_real("mix_fraction", self.mix_fraction, lambda x: 0.0 <= x <= 1.0,
+                    "a number in [0, 1]")
+        _check_real("interference_threshold", self.interference_threshold)
 
 
 def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
@@ -382,23 +367,26 @@ class SparsityAblationSpec(_ExperimentSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        for s in self.grid:
-            if not (_finite_real(s) and 0.0 <= s < 1.0):
-                raise ConfigError(f"grid sparsities must be numbers in [0, 1): {s!r}")
+        for name in ("grid", "iterative_schedule"):
+            for s in getattr(self, name) or ():
+                _check_real(name, s, lambda x: 0.0 <= x < 1.0, "numbers in [0, 1)")
+        schedule = self.iterative_schedule or ()
+        if any(b <= a for a, b in zip(schedule, schedule[1:])):
+            raise ConfigError("iterative_schedule must be strictly increasing")
 
 
 def _sparsity_one_seed(spec: SparsityAblationSpec, seed: int) -> dict:
     model = spec.model.build(derive_seed("init", seed))
     train_data, test_data = spec.task.reseeded(derive_seed("task", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
-    _batch_lota_retrains(model, train_data, config, [(s, 1.0) for s in spec.grid])
-    out = {}
-    for s in spec.grid:
-        result = lota(model, train_data, s, config)
-        out[f"s={s}"] = {
+    grid = _lota_grid(model, train_data, config, [(s, 1.0) for s in spec.grid])
+    out = {
+        f"s={s}": {
             "utility": evaluate(model.with_params(result.w_final), test_data),
             "k": result.mask.kept_count,
         }
+        for s, result in zip(spec.grid, grid)
+    }
     if spec.iterative_schedule:
         result = iterative_lota(model, train_data, list(spec.iterative_schedule), config)
         out["iterative"] = {
@@ -446,6 +434,8 @@ class CalibrationAblationSpec(_ExperimentSpec):
 
     def __post_init__(self):
         super().__post_init__()
+        for f in self.fractions:
+            _check_real("fractions", f, lambda x: 0.0 <= x <= 1.0, "numbers in [0, 1]")
         if 1.0 not in self.fractions:
             raise ConfigError("fractions must include 1.0 as the zero-drop reference")
 
@@ -462,16 +452,13 @@ def _calibration_one_seed(spec: CalibrationAblationSpec, seed: int) -> dict:
         w_p, _ = train(model, base_train_data, base_config)
         model = model.with_params(w_p)
     config = _train_config(spec.train, derive_seed("train", seed))
-    _batch_lota_retrains(
+    grid = _lota_grid(
         model, train_data, config, [(spec.sparsity, f) for f in spec.fractions]
     )
-    utilities = {}
-    for fraction in spec.fractions:
-        result = lota(
-            model, train_data, spec.sparsity, config, calibration_fraction=fraction
-        )
-        utilities[fraction] = evaluate(model.with_params(result.w_final), test_data)
-    return utilities
+    return {
+        fraction: evaluate(model.with_params(result.w_final), test_data)
+        for fraction, result in zip(spec.fractions, grid)
+    }
 
 
 def _calibration_rows(
@@ -519,6 +506,10 @@ class MergingSpec(_ExperimentSpec):
         for pair in self.pairs:
             if pair not in MERGE_PAIRS:
                 raise ConfigError(f"unknown merge pair {pair!r}")
+        _check_real("scaling", self.scaling)
+        for f in self.fraction_grid:
+            _check_real("fraction_grid", f, lambda x: 0.0 < x <= 1.0,
+                        "numbers in (0, 1]")
 
 
 def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:
@@ -617,7 +608,8 @@ def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
 
     Each seed runs inside its own `train` cache, so a training that the seed
     repeats (a LoTA calibration equal to its FFT arm, or a calibration shared
-    across a sparsity grid) runs once; the cache ends with the seed, which
+    across a sparsity grid) runs once, and a grid's `_lota_grid` call trains
+    its retrains as one replica stack; the cache ends with the seed, which
     bounds its memory, and the outputs are bit-identical to uncached runs.
     """
     # looked up per call, not at import: a tracer that rebinds the module's

@@ -1,9 +1,11 @@
 """Masked-gradient training with RMSProp, plus the adaptation drivers.
 
-The drivers implement three procedures over a base model w_P:
-  * lota: calibrate by full fine-tuning, extract a magnitude mask from the
-    task vector, reset to w_P, retrain with the mask.
-  * iterative_lota: re-calibrate progressively sparser masks from the
+The drivers are loops over one LoTA phase on a base model w_P: calibrate
+by training within an allowed set (`_calibrate`), extract the top-k of the
+task vector within that set (`_ticket`), reset to w_P, retrain with the
+mask and encode the adapter (`_retrain`).
+  * lota: one phase; `_lota_grid` runs it over a grid of plans.
+  * iterative_lota: progressively sparser masks, each extracted from the
     previous stage's sparse task vector.
   * lotto: sequential tasks under a growing constraint set; each task's
     mask is disjoint from every earlier one.
@@ -22,8 +24,8 @@ one model on one dataset whose configs differ only in the mask train in
 lockstep on an (R, P) state, and each replica is bit-identical to its solo
 run. `train` is the R = 1 case. `_train_batch` runs R > 1 and hands its
 results over through the memo: inside `_train_cache()` it stores each
-finished replica exactly as `train` would, so the harness trains a mask
-grid's retrains as one stack, and the grid's `lota` calls then only hit.
+finished replica exactly as `train` would, so `_lota_grid` trains a grid's
+retrains as one stack, and the retrains' `train` calls then only hit.
 A replica that diverges leaves the stack and is not cached, so its `train`
 call raises as before.
 """
@@ -44,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapter import SparseAdapter, encode
-from .errors import CapacityError, ConfigError, DivergenceError
+from .errors import CapacityError, ConfigError, DivergenceError, LotaError
 from .merging import _finite_real
 from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
@@ -57,7 +59,6 @@ from .sparsity import (
     mask_union,
     random_mask,
     round_half_up,
-    sparsify,
     support_mask,
     topk_keep_flat,
 )
@@ -386,9 +387,53 @@ class _ReplicaStack:
         )
 
 
-def _calibration_budget(config: TrainConfig) -> int:
+def _kept_count(s, n: int, allowed: SparsityMask | None = None) -> int:
+    """The kept count of a LoTA phase, after the one check of s on every
+    LoTA path; it must fit in `allowed` (all coordinates when None)."""
+    if not (_finite_real(s) and 0.0 <= s < 1.0):
+        raise ConfigError(f"sparsity ratio must be a number in [0, 1): {s!r}")
+    k = round_half_up((1.0 - s) * n)
+    free = n if allowed is None else allowed.kept_count
+    if k > free:
+        raise CapacityError(
+            f"constraint set exhausted: need {k} free coordinates, have {free}"
+        )
+    return k
+
+
+def _ticket(w_c, w_p, s: float, allowed: SparsityMask | None) -> SparsityMask:
+    """The top (1 - s) of w_c - w_p by magnitude, within `allowed` if given."""
+    k = _kept_count(s, w_p.total_elements, allowed)
+    tv = compute_task_vector(w_c, w_p)
+    kept = topk_keep_flat(tv.entries, k, None if allowed is None else allowed.flat)
+    return SparsityMask.from_flat(w_p.layout, kept, declared_sparsity=s)
+
+
+def _calibrate(
+    model: ToyModel, dataset: Dataset, s: float, config: TrainConfig,
+    fraction: float = 1.0, allowed: SparsityMask | None = None,
+) -> tuple[SparsityMask, RunRecord | None]:
+    """A LoTA phase's mask and calibration record; checks all before training.
+
+    Trains within `allowed` on the first `fraction` of the data for the
+    calibration budget, then takes the ticket. At fraction 0 the mask is
+    uniformly random over all coordinates, with no record.
+    """
+    if not (_finite_real(fraction) and 0.0 <= fraction <= 1.0):
+        raise ConfigError("calibration_fraction must be in [0, 1]")
+    if config.mask is not None:
+        raise ConfigError("LoTA builds its own masks; config.mask must be None")
+    w_p = model.params
+    _kept_count(s, w_p.total_elements, allowed)
+    if fraction == 0.0:
+        return random_mask(w_p, s, config.seed), None
     cal = config.calibration_epochs
-    return config.epochs if cal is None else cal
+    cal_config = config.replace(
+        epochs=config.epochs if cal is None else cal, mask=allowed
+    )
+    cal_data = dataset.take(np.arange(math.ceil(fraction * len(dataset))))
+    w_c, record = train(model, cal_data, cal_config)
+    return _ticket(w_c, w_p, s, allowed), record
 
 
 @dataclass(frozen=True)
@@ -400,31 +445,40 @@ class LotaResult:
     train_record: RunRecord
 
 
-def _lota_mask(
-    model: ToyModel,
-    dataset: Dataset,
-    s: float,
-    config: TrainConfig,
-    calibration_fraction: float,
-) -> tuple[SparsityMask, RunRecord | None]:
-    """LoTA's calibrate-and-extract half: the mask, and the calibration's record.
+def _retrain(
+    model: ToyModel, dataset: Dataset, config: TrainConfig, mask: SparsityMask,
+    calibration_record: RunRecord | None,
+) -> LotaResult:
+    """The retrain-and-encode half of a LoTA phase: w_P trained under `mask`."""
+    w_final, train_record = train(model, dataset, config.replace(mask=mask))
+    tv = apply_mask(compute_task_vector(w_final, model.params), mask)
+    return LotaResult(encode(tv), mask, w_final, calibration_record, train_record)
 
-    The mask is the top (1 - s) of the task vector of dense training on the
-    first `calibration_fraction` of the data, or a uniform random mask (and
-    no record) when that fraction is 0.
+
+def _lota_grid(
+    model: ToyModel, dataset: Dataset, config: TrainConfig,
+    plans: Sequence[tuple[float, float]],
+) -> list[LotaResult]:
+    """`lota` for each `(s, calibration_fraction)` plan, each mask computed once.
+
+    Inside `_train_cache()` the retrains first train as one replica stack,
+    so each retrain's `train` call is a hit. An error in plan j's
+    calibration is raised after the retrains of the plans before it, as a
+    loop of `lota` calls would raise it.
     """
-    if not 0.0 <= calibration_fraction <= 1.0:
-        raise ConfigError("calibration_fraction must be in [0, 1]")
-    if config.mask is not None:
-        raise ConfigError("lota builds its own mask; config.mask must be None")
-    w_p = model.params
-    if calibration_fraction == 0.0:
-        return random_mask(w_p, s, config.seed), None
-    n_cal = math.ceil(calibration_fraction * len(dataset))
-    cal_data = dataset.take(np.arange(n_cal))
-    cal_config = config.replace(epochs=_calibration_budget(config))
-    w_f, calibration_record = train(model, cal_data, cal_config)
-    return sparsify(compute_task_vector(w_f, w_p), s), calibration_record
+    tickets, failure = [], None
+    for s, fraction in plans:
+        try:
+            tickets.append(_calibrate(model, dataset, s, config, fraction))
+        except LotaError as exc:  # re-raised below, after the earlier retrains
+            failure = exc
+            break
+    if _TRAIN_CACHE.get() is not None and len(tickets) > 1:
+        _train_batch(model, dataset, [config.replace(mask=m) for m, _ in tickets])
+    results = [_retrain(model, dataset, config, *ticket) for ticket in tickets]
+    if failure is not None:
+        raise failure
+    return results
 
 
 def lota(
@@ -439,18 +493,8 @@ def lota(
     calibration_fraction scales how much data the calibration phase sees;
     0 skips calibration entirely and draws a uniform random mask instead.
     """
-    mask, calibration_record = _lota_mask(
-        model, dataset, s, config, calibration_fraction
-    )
-    w_final, train_record = train(model, dataset, config.replace(mask=mask))
-    tv = apply_mask(compute_task_vector(w_final, model.params), mask)
-    return LotaResult(
-        adapter=encode(tv),
-        mask=mask,
-        w_final=w_final,
-        calibration_record=calibration_record,
-        train_record=train_record,
-    )
+    (result,) = _lota_grid(model, dataset, config, [(s, calibration_fraction)])
+    return result
 
 
 @dataclass(frozen=True)
@@ -476,31 +520,19 @@ def iterative_lota(
     schedule = list(sparsity_schedule)
     if not schedule:
         raise ConfigError("sparsity schedule must be nonempty")
-    if any(not 0.0 <= s < 1.0 for s in schedule):
-        raise ConfigError("schedule entries must be in [0, 1)")
+    for s in schedule:
+        _kept_count(s, model.params.total_elements)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be strictly increasing")
-    w_p = model.params
-    first = lota(model, dataset, schedule[0], config)
-    masks = [first.mask]
-    records = [first.train_record]
-    w_final, mask = first.w_final, first.mask
-    n = w_p.total_elements
+    stages = [lota(model, dataset, schedule[0], config)]
     for s in schedule[1:]:
-        tv = compute_task_vector(w_final, w_p)
-        k = round_half_up((1.0 - s) * n)
-        kept = topk_keep_flat(tv.entries, k, allowed=mask.flat)
-        mask = SparsityMask.from_flat(w_p.layout, kept, declared_sparsity=s)
-        w_final, rec = train(model, dataset, config.replace(mask=mask))
-        masks.append(mask)
-        records.append(rec)
-    tv = apply_mask(compute_task_vector(w_final, w_p), mask)
+        prev = stages[-1]
+        mask = _ticket(prev.w_final, model.params, s, prev.mask)
+        stages.append(_retrain(model, dataset, config, mask, None))
+    last = stages[-1]
     return IterativeLotaResult(
-        adapter=encode(tv),
-        mask=mask,
-        w_final=w_final,
-        stage_masks=masks,
-        stage_records=records,
+        last.adapter, last.mask, last.w_final,
+        [stage.mask for stage in stages], [stage.train_record for stage in stages],
     )
 
 
@@ -523,64 +555,38 @@ def lotto(
 ) -> LottoResult:
     """Sequential adaptation with mutually disjoint per-task masks.
 
-    Per task: train only outside the constraint set, extract a mask from
-    that run's task vector (restricted to unconstrained coordinates),
-    retrain under the mask, then add it to the constraint set. Constraints
-    start from `initial_constraints`, else from the nonzero support of
-    w_start against `base`, else empty.
+    Per task: one LoTA phase from the previous task's weights, calibrated
+    and extracted only outside the constraint set; its mask then joins
+    the constraint set. Constraints start from `initial_constraints`, else
+    from the nonzero support of w_start against `base`, else empty.
     """
     if not datasets:
         raise ConfigError("lotto needs at least one dataset")
-    if not 0.0 <= s < 1.0:
-        raise ConfigError("sparsity ratio must be in [0, 1)")
-    if config.mask is not None:
-        raise ConfigError("lotto builds its own masks; config.mask must be None")
-    w_i = model.params
+    w_start = model.params
     if initial_constraints is not None:
         initial_constraints.layout.require_aligned(
-            w_i.layout, "constraints and model"
+            w_start.layout, "constraints and model"
         )
         constraints = initial_constraints
     elif base is not None:
-        constraints = support_mask(compute_task_vector(w_i, base))
+        constraints = support_mask(compute_task_vector(w_start, base))
     else:
-        constraints = all_false_mask(w_i)
-    n = w_i.total_elements
-    k = round_half_up((1.0 - s) * n)
+        constraints = all_false_mask(w_start)
     trace = [constraints]
-    masks: list[SparsityMask] = []
-    adapters: list[SparseAdapter] = []
-    records: list[RunRecord] = []
+    phases: list[LotaResult] = []
     for ds in datasets:
-        allowed = ~constraints.flat
-        if k > int(allowed.sum()):
-            raise CapacityError(
-                f"constraint set exhausted: need {k} free coordinates, "
-                f"have {int(allowed.sum())}"
-            )
-        cal_config = config.replace(
-            epochs=_calibration_budget(config), mask=mask_complement(constraints)
-        )
-        w_c, cal_rec = train(model.with_params(w_i), ds, cal_config)
-        tv_c = compute_task_vector(w_c, w_i)
-        task_mask = SparsityMask.from_flat(
-            w_i.layout, topk_keep_flat(tv_c.entries, k, allowed=allowed), s
-        )
-        w_f, fin_rec = train(
-            model.with_params(w_i), ds, config.replace(mask=task_mask)
-        )
-        adapters.append(encode(apply_mask(compute_task_vector(w_f, w_i), task_mask)))
-        masks.append(task_mask)
-        constraints = mask_union(constraints, task_mask)
+        start = model.with_params(phases[-1].w_final if phases else w_start)
+        ticket = _calibrate(start, ds, s, config, allowed=mask_complement(constraints))
+        phases.append(_retrain(start, ds, config, *ticket))
+        constraints = mask_union(constraints, phases[-1].mask)
         trace.append(constraints)
-        records.extend([cal_rec, fin_rec])
-        w_i = w_f
     return LottoResult(
-        masks=masks,
+        masks=[phase.mask for phase in phases],
         constraint_trace=trace,
-        w_final=w_i,
-        adapters=adapters,
-        records=records,
+        w_final=phases[-1].w_final,
+        adapters=[phase.adapter for phase in phases],
+        records=[r for phase in phases
+                 for r in (phase.calibration_record, phase.train_record)],
     )
 
 

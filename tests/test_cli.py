@@ -451,22 +451,26 @@ class TestConfigObject:
 
 
 class TestExperimentCommand:
-    def experiment_config(self, tmp_path):
+    def experiment_config(self, tmp_path, kind="sparsity-ablation"):
+        task = {
+            "generator": "gaussian-cluster-classification",
+            "input_dim": 6, "output_dim": 3, "train_size": 96,
+            "test_size": 64, "noise": 0.4, "seed": 2,
+            "params": {"separation": 2.0},
+        }
         config = {
-            "kind": "sparsity-ablation",
+            "kind": kind,
             "model": {"widths": [6, 16, 3]},
-            "task": {
-                "generator": "gaussian-cluster-classification",
-                "input_dim": 6, "output_dim": 3, "train_size": 96,
-                "test_size": 64, "noise": 0.4, "seed": 2,
-                "params": {"separation": 2.0},
-            },
             "train": {"learning_rate": 0.01, "batch_size": 32, "epochs": 2,
                       "calibration_epochs": 1},
             "seeds": [0, 1],
-            "grid": [0.0, 0.9],
-            "iterative_schedule": None,
         }
+        if kind == "sparsity-ablation":
+            config.update(task=task, grid=[0.0, 0.9], iterative_schedule=None)
+        elif kind == "calibration-ablation":
+            config.update(task=task)
+        else:
+            config.update(task_a=task, task_b={**task, "seed": 3})
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config))
         return path
@@ -531,23 +535,44 @@ class TestExperimentCommand:
                          "--out", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
 
+    BAD_SPEC_VALUES = {
+        "grid-str": ("sparsity-ablation", ("grid",), ["x"], "grid"),
+        "grid-1.5": ("sparsity-ablation", ("grid",), [1.5], "grid"),
+        "widths-zero": ("sparsity-ablation", ("model", "widths"), [0, 3], "widths"),
+        "activation": ("sparsity-ablation", ("model", "activation"), "x",
+                       "activation"),
+        "epochs-float": ("sparsity-ablation", ("train", "epochs"), 2.5, "epochs"),
+        "batch-float": ("sparsity-ablation", ("train", "batch_size"), 32.5,
+                        "batch_size"),
+        "width-input-dim": ("sparsity-ablation", ("model", "widths"), [5, 16, 3],
+                            "input_dim"),
+        "width-output-dim": ("sparsity-ablation", ("model", "widths"), [6, 16, 2],
+                             "output_dim"),
+        "schedule-str": ("sparsity-ablation", ("iterative_schedule",), ["x"],
+                         "iterative_schedule"),
+        "schedule-decreasing": ("sparsity-ablation", ("iterative_schedule",),
+                                [0.99, 0.9], "iterative_schedule"),
+        **{
+            f"{kind}-sparsity-{value}": (kind, ("sparsity",), value, "sparsity")
+            for kind in ("sequential", "calibration-ablation", "merging")
+            for value in (1.5, True, "x")
+        },
+        "mix-fraction-true": ("sequential", ("mix_fraction",), True, "mix_fraction"),
+        "interference-nan": ("sequential", ("interference_threshold",),
+                             float("nan"), "interference_threshold"),
+        "fractions-2.0": ("calibration-ablation", ("fractions",), [1.0, 2.0],
+                          "fractions"),
+        "scaling-str": ("merging", ("scaling",), "x", "scaling"),
+        "fraction-grid-2.0": ("merging", ("fraction_grid",), [2.0], "fraction_grid"),
+    }
+
     @pytest.mark.parametrize(
-        "path, value, field",
-        [
-            (("grid",), ["x"], "grid"),
-            (("grid",), [1.5], "grid"),
-            (("model", "widths"), [0, 3], "widths"),
-            (("model", "activation"), "x", "activation"),
-            (("train", "epochs"), 2.5, "epochs"),
-            (("train", "batch_size"), 32.5, "batch_size"),
-            (("model", "widths"), [5, 16, 3], "input_dim"),
-            (("model", "widths"), [6, 16, 2], "output_dim"),
-        ],
-        ids=["grid-str", "grid-1.5", "widths-zero", "activation", "epochs-float",
-             "batch-float", "width-input-dim", "width-output-dim"],
+        "kind, path, value, field", BAD_SPEC_VALUES.values(), ids=BAD_SPEC_VALUES
     )
-    def test_bad_spec_value_exits_1(self, tmp_path, capsys, path, value, field):
-        config_path = self.experiment_config(tmp_path)
+    def test_bad_spec_value_exits_1(
+        self, tmp_path, capsys, kind, path, value, field
+    ):
+        config_path = self.experiment_config(tmp_path, kind)
         config = json.loads(config_path.read_text())
         *parents, key = path
         target = config

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 
@@ -31,7 +32,10 @@ from lota import (
     sparsify,
     train,
 )
-from lota.models import _activate_grad, _forward_pass, _loss_and_output_grad
+from lota.adapter import _container_bytes
+from lota.models import (
+    _activate_grad, _forward_pass, _loss_and_output_grad, concat_datasets,
+)
 
 
 def toy_task(seed=0, n=128, dim=6, classes=3):
@@ -444,28 +448,6 @@ class TestReplicaBatchOracle:
             assert kept.w.tolist() == kept.w64_flat[kept.kept].tolist()
             assert kept.v.tolist() == (2 * kept.w).tolist()
 
-    def test_grid_lota_loop_takes_no_steps_after_the_batch(self, fwd_bwd_calls):
-        model, data, config = toy_model(), toy_task(), quick_config()
-        grid = [(0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.9, 0.25), (0.9, 0.0)]
-        expected = [lota(model, data, s, config, f) for s, f in grid]
-        calls = fwd_bwd_calls
-        with training._train_cache():
-            masks = [training._lota_mask(model, data, s, config, f)[0] for s, f in grid]
-            before = len(calls)
-            training._train_batch(
-                model, data, [config.replace(mask=m) for m in masks]
-            )
-            # the grid's retrains ran as one stack
-            assert len(calls) - before == steps_per_run(config, data)
-            before = len(calls)
-            results = [lota(model, data, s, config, f) for s, f in grid]
-            assert len(calls) == before
-        for got, want in zip(results, expected):
-            assert got.mask == want.mask
-            assert got.w_final.flat.tobytes() == want.w_final.flat.tobytes()
-            assert got.train_record == want.train_record
-            assert got.calibration_record == want.calibration_record
-
     def test_configs_must_differ_only_in_mask(self):
         model, data = toy_model(), toy_task()
         with pytest.raises(ConfigError, match="only in mask"):
@@ -476,6 +458,62 @@ class TestReplicaBatchOracle:
 
 def steps_per_run(config, data):
     return config.epochs * math.ceil(len(data) / config.batch_size)
+
+
+def assert_same_lota(got, want):
+    assert got.mask == want.mask
+    assert got.w_final.flat.tobytes() == want.w_final.flat.tobytes()
+    assert _container_bytes(got.adapter) == _container_bytes(want.adapter)
+    assert got.train_record == want.train_record
+    assert got.calibration_record == want.calibration_record
+
+
+class TestLotaGridOracle:
+    """`_lota_grid` is `lota` over a list of `(s, calibration_fraction)`
+    plans: it must equal a loop of `lota` calls bit for bit, and raise what
+    that loop raises first."""
+
+    def test_grid_equals_a_lota_loop(self, fwd_bwd_calls):
+        model, data, config = toy_model(), toy_task(), quick_config()
+        grid = [(0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.9, 0.25), (0.9, 0.0)]
+        expected = [lota(model, data, s, config, f) for s, f in grid]
+        for got, want in zip(training._lota_grid(model, data, config, grid), expected):
+            assert_same_lota(got, want)
+        calls = fwd_bwd_calls
+        calls.clear()
+        with training._train_cache():
+            results = training._lota_grid(model, data, config, grid)
+            # one shared full calibration, one on the 32-row prefix, then
+            # the five retrains as one stack
+            assert len(calls) == 2 * steps_per_run(config, data) + config.epochs
+            before = len(calls)
+            again = [lota(model, data, s, config, f) for s, f in grid]
+            assert len(calls) == before
+        for got, hit, want in zip(results, again, expected):
+            assert_same_lota(got, want)
+            assert_same_lota(hit, want)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("first", ["frozen", "diverging"])
+    def test_diverging_calibration_raises_what_the_loop_raises(self, cached, first):
+        # plan 0 draws a random mask: at s = 0.999 it keeps nothing, so its
+        # retrain is finite; at s = 0.5 its retrain diverges. Plan 1's
+        # dense calibration diverges.
+        model, data = toy_model(), toy_task()
+        config = quick_config(learning_rate=1e38, epochs=3)
+        grid = [(0.999 if first == "frozen" else 0.5, 0.0), (0.5, 1.0)]
+        context = training._train_cache() if cached else contextlib.nullcontext()
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as from_loop:
+                for s, f in grid:
+                    lota(model, data, s, config, f)
+            with context, pytest.raises(DivergenceError) as from_grid:
+                training._lota_grid(model, data, config, grid)
+        want, got = from_loop.value, from_grid.value
+        # the calibration's record has no mask, the retrain's has one
+        assert (want.partial_record.config["mask"] is None) == (first == "frozen")
+        assert str(got) == str(want)
+        assert got.partial_record == want.partial_record
 
 
 class TestTrainCache:
@@ -727,12 +765,16 @@ class TestMixedDataFft:
         w_plain, _ = train(model, data_b, quick_config())
         assert digest(w_mixed) == digest(w_plain)
 
-    def test_full_fraction_doubles_dataset(self):
-        model = toy_model(19)
+    def test_full_fraction_doubles_dataset(self, step_counter):
+        model, config = toy_model(19), quick_config()
         data_b, data_a = toy_task(19, n=64), toy_task(20, n=200)
-        from lota.training import round_half_up
-
-        assert round_half_up(1.0 * len(data_b)) == 64
+        w_mixed, _ = mixed_data_fft(model, data_b, data_a, 1.0, config)
+        # 64 rows of B plus 64 of A: 4 batches of 32 per epoch
+        assert len(step_counter) == config.epochs * 4
+        rng = np.random.default_rng(config.seed)
+        sample = data_a.take(rng.choice(len(data_a), size=64, replace=False))
+        w_concat, _ = train(model, concat_datasets([data_b, sample]), config)
+        assert w_mixed.flat.tobytes() == w_concat.flat.tobytes()
 
     def test_deterministic(self):
         model = toy_model(21)
