@@ -5,6 +5,10 @@ provenance.json (resolved config, tool version, wall time) beside its
 outputs. Artifacts and reports are byte-reproducible for identical inputs
 and seeds; provenance carries the only volatile fields.
 
+Every config key, and every --seed or --sparsity flag, is checked before
+any file is read or any step is taken; an unknown key is refused, so a typo
+never runs at a default.
+
 Exit codes: 0 success, 1 usage/config error, 2 validation error (digest
 mismatch, misalignment, malformed file, capacity), 3 runtime failure
 (divergence, failed harness assertion). Errors print a JSON object on
@@ -14,10 +18,11 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import numbers
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -29,6 +34,8 @@ from .adapter import (
     load_adapter,
     save_adapter,
 )
+from .config import (BOOL, SEED_MAX, STRING, check_fields, checked, choice, from_json,
+                     integer, optional, real, seq)
 from .container import write_atomic
 from .errors import (
     AlignmentError,
@@ -40,18 +47,12 @@ from .errors import (
     HarnessError,
     NonFiniteError,
 )
-from .harness import DEFAULT_SEEDS, EXPERIMENT_KINDS, ModelSpec, run_experiment
-from .merging import (
-    MergeEntry,
-    MergeSpec,
-    _finite_real,
-    merge_lota,
-    run_merge_spec,
-)
+from .harness import EXPERIMENT_KINDS, ModelSpec, run_experiment
+from .merging import MergeEntry, MergeSpec, merge_lota, run_merge_spec
 from .params import digest, load_checkpoint, save_checkpoint
 from .sparsity import compute_task_vector, load_mask, save_mask, sparsify
 from .tasks import SyntheticTaskSpec
-from .training import TrainConfig, lota, lotto, train
+from .training import FRACTION, SPARSITY, TrainConfig, lota, lotto, train
 
 USAGE_ERROR, VALIDATION_ERROR, RUNTIME_ERROR = 1, 2, 3
 
@@ -113,59 +114,39 @@ def _write_json(path: Path, obj) -> None:
     write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _build_train_config(data: dict, seed_override: int | None) -> TrainConfig:
-    try:
-        config = TrainConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
-    if seed_override is not None:
-        config = config.replace(seed=seed_override)
-    return config
+@dataclass(frozen=True)
+class RunConfig:
+    """The config of `lota train` and `lota lota` (`task`) and `lota lotto`
+    (`tasks`); `mask` and `initial_constraints` are mask file paths."""
+
+    model: ModelSpec
+    train: TrainConfig
+    task: SyntheticTaskSpec | None = None
+    tasks: tuple[SyntheticTaskSpec, ...] | None = None
+    init_seed: int = checked(integer(0, SEED_MAX), default=0)
+    sparsity: float = checked(SPARSITY, default=0.9)
+    calibration_fraction: float = checked(FRACTION, default=1.0)
+    mask: str | None = checked(optional(STRING), default=None)
+    initial_constraints: str | None = checked(optional(STRING), default=None)
+
+    def __post_init__(self):
+        check_fields(self)
+        for task in (self.task, *(self.tasks or ())):
+            if task is not None:
+                self.model.check_task(task)
 
 
-# key: (default, type, range check, what the value must be)
-_SCALARS = {
-    "sparsity": (0.9, float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)"),
-    "calibration_fraction": (
-        1.0, float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"
-    ),
-    "init_seed": (
-        0, int, lambda x: isinstance(x, numbers.Integral) and x >= 0,
-        "an integer >= 0",
-    ),
-}
-
-
-def _scalar(config: dict, key: str, override=None):
-    """`override` if given, else config[key] or its default, checked."""
-    default, cast, in_range, what = _SCALARS[key]
-    value = config.get(key, default) if override is None else override
-    if not (_finite_real(value) and in_range(value)):
-        raise ConfigError(f"{key} must be {what}: {value!r}")
-    return cast(value)
-
-
-def _path_field(config: dict, key: str) -> str | None:
-    """config[key]: a path string, or None when absent or null."""
-    value = config.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{key} must be a path string: {value!r}")
-    return value
-
-
-def _model_and_task(config: dict, key: str = "task"):
-    """The model built from config["model"] and the task specs under `key`:
-    one for "task", a list for "tasks"; each task is checked against the model.
-    """
-    try:
-        model_spec = ModelSpec.from_json_dict(config["model"])
-        items = config[key] if key == "tasks" else [config[key]]
-        tasks = [SyntheticTaskSpec.from_json_dict(t) for t in items]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad model/task config: {exc}") from exc
-    for task in tasks:
-        model_spec.check_task(task)
-    return model_spec.build(_scalar(config, "init_seed")), tasks
+def _run_config(args, task_key: str) -> tuple[dict, RunConfig]:
+    """The JSON config of a run command and its RunConfig, flags applied."""
+    config = _load_json(args.config)
+    run = from_json(RunConfig, config, "config")
+    if getattr(run, task_key) is None:
+        raise ConfigError(f"missing key {task_key!r} in config")
+    if args.seed is not None:
+        run = dataclasses.replace(run, train=run.train.replace(seed=args.seed))
+    if args.sparsity is not None:
+        run = dataclasses.replace(run, sparsity=args.sparsity)
+    return config, run
 
 
 # -- subcommands ------------------------------------------------------------
@@ -201,13 +182,10 @@ def cmd_sparsify(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    config = _load_json(args.config)
-    model, [task] = _model_and_task(config)
-    train_config = _build_train_config(config.get("train", {}), args.seed)
-    mask_path = _path_field(config, "mask")
-    if mask_path:
-        train_config = train_config.replace(mask=load_mask(mask_path))
-    train_data, _ = task.make()
+    config, run = _run_config(args, "task")
+    model = run.model.build(run.init_seed)
+    train_config = run.train.replace(mask=load_mask(run.mask) if run.mask else None)
+    train_data, _ = run.task.make()
     final, record = train(model, train_data, train_config)
     out = _out_dir(args)
     save_checkpoint(model.params, out / "initial.ckpt")
@@ -221,12 +199,10 @@ def cmd_train(args) -> int:
 
 def cmd_lota(args) -> int:
     started = time.perf_counter()
-    config = _load_json(args.config)
-    model, [task] = _model_and_task(config)
-    train_config = _build_train_config(config.get("train", {}), args.seed)
-    sparsity = _scalar(config, "sparsity", args.sparsity)
-    fraction = _scalar(config, "calibration_fraction")
-    train_data, _ = task.make()
+    config, run = _run_config(args, "task")
+    model, train_config = run.model.build(run.init_seed), run.train
+    sparsity, fraction = float(run.sparsity), float(run.calibration_fraction)
+    train_data, _ = run.task.make()
     result = lota(model, train_data, sparsity, train_config, fraction)
     out = _out_dir(args)
     save_checkpoint(model.params, out / "initial.ckpt")
@@ -249,13 +225,11 @@ def cmd_lota(args) -> int:
 
 def cmd_lotto(args) -> int:
     started = time.perf_counter()
-    config = _load_json(args.config)
-    model, tasks = _model_and_task(config, "tasks")
-    train_config = _build_train_config(config.get("train", {}), args.seed)
-    sparsity = _scalar(config, "sparsity", args.sparsity)
-    constraints_path = _path_field(config, "initial_constraints")
-    constraints = load_mask(constraints_path) if constraints_path else None
-    datasets = [task.make()[0] for task in tasks]
+    config, run = _run_config(args, "tasks")
+    model, train_config = run.model.build(run.init_seed), run.train
+    sparsity = float(run.sparsity)
+    constraints = load_mask(run.initial_constraints) if run.initial_constraints else None
+    datasets = [task.make()[0] for task in run.tasks]
     result = lotto(
         model, datasets, sparsity, train_config, initial_constraints=constraints
     )
@@ -326,61 +300,42 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _merge_config(config: dict):
-    """Checked (base path, adapter paths, entries, elect_signs, scaling).
+@dataclass(frozen=True)
+class MergeConfig:
+    """The config of `lota merge`: without `entries`, a sign-elect merge is
+    a LoTA merge (no trim); empty `entries` mean one default entry each."""
 
-    Entries are None for the default elect merge without per-entry items.
-    """
-    try:
-        base_path, paths = config["base"], config["adapters"]
-    except KeyError as exc:
-        raise ConfigError(f"merge config missing key: {exc}") from exc
-    if not isinstance(base_path, str):
-        raise ConfigError(f"merge base must be a path string: {base_path!r}")
-    if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
-        raise ConfigError(f"merge adapters must be a list of path strings: {paths!r}")
-    scaling = config.get("scaling", 1.0)
-    if not _finite_real(scaling):
-        raise ConfigError(f"merge scaling must be a finite number: {scaling!r}")
-    scaling = float(scaling)
-    elect = config.get("elect_signs", True)
-    if not isinstance(elect, bool):
-        raise ConfigError(f"elect_signs must be true or false: {elect!r}")
-    items = config.get("entries")
-    if items is None and elect:
-        return base_path, paths, None, elect, scaling
-    items = items or [{} for _ in paths]
-    if not (isinstance(items, list) and all(isinstance(e, dict) for e in items)):
-        raise ConfigError(f"merge entries must be a list of objects: {items!r}")
-    if len(items) != len(paths):
-        raise ConfigError("one entries item per adapter required")
-    entries = tuple(
-        MergeEntry(
-            weight=e.get("weight", 1.0),
-            trim_keep_fraction=e.get("trim_keep_fraction"),
-            source=p,
-        )
-        for e, p in zip(items, paths)
-    )
-    return base_path, paths, entries, elect, scaling
+    base: str = checked(STRING)
+    adapters: tuple[str, ...] = checked(seq(STRING, min_len=1))
+    scaling: float = checked(real(), default=1.0)
+    elect_signs: bool = checked(BOOL, default=True)
+    entries: tuple[MergeEntry, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.entries and len(self.entries) != len(self.adapters):
+            raise ConfigError("one entries item per adapter required")
 
 
 def cmd_merge(args) -> int:
     started = time.perf_counter()
     config = _load_json(args.config)
-    base_path, adapter_paths, entries, elect, scaling = _merge_config(config)
-    base = load_checkpoint(base_path)
-    adapters = [load_adapter(p) for p in adapter_paths]
+    spec = from_json(MergeConfig, config, "config")
+    base = load_checkpoint(spec.base)
+    adapters = [load_adapter(p) for p in spec.adapters]
+    lota_merge = spec.entries is None and spec.elect_signs
+    items = spec.entries or [MergeEntry(trim_keep_fraction=1.0 if lota_merge else None)
+                             for _ in spec.adapters]
+    scaling = float(spec.scaling)
     spec_record = MergeSpec(
         base_digest=digest(base).hex(),
-        entries=entries or tuple(
-            MergeEntry(weight=1.0, trim_keep_fraction=1.0, source=p)
-            for p in adapter_paths
+        entries=tuple(
+            dataclasses.replace(e, source=p) for e, p in zip(items, spec.adapters)
         ),
-        elect_signs=elect,
+        elect_signs=spec.elect_signs,
         scaling=scaling,
     )
-    if entries is None:
+    if lota_merge:
         merged = merge_lota(base, adapters, lam=scaling)
     else:
         merged = run_merge_spec(base, adapters, spec_record)
@@ -436,29 +391,17 @@ def cmd_inspect(args) -> int:
 
 
 def _experiment_spec_from_config(config: dict):
-    kind = config.get("kind")
-    if not isinstance(kind, str) or kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"unknown experiment kind {kind!r}; expected one of "
-            f"{sorted(EXPERIMENT_KINDS)}"
-        )
-    spec_cls, default_factory = EXPERIMENT_KINDS[kind]
+    choice(EXPERIMENT_KINDS).require("kind", config.get("kind"))
+    spec_cls, default_factory = EXPERIMENT_KINDS[config["kind"]]
     fields = {k: v for k, v in config.items() if k not in ("kind", "defaults")}
-    try:
-        if config.get("defaults"):
-            return default_factory(seeds=tuple(config.get("seeds", DEFAULT_SEEDS)))
-        fields["model"] = ModelSpec.from_json_dict(fields["model"])
-        for key in ("task", "task_a", "task_b", "base_task"):
-            if key in fields and fields[key] is not None:
-                fields[key] = SyntheticTaskSpec.from_json_dict(fields[key])
-        for key in ("seeds", "grid", "fractions", "fraction_grid",
-                    "method_pairs", "pairs", "iterative_schedule"):
-            if key in fields and fields[key] is not None:
-                fields[key] = tuple(fields[key])
-        spec = spec_cls(**fields)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad experiment spec: {exc}") from exc
-    return spec
+    defaults = config.get("defaults", False)
+    BOOL.require("defaults", defaults)
+    if defaults:  # the default spec, with only its seeds taken from the config
+        extra = sorted(fields.keys() - {"seeds"})
+        if extra:
+            raise ConfigError(f"unknown key {extra[0]!r} beside defaults")
+        fields = {**default_factory().to_json_dict(), **fields}
+    return from_json(spec_cls, fields, "config")
 
 
 def cmd_experiment(args) -> int:

@@ -20,13 +20,17 @@ from typing import Sequence
 import numpy as np
 
 from .adapter import compression_report
+from .config import (BOOL, DIM_MAX, OBJECT, SEED_MAX, check_fields, checked, choice,
+                     from_json, integer, optional, real, seq)
 from .errors import ConfigError, HarnessError
-from .merging import _finite_real, merge_grid_search, merge_lota, ties_merge
+from .merging import merge_grid_search, merge_lota, ties_merge
 from .models import ACTIVATIONS, HEADS, Dataset, ToyModel
 from .params import ParameterMap
 from .sparsity import compute_task_vector
 from .tasks import SyntheticTaskSpec
 from .training import (
+    FRACTION,
+    SPARSITY,
     TrainConfig,
     _lota_grid,
     _train_cache,
@@ -81,20 +85,12 @@ def evaluate(model: ToyModel, dataset: Dataset) -> float:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    widths: tuple[int, ...]
-    activation: str = "tanh"
-    head: str = "softmax-cross-entropy"
+    widths: tuple[int, ...] = checked(seq(integer(1, DIM_MAX), min_len=2))
+    activation: str = checked(choice(ACTIVATIONS), default="tanh")
+    head: str = checked(choice(HEADS), default="softmax-cross-entropy")
 
     def __post_init__(self):
-        widths = self.widths
-        if not (
-            len(widths) >= 2 and all(type(w) is int and w > 0 for w in widths)
-        ):
-            raise ConfigError(f"widths must be >= 2 positive integers: {widths!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.head not in HEADS:
-            raise ConfigError(f"unknown head {self.head!r}")
+        check_fields(self)
 
     def check_task(self, task: SyntheticTaskSpec) -> None:
         """The first and last widths must be the task's input_dim and output_dim."""
@@ -109,14 +105,6 @@ class ModelSpec:
 
     def build(self, seed: int) -> ToyModel:
         return ToyModel.initialize(self.widths, self.activation, self.head, seed)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModelSpec":
-        return cls(
-            widths=tuple(data["widths"]),
-            activation=data.get("activation", "tanh"),
-            head=data.get("head", "softmax-cross-entropy"),
-        )
 
 
 @dataclass
@@ -178,49 +166,32 @@ def _baseline_row(task: str, method: str, utilities: Sequence[float]) -> dict:
     }
 
 
-def _check_real(name: str, value, in_range=None, what="a finite number") -> None:
-    """A spec number must be finite, not a bool, and `in_range` if given."""
-    if not (_finite_real(value) and (in_range is None or in_range(value))):
-        raise ConfigError(f"{name} must be {what}: {value!r}")
-
-
+@dataclass(frozen=True)
 class _ExperimentSpec:
-    """Base of the four experiment specs; subclasses set `kind`."""
+    """Base of the four experiment specs; subclasses set `kind`. `train` holds
+    TrainConfig fields but `seed`, which each run derives from its seed."""
 
     kind = ""
+    model: ModelSpec
+    train: dict = checked(OBJECT)
+    seeds: tuple[int, ...] = checked(seq(integer(0, SEED_MAX), min_len=1))
 
     def __post_init__(self):
-        seeds = self.seeds
-        if not (
-            isinstance(seeds, (tuple, list))
-            and seeds
-            and all(type(s) is int for s in seeds)
-        ):
-            raise ConfigError(f"seeds must be a nonempty list of integers: {seeds!r}")
-        for train in (self.train, getattr(self, "base_train", None)):
-            if train is None:
-                continue
-            try:
-                _train_config(train, 0)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad train config: {exc}") from exc
+        check_fields(self)
+        for key in ("train", "base_train"):
+            if getattr(self, key, None) is not None:
+                from_json(TrainConfig, {**getattr(self, key), "seed": 0}, key)
         for f in dataclasses.fields(self):
             task = getattr(self, f.name)
             if isinstance(task, SyntheticTaskSpec):
                 self.model.check_task(task)
-        if hasattr(self, "sparsity"):
-            _check_real("sparsity", self.sparsity, lambda x: 0.0 <= x < 1.0,
-                        "a number in [0, 1)")
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _train_config(base: dict, seed: int, **overrides) -> TrainConfig:
-    merged = dict(base)
-    merged.update(overrides)
-    merged["seed"] = seed
-    return TrainConfig(**merged)
+def _train_config(base: dict, seed: int) -> TrainConfig:
+    return TrainConfig(**{**base, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +202,20 @@ def _train_config(base: dict, seed: int, **overrides) -> TrainConfig:
 class SequentialSpec(_ExperimentSpec):
     kind = "sequential"
 
-    model: ModelSpec
     task_a: SyntheticTaskSpec
     task_b: SyntheticTaskSpec
-    train: dict
-    seeds: tuple[int, ...]
-    method_pairs: tuple[str, ...] = SEQUENTIAL_METHOD_PAIRS
-    sparsity: float = 0.9
-    mix_fraction: float = 0.5
-    require_interference: bool = True
-    interference_threshold: float = 0.10
+    method_pairs: tuple[str, ...] = checked(
+        seq(choice(SEQUENTIAL_METHOD_PAIRS)), default=SEQUENTIAL_METHOD_PAIRS
+    )
+    sparsity: float = checked(SPARSITY, default=0.9)
+    mix_fraction: float = checked(FRACTION, default=0.5)
+    require_interference: bool = checked(BOOL, default=True)
+    interference_threshold: float = checked(real(), default=0.10)
 
     def __post_init__(self):
         super().__post_init__()
-        for pair in self.method_pairs:
-            if pair not in SEQUENTIAL_METHOD_PAIRS:
-                raise ConfigError(f"unknown method pair {pair!r}")
-        _check_real("mix_fraction", self.mix_fraction, lambda x: 0.0 <= x <= 1.0,
-                    "a number in [0, 1]")
-        _check_real("interference_threshold", self.interference_threshold)
+        if self.require_interference and "fft->fft" not in self.method_pairs:
+            raise ConfigError("require_interference needs the fft->fft pair in method_pairs")
 
 
 def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
@@ -283,9 +249,7 @@ def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
             result = lota(start, b_train, spec.sparsity, config)
             w_ab = result.w_final
             extras["mask_kept"] = result.mask.kept_count
-        elif method_b == "lotto":
-            if method_a != "lota":
-                raise ConfigError("lotto phase requires a lota first phase")
+        elif method_b == "lotto":  # only lota->lotto: its mask is the constraint
             result = lotto(
                 start,
                 [b_train],
@@ -297,10 +261,8 @@ def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
             extras["mask_kept"] = result.masks[0].kept_count
             report = compression_report(result.adapters[0])
             extras["ideal_ratio"] = report.ideal_ratio
-        elif method_b == "fft-mixed":
+        else:  # fft-mixed
             w_ab, _ = mixed_data_fft(start, b_train, a_train, spec.mix_fraction, config)
-        else:  # pragma: no cover - guarded by spec validation
-            raise ConfigError(f"unknown method {method_b!r}")
         utility_a = evaluate(model.with_params(w_ab), a_test)
         utility_b = evaluate(model.with_params(w_ab), b_test)
         out["pairs"][pair] = {
@@ -335,10 +297,6 @@ def _sequential_rows(spec: SequentialSpec, per_seed: list[dict]) -> list[dict]:
             }
         )
     if spec.require_interference:
-        if "fft->fft" not in spec.method_pairs:
-            raise HarnessError(
-                "interference check needs the fft->fft pair in the spec"
-            )
         drop = float(
             np.mean([r["pairs"]["fft->fft"]["drop_a"] for r in per_seed])
         )
@@ -358,18 +316,16 @@ def _sequential_rows(spec: SequentialSpec, per_seed: list[dict]) -> list[dict]:
 class SparsityAblationSpec(_ExperimentSpec):
     kind = "sparsity-ablation"
 
-    model: ModelSpec
     task: SyntheticTaskSpec
-    train: dict
-    seeds: tuple[int, ...]
-    grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99)
-    iterative_schedule: tuple[float, ...] | None = (0.9, 0.99)
+    grid: tuple[float, ...] = checked(
+        seq(SPARSITY), default=(0.0, 0.25, 0.5, 0.75, 0.9, 0.99)
+    )
+    iterative_schedule: tuple[float, ...] | None = checked(
+        optional(seq(SPARSITY)), default=(0.9, 0.99)
+    )
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("grid", "iterative_schedule"):
-            for s in getattr(self, name) or ():
-                _check_real(name, s, lambda x: 0.0 <= x < 1.0, "numbers in [0, 1)")
         schedule = self.iterative_schedule or ()
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ConfigError("iterative_schedule must be strictly increasing")
@@ -420,22 +376,17 @@ def _sparsity_rows(spec: SparsityAblationSpec, per_seed: list[dict]) -> list[dic
 class CalibrationAblationSpec(_ExperimentSpec):
     kind = "calibration-ablation"
 
-    model: ModelSpec
     task: SyntheticTaskSpec
-    train: dict
-    seeds: tuple[int, ...]
-    fractions: tuple[float, ...] = (1.0, 0.1, 0.01, 0.0)
-    sparsity: float = 0.9
+    fractions: tuple[float, ...] = checked(seq(FRACTION), default=(1.0, 0.1, 0.01, 0.0))
+    sparsity: float = checked(SPARSITY, default=0.9)
     # optional pretraining stage; the adaptation task is reseeded with the
     # same per-run seed, so a relabeled-cluster task shares the base task's
     # cluster structure
     base_task: SyntheticTaskSpec | None = None
-    base_train: dict | None = None
+    base_train: dict | None = checked(optional(OBJECT), default=None)
 
     def __post_init__(self):
         super().__post_init__()
-        for f in self.fractions:
-            _check_real("fractions", f, lambda x: 0.0 <= x <= 1.0, "numbers in [0, 1]")
         if 1.0 not in self.fractions:
             raise ConfigError("fractions must include 1.0 as the zero-drop reference")
 
@@ -491,25 +442,18 @@ def _calibration_rows(
 class MergingSpec(_ExperimentSpec):
     kind = "merging"
 
-    model: ModelSpec
     task_a: SyntheticTaskSpec
     task_b: SyntheticTaskSpec
-    train: dict
-    seeds: tuple[int, ...]
-    pairs: tuple[str, ...] = MERGE_PAIRS
-    fraction_grid: tuple[float, ...] = (0.1, 0.2, 0.3)
-    sparsity: float = 0.9
-    scaling: float = 1.0
+    pairs: tuple[str, ...] = checked(seq(choice(MERGE_PAIRS)), default=MERGE_PAIRS)
+    fraction_grid: tuple[float, ...] = checked(seq(real("(0, 1]")), default=(0.1, 0.2, 0.3))
+    sparsity: float = checked(SPARSITY, default=0.9)
+    scaling: float = checked(real(), default=1.0)
 
     def __post_init__(self):
         super().__post_init__()
-        for pair in self.pairs:
-            if pair not in MERGE_PAIRS:
-                raise ConfigError(f"unknown merge pair {pair!r}")
-        _check_real("scaling", self.scaling)
-        for f in self.fraction_grid:
-            _check_real("fraction_grid", f, lambda x: 0.0 < x <= 1.0,
-                        "numbers in (0, 1]")
+        # the grid searches the trim fraction of each fft side
+        if not self.fraction_grid and any("fft" in p for p in self.pairs):
+            raise ConfigError("fraction_grid must be nonempty when a pair has an fft side")
 
 
 def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:

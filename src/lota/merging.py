@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .adapter import SparseAdapter
-from .errors import AlignmentError, ConfigError, DigestMismatchError
+from .config import BOOL, STRING, check_fields, checked, optional, real
+from .errors import AlignmentError, DigestMismatchError
 from .params import ParameterMap, digest
 from .sparsity import TaskVector, round_half_up, topk_keep
 
@@ -222,41 +221,26 @@ def merge_lota(
     return _merge(w_p, adapters, ones, ones, True, lam)
 
 
-def _finite_real(x) -> bool:
-    """A finite real number; JSON's true and false load as bools, which are not.
-
-    The comparison is exact for ints, so one too large for a float fails too.
-    """
-    return (
-        isinstance(x, numbers.Real)
-        and not isinstance(x, bool)
-        and abs(x) <= sys.float_info.max
-    )
-
-
 @dataclass(frozen=True)
 class MergeEntry:
-    weight: float = 1.0
-    trim_keep_fraction: float | None = None
+    weight: float = checked(real(), default=1.0)
+    trim_keep_fraction: float | None = checked(optional(real("(0, 1]")), default=None)
     source: str | None = None  # adapter path when driven from a file spec
 
     def __post_init__(self):
-        if not _finite_real(self.weight):
-            raise ConfigError(f"merge weight must be a finite number: {self.weight!r}")
-        f = self.trim_keep_fraction
-        if f is not None and not (_finite_real(f) and 0.0 < f <= 1.0):
-            raise ConfigError(
-                f"trim_keep_fraction must be null or a number in (0, 1]: {f!r}"
-            )
+        check_fields(self)
         object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True)
 class MergeSpec:
-    base_digest: str  # hex
+    base_digest: str = checked(STRING)  # hex
     entries: tuple[MergeEntry, ...]
-    elect_signs: bool = True
-    scaling: float = 1.0
+    elect_signs: bool = checked(BOOL, default=True)
+    scaling: float = checked(real(), default=1.0)
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)

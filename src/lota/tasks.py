@@ -15,39 +15,55 @@ disjoint with probability one.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (COUNT_MAX, DIM_MAX, OBJECT, SEED_MAX, STRING, check_fields,
+                     check_keys, checked, choice, integer, real, seq)
 from .errors import ConfigError
 from .models import Dataset, ToyModel
 
-GENERATORS = (
-    "gaussian-cluster-classification",
-    "random-teacher-regression",
-    "parity-slice-classification",
-)
+SCALE = real("[0, inf)")
+
+# each generator's params and their checks
+GENERATORS = {
+    "gaussian-cluster-classification": {
+        "active_dims": seq(integer(0, DIM_MAX - 1), min_len=1),
+        "separation": SCALE,
+        "background": SCALE,
+        "relabel_count": integer(0, DIM_MAX),
+    },
+    "random-teacher-regression": {"teacher_hidden": integer(1, DIM_MAX)},
+    "parity-slice-classification": {"parity_dims": integer(1, DIM_MAX)},
+}
 
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:
-    generator: str
-    input_dim: int
-    output_dim: int
-    train_size: int
-    test_size: int
-    noise: float
-    seed: int
-    task_id: str = ""
-    params: dict = field(default_factory=dict)
+    generator: str = checked(choice(GENERATORS))
+    input_dim: int = checked(integer(1, DIM_MAX))
+    output_dim: int = checked(integer(1, DIM_MAX))
+    train_size: int = checked(integer(1, COUNT_MAX))
+    test_size: int = checked(integer(1, COUNT_MAX))
+    noise: float = checked(SCALE)
+    seed: int = checked(integer(0, SEED_MAX))
+    task_id: str = checked(STRING, default="")
+    params: dict = checked(OBJECT, default_factory=dict)
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise ConfigError(f"unknown generator {self.generator!r}")
-        if min(self.input_dim, self.output_dim, self.train_size, self.test_size) <= 0:
-            raise ConfigError("dimensions and sample counts must be positive")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        check_fields(self)
+        params = self.params
+        check_keys(params, GENERATORS[self.generator], "params")
+        if max(params.get("active_dims", [0])) >= self.input_dim:
+            raise ConfigError("active_dims out of range")
+        relabel_count = params.get("relabel_count", 0)
+        if relabel_count and not 2 <= relabel_count <= self.output_dim:
+            raise ConfigError("relabel_count must be in [2, output_dim]")
+        if params.get("parity_dims", 1) > self.input_dim:
+            raise ConfigError("parity_dims out of range")
+        if self.generator == "parity-slice-classification" and self.output_dim != 2:
+            raise ConfigError("parity classification is binary; output_dim must be 2")
 
     def reseeded(self, seed: int) -> "SyntheticTaskSpec":
         return dataclasses.replace(self, seed=seed)
@@ -66,18 +82,12 @@ class SyntheticTaskSpec:
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SyntheticTaskSpec":
-        return cls(**data)
-
 
 def _make_clusters(spec: SyntheticTaskSpec, split: int) -> Dataset:
     structure = np.random.default_rng([spec.seed, 100])
     rng = np.random.default_rng([spec.seed, split])
     active = spec.params.get("active_dims")
     active = np.arange(spec.input_dim) if active is None else np.asarray(active)
-    if active.size == 0 or active.max() >= spec.input_dim:
-        raise ConfigError("active_dims out of range")
     separation = float(spec.params.get("separation", 2.0))
     background = float(spec.params.get("background", 0.5))
     means = structure.standard_normal((spec.output_dim, active.size)) * separation
@@ -87,8 +97,6 @@ def _make_clusters(spec: SyntheticTaskSpec, split: int) -> Dataset:
     relabel_count = int(spec.params.get("relabel_count", 0))
     label_map = np.arange(spec.output_dim)
     if relabel_count:
-        if not 2 <= relabel_count <= spec.output_dim:
-            raise ConfigError("relabel_count must be in [2, output_dim]")
         moved = structure.choice(spec.output_dim, size=relabel_count, replace=False)
         label_map[moved] = np.roll(moved, 1)
     n = spec.train_size if split == 0 else spec.test_size
@@ -127,10 +135,6 @@ def _make_teacher(spec: SyntheticTaskSpec, split: int) -> Dataset:
 
 def _make_parity(spec: SyntheticTaskSpec, split: int) -> Dataset:
     bits = int(spec.params.get("parity_dims", min(3, spec.input_dim)))
-    if not 1 <= bits <= spec.input_dim:
-        raise ConfigError("parity_dims out of range")
-    if spec.output_dim != 2:
-        raise ConfigError("parity classification is binary; output_dim must be 2")
     rng = np.random.default_rng([spec.seed, split])
     n = spec.train_size if split == 0 else spec.test_size
     signs = rng.choice([-1.0, 1.0], size=(n, spec.input_dim))

@@ -39,15 +39,14 @@ import dataclasses
 import hashlib
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .adapter import SparseAdapter, encode
+from .config import COUNT_MAX, SEED_MAX, check_fields, checked, integer, optional, real
 from .errors import CapacityError, ConfigError, DivergenceError, LotaError
-from .merging import _finite_real
 from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
 from .sparsity import (
@@ -64,44 +63,27 @@ from .sparsity import (
 )
 
 
+POSITIVE = real("(0, inf)")
+EPOCHS = integer(0, COUNT_MAX)
+SPARSITY = real("[0, 1)")
+FRACTION = real("[0, 1]")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float
-    batch_size: int
-    epochs: int
-    seed: int
-    calibration_epochs: int | None = None
-    rmsprop_decay: float = 0.99
-    rmsprop_epsilon: float = 1e-8
-    clip_group_norm: float = 1.0
+    learning_rate: float = checked(POSITIVE)
+    batch_size: int = checked(integer(1, COUNT_MAX))
+    epochs: int = checked(EPOCHS)
+    seed: int = checked(integer(0, SEED_MAX))
+    calibration_epochs: int | None = checked(optional(EPOCHS), default=None)
+    rmsprop_decay: float = checked(real("(0, 1)"), default=0.99)
+    rmsprop_epsilon: float = checked(POSITIVE, default=1e-8)
+    clip_group_norm: float = checked(POSITIVE, default=1.0)
+    # set in code only: a JSON config names a mask file instead
     mask: SparsityMask | None = None
 
     def __post_init__(self):
-        counts = (self.batch_size, self.epochs, self.seed, self.calibration_epochs)
-        if not all(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            for v in counts if v is not None
-        ):
-            raise ConfigError(
-                "batch_size, epochs, seed and calibration_epochs must be integers"
-            )
-        for name in ("learning_rate", "rmsprop_decay", "rmsprop_epsilon",
-                     "clip_group_norm"):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise ConfigError(f"{name} must be a finite number: {value!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.batch_size <= 0 or self.epochs < 0:
-            raise ConfigError("batch_size must be > 0 and epochs >= 0")
-        if not 0.0 < self.rmsprop_decay < 1.0:
-            raise ConfigError("rmsprop_decay must be in (0, 1)")
-        if self.rmsprop_epsilon <= 0 or self.clip_group_norm <= 0:
-            raise ConfigError("rmsprop_epsilon and clip_group_norm must be > 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if self.calibration_epochs is not None and self.calibration_epochs < 0:
-            raise ConfigError("calibration_epochs must be >= 0")
+        check_fields(self)
 
     def replace(self, **kwargs) -> "TrainConfig":
         return dataclasses.replace(self, **kwargs)
@@ -390,8 +372,7 @@ class _ReplicaStack:
 def _kept_count(s, n: int, allowed: SparsityMask | None = None) -> int:
     """The kept count of a LoTA phase, after the one check of s on every
     LoTA path; it must fit in `allowed` (all coordinates when None)."""
-    if not (_finite_real(s) and 0.0 <= s < 1.0):
-        raise ConfigError(f"sparsity ratio must be a number in [0, 1): {s!r}")
+    SPARSITY.require("sparsity", s)
     k = round_half_up((1.0 - s) * n)
     free = n if allowed is None else allowed.kept_count
     if k > free:
@@ -419,8 +400,7 @@ def _calibrate(
     calibration budget, then takes the ticket. At fraction 0 the mask is
     uniformly random over all coordinates, with no record.
     """
-    if not (_finite_real(fraction) and 0.0 <= fraction <= 1.0):
-        raise ConfigError("calibration_fraction must be in [0, 1]")
+    FRACTION.require("calibration_fraction", fraction)
     if config.mask is not None:
         raise ConfigError("LoTA builds its own masks; config.mask must be None")
     w_p = model.params
@@ -598,8 +578,7 @@ def mixed_data_fft(
     config: TrainConfig,
 ) -> tuple[ParameterMap, RunRecord]:
     """Dense training on B plus a seed-deterministic sample of A mixed in."""
-    if not 0.0 <= mix_fraction <= 1.0:
-        raise ConfigError("mix_fraction must be in [0, 1]")
+    FRACTION.require("mix_fraction", mix_fraction)
     if config.mask is not None:
         raise ConfigError("mixed-data training is dense; config.mask must be None")
     k = round_half_up(mix_fraction * len(dataset_b))

@@ -409,6 +409,7 @@ class TestMergeCommand:
             ({"adapters": [1]}, "adapters"),
             ({"adapters": {"a": "a.lta"}}, "adapters"),
             ({"base": 7}, "base"),
+            ({"adapters": []}, "adapters"),
         ],
     )
     def test_bad_config_exits_1_before_loading(
@@ -496,6 +497,14 @@ class TestExperimentCommand:
         )
         assert spec == default_factory(seeds=(3,))
 
+    @pytest.mark.parametrize("kind", sorted(EXPERIMENT_KINDS))
+    def test_written_default_spec_resolves_to_itself(self, kind):
+        """The config a benchmark writes: the kind and every spec field."""
+        spec = EXPERIMENT_KINDS[kind][1]()
+        assert _experiment_spec_from_config({"kind": kind, **spec.to_json_dict()}) == spec
+        written = json.loads(json.dumps({"kind": kind, **spec.to_json_dict()}))
+        assert _experiment_spec_from_config(written) == spec
+
     @pytest.mark.parametrize("defaults", [True, False])
     @pytest.mark.parametrize(
         "seeds", [[], 5, [True], [1.5], ["1"], [0, None], "01", {"0": 1}]
@@ -564,6 +573,11 @@ class TestExperimentCommand:
                           "fractions"),
         "scaling-str": ("merging", ("scaling",), "x", "scaling"),
         "fraction-grid-2.0": ("merging", ("fraction_grid",), [2.0], "fraction_grid"),
+        "fraction-grid-empty": ("merging", ("fraction_grid",), [], "fraction_grid"),
+        "require-interference-str": ("sequential", ("require_interference",), "no",
+                                     "require_interference"),
+        "interference-without-fft-pair": ("sequential", ("method_pairs",), ["lota->fft"],
+                                          "require_interference"),
     }
 
     @pytest.mark.parametrize(
@@ -696,6 +710,16 @@ class TestMaskPathFields:
         out = tmp_path / "o"
         argv = ["train", "--config", str(train_config(tmp_path, mask=5)),
                 "--out", str(out)]
+        assert "mask" in config_error(capsys, argv)
+        assert not out.exists()
+
+    def test_train_object_may_not_set_a_mask(self, tmp_path, capsys):
+        config = json.loads(train_config(tmp_path).read_text())
+        config["train"]["mask"] = "foo"
+        path = tmp_path / "masked.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        argv = ["train", "--config", str(path), "--out", str(out)]
         assert "mask" in config_error(capsys, argv)
         assert not out.exists()
 

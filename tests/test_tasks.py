@@ -65,6 +65,25 @@ class TestGenerators:
         np.testing.assert_array_equal(base_train.inputs, shifted_train.inputs)
         assert (base_train.targets != shifted_train.targets).any()
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"noise": float("nan")}, "noise"),
+        ({"noise": float("inf")}, "noise"),
+        ({"seed": -1}, "seed"),
+        ({"train_size": 2**70}, "train_size"),
+        ({"input_dim": True}, "input_dim"),
+        ({"task_id": 5}, "task_id"),
+        ({"params": 5}, "params"),
+        ({"params": {"active_dims": "x"}}, "active_dims"),
+        ({"params": {"active_dims": [-1]}}, "active_dims"),
+        ({"params": {"active_dims": [8]}}, "active_dims"),
+        ({"params": {"separation": "x"}}, "separation"),
+        ({"params": {"sparation": 2.0}}, "sparation"),
+        ({"params": {"parity_dims": 2}}, "parity_dims"),
+    ])
+    def test_hostile_spec_refused_when_built(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            spec_for("gaussian-cluster-classification", **overrides)
+
     def test_relabel_count_validated(self):
         with pytest.raises(ConfigError):
             spec_for(
