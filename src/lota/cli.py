@@ -50,9 +50,9 @@ from .errors import (
 from .harness import EXPERIMENT_KINDS, ModelSpec, run_experiment
 from .merging import MergeEntry, MergeSpec, merge_lota, run_merge_spec
 from .params import digest, load_checkpoint, save_checkpoint
-from .sparsity import compute_task_vector, load_mask, save_mask, sparsify
+from .sparsity import SPARSITY, compute_task_vector, load_mask, save_mask, sparsify
 from .tasks import SyntheticTaskSpec
-from .training import FRACTION, SPARSITY, TrainConfig, lota, lotto, train
+from .training import FRACTION, TrainConfig, lota, lotto, train
 
 USAGE_ERROR, VALIDATION_ERROR, RUNTIME_ERROR = 1, 2, 3
 
@@ -168,6 +168,7 @@ def cmd_diff(args) -> int:
 
 def cmd_sparsify(args) -> int:
     started = time.perf_counter()
+    SPARSITY.require("sparsity", args.sparsity)
     adapter = load_adapter(args.adapter)
     tv = decode(adapter)
     mask = sparsify(tv, args.sparsity)

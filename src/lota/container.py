@@ -35,7 +35,13 @@ MAX_NDIM = 32  # the most dims any supported numpy release can hold
 
 
 def build_container(entries: dict[str, np.ndarray], metadata: dict | None) -> bytes:
-    """Serialize `entries` (name -> float32 or uint8 ndarray) and `metadata`."""
+    """Serialize `entries` (name -> float32 or uint8 ndarray) and `metadata`.
+
+    No entry may be named like the metadata key, which a reader would take
+    for the metadata.
+    """
+    if _METADATA in entries:
+        raise ValueError(f"{_METADATA!r} is a reserved name, not a tensor name")
     header: dict[str, dict] = {} if metadata is None else {_METADATA: metadata}
     chunks: list[bytes] = []
     offset = 0

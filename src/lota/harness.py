@@ -23,14 +23,13 @@ from .adapter import compression_report
 from .config import (BOOL, DIM_MAX, OBJECT, SEED_MAX, check_fields, checked, choice,
                      from_json, integer, optional, real, seq)
 from .errors import ConfigError, HarnessError
-from .merging import merge_grid_search, merge_lota, ties_merge
+from .merging import merge_grid_search
 from .models import ACTIVATIONS, HEADS, Dataset, ToyModel
 from .params import ParameterMap
-from .sparsity import compute_task_vector
+from .sparsity import SPARSITY, compute_task_vector
 from .tasks import SyntheticTaskSpec
 from .training import (
     FRACTION,
-    SPARSITY,
     TrainConfig,
     _lota_grid,
     _train_cache,
@@ -468,16 +467,18 @@ def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:
     lota_a = lota(model, a_train, spec.sparsity, config)
     lota_b = lota(model, b_train, spec.sparsity, config)
 
-    vectors = {
-        ("a", "fft"): compute_task_vector(w_fft_a, w_p),
-        ("b", "fft"): compute_task_vector(w_fft_b, w_p),
-        ("a", "lota"): compute_task_vector(lota_a.w_final, w_p),
-        ("b", "lota"): compute_task_vector(lota_b.w_final, w_p),
+    # each side's merge source and trim grid: an fft task vector is trimmed
+    # over the grid, a lota adapter is already sparse and is kept whole
+    sides = {
+        ("a", "fft"): (compute_task_vector(w_fft_a, w_p), spec.fraction_grid),
+        ("b", "fft"): (compute_task_vector(w_fft_b, w_p), spec.fraction_grid),
+        ("a", "lota"): (lota_a.adapter, (1.0,)),
+        ("b", "lota"): (lota_b.adapter, (1.0,)),
     }
 
-    def objective(merged: ParameterMap) -> float:
+    def utilities(merged: ParameterMap) -> tuple[float, float]:
         m = model.with_params(merged)
-        return 0.5 * (evaluate(m, a_test) + evaluate(m, b_test))
+        return evaluate(m, a_test), evaluate(m, b_test)
 
     out = {
         "baseline_a": evaluate(model.with_params(w_fft_a), a_test),
@@ -486,39 +487,17 @@ def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:
     }
     for pair in spec.pairs:
         method_a, method_b = pair.split("+")
-        tvs = [vectors[("a", method_a)], vectors[("b", method_b)]]
-        if pair == "lota+lota":
-            merged = merge_lota(
-                w_p, [lota_a.adapter, lota_b.adapter], lam=spec.scaling
-            )
-            cells = 1
-            fractions = [1.0, 1.0]
-        else:
-            fixed = {}
-            if method_a == "lota":
-                fixed[0] = 1.0
-            if method_b == "lota":
-                fixed[1] = 1.0
-            result = merge_grid_search(
-                w_p,
-                tvs,
-                spec.fraction_grid,
-                eval_fn=objective,
-                lam=spec.scaling,
-                fixed_fractions=fixed or None,
-            )
-            cells = len(result.table)
-            fractions = [e.trim_keep_fraction for e in result.best_spec.entries]
-            merged = ties_merge(w_p, tvs, fractions, lam=spec.scaling)
-        merged_model = model.with_params(merged)
-        utility_a = evaluate(merged_model, a_test)
-        utility_b = evaluate(merged_model, b_test)
+        (source_a, grid_a), (source_b, grid_b) = sides["a", method_a], sides["b", method_b]
+        result = merge_grid_search(
+            w_p, [source_a, source_b], [grid_a, grid_b], utilities, lam=spec.scaling
+        )
+        best = result.best
         out["pairs"][pair] = {
-            "utility_a": utility_a,
-            "utility_b": utility_b,
-            "task_average": 0.5 * (utility_a + utility_b),
-            "cells": cells,
-            "fractions": list(fractions),
+            "utility_a": best["utilities"][0],
+            "utility_b": best["utilities"][1],
+            "task_average": best["score"],
+            "cells": len(result.table),
+            "fractions": best["fractions"],
         }
     return out
 

@@ -3,7 +3,9 @@
 Two primitives: plain weighted task arithmetic, and trim/elect/mean
 merging (per-task global magnitude trim, per-coordinate sign election by
 summed value, mean over sign-agreeing kept values). Sparse adapters merge
-through the same path with trimming disabled.
+through the same path, trimmed as the dense vectors they decode to;
+`merge_lota` merges them untrimmed. `merge_grid_search` merges and scores
+each cell of a per-source grid of trim fractions once.
 
 Every merge works in the sparse domain. Each task becomes one row: its
 sorted global indices and their nonzero float32 values, after the trim
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,11 +125,22 @@ def _merge(
     elect: bool,
     lam: float,
 ) -> ParameterMap:
-    """w_P + lam * merge of the trimmed, weighted sources."""
+    """w_P + lam * merge of the trimmed, weighted sources.
+
+    The one check of every merge's arguments: one trim fraction in (0, 1]
+    and one weight per source.
+    """
+    if not len(sources) == len(fractions) == len(weights):
+        raise ValueError(
+            f"one trim fraction and one weight per source required: {len(sources)} "
+            f"sources, {len(fractions)} fractions, {len(weights)} weights"
+        )
+    if not all(0.0 < f <= 1.0 for f in fractions):
+        raise ValueError(f"trim fractions must be in (0, 1]: {list(fractions)}")
+    if elect and not sources:
+        raise ValueError("need at least one task vector")
     n = w_p.total_elements
     rows = _rows(w_p, sources, fractions, weights)
-    if elect and not rows:
-        raise ValueError("need at least one task vector")
     merged = _elect_mean(n, rows) if elect else _scatter_add(n, rows)
     return ParameterMap.from_flat(w_p.layout, w_p.flat + np.float32(lam) * merged)
 
@@ -139,8 +152,6 @@ def task_arithmetic_merge(
     lam: float = 1.0,
 ) -> ParameterMap:
     """w_P + lam * sum_i weights_i * tv_i."""
-    if len(weights) != len(tvs):
-        raise ValueError("weights and task vectors must have the same length")
     return _merge(w_p, tvs, [1.0] * len(tvs), weights, False, lam)
 
 
@@ -190,25 +201,21 @@ def _trim_elect_mean(
 
 def ties_merge(
     w_p: ParameterMap,
-    tvs: Sequence[TaskVector],
+    tvs: Sequence[Source],
     trim_keep_fractions: Sequence[float],
     lam: float = 1.0,
     weights: Sequence[float] | None = None,
 ) -> ParameterMap:
-    """Trim each task vector, elect per-coordinate signs, average agreers.
+    """Trim each source, elect per-coordinate signs, average agreers.
 
+    A source is a dense `TaskVector` or a `SparseAdapter`; an adapter is
+    trimmed as the dense vector it decodes to, without decoding it.
     Per task, the top round(fraction*n) coordinates by |delta| survive the
     trim (global ranking, deterministic ties). The elected sign at a
     coordinate is the sign of the sum of surviving values; the merged value
     is the mean of surviving values with that sign, or 0 when the sum is
     exactly 0 or nothing survived.
     """
-    if len(trim_keep_fractions) != len(tvs):
-        raise ValueError("one trim fraction per task vector required")
-    if any(not 0.0 < f <= 1.0 for f in trim_keep_fractions):
-        raise ValueError("trim fractions must be in (0, 1]")
-    if weights is not None and len(weights) != len(tvs):
-        raise ValueError("one weight per task vector required")
     weights = [1.0] * len(tvs) if weights is None else weights
     return _merge(w_p, tvs, trim_keep_fractions, weights, True, lam)
 
@@ -250,8 +257,6 @@ def run_merge_spec(
     w_p: ParameterMap, sources: Sequence[Source], spec: MergeSpec
 ) -> ParameterMap:
     """Execute a merge described by a MergeSpec over task vectors or adapters."""
-    if len(spec.entries) != len(sources):
-        raise ValueError("spec entries and task vectors must match")
     fractions = [
         1.0 if e.trim_keep_fraction is None else e.trim_keep_fraction
         for e in spec.entries
@@ -260,54 +265,33 @@ def run_merge_spec(
     return _merge(w_p, sources, fractions, weights, spec.elect_signs, spec.scaling)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSearchResult:
-    best_spec: MergeSpec
-    best_score: float
-    table: list[dict] = field(default_factory=list)
+    best: dict  # the table row of the best cell
+    table: list[dict]  # one row per cell, in grid order
 
 
 def merge_grid_search(
     w_p: ParameterMap,
-    tvs: Sequence[TaskVector],
-    fraction_grid: Sequence[float],
-    eval_fn: Callable[[ParameterMap], float],
+    sources: Sequence[Source],
+    grids: Sequence[Sequence[float]],
+    eval_fn: Callable[[ParameterMap], Sequence[float]],
     lam: float = 1.0,
-    fixed_fractions: dict[int, float] | None = None,
 ) -> GridSearchResult:
-    """Evaluate every cell of the Cartesian trim-fraction grid.
+    """Merge and score each cell of the per-source trim grids once.
 
-    `fixed_fractions` pins chosen task indices (inherently sparse vectors
-    need no search); the grid then spans only the remaining tasks. Ties on
-    the objective keep the earliest cell in iteration order.
+    `grids[i]` lists the trim fractions tried for source i; a source that
+    needs no search (an adapter kept whole) has the one-cell grid (1.0,).
+    `eval_fn` returns a merged model's per-task utilities, and a cell's
+    score is their mean. The best cell has the highest score; ties keep
+    the earliest cell in `itertools.product` order.
     """
-    fixed = dict(fixed_fractions or {})
-    free = [i for i in range(len(tvs)) if i not in fixed]
-    grid = list(fraction_grid)
-    if free and not grid:
-        raise ValueError("fraction grid must be nonempty")
-    combos = itertools.product(grid, repeat=len(free)) if free else iter([()])
-    best_spec = None
-    best_score = -np.inf
+    if len(grids) != len(sources) or not all(grids):
+        raise ValueError("one nonempty trim grid per source required")
     table = []
-    base_hex = digest(w_p).hex()
-    for combo in combos:
-        fractions = [0.0] * len(tvs)
-        for idx, val in fixed.items():
-            fractions[idx] = val
-        for idx, val in zip(free, combo):
-            fractions[idx] = val
-        merged = ties_merge(w_p, tvs, fractions, lam=lam)
-        score = float(eval_fn(merged))
-        table.append({"fractions": list(fractions), "score": score})
-        if best_spec is None or score > best_score:
-            best_score = score
-            best_spec = MergeSpec(
-                base_digest=base_hex,
-                entries=tuple(
-                    MergeEntry(weight=1.0, trim_keep_fraction=f) for f in fractions
-                ),
-                elect_signs=True,
-                scaling=lam,
-            )
-    return GridSearchResult(best_spec=best_spec, best_score=best_score, table=table)
+    for fractions in itertools.product(*grids):
+        merged = ties_merge(w_p, sources, fractions, lam=lam)
+        utilities = [float(u) for u in eval_fn(merged)]
+        table.append({"fractions": list(fractions), "utilities": utilities,
+                      "score": float(np.mean(utilities))})
+    return GridSearchResult(best=max(table, key=lambda row: row["score"]), table=table)

@@ -20,13 +20,33 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import real
 from .container import build_container, typed_entries, write_atomic
 from .errors import CapacityError, FormatError
 from .params import Layout, MapDigest, ParameterMap, _FlatMap, digest
 
+SPARSITY = real("[0, 1)")
+
 
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+def _kept_count(s, n: int, allowed: SparsityMask | None = None) -> int:
+    """The number of coordinates a mask of sparsity `s` over `n` keeps.
+
+    The one check of `s` (a ConfigError) and the one rounding of k for
+    every mask built from a sparsity; k must fit in `allowed` (all
+    coordinates when None).
+    """
+    SPARSITY.require("sparsity", s)
+    k = round_half_up((1.0 - s) * n)
+    free = n if allowed is None else allowed.kept_count
+    if k > free:
+        raise CapacityError(
+            f"constraint set exhausted: need {k} free coordinates, have {free}"
+        )
+    return k
 
 
 @dataclass(frozen=True)
@@ -158,9 +178,7 @@ def topk_keep_flat(
 
 def sparsify(tv: TaskVector, s: float) -> SparsityMask:
     """Mask keeping the round((1-s)*n) largest-magnitude delta coordinates."""
-    if not 0.0 <= s < 1.0:
-        raise ValueError("sparsity ratio must be in [0, 1)")
-    k = round_half_up((1.0 - s) * tv.total_elements)
+    k = _kept_count(s, tv.total_elements)
     kept = topk_keep_flat(tv.entries, k)
     return SparsityMask.from_flat(tv.entries.layout, kept, declared_sparsity=s)
 
@@ -203,30 +221,12 @@ def support_mask(tv: TaskVector) -> SparsityMask:
     return SparsityMask.from_flat(tv.entries.layout, tv.entries.flat != 0.0)
 
 
-def random_mask(
-    keyspace: ParameterMap,
-    s: float,
-    seed: int,
-    forbidden: SparsityMask | None = None,
-) -> SparsityMask:
-    """Uniformly sample kept positions outside `forbidden`; seed-deterministic."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("sparsity ratio must be in [0, 1]")
+def random_mask(keyspace: ParameterMap, s: float, seed: int) -> SparsityMask:
+    """Uniformly sample round((1-s)*n) kept positions; seed-deterministic."""
     n = keyspace.total_elements
-    k = round_half_up((1.0 - s) * n)
-    if forbidden is not None:
-        forbidden.layout.require_aligned(
-            keyspace.layout, "forbidden mask and keyspace"
-        )
-        positions = np.flatnonzero(~forbidden.flat)
-    else:
-        positions = np.arange(n)
-    if k > positions.size:
-        raise CapacityError(
-            f"insufficient allowed positions: need {k}, have {positions.size}"
-        )
+    k = _kept_count(s, n)
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(positions, size=k, replace=False)
+    chosen = rng.choice(n, size=k, replace=False)
     kept_flat = np.zeros(n, dtype=bool)
     kept_flat[chosen] = True
     return SparsityMask.from_flat(keyspace.layout, kept_flat, declared_sparsity=s)

@@ -24,7 +24,9 @@ from .config import (COUNT_MAX, DIM_MAX, OBJECT, SEED_MAX, STRING, check_fields,
 from .errors import ConfigError
 from .models import Dataset, ToyModel
 
-SCALE = real("[0, inf)")
+# a noise, separation or background scale; the cap is far above any useful
+# scale, and at it every generator's data stays far inside float32's range
+SCALE = real("[0, 1e6]")
 
 # each generator's params and their checks
 GENERATORS = {

@@ -46,11 +46,12 @@ import numpy as np
 
 from .adapter import SparseAdapter, encode
 from .config import COUNT_MAX, SEED_MAX, check_fields, checked, integer, optional, real
-from .errors import CapacityError, ConfigError, DivergenceError, LotaError
+from .errors import ConfigError, DivergenceError, LotaError
 from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
 from .sparsity import (
     SparsityMask,
+    _kept_count,
     all_false_mask,
     apply_mask,
     compute_task_vector,
@@ -65,7 +66,6 @@ from .sparsity import (
 
 POSITIVE = real("(0, inf)")
 EPOCHS = integer(0, COUNT_MAX)
-SPARSITY = real("[0, 1)")
 FRACTION = real("[0, 1]")
 
 
@@ -367,19 +367,6 @@ class _ReplicaStack:
             self.w[coords],
             self.v[coords],
         )
-
-
-def _kept_count(s, n: int, allowed: SparsityMask | None = None) -> int:
-    """The kept count of a LoTA phase, after the one check of s on every
-    LoTA path; it must fit in `allowed` (all coordinates when None)."""
-    SPARSITY.require("sparsity", s)
-    k = round_half_up((1.0 - s) * n)
-    free = n if allowed is None else allowed.kept_count
-    if k > free:
-        raise CapacityError(
-            f"constraint set exhausted: need {k} free coordinates, have {free}"
-        )
-    return k
 
 
 def _ticket(w_c, w_p, s: float, allowed: SparsityMask | None) -> SparsityMask:

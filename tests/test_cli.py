@@ -697,10 +697,15 @@ class TestScalarConfigFields:
 
     def test_sparsity_flag_checked(self, tmp_path, capsys):
         out = tmp_path / "o"
-        argv = ["lota", "--config", str(train_config(tmp_path)), "--out", str(out),
-                "--sparsity", "1.0"]
-        assert "sparsity" in config_error(capsys, argv)
-        assert not out.exists()
+        lota_inputs = ["--config", str(train_config(tmp_path))]
+        # sparsify checks the flag before it reads the (here missing) adapter
+        sparsify_inputs = ["--adapter", str(tmp_path / "missing.lta")]
+        for command, inputs, value in (("lota", lota_inputs, "1.0"),
+                                       ("sparsify", sparsify_inputs, "1.5"),
+                                       ("sparsify", sparsify_inputs, "nan")):
+            argv = [command, *inputs, "--out", str(out), "--sparsity", value]
+            assert "sparsity" in config_error(capsys, argv)
+            assert not out.exists()
 
 
 class TestMaskPathFields:

@@ -270,6 +270,17 @@ class TestMerging:
         assert rows["fft+fft"]["cells"] == 4
         assert rows["lota+fft"]["cells"] == 2
 
+    def test_each_merged_cell_is_scored_once(self, monkeypatch):
+        calls = []
+        original = harness.evaluate
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *a: calls.append(None) or original(*a))
+        report = run_experiment(small_merging_spec(seeds=(0, 1)))
+        cells = sum(r["cells"] for r in report.rows if r.get("role") == "pair")
+        assert cells == 4 + 2 + 2 + 1
+        # per seed: the two fft baselines, then both tasks once per cell
+        assert len(calls) == 2 * (2 + 2 * cells)
+
     def test_merging_model_with_itself_preserves_utility(self):
         from lota import encode, merge_lota, compute_task_vector
         from lota.harness import _train_config

@@ -78,8 +78,7 @@ ADMITTED = {
     "base": ("x",), "adapters[]": ("x",),
     "require_interference": (True,), "elect_signs": (True,),
     **{key: (-1, 2**70) for key in ("scaling", "weight", "interference_threshold")},
-    **{key: (2**70,) for key in ("learning_rate", "rmsprop_epsilon", "clip_group_norm",
-                                 "noise", "separation", "background")},
+    **{key: (2**70,) for key in ("learning_rate", "rmsprop_epsilon", "clip_group_norm")},
 }
 
 # keys with a default, which a valid config may leave out

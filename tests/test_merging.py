@@ -26,7 +26,7 @@ from lota import (
     task_arithmetic_merge,
     ties_merge,
 )
-from lota import params
+from lota import merging, params
 from lota.adapter import encode_gaps
 from lota.merging import _sort_columns, _trim_elect_mean
 
@@ -349,10 +349,13 @@ class TestGridSearch:
         base = base_map(np.zeros(6))
         rng = np.random.default_rng(1)
         tvs = [tv_for(base, rng.standard_normal(6)) for _ in range(2)]
+        grid = [0.1, 0.2, 0.3]
         result = merge_grid_search(
-            base, tvs, [0.1, 0.2, 0.3], eval_fn=lambda pm: float(pm["w"].sum())
+            base, tvs, [grid, grid], eval_fn=lambda pm: [float(pm["w"].sum())]
         )
-        assert len(result.table) == 9
+        assert [row["fractions"] for row in result.table] == [
+            list(cell) for cell in itertools.product(grid, grid)
+        ]
 
     def test_base_is_serialized_once(self, monkeypatch):
         base = base_map(np.zeros(6))
@@ -363,39 +366,112 @@ class TestGridSearch:
         original = params.serialize_checkpoint
         monkeypatch.setattr(params, "serialize_checkpoint",
                             lambda pm: serialized.append(pm) or original(pm))
-        result = merge_grid_search(fresh, tvs, [0.1, 0.2, 0.3], eval_fn=lambda pm: 0.0)
+        grid = [0.1, 0.2, 0.3]
+        result = merge_grid_search(fresh, tvs, [grid, grid], eval_fn=lambda pm: [0.0])
         assert len(result.table) == 9
         assert len(serialized) == 1 and serialized[0] is fresh
-        assert result.best_spec.base_digest == digest(base).hex()
 
     def test_constant_objective_returns_first_cell(self):
         base = base_map(np.zeros(4))
         rng = np.random.default_rng(2)
         tvs = [tv_for(base, rng.standard_normal(4)) for _ in range(2)]
-        result = merge_grid_search(base, tvs, [0.5, 1.0], eval_fn=lambda pm: 1.0)
-        fractions = [e.trim_keep_fraction for e in result.best_spec.entries]
-        assert fractions == [0.5, 0.5]
+        result = merge_grid_search(
+            base, tvs, [[0.5, 1.0], [0.5, 1.0]], eval_fn=lambda pm: [1.0, 1.0]
+        )
+        assert result.best is result.table[0]
+        assert result.best["fractions"] == [0.5, 0.5]
 
     def test_single_cell_grid(self):
         base = base_map(np.zeros(4))
         tvs = [tv_for(base, [1.0, 0.0, 0.0, 0.0])]
-        result = merge_grid_search(base, tvs, [1.0], eval_fn=lambda pm: 0.0)
-        assert len(result.table) == 1
-        assert result.best_spec.entries[0].trim_keep_fraction == 1.0
+        result = merge_grid_search(base, tvs, [[1.0]], eval_fn=lambda pm: [0.0])
+        assert result.table == [result.best]
+        assert result.best["fractions"] == [1.0]
 
-    def test_fixed_fractions_shrink_grid(self):
+    def test_one_fraction_source_shrinks_grid(self):
         base = base_map(np.zeros(4))
         rng = np.random.default_rng(3)
         tvs = [tv_for(base, rng.standard_normal(4)) for _ in range(2)]
         result = merge_grid_search(
-            base,
-            tvs,
-            [0.1, 0.2, 0.3],
-            eval_fn=lambda pm: float(pm["w"].max()),
-            fixed_fractions={0: 1.0},
+            base, tvs, [[1.0], [0.1, 0.2, 0.3]],
+            eval_fn=lambda pm: [float(pm["w"].max())],
         )
         assert len(result.table) == 3
         assert all(row["fractions"][0] == 1.0 for row in result.table)
+
+    def test_best_cell_has_highest_mean_utility(self):
+        base = base_map(np.zeros(4))
+        tvs = [tv_for(base, [4.0, 3.0, 2.0, 1.0])]
+        # the kept coordinates raise the first utility and lower the second
+        result = merge_grid_search(
+            base, tvs, [[0.25, 0.5, 1.0]],
+            eval_fn=lambda pm: [float(pm["w"].sum()), -0.5 * float(pm["w"].sum())],
+        )
+        assert [row["utilities"] for row in result.table] == [
+            [4.0, -2.0], [7.0, -3.5], [10.0, -5.0]
+        ]
+        assert [row["score"] for row in result.table] == [1.0, 1.75, 2.5]
+        assert result.best is result.table[2]
+
+    def test_each_cell_merged_and_scored_once(self, monkeypatch):
+        base = base_map(np.zeros(4))
+        adapter = encode(tv_for(base, [0.0, 2.0, 0.0, -1.0]))
+        tv = tv_for(base, [1.0, -1.0, 3.0, 0.5])
+        merges, scored = [], []
+        monkeypatch.setattr(merging, "ties_merge",
+                            lambda *a, **k: merges.append(a) or ties_merge(*a, **k))
+        result = merge_grid_search(
+            base, [adapter, tv], [[1.0], [0.25, 0.5]],
+            eval_fn=lambda pm: scored.append(pm) or [0.0],
+        )
+        assert len(merges) == len(scored) == len(result.table) == 2
+        assert scored[1] == ties_merge(base, [adapter, tv], [1.0, 0.5])
+
+    @pytest.mark.parametrize("grids", [[[0.5]], [[0.5], []]])
+    def test_one_nonempty_grid_per_source(self, grids):
+        base = base_map(np.zeros(4))
+        tvs = [tv_for(base, [1.0, 0.0, 0.0, 0.0])] * 2
+        with pytest.raises(ValueError, match="one nonempty trim grid per source"):
+            merge_grid_search(base, tvs, grids, eval_fn=lambda pm: [0.0])
+
+
+class TestMergeArgumentCheck:
+    """Every merge entry point refuses bad arguments in `_merge`, before any work."""
+
+    def setup_method(self):
+        self.base = base_map(np.zeros(4))
+        self.tvs = [tv_for(self.base, [1.0, 0.0, -2.0, 0.0])] * 2
+
+    def spec(self, fractions, weights=None):
+        weights = weights or [1.0] * len(fractions)
+        return MergeSpec(
+            base_digest=digest(self.base).hex(),
+            entries=tuple(MergeEntry(weight=w, trim_keep_fraction=f)
+                          for f, w in zip(fractions, weights)),
+        )
+
+    def test_fraction_count_refused(self):
+        with pytest.raises(ValueError, match="one trim fraction and one weight"):
+            ties_merge(self.base, self.tvs, [0.5])
+        with pytest.raises(ValueError, match="one trim fraction and one weight"):
+            run_merge_spec(self.base, self.tvs, self.spec([0.5, 0.5, 0.5]))
+
+    def test_weight_count_refused(self):
+        with pytest.raises(ValueError, match="one trim fraction and one weight"):
+            ties_merge(self.base, self.tvs, [0.5, 0.5], weights=[1.0])
+        with pytest.raises(ValueError, match="one trim fraction and one weight"):
+            task_arithmetic_merge(self.base, self.tvs, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_trim_fraction_outside_unit_interval_refused(self, fraction):
+        with pytest.raises(ValueError, match=r"trim fractions must be in \(0, 1\]"):
+            ties_merge(self.base, self.tvs, [0.5, fraction])
+
+    def test_empty_election_refused(self):
+        with pytest.raises(ValueError, match="need at least one task vector"):
+            ties_merge(self.base, [], [])
+        with pytest.raises(ValueError, match="need at least one task vector"):
+            merge_lota(self.base, [])
 
 
 # -- sparse merge core against the dense (tasks, n) reference ----------------

@@ -105,6 +105,17 @@ class TestCheckpointRoundTrip:
         loaded = load_checkpoint(path)
         assert loaded == pm
 
+    @pytest.mark.parametrize("save", [
+        lambda entries, path: save_checkpoint(ParameterMap(entries), path),
+        lambda entries, path: save_mask(SparsityMask(
+            {n: a != 0 for n, a in entries.items()}, 0.0), path),
+    ], ids=["checkpoint", "mask"])
+    def test_reserved_name_refused_before_writing(self, tmp_path, save):
+        entries = {"__metadata__": np.ones(2, np.float32), "w": np.ones(3, np.float32)}
+        with pytest.raises(ValueError, match="'__metadata__' is a reserved name"):
+            save(entries, tmp_path / "m")
+        assert list(tmp_path.iterdir()) == []
+
     def test_save_deterministic(self, tmp_path):
         pm = small_map()
         save_checkpoint(pm, tmp_path / "a")
@@ -223,6 +234,11 @@ class TestCheckpointRoundTrip:
         if pm is None:
             pm = ParameterMap({})
         tmp = tmp_path_factory.mktemp("rt") / "m.ckpt"
+        if "__metadata__" in pm.names:  # the container's reserved name
+            with pytest.raises(ValueError, match="reserved"):
+                save_checkpoint(pm, tmp)
+            assert not tmp.exists()
+            return
         save_checkpoint(pm, tmp)
         loaded = load_checkpoint(tmp)
         assert loaded.names == pm.names

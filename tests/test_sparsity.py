@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lota import (
     AlignmentError,
     CapacityError,
+    ConfigError,
     FormatError,
     ParameterMap,
     SparsityMask,
@@ -306,21 +307,23 @@ class TestRandomMask:
         assert random_mask(pm, 0.5, seed=9) == random_mask(pm, 0.5, seed=9)
         assert random_mask(pm, 0.5, seed=9) != random_mask(pm, 0.5, seed=10)
 
-    def test_forbidden_respected(self):
-        pm = ParameterMap({"w": np.ones(1000, np.float32)})
-        first = random_mask(pm, 0.9, seed=0)
-        second = random_mask(pm, 0.9, seed=1, forbidden=first)
-        assert overlap_stats(first, second).intersection_count == 0
-
     def test_kept_count_rounding(self):
         pm = ParameterMap({"w": np.ones(1000, np.float32)})
         assert random_mask(pm, 0.9, seed=3).kept_count == 100
 
-    def test_insufficient_positions(self):
-        pm = ParameterMap({"w": np.ones(10, np.float32)})
-        full = all_true_mask(pm)
-        with pytest.raises(CapacityError):
-            random_mask(pm, 0.5, seed=0, forbidden=full)
+
+class TestSparsityCheck:
+    """`sparsify` and `random_mask` share the LoTA phase's one check of s."""
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, -0.1, float("nan"), True, "0.5"])
+    @pytest.mark.parametrize("build", [
+        lambda pm, s: sparsify(compute_task_vector(pm, zeros_like(pm)), s),
+        lambda pm, s: random_mask(pm, s, seed=0),
+    ], ids=["sparsify", "random_mask"])
+    def test_out_of_range_refused(self, build, s):
+        pm = ParameterMap({"w": np.arange(1, 11, dtype=np.float32)})
+        with pytest.raises(ConfigError, match="sparsity must be"):
+            build(pm, s)
 
 
 class TestMaskIO:

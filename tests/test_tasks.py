@@ -84,6 +84,31 @@ class TestGenerators:
         with pytest.raises(ConfigError, match=field):
             spec_for("gaussian-cluster-classification", **overrides)
 
+    SCALES = [("gaussian-cluster-classification", "noise"),
+              ("gaussian-cluster-classification", "separation"),
+              ("gaussian-cluster-classification", "background"),
+              ("random-teacher-regression", "noise"),
+              ("parity-slice-classification", "noise")]
+
+    @staticmethod
+    def scaled(generator, key, value):
+        output_dim = 2 if generator.startswith("parity") else 3
+        if key == "noise":
+            return spec_for(generator, output_dim=output_dim, noise=value)
+        return spec_for(generator, output_dim=output_dim, params={key: value})
+
+    @pytest.mark.parametrize("generator, key", SCALES)
+    def test_data_finite_at_scale_cap(self, generator, key):
+        for data in self.scaled(generator, key, 1e6).make():
+            assert np.isfinite(data.inputs).all()
+            assert np.isfinite(data.targets).all()
+
+    @pytest.mark.parametrize("generator, key", SCALES)
+    @pytest.mark.parametrize("value", [1.0000001e6, 1e300])
+    def test_scale_above_cap_refused_when_built(self, generator, key, value):
+        with pytest.raises(ConfigError, match=key):
+            self.scaled(generator, key, value)
+
     def test_relabel_count_validated(self):
         with pytest.raises(ConfigError):
             spec_for(
