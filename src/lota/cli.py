@@ -48,7 +48,7 @@ from .errors import (
     NonFiniteError,
 )
 from .harness import EXPERIMENT_KINDS, ModelSpec, run_experiment
-from .merging import MergeEntry, MergeSpec, merge_lota, run_merge_spec
+from .merging import MergeEntry, MergeSpec, run_merge_spec
 from .params import digest, load_checkpoint, save_checkpoint
 from .sparsity import SPARSITY, compute_task_vector, load_mask, save_mask, sparsify
 from .tasks import SyntheticTaskSpec
@@ -324,9 +324,9 @@ def cmd_merge(args) -> int:
     spec = from_json(MergeConfig, config, "config")
     base = load_checkpoint(spec.base)
     adapters = [load_adapter(p) for p in spec.adapters]
-    lota_merge = spec.entries is None and spec.elect_signs
-    items = spec.entries or [MergeEntry(trim_keep_fraction=1.0 if lota_merge else None)
-                             for _ in spec.adapters]
+    # a sign-elect merge without entries is a LoTA merge: every adapter whole
+    trim = 1.0 if spec.entries is None and spec.elect_signs else None
+    items = spec.entries or [MergeEntry(trim_keep_fraction=trim) for _ in spec.adapters]
     scaling = float(spec.scaling)
     spec_record = MergeSpec(
         base_digest=digest(base).hex(),
@@ -336,10 +336,7 @@ def cmd_merge(args) -> int:
         elect_signs=spec.elect_signs,
         scaling=scaling,
     )
-    if lota_merge:
-        merged = merge_lota(base, adapters, lam=scaling)
-    else:
-        merged = run_merge_spec(base, adapters, spec_record)
+    merged = run_merge_spec(base, adapters, spec_record)
     out = _out_dir(args)
     save_checkpoint(merged, out / "merged.ckpt")
     _write_json(out / "merge_spec.json", spec_record.to_json_dict())

@@ -32,6 +32,7 @@ from .training import (
     FRACTION,
     TrainConfig,
     _lota_grid,
+    _train_ahead,
     _train_cache,
     iterative_lota,
     lota,
@@ -223,6 +224,7 @@ def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
     b_train, b_test = spec.task_b.reseeded(derive_seed("task-b", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
 
+    _train_ahead(model, [(a_train, config), (b_train, config)])
     w_fft_a, _ = train(model, a_train, config)
     lota_a = lota(model, a_train, spec.sparsity, config)
     w_fft_b, _ = train(model, b_train, config)
@@ -334,7 +336,7 @@ def _sparsity_one_seed(spec: SparsityAblationSpec, seed: int) -> dict:
     model = spec.model.build(derive_seed("init", seed))
     train_data, test_data = spec.task.reseeded(derive_seed("task", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
-    grid = _lota_grid(model, train_data, config, [(s, 1.0) for s in spec.grid])
+    grid = _lota_grid(model, [(train_data, s, 1.0) for s in spec.grid], config)
     out = {
         f"s={s}": {
             "utility": evaluate(model.with_params(result.w_final), test_data),
@@ -403,7 +405,7 @@ def _calibration_one_seed(spec: CalibrationAblationSpec, seed: int) -> dict:
         model = model.with_params(w_p)
     config = _train_config(spec.train, derive_seed("train", seed))
     grid = _lota_grid(
-        model, train_data, config, [(spec.sparsity, f) for f in spec.fractions]
+        model, [(train_data, spec.sparsity, f) for f in spec.fractions], config
     )
     return {
         fraction: evaluate(model.with_params(result.w_final), test_data)
@@ -462,10 +464,12 @@ def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:
     config = _train_config(spec.train, derive_seed("train", seed))
     w_p = model.params
 
+    _train_ahead(model, [(a_train, config), (b_train, config)])
     w_fft_a, _ = train(model, a_train, config)
     w_fft_b, _ = train(model, b_train, config)
-    lota_a = lota(model, a_train, spec.sparsity, config)
-    lota_b = lota(model, b_train, spec.sparsity, config)
+    lota_a, lota_b = _lota_grid(
+        model, [(a_train, spec.sparsity, 1.0), (b_train, spec.sparsity, 1.0)], config
+    )
 
     # each side's merge source and trim grid: an fft task vector is trimmed
     # over the grid, a lota adapter is already sparse and is kept whole
@@ -531,9 +535,12 @@ def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
 
     Each seed runs inside its own `train` cache, so a training that the seed
     repeats (a LoTA calibration equal to its FFT arm, or a calibration shared
-    across a sparsity grid) runs once, and a grid's `_lota_grid` call trains
-    its retrains as one replica stack; the cache ends with the seed, which
-    bounds its memory, and the outputs are bit-identical to uncached runs.
+    across a sparsity grid) runs once, and runs of one length train as one
+    replica stack, each replica on its own dataset: a grid's calibrations,
+    then its retrains (the merging experiment's LoTA arms on tasks A and B
+    among them), and the FFT arms on A and B. The cache ends with the seed,
+    which bounds its memory, and the outputs are bit-identical to uncached
+    runs.
     """
     # looked up per call, not at import: a tracer that rebinds the module's
     # one-seed functions must see its wrappers used

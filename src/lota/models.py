@@ -127,7 +127,8 @@ def _forward_pass(model: ToyModel, state64: dict, x64: np.ndarray):
     """Outputs, activations and preactivations for float64 `state64`.
 
     Weights may carry leading replica axes, `(R, in, out)` and `(R, out)`;
-    the inputs are shared, so `np.matmul` broadcasts them over the stack.
+    `np.matmul` broadcasts shared `(batch, in)` inputs over the stack and
+    pairs `(R, batch, in)` inputs with it replica by replica.
     """
     n_layers = len(model.widths) - 1
     acts = [x64]
@@ -146,24 +147,31 @@ def _forward_pass(model: ToyModel, state64: dict, x64: np.ndarray):
 
 
 def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets: np.ndarray):
-    """Mean loss over the batch axis (-2), one per replica, and its gradient."""
+    """Mean loss over the batch axis (-2), one per replica, and its gradient.
+
+    Targets are shared by every replica, or carry their own leading replica
+    axis: `(R, batch)` class indices or `(R, batch, out)` vectors.
+    """
     batch = out.shape[-2]
     rows = np.arange(batch)
     if model.head == "softmax-cross-entropy":
-        if targets.ndim != 1:
+        if targets.dtype.kind not in "iu":
             raise ValueError("cross-entropy head needs class-index targets")
         if targets.min() < 0 or targets.max() >= out.shape[-1]:
             raise ValueError("class index out of range for model output width")
         shifted = out - out.max(axis=-1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         log_p = np.subtract(shifted, log_z, out=shifted)
+        picked = (..., rows, targets)
+        if targets.ndim == 2:  # replica r picks from its own row of targets
+            picked = (np.arange(len(targets))[:, None], rows, targets)
         # contiguous, so each replica's mean sums in the order a lone one does
-        loss = -np.ascontiguousarray(log_p[..., rows, targets]).mean(axis=-1)
+        loss = -np.ascontiguousarray(log_p[picked]).mean(axis=-1)
         d_out = np.exp(log_p, out=log_p)
-        d_out[..., rows, targets] -= 1.0
+        d_out[picked] -= 1.0
         d_out /= batch
     else:
-        if targets.ndim != 2:
+        if targets.dtype.kind != "f":
             raise ValueError("mean-squared-error head needs vector targets")
         err = out - targets
         loss = (err * err).sum(axis=-1).mean(axis=-1)
@@ -172,17 +180,19 @@ def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets: np.ndarray)
     return loss, d_out
 
 
-def _forward_backward_state(model: ToyModel, state64, batch: Dataset, grads):
+def _forward_backward_state(model: ToyModel, state64, inputs, targets, grads):
     """Loss for float64 `state64` arrays; writes float32 gradients into `grads`.
 
     With a leading replica axis on the views of `state64` and `grads`, it
     returns one loss per replica, each bit-identical to a lone replica's.
+    The batch's float32 `inputs` and its `targets` are shared by every
+    replica, or carry the replica axis too: one batch per replica.
     """
     n_layers = len(model.widths) - 1
-    x64 = batch.inputs.astype(np.float64)
+    x64 = inputs.astype(np.float64)
     out, acts, preacts = _forward_pass(model, state64, x64)
     # float32 regression targets promote exactly to float64 inside the loss
-    loss, d_z = _loss_and_output_grad(model, out, batch.targets)
+    loss, d_z = _loss_and_output_grad(model, out, targets)
     for i in range(n_layers - 1, -1, -1):
         grads[f"layer{i}.weight"][...] = acts[i].swapaxes(-1, -2) @ d_z
         grads[f"layer{i}.bias"][...] = d_z.sum(axis=-2)

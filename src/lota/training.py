@@ -20,14 +20,18 @@ initial params, data, config and mask bits match an earlier call returns
 that call's result instead of training again; outside it, nothing is cached.
 
 There is one optimizer step loop, over a leading replica axis: R runs of
-one model on one dataset whose configs differ only in the mask train in
-lockstep on an (R, P) state, and each replica is bit-identical to its solo
-run. `train` is the R = 1 case. `_train_batch` runs R > 1 and hands its
-results over through the memo: inside `_train_cache()` it stores each
-finished replica exactly as `train` would, so `_lota_grid` trains a grid's
-retrains as one stack, and the retrains' `train` calls then only hit.
-A replica that diverges leaves the stack and is not cached, so its `train`
-call raises as before.
+one model whose configs differ only in the mask train in lockstep on an
+(R, P) state, and each replica is bit-identical to its solo run. Each run
+names its own dataset; the datasets share one length, and a step gathers
+one index slice from all of them (from one shared dataset when every run
+names the same one). `train` is the R = 1 case. `_train_batch` runs
+R > 1, and `_train_ahead` hands its results over through the memo:
+inside `_train_cache()` each finished replica is stored exactly as
+`train` would store it, so `_lota_grid` trains a grid's calibrations and
+then its retrains as stacks, the merging and sequential experiments train
+their FFT arms on tasks A and B as one stack, and the `train` calls that
+follow only hit. A replica that diverges leaves the stack, with its data,
+and is not cached, so its `train` call raises as before.
 """
 
 from __future__ import annotations
@@ -205,90 +209,134 @@ def train(
     read-only weights and a fresh copy of its record; a run that diverges
     is not cached.
     """
-    (result,) = _train_batch(model, dataset, [config])
+    (result,) = _train_batch(model, [(dataset, config)])
     if isinstance(result, DivergenceError):
         raise result
     return result
 
 
 def _train_batch(
-    model: ToyModel, dataset: Dataset, configs: Sequence[TrainConfig]
+    model: ToyModel, runs: Sequence[tuple[Dataset, TrainConfig]]
 ) -> list[tuple[ParameterMap, RunRecord] | DivergenceError]:
-    """`train` for configs that differ only in `mask`, run as one replica stack.
+    """`train` for each `(dataset, config)` run, all runs as one replica stack.
 
-    Returns, per config, what `train` returns for it, or the
-    `DivergenceError` that `train` raises. Inside `_train_cache()` a config
-    whose run is cached is not trained again, and each run that finishes is
-    cached exactly as `train` caches it, so a later `train` call is a hit.
+    The configs may differ only in `mask`, and the datasets only in their
+    contents: one length, one input width, one target kind and shape.
+    Returns, per run, what `train` returns for it, or the `DivergenceError`
+    that `train` raises. Runs that `train` would key equal train once.
+    Inside `_train_cache()` a run that is cached is not trained again, and
+    each run that finishes is cached exactly as `train` caches it, so a
+    later `train` call is a hit.
     """
-    shared = configs[0].replace(mask=None)
-    if any(c.replace(mask=None) != shared for c in configs):
+    shared = runs[0][1].replace(mask=None)
+    if any(c.replace(mask=None) != shared for _, c in runs):
         raise ConfigError("batched training configs may differ only in mask")
-    if len(dataset) == 0:
+    if len({_data_shape(d) for d, _ in runs}) > 1:
+        raise ConfigError(
+            "batched runs need datasets of one length, input width and target "
+            "kind and shape"
+        )
+    if len(runs[0][0]) == 0:
         raise ConfigError("dataset must be nonempty")
     layout = model.params.layout
-    for c in configs:
+    for _, c in runs:
         if c.mask is not None:
             c.mask.layout.require_aligned(layout, "mask and model parameters")
     initial_digest = digest(model.params).hex()
     cache = _TRAIN_CACHE.get()
-    results: list = [None] * len(configs)
-    keys: list = [None] * len(configs)
-    misses = []
-    for i, c in enumerate(configs):
-        if cache is not None:
-            keys[i] = _train_key(model, initial_digest, dataset, c)
-            if keys[i] in cache:
-                final, record = cache[keys[i]]
-                results[i] = (final, copy.deepcopy(record))
-                continue
-        misses.append(i)
+    results: list = [None] * len(runs)
+    misses: dict[bytes, list[int]] = {}  # key -> the runs it answers
+    for i, (dataset, config) in enumerate(runs):
+        key = _train_key(model, initial_digest, dataset, config)
+        if cache is not None and key in cache:
+            final, record = cache[key]
+            results[i] = (final, copy.deepcopy(record))
+        else:
+            misses.setdefault(key, []).append(i)
     if not misses:
         return results
-    records = [RunRecord(configs[i].snapshot(), initial_digest, None) for i in misses]
+    firsts = [runs[ids[0]] for ids in misses.values()]
+    records = [RunRecord(c.snapshot(), initial_digest, None) for _, c in firsts]
     finals = _step_loop(
-        model, dataset, shared, [configs[i].mask for i in misses], records
+        model, [d for d, _ in firsts], shared, [c.mask for _, c in firsts], records
     )
-    for i, record, final in zip(misses, records, finals):
-        if isinstance(final, DivergenceError):
-            results[i] = final
-            continue
-        record.final_digest = digest(final).hex()
-        if cache is not None:
-            cache[keys[i]] = (final, copy.deepcopy(record))
-        results[i] = (final, record)
+    for (key, ids), record, final in zip(misses.items(), records, finals):
+        if not isinstance(final, DivergenceError):
+            record.final_digest = digest(final).hex()
+            if cache is not None:
+                cache[key] = (final, record)
+        for i in ids:
+            results[i] = (
+                final if isinstance(final, DivergenceError)
+                else (final, copy.deepcopy(record))
+            )
     return results
+
+
+def _train_ahead(
+    model: ToyModel, runs: Sequence[tuple[Dataset, TrainConfig]]
+) -> None:
+    """Train `runs` into the open `train` memo, ahead of their `train` calls.
+
+    Runs whose configs differ only in `mask` and whose data shapes match
+    train as one replica stack. A run that fails is not cached, so its own
+    `train` call raises the error in its turn. Outside `_train_cache()`
+    this does nothing.
+    """
+    if _TRAIN_CACHE.get() is None:
+        return
+    stacks: dict[tuple, list] = {}
+    for dataset, config in runs:
+        key = (config.replace(mask=None), *_data_shape(dataset))
+        stacks.setdefault(key, []).append((dataset, config))
+    for stack in stacks.values():
+        with contextlib.suppress(LotaError):  # raised again by `train`, in order
+            _train_batch(model, stack)
+
+
+def _data_shape(dataset: Dataset) -> tuple:
+    """What the datasets of one replica stack must share."""
+    return dataset.inputs.shape, dataset.targets.shape, dataset.targets.dtype
 
 
 def _step_loop(
     model: ToyModel,
-    dataset: Dataset,
+    datasets: list[Dataset],
     config: TrainConfig,
     masks: list[SparsityMask | None],
     records: list[RunRecord],
 ) -> list[ParameterMap | DivergenceError]:
     """The optimizer step loop: one replica per mask, all in lockstep.
 
-    Each step runs one forward/backward over the stack (the batch is
-    shared), one group clip per replica and name, and one RMSProp update
-    over the replicas' kept sets. A replica whose loss turns non-finite
-    leaves the stack at that step with the `DivergenceError` its solo run
-    raises. Appends each replica's epoch losses to its record.
+    Replica r trains on `datasets[r]`; the datasets share one length. Each
+    step gathers one index slice of the data, shared by every replica when
+    all name one dataset and one slice per replica otherwise, then runs
+    one forward/backward over the stack, one group clip per replica and
+    name, and one RMSProp update over the replicas' kept sets. A replica
+    whose loss turns non-finite leaves the stack at that step, with its
+    data rows, and with the `DivergenceError` its solo run raises. Appends
+    each replica's epoch losses to its record.
     """
     layout = model.params.layout
     w64 = np.tile(model.params.flat.astype(np.float64), (len(masks), 1))
+    if all(d is datasets[0] for d in datasets):
+        inputs, targets = datasets[0].inputs, datasets[0].targets
+    else:
+        inputs = np.stack([d.inputs for d in datasets])
+        targets = np.stack([d.targets for d in datasets])
     stack = _ReplicaStack(
-        layout, w64, [None if m is None else np.flatnonzero(m.flat) for m in masks]
+        layout, w64, [None if m is None else np.flatnonzero(m.flat) for m in masks],
+        inputs, targets,
     )
     replicas = list(range(len(masks)))  # the stack's rows, as indices into masks
     outcomes: list = [None] * len(masks)
     losses = [[] for _ in masks]
-    n = len(dataset)
+    n = len(datasets[0])
     for epoch in range(config.epochs):
         perm = np.random.default_rng(config.seed ^ epoch).permutation(n)
         for lo in range(0, n, config.batch_size):
-            batch = dataset.take(perm[lo : lo + config.batch_size])
-            loss = _forward_backward_state(model, stack.state64, batch, stack.grads)
+            x, y = stack.batch(perm[lo : lo + config.batch_size])
+            loss = _forward_backward_state(model, stack.state64, x, y, stack.grads)
             values = loss.reshape(-1).tolist()  # one per replica
             if not all(map(math.isfinite, values)):
                 finite = np.isfinite(values)
@@ -317,7 +365,7 @@ def _step_loop(
 
 
 class _ReplicaStack:
-    """The training state of R replicas that share a `Layout` of size P.
+    """The training state and data of R replicas that share a `Layout` of size P.
 
     Row r of the float64 mirror `w64` and of the float32 gradients `g`,
     both (R, P), belong to replica r. `w` and `v` are the float32 weights
@@ -325,10 +373,11 @@ class _ReplicaStack:
     (all of its P coordinates without a mask) at offset r * P of the
     flattened stack, concatenated in row order. `kept` holds those
     indices, or is None when no replica has a mask, so the update needs no
-    gather.
+    gather. The data, `inputs` and `targets`, is one dataset's arrays that
+    every row shares, or the per-row arrays stacked on a leading axis.
     """
 
-    def __init__(self, layout, w64, kept_sets, w=None, v=None):
+    def __init__(self, layout, w64, kept_sets, inputs, targets, w=None, v=None):
         size = layout.size
         self.layout, self.w64, self.kept_sets = layout, w64, kept_sets
         self.g = np.empty(w64.shape, np.float32)
@@ -347,6 +396,10 @@ class _ReplicaStack:
         # a lone replica runs on views without the replica axis, which is
         # the same arithmetic with less numpy overhead per call
         lone = len(w64) == 1
+        self.per_row = inputs.ndim == 3
+        if lone and self.per_row:
+            inputs, targets, self.per_row = inputs[0], targets[0], False
+        self.inputs, self.targets = inputs, targets
         self.state64 = layout.views(w64[0] if lone else w64)
         self.grads = layout.views(self.g[0] if lone else self.g)
         self.groups = {
@@ -355,15 +408,25 @@ class _ReplicaStack:
             for name, view in layout.views(g_row).items()
         }
 
+    def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The inputs and targets of the examples at `indices`, for every row."""
+        axis = int(self.per_row)
+        return self.inputs.take(indices, axis), self.targets.take(indices, axis)
+
     def keep(self, rows: np.ndarray) -> "_ReplicaStack":
         """The stack of the replicas where the bool `rows` is true."""
         size = self.layout.size
         counts = [size if k is None else len(k) for k in self.kept_sets]
         coords = np.repeat(rows, counts)
+        inputs, targets = self.inputs, self.targets
+        if self.per_row:
+            inputs, targets = inputs[rows], targets[rows]
         return _ReplicaStack(
             self.layout,
             self.w64[rows],
             list(itertools.compress(self.kept_sets, rows)),
+            inputs,
+            targets,
             self.w[coords],
             self.v[coords],
         )
@@ -377,6 +440,27 @@ def _ticket(w_c, w_p, s: float, allowed: SparsityMask | None) -> SparsityMask:
     return SparsityMask.from_flat(w_p.layout, kept, declared_sparsity=s)
 
 
+def _calibration_run(
+    model: ToyModel, dataset: Dataset, s: float, config: TrainConfig,
+    fraction: float, allowed: SparsityMask | None,
+) -> tuple[Dataset, TrainConfig] | None:
+    """A LoTA phase's calibration as `train` arguments, after checking the phase.
+
+    None at fraction 0, where the mask is drawn at random.
+    """
+    FRACTION.require("calibration_fraction", fraction)
+    if config.mask is not None:
+        raise ConfigError("LoTA builds its own masks; config.mask must be None")
+    _kept_count(s, model.params.total_elements, allowed)
+    if fraction == 0.0:
+        return None
+    cal = config.calibration_epochs
+    cal_config = config.replace(
+        epochs=config.epochs if cal is None else cal, mask=allowed
+    )
+    return dataset.take(np.arange(math.ceil(fraction * len(dataset)))), cal_config
+
+
 def _calibrate(
     model: ToyModel, dataset: Dataset, s: float, config: TrainConfig,
     fraction: float = 1.0, allowed: SparsityMask | None = None,
@@ -387,20 +471,11 @@ def _calibrate(
     calibration budget, then takes the ticket. At fraction 0 the mask is
     uniformly random over all coordinates, with no record.
     """
-    FRACTION.require("calibration_fraction", fraction)
-    if config.mask is not None:
-        raise ConfigError("LoTA builds its own masks; config.mask must be None")
-    w_p = model.params
-    _kept_count(s, w_p.total_elements, allowed)
-    if fraction == 0.0:
-        return random_mask(w_p, s, config.seed), None
-    cal = config.calibration_epochs
-    cal_config = config.replace(
-        epochs=config.epochs if cal is None else cal, mask=allowed
-    )
-    cal_data = dataset.take(np.arange(math.ceil(fraction * len(dataset))))
-    w_c, record = train(model, cal_data, cal_config)
-    return _ticket(w_c, w_p, s, allowed), record
+    run = _calibration_run(model, dataset, s, config, fraction, allowed)
+    if run is None:
+        return random_mask(model.params, s, config.seed), None
+    w_c, record = train(model, *run)
+    return _ticket(w_c, model.params, s, allowed), record
 
 
 @dataclass(frozen=True)
@@ -423,26 +498,36 @@ def _retrain(
 
 
 def _lota_grid(
-    model: ToyModel, dataset: Dataset, config: TrainConfig,
-    plans: Sequence[tuple[float, float]],
+    model: ToyModel, plans: Sequence[tuple[Dataset, float, float]],
+    config: TrainConfig,
 ) -> list[LotaResult]:
-    """`lota` for each `(s, calibration_fraction)` plan, each mask computed once.
+    """`lota` for each `(dataset, s, calibration_fraction)` plan.
 
-    Inside `_train_cache()` the retrains first train as one replica stack,
-    so each retrain's `train` call is a hit. An error in plan j's
-    calibration is raised after the retrains of the plans before it, as a
-    loop of `lota` calls would raise it.
+    Inside `_train_cache()` the plans' calibrations first train ahead, one
+    replica stack per data length, and then their retrains do, so each
+    `train` call of the loop below is a hit; equal runs, such as the
+    sparsity grid's one shared calibration, train once. An error in plan
+    j is raised after the retrains of the plans before it, as a loop of
+    `lota` calls would raise it.
     """
-    tickets, failure = [], None
-    for s, fraction in plans:
+    calibrations = []
+    for dataset, s, fraction in plans:
         try:
-            tickets.append(_calibrate(model, dataset, s, config, fraction))
+            run = _calibration_run(model, dataset, s, config, fraction, None)
+        except LotaError:  # raised again below, in its plan's turn
+            break
+        if run is not None:
+            calibrations.append(run)
+    _train_ahead(model, calibrations)
+    tickets, failure = [], None
+    for dataset, s, fraction in plans:
+        try:
+            tickets.append((dataset, *_calibrate(model, dataset, s, config, fraction)))
         except LotaError as exc:  # re-raised below, after the earlier retrains
             failure = exc
             break
-    if _TRAIN_CACHE.get() is not None and len(tickets) > 1:
-        _train_batch(model, dataset, [config.replace(mask=m) for m, _ in tickets])
-    results = [_retrain(model, dataset, config, *ticket) for ticket in tickets]
+    _train_ahead(model, [(d, config.replace(mask=m)) for d, m, _ in tickets])
+    results = [_retrain(model, d, config, m, record) for d, m, record in tickets]
     if failure is not None:
         raise failure
     return results
@@ -460,7 +545,7 @@ def lota(
     calibration_fraction scales how much data the calibration phase sees;
     0 skips calibration entirely and draws a uniform random mask instead.
     """
-    (result,) = _lota_grid(model, dataset, config, [(s, calibration_fraction)])
+    (result,) = _lota_grid(model, [(dataset, s, calibration_fraction)], config)
     return result
 
 

@@ -16,7 +16,7 @@ def analytic_grads(model, batch):
     layout = model.params.layout
     state64 = layout.views(model.params.flat.astype(np.float64))
     grads = layout.views(np.empty(layout.size, np.float32))
-    loss = _forward_backward_state(model, state64, batch, grads)
+    loss = _forward_backward_state(model, state64, batch.inputs, batch.targets, grads)
     return loss, grads
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lota import HarnessError, ParameterMap, digest, harness
+from lota import HarnessError, ParameterMap, digest, harness, training
 from lota.harness import (
     CalibrationAblationSpec,
     MergingSpec,
@@ -344,6 +344,25 @@ class TestTrainCachePerSeed:
         assert len(calls) == cal + cal // 2 + retrain
         monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
         assert run_experiment(small_calibration_spec()).to_json() == report.to_json()
+
+    def test_merging_seed_runs_two_stacks(self, fwd_bwd_calls, step_counter):
+        # the fft arms of A and B as one stack, whose runs the lota
+        # calibrations hit, then the two lota retrains as another
+        run = 8 * self.batches
+        with training._train_cache():
+            harness._merging_one_seed(small_merging_spec(), 0)
+        assert len(fwd_bwd_calls) == 2 * run
+        assert len(step_counter) == 4 * run
+
+    def test_sequential_seed_stacks_its_fft_arms(self, fwd_bwd_calls, monkeypatch):
+        # one step loop fewer per seed than unmemoized runs, and the same report
+        spec = small_sequential_spec()
+        report = run_experiment(spec)
+        cached = len(fwd_bwd_calls)
+        fwd_bwd_calls.clear()
+        monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
+        assert run_experiment(spec).to_json() == report.to_json()
+        assert cached == len(fwd_bwd_calls) - len(spec.seeds) * 8 * self.batches
 
     def test_second_call_starts_cold(self, step_counter):
         spec = small_merging_spec()

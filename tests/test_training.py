@@ -382,7 +382,7 @@ class TestReplicaBatchOracle:
             )
             for i, kind in enumerate(kinds)
         ]
-        batch = training._train_batch(model, data, configs)
+        batch = training._train_batch(model, [(data, c) for c in configs])
         for config, (final, record) in zip(configs, batch):
             solo_final, solo_record = train(model, data, config)
             assert final.flat.tobytes() == solo_final.flat.tobytes()
@@ -408,7 +408,7 @@ class TestReplicaBatchOracle:
             assert isinstance(kinds["dense"], DivergenceError)
             assert not isinstance(kinds["frozen"], DivergenceError)
             with training._train_cache():
-                batch = training._train_batch(model, data, configs)
+                batch = training._train_batch(model, [(data, c) for c in configs])
                 for config, expected, got in zip(configs, solo, batch):
                     before = len(step_counter)
                     again = solo_outcome(model, data, config)
@@ -427,8 +427,8 @@ class TestReplicaBatchOracle:
                             assert record == expected[1]
 
     def test_dropping_replicas_keeps_each_survivors_state(self):
-        # a dense, a frozen and a masked replica; the weights and RMSProp
-        # state of the updated coordinates must stay with their replica
+        # a dense, a frozen and a masked replica, each with its own data; the
+        # weights, RMSProp state and data rows must stay with their replica
         model = toy_model()
         layout = model.params.layout
         kept_sets = [
@@ -436,24 +436,125 @@ class TestReplicaBatchOracle:
             np.flatnonzero(all_false_mask(model.params).flat),
             np.flatnonzero(random_mask(model.params, 0.5, seed=1).flat),
         ]
+        data = [toy_task(seed) for seed in range(3)]
+        inputs = np.stack([d.inputs for d in data])
+        targets = np.stack([d.targets for d in data])
         w64 = np.tile(model.params.flat.astype(np.float64), (3, 1))
-        stack = training._ReplicaStack(layout, w64, kept_sets)
+        stack = training._ReplicaStack(layout, w64, kept_sets, inputs, targets)
         stack.w[:] = np.arange(stack.w.size)
         stack.v[:] = 2 * stack.w
         stack.w64_flat[stack.kept] = stack.w
-        for rows in ([False, True, True], [True, False, True], [True, True, False]):
+        for rows in ([False, True, True], [True, False, True], [True, True, False],
+                     [False, False, True]):
             rows = np.array(rows)
             kept = stack.keep(rows)
             assert kept.w64.tobytes() == stack.w64[rows].tobytes()
             assert kept.w.tolist() == kept.w64_flat[kept.kept].tolist()
             assert kept.v.tolist() == (2 * kept.w).tolist()
+            survivors = [d for d, r in zip(data, rows) if r]
+            idx = np.array([5, 0, 9])
+            want_x = np.stack([d.inputs[idx] for d in survivors])
+            want_y = np.stack([d.targets[idx] for d in survivors])
+            if len(survivors) == 1:  # a lone survivor drops the replica axis
+                want_x, want_y = want_x[0], want_y[0]
+            x, y = kept.batch(idx)
+            assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
+            assert y.shape == want_y.shape and y.tolist() == want_y.tolist()
 
     def test_configs_must_differ_only_in_mask(self):
         model, data = toy_model(), toy_task()
         with pytest.raises(ConfigError, match="only in mask"):
             training._train_batch(
-                model, data, [quick_config(), quick_config(learning_rate=0.02)]
+                model, [(data, quick_config()), (data, quick_config(learning_rate=0.02))]
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        head=st.sampled_from(["softmax-cross-entropy", "mean-squared-error"]),
+        activation=st.sampled_from(["tanh", "relu"]),
+        runs=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from(["none", "all-true", "all-false", "single", "random"]),
+            ),
+            min_size=1, max_size=5,
+        ),
+        density=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**16),
+        clip=st.sampled_from([0.05, 1.0]),
+    )
+    def test_each_replica_on_its_own_data_equals_its_solo_run(
+        self, head, activation, runs, density, seed, clip
+    ):
+        # replicas name one of three seeded datasets of one length, so a
+        # stack may share one dataset, give each replica its own, or mix
+        model, _ = oracle_problem(head, activation, seed)
+        data = [oracle_problem(head, activation, seed + 1 + j)[1] for j in range(3)]
+        runs = [
+            (data[j], quick_config(
+                learning_rate=0.05, batch_size=16, epochs=3, seed=seed,
+                clip_group_norm=clip,
+                mask=oracle_mask(model.params, kind, density, seed + i),
+            ))
+            for i, (j, kind) in enumerate(runs)
+        ]
+        batch = training._train_batch(model, runs)
+        for (dataset, config), (final, record) in zip(runs, batch):
+            solo_final, solo_record = train(model, dataset, config)
+            assert final.flat.tobytes() == solo_final.flat.tobytes()
+            assert record == solo_record
+
+    @pytest.mark.parametrize("order", [
+        ("dense", "frozen", "half"), ("frozen", "half", "dense"),
+        ("half", "dense", "frozen"),
+    ])
+    def test_diverging_replica_leaves_with_its_data_rows(self, order):
+        # each replica has its own dataset; a survivor that kept another
+        # replica's rows after the drop would not equal its solo run
+        model = toy_model()
+        masks = {
+            "dense": None,
+            "frozen": all_false_mask(model.params),
+            "half": random_mask(model.params, 0.5, seed=1),
+        }
+        runs = [
+            (toy_task(seed), quick_config(learning_rate=1e38, epochs=3, mask=masks[k]))
+            for seed, k in enumerate(order)
+        ]
+        with np.errstate(all="ignore"):
+            solo = [solo_outcome(model, d, c) for d, c in runs]
+            batch = training._train_batch(model, runs)
+        assert isinstance(solo[order.index("dense")], DivergenceError)
+        assert not isinstance(solo[order.index("frozen")], DivergenceError)
+        for expected, got in zip(solo, batch):
+            if isinstance(expected, DivergenceError):
+                assert isinstance(got, DivergenceError)
+                assert str(got) == str(expected)
+                assert got.partial_record == expected.partial_record
+            else:
+                assert got[0].flat.tobytes() == expected[0].flat.tobytes()
+                assert got[1] == expected[1]
+
+    @pytest.mark.parametrize("other", [
+        "length", "input width", "target kind", "target width",
+    ])
+    def test_datasets_must_share_one_shape(self, other):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64, 6)).astype(np.float32)
+        labels = rng.integers(0, 3, size=64)
+        vectors = rng.standard_normal((64, 3)).astype(np.float32)
+        data = {
+            "classes": Dataset(x, labels),
+            "vectors": Dataset(x, vectors),
+            "length": Dataset(x[:32], labels[:32]),
+            "input width": Dataset(x[:, :5], labels),
+            "target kind": Dataset(x, vectors),
+            "target width": Dataset(x, vectors[:, :2]),
+        }
+        first = data["vectors" if other == "target width" else "classes"]
+        model, config = toy_model(), quick_config()
+        with pytest.raises(ConfigError, match="one length"):
+            training._train_batch(model, [(first, config), (data[other], config)])
 
 
 def steps_per_run(config, data):
@@ -477,12 +578,13 @@ class TestLotaGridOracle:
         model, data, config = toy_model(), toy_task(), quick_config()
         grid = [(0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.9, 0.25), (0.9, 0.0)]
         expected = [lota(model, data, s, config, f) for s, f in grid]
-        for got, want in zip(training._lota_grid(model, data, config, grid), expected):
+        plans = [(data, s, f) for s, f in grid]
+        for got, want in zip(training._lota_grid(model, plans, config), expected):
             assert_same_lota(got, want)
         calls = fwd_bwd_calls
         calls.clear()
         with training._train_cache():
-            results = training._lota_grid(model, data, config, grid)
+            results = training._lota_grid(model, plans, config)
             # one shared full calibration, one on the 32-row prefix, then
             # the five retrains as one stack
             assert len(calls) == 2 * steps_per_run(config, data) + config.epochs
@@ -508,12 +610,65 @@ class TestLotaGridOracle:
                 for s, f in grid:
                     lota(model, data, s, config, f)
             with context, pytest.raises(DivergenceError) as from_grid:
-                training._lota_grid(model, data, config, grid)
+                training._lota_grid(model, [(data, s, f) for s, f in grid], config)
         want, got = from_loop.value, from_grid.value
         # the calibration's record has no mask, the retrain's has one
         assert (want.partial_record.config["mask"] is None) == (first == "frozen")
         assert str(got) == str(want)
         assert got.partial_record == want.partial_record
+
+
+    def test_per_plan_datasets_equal_a_lota_loop(self, fwd_bwd_calls):
+        model, config = toy_model(), quick_config()
+        a, b, short = toy_task(0), toy_task(1), toy_task(2, n=64)
+        plans = [(a, 0.9, 1.0), (b, 0.9, 1.0), (short, 0.5, 1.0), (b, 0.5, 0.5),
+                 (a, 0.9, 0.0)]
+        expected = [lota(model, d, s, config, f) for d, s, f in plans]
+        for got, want in zip(training._lota_grid(model, plans, config), expected):
+            assert_same_lota(got, want)
+        calls = fwd_bwd_calls
+        calls.clear()
+        with training._train_cache():
+            results = training._lota_grid(model, plans, config)
+            # calibrations: a and b as one stack, then `short` and b's
+            # 64-row prefix as another; retrains: the four on 128 rows as
+            # one stack, then the one on `short`
+            long_run, short_run = steps_per_run(config, a), steps_per_run(config, short)
+            assert len(calls) == 2 * long_run + 2 * short_run
+            before = len(calls)
+            again = [lota(model, d, s, config, f) for d, s, f in plans]
+            assert len(calls) == before
+        for got, hit, want in zip(results, again, expected):
+            assert_same_lota(got, want)
+            assert_same_lota(hit, want)
+
+    @pytest.mark.parametrize("error", ["diverging", "bad fraction"])
+    def test_error_in_plan_j_follows_the_earlier_retrains(self, step_counter, error):
+        # plan 0 keeps nothing (a random mask at s = 0.999), so it finishes;
+        # plan 1, on other data, diverges or is refused; plan 2 would diverge
+        model = toy_model()
+        config = quick_config(learning_rate=1e38, epochs=3)
+        plans = [
+            (toy_task(0), 0.999, 0.0),
+            (toy_task(1), 0.5, 1.5 if error == "bad fraction" else 1.0),
+            (toy_task(2), 0.5, 1.0),
+        ]
+        expected = DivergenceError if error == "diverging" else ConfigError
+        with np.errstate(all="ignore"):
+            with pytest.raises(expected) as from_loop:
+                for d, s, f in plans:
+                    lota(model, d, s, config, f)
+            with training._train_cache():
+                with pytest.raises(expected) as from_grid:
+                    training._lota_grid(model, plans, config)
+                before = len(step_counter)
+                d, s, f = plans[0]
+                first = lota(model, d, s, config, f)
+                assert len(step_counter) == before  # plan 0's retrain is cached
+            assert_same_lota(first, lota(model, d, s, config, f))
+        assert str(from_grid.value) == str(from_loop.value)
+        if error == "diverging":
+            assert from_grid.value.partial_record == from_loop.value.partial_record
 
 
 class TestTrainCache:
