@@ -185,7 +185,12 @@ def decode(adapter: SparseAdapter) -> TaskVector:
 def apply_adapter(
     w_p: ParameterMap, adapter: SparseAdapter, check_digest: bool = True
 ) -> ParameterMap:
-    """Add the adapter's deltas onto the base, touching only stored positions."""
+    """Add the adapter's deltas onto the base, touching only stored positions.
+
+    The sum is rounded to float32, so for an adapter of `w_f - w_p` the
+    result matches `w_f` to within `np.spacing(max(|w_p|, |w_f|))` at each
+    position, not bitwise.
+    """
     if check_digest and digest(w_p) != adapter.base_digest:
         raise DigestMismatchError(
             "adapter was built against a different base model"

@@ -1,8 +1,8 @@
 """Small differentiable MLP models and in-memory datasets.
 
-Forward/backward math runs in float64 internally for gradient fidelity;
-parameters and emitted gradients are float32 like everything else in the
-toolkit. Parameter-group names are "layer{i}.weight" / "layer{i}.bias".
+Forward and backward passes run in float32, the dtype of the parameters,
+inputs and gradients everywhere in the toolkit. Parameter-group names are
+"layer{i}.weight" / "layer{i}.bias".
 """
 
 from __future__ import annotations
@@ -106,9 +106,8 @@ class ToyModel:
         return ToyModel(self.widths, self.activation, self.head, params)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Network outputs (logits or regression values), float64."""
-        state = self.params.layout.views(self.params.flat.astype(np.float64))
-        out, _, _ = _forward_pass(self, state, np.asarray(x, dtype=np.float64))
+        """Network outputs (logits or regression values), float32."""
+        out, _, _ = _forward_pass(self, self.params, np.asarray(x, dtype=np.float32))
         return out
 
 
@@ -123,20 +122,21 @@ def _activate_grad(z, a, activation: str) -> np.ndarray:
     return z > 0.0
 
 
-def _forward_pass(model: ToyModel, state64: dict, x64: np.ndarray):
-    """Outputs, activations and preactivations for float64 `state64`.
+def _forward_pass(model: ToyModel, state, x: np.ndarray):
+    """Outputs, activations and preactivations for the weights `state[name]`.
 
-    Weights may carry leading replica axes, `(R, in, out)` and `(R, out)`;
-    `np.matmul` broadcasts shared `(batch, in)` inputs over the stack and
-    pairs `(R, batch, in)` inputs with it replica by replica.
+    The arithmetic is that of `state` and `x`. Weights may carry leading
+    replica axes, `(R, in, out)` and `(R, out)`; `np.matmul` broadcasts
+    shared `(batch, in)` inputs over the stack and pairs `(R, batch, in)`
+    inputs with it replica by replica.
     """
     n_layers = len(model.widths) - 1
-    acts = [x64]
+    acts = [x]
     preacts = []
-    h = x64
+    h = x
     for i in range(n_layers):
-        z = h @ state64[f"layer{i}.weight"]
-        z += state64[f"layer{i}.bias"][..., None, :]
+        z = h @ state[f"layer{i}.weight"]
+        z += state[f"layer{i}.bias"][..., None, :]
         preacts.append(z)
         if i < n_layers - 1:
             h = _activate(z, model.activation)
@@ -180,23 +180,21 @@ def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets: np.ndarray)
     return loss, d_out
 
 
-def _forward_backward_state(model: ToyModel, state64, inputs, targets, grads):
-    """Loss for float64 `state64` arrays; writes float32 gradients into `grads`.
+def _forward_backward_state(model: ToyModel, state, inputs, targets, grads):
+    """Loss for the weights `state[name]`; writes the gradients into `grads`.
 
-    With a leading replica axis on the views of `state64` and `grads`, it
+    With a leading replica axis on the views of `state` and `grads`, it
     returns one loss per replica, each bit-identical to a lone replica's.
-    The batch's float32 `inputs` and its `targets` are shared by every
-    replica, or carry the replica axis too: one batch per replica.
+    The batch's `inputs` and `targets` are shared by every replica, or
+    carry the replica axis too: one batch per replica.
     """
     n_layers = len(model.widths) - 1
-    x64 = inputs.astype(np.float64)
-    out, acts, preacts = _forward_pass(model, state64, x64)
-    # float32 regression targets promote exactly to float64 inside the loss
+    out, acts, preacts = _forward_pass(model, state, inputs)
     loss, d_z = _loss_and_output_grad(model, out, targets)
     for i in range(n_layers - 1, -1, -1):
         grads[f"layer{i}.weight"][...] = acts[i].swapaxes(-1, -2) @ d_z
         grads[f"layer{i}.bias"][...] = d_z.sum(axis=-2)
         if i > 0:
-            d_z = d_z @ state64[f"layer{i}.weight"].swapaxes(-1, -2)
+            d_z = d_z @ state[f"layer{i}.weight"].swapaxes(-1, -2)
             d_z *= _activate_grad(preacts[i - 1], acts[i], model.activation)
     return loss

@@ -131,7 +131,11 @@ class OverlapStats:
 
 
 def compute_task_vector(w_f: ParameterMap, w_p: ParameterMap) -> TaskVector:
-    """Elementwise w_f - w_p, tagged with the base digest."""
+    """Elementwise w_f - w_p, tagged with the base digest.
+
+    The difference is rounded to float32, so `w_p + (w_f - w_p)` matches
+    `w_f` to within `np.spacing(max(|w_p|, |w_f|))`, not bitwise.
+    """
     w_f.layout.require_aligned(w_p.layout)
     diff = ParameterMap.from_flat(w_p.layout, w_f.flat - w_p.flat)
     return TaskVector(entries=diff, base_digest=digest(w_p))

@@ -129,11 +129,12 @@ def _clip_group_norm_inplace(grads: dict, max_norm: float) -> None:
             g *= np.float32(max_norm / norm)
 
 
-def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, w64) -> None:
+def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, state) -> None:
     """RMSProp on flat float32 vectors, only at the `kept` indices if given.
 
     `w` and `v` hold only the updated coordinates; the gradient `g` and the
-    float64 mirror `w64`, which gets the new weights, are full length.
+    weights `state` are full length. Without `kept`, `w` is `state` itself;
+    with it, the new weights of the kept coordinates are written back.
     """
     decay = np.float32(config.rmsprop_decay)
     one_minus = np.float32(1.0 - config.rmsprop_decay)
@@ -144,10 +145,8 @@ def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, w64) -> None:
     v *= decay
     v += one_minus * (g * g)
     w -= lr * g / (np.sqrt(v) + eps)
-    if kept is None:
-        w64[...] = w
-    else:
-        w64[kept] = w.astype(np.float64)
+    if kept is not None:
+        state[kept] = w
 
 
 # key -> (final weights, pristine record) while a `_train_cache()` is open
@@ -197,13 +196,13 @@ def train(
 ) -> tuple[ParameterMap, RunRecord]:
     """Deterministic mini-batch training; returns final weights and record.
 
-    The state is flat, in sorted name order: a float64 weight mirror that
-    the forward pass reads and float32 gradients that it writes, each with
-    one view per name, plus the float32 weights and RMSProp state. With a
-    mask in the config, those two hold only the kept indices, so every
-    mask=false coordinate stays bitwise equal to its initial value. This is
-    bit-identical to a dense update of the masked gradient, whose v stays 0
-    wherever the gradient is 0. The mirror holds exact float32 values.
+    The state is flat and float32, in sorted name order: the weights that
+    the forward pass reads and the gradients that it writes, each with one
+    view per name, plus the RMSProp state. With a mask in the config, the
+    update touches only the kept indices, so every mask=false coordinate
+    stays bitwise equal to its initial value. This is bit-identical to a
+    dense update of the masked gradient, whose v stays 0 wherever the
+    gradient is 0.
 
     Inside `_train_cache()` a repeated call returns the first call's
     read-only weights and a fresh copy of its record; a run that diverges
@@ -318,14 +317,14 @@ def _step_loop(
     each replica's epoch losses to its record.
     """
     layout = model.params.layout
-    w64 = np.tile(model.params.flat.astype(np.float64), (len(masks), 1))
+    state = np.tile(model.params.flat, (len(masks), 1))
     if all(d is datasets[0] for d in datasets):
         inputs, targets = datasets[0].inputs, datasets[0].targets
     else:
         inputs = np.stack([d.inputs for d in datasets])
         targets = np.stack([d.targets for d in datasets])
     stack = _ReplicaStack(
-        layout, w64, [None if m is None else np.flatnonzero(m.flat) for m in masks],
+        layout, state, [None if m is None else np.flatnonzero(m.flat) for m in masks],
         inputs, targets,
     )
     replicas = list(range(len(masks)))  # the stack's rows, as indices into masks
@@ -336,7 +335,7 @@ def _step_loop(
         perm = np.random.default_rng(config.seed ^ epoch).permutation(n)
         for lo in range(0, n, config.batch_size):
             x, y = stack.batch(perm[lo : lo + config.batch_size])
-            loss = _forward_backward_state(model, stack.state64, x, y, stack.grads)
+            loss = _forward_backward_state(model, stack.weights, x, y, stack.grads)
             values = loss.reshape(-1).tolist()  # one per replica
             if not all(map(math.isfinite, values)):
                 finite = np.isfinite(values)
@@ -352,7 +351,7 @@ def _step_loop(
                 values = list(itertools.compress(values, finite))
             _clip_group_norm_inplace(stack.groups, config.clip_group_norm)
             _rmsprop_update_inplace(
-                stack.w, stack.g_flat, stack.v, config, stack.kept, stack.w64_flat
+                stack.w, stack.g_flat, stack.v, config, stack.kept, stack.state_flat
             )
             for r, value in zip(replicas, values):
                 losses[r].append(value)
@@ -360,47 +359,45 @@ def _step_loop(
             records[r].loss_trace.append(float(np.mean(losses[r])))
             losses[r].clear()
     for row, r in enumerate(replicas):
-        outcomes[r] = ParameterMap.from_flat(layout, stack.w64[row].astype(np.float32))
+        outcomes[r] = ParameterMap.from_flat(layout, stack.state[row].copy())
     return outcomes
 
 
 class _ReplicaStack:
     """The training state and data of R replicas that share a `Layout` of size P.
 
-    Row r of the float64 mirror `w64` and of the float32 gradients `g`,
-    both (R, P), belong to replica r. `w` and `v` are the float32 weights
-    and RMSProp state of the updated coordinates: replica r's kept set
-    (all of its P coordinates without a mask) at offset r * P of the
-    flattened stack, concatenated in row order. `kept` holds those
-    indices, or is None when no replica has a mask, so the update needs no
-    gather. The data, `inputs` and `targets`, is one dataset's arrays that
-    every row shares, or the per-row arrays stacked on a leading axis.
+    Row r of the float32 weights `state` and gradients `g`, both (R, P),
+    belongs to replica r. `v` is the RMSProp state of the updated
+    coordinates: replica r's kept set (all of its P coordinates without a
+    mask) at offset r * P of the flattened stack, concatenated in row
+    order. `kept` holds those indices, or is None when no replica has a
+    mask; then `w` is the flattened state itself, so the update needs no
+    gather, and otherwise the kept weights, which each update writes back.
+    The data, `inputs` and `targets`, is one dataset's arrays that every
+    row shares, or the per-row arrays stacked on a leading axis.
     """
 
-    def __init__(self, layout, w64, kept_sets, inputs, targets, w=None, v=None):
+    def __init__(self, layout, state, kept_sets, inputs, targets, v=None):
         size = layout.size
-        self.layout, self.w64, self.kept_sets = layout, w64, kept_sets
-        self.g = np.empty(w64.shape, np.float32)
-        self.w64_flat, self.g_flat = w64.reshape(-1), self.g.reshape(-1)
+        self.layout, self.state, self.kept_sets = layout, state, kept_sets
+        self.g = np.empty_like(state)
+        self.state_flat, self.g_flat = state.reshape(-1), self.g.reshape(-1)
         self.kept = None
         if any(k is not None for k in kept_sets):
             self.kept = np.concatenate([
                 (np.arange(size) if k is None else k) + row * size
                 for row, k in enumerate(kept_sets)
             ])
-        if w is None:
-            flat = self.w64_flat if self.kept is None else self.w64_flat[self.kept]
-            w = flat.astype(np.float32)
-            v = np.zeros_like(w)
-        self.w, self.v = w, v
+        self.w = self.state_flat if self.kept is None else self.state_flat[self.kept]
+        self.v = np.zeros_like(self.w) if v is None else v
         # a lone replica runs on views without the replica axis, which is
         # the same arithmetic with less numpy overhead per call
-        lone = len(w64) == 1
+        lone = len(state) == 1
         self.per_row = inputs.ndim == 3
         if lone and self.per_row:
             inputs, targets, self.per_row = inputs[0], targets[0], False
         self.inputs, self.targets = inputs, targets
-        self.state64 = layout.views(w64[0] if lone else w64)
+        self.weights = layout.views(state[0] if lone else state)
         self.grads = layout.views(self.g[0] if lone else self.g)
         self.groups = {
             (row, name): view
@@ -417,18 +414,16 @@ class _ReplicaStack:
         """The stack of the replicas where the bool `rows` is true."""
         size = self.layout.size
         counts = [size if k is None else len(k) for k in self.kept_sets]
-        coords = np.repeat(rows, counts)
         inputs, targets = self.inputs, self.targets
         if self.per_row:
             inputs, targets = inputs[rows], targets[rows]
         return _ReplicaStack(
             self.layout,
-            self.w64[rows],
+            self.state[rows],
             list(itertools.compress(self.kept_sets, rows)),
             inputs,
             targets,
-            self.w[coords],
-            self.v[coords],
+            self.v[np.repeat(rows, counts)],
         )
 
 

@@ -12,11 +12,12 @@ from lota.models import (
 
 def analytic_grads(model, batch):
     """Loss and float32 gradients (one view per name) from the step helper
-    `train` runs, on a float64 mirror of the params."""
+    `train` runs, on the float32 params and batch as `train` reads them."""
     layout = model.params.layout
-    state64 = layout.views(model.params.flat.astype(np.float64))
     grads = layout.views(np.empty(layout.size, np.float32))
-    loss = _forward_backward_state(model, state64, batch.inputs, batch.targets, grads)
+    loss = _forward_backward_state(
+        model, model.params, batch.inputs, batch.targets, grads
+    )
     return loss, grads
 
 

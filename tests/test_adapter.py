@@ -370,6 +370,35 @@ class TestApplyAdapter:
             apply_adapter(w_p, load_adapter(path))
 
 
+# bounded so that w_f - w_p cannot overflow float32
+FINITE32 = st.floats(-(2.0**100), 2.0**100, width=32)
+
+
+class TestRoundTripFidelity:
+    """`apply_adapter(w_p, encode(compute_task_vector(w_f, w_p)))` rounds
+    twice in float32, so it restores w_f to within one spacing of the
+    larger magnitude, not bitwise."""
+
+    @staticmethod
+    def round_trip(w_p, w_f):
+        w_p = ParameterMap({"w": np.array(w_p, np.float32)})
+        w_f = ParameterMap({"w": np.array(w_f, np.float32)})
+        restored = apply_adapter(w_p, encode(compute_task_vector(w_f, w_p)))
+        return w_p.flat, w_f.flat, restored.flat
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(FINITE32, FINITE32), min_size=1, max_size=64))
+    def test_within_one_spacing_of_the_larger_magnitude(self, pairs):
+        w_p, w_f, restored = self.round_trip(*zip(*pairs))
+        bound = np.spacing(np.maximum(np.abs(w_p), np.abs(w_f)))
+        assert (np.abs(restored - w_f.astype(np.float64)) <= bound).all()
+
+    def test_not_bitwise(self):
+        # 1e-8 - 1 rounds to -1, so the replayed weight is 0, not 1e-8
+        _, w_f, restored = self.round_trip([1.0], [1e-8])
+        assert restored.tolist() == [0.0] and w_f[0] != 0.0
+
+
 class TestCompressionReport:
     def make_adapter(self, n, c, seed=0):
         rng = np.random.default_rng(seed)
