@@ -29,7 +29,6 @@ from .merging import (
     merge_grid_search,
     merge_lota,
     run_merge_spec,
-    task_arithmetic_merge,
     ties_merge,
 )
 from .models import Dataset, ToyModel, concat_datasets
@@ -46,7 +45,6 @@ from .sparsity import (
     SparsityMask,
     TaskVector,
     all_false_mask,
-    all_true_mask,
     apply_mask,
     compute_task_vector,
     load_mask,

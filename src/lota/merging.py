@@ -1,11 +1,12 @@
 """Combining task vectors against a shared base model.
 
-Two primitives: plain weighted task arithmetic, and trim/elect/mean
-merging (per-task global magnitude trim, per-coordinate sign election by
-summed value, mean over sign-agreeing kept values). Sparse adapters merge
-through the same path, trimmed as the dense vectors they decode to;
-`merge_lota` merges them untrimmed. `merge_grid_search` merges and scores
-each cell of a per-source grid of trim fractions once.
+Two primitives: plain weighted task arithmetic (`run_merge_spec` with
+`elect_signs` false), and trim/elect/mean merging (per-task global
+magnitude trim, per-coordinate sign election by summed value, mean over
+sign-agreeing kept values). Sparse adapters merge through the same
+path, trimmed as the dense vectors they decode to; `merge_lota` merges
+them untrimmed. `merge_grid_search` merges and scores each cell of a
+per-source grid of trim fractions once.
 
 Every merge works in the sparse domain. Each task becomes one row: its
 sorted global indices and their nonzero float32 values, after the trim
@@ -143,16 +144,6 @@ def _merge(
     rows = _rows(w_p, sources, fractions, weights)
     merged = _elect_mean(n, rows) if elect else _scatter_add(n, rows)
     return ParameterMap.from_flat(w_p.layout, w_p.flat + np.float32(lam) * merged)
-
-
-def task_arithmetic_merge(
-    w_p: ParameterMap,
-    tvs: Sequence[TaskVector],
-    weights: Sequence[float],
-    lam: float = 1.0,
-) -> ParameterMap:
-    """w_P + lam * sum_i weights_i * tv_i."""
-    return _merge(w_p, tvs, [1.0] * len(tvs), weights, False, lam)
 
 
 def _sort_columns(stacked: np.ndarray) -> np.ndarray:

@@ -146,35 +146,33 @@ def _forward_pass(model: ToyModel, state, x: np.ndarray):
     return h, acts, preacts
 
 
-def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets: np.ndarray):
+def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets):
     """Mean loss over the batch axis (-2), one per replica, and its gradient.
 
     Targets are shared by every replica, or carry their own leading replica
-    axis: `(R, batch)` class indices or `(R, batch, out)` vectors.
+    axis: `(R, batch)` class indices or `(R, batch, out)` vectors. They are
+    not checked here: `_train_batch` checks each run's data against the
+    model once, before any step.
     """
     batch = out.shape[-2]
-    rows = np.arange(batch)
     if model.head == "softmax-cross-entropy":
-        if targets.dtype.kind not in "iu":
-            raise ValueError("cross-entropy head needs class-index targets")
-        if targets.min() < 0 or targets.max() >= out.shape[-1]:
-            raise ValueError("class index out of range for model output width")
-        shifted = out - out.max(axis=-1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        shifted = out - np.maximum.reduce(out, axis=-1, keepdims=True)
+        log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
         log_p = np.subtract(shifted, log_z, out=shifted)
-        picked = (..., rows, targets)
-        if targets.ndim == 2:  # replica r picks from its own row of targets
-            picked = (np.arange(len(targets))[:, None], rows, targets)
-        # contiguous, so each replica's mean sums in the order a lone one does
-        loss = -np.ascontiguousarray(log_p[picked]).mean(axis=-1)
+        # each example's target class as a flat index into log_p; the picks
+        # come out contiguous, so each replica's sum runs in the order a
+        # lone replica's does
+        flat = log_p.reshape(-1)
+        picked = np.arange(0, flat.size, out.shape[-1]).reshape(out.shape[:-1])
+        picked += targets
+        # what `np.mean` computes: a float32 sum over the batch, then / count
+        loss = -(np.add.reduce(flat.take(picked), axis=-1) / batch)
         d_out = np.exp(log_p, out=log_p)
-        d_out[picked] -= 1.0
+        flat[picked] -= 1.0
         d_out /= batch
     else:
-        if targets.dtype.kind != "f":
-            raise ValueError("mean-squared-error head needs vector targets")
         err = out - targets
-        loss = (err * err).sum(axis=-1).mean(axis=-1)
+        loss = np.add.reduce(np.add.reduce(err * err, axis=-1), axis=-1) / batch
         err *= 2.0
         d_out = np.divide(err, batch, out=err)
     return loss, d_out
@@ -192,8 +190,8 @@ def _forward_backward_state(model: ToyModel, state, inputs, targets, grads):
     out, acts, preacts = _forward_pass(model, state, inputs)
     loss, d_z = _loss_and_output_grad(model, out, targets)
     for i in range(n_layers - 1, -1, -1):
-        grads[f"layer{i}.weight"][...] = acts[i].swapaxes(-1, -2) @ d_z
-        grads[f"layer{i}.bias"][...] = d_z.sum(axis=-2)
+        np.matmul(acts[i].swapaxes(-1, -2), d_z, out=grads[f"layer{i}.weight"])
+        np.add.reduce(d_z, axis=-2, out=grads[f"layer{i}.bias"])
         if i > 0:
             d_z = d_z @ state[f"layer{i}.weight"].swapaxes(-1, -2)
             d_z *= _activate_grad(preacts[i - 1], acts[i], model.activation)

@@ -212,10 +212,6 @@ def overlap_stats(a: SparsityMask, b: SparsityMask) -> OverlapStats:
     return OverlapStats(intersection_count=inter, jaccard=jaccard)
 
 
-def all_true_mask(keyspace: ParameterMap) -> SparsityMask:
-    return SparsityMask.from_flat(keyspace.layout, np.ones(keyspace.layout.size, bool))
-
-
 def all_false_mask(keyspace: ParameterMap) -> SparsityMask:
     return SparsityMask.from_flat(keyspace.layout, np.zeros(keyspace.layout.size, bool))
 

@@ -12,7 +12,8 @@ mask and encode the adapter (`_retrain`).
 
 `train` keeps flat state and clips each group's gradient norm; with a mask,
 RMSProp gathers and scatters only the kept indices, so coordinates with
-mask=false stay bitwise-frozen at their initial values.
+mask=false stay bitwise-frozen at their initial values. Each run's data is
+checked against the model once, before any step.
 
 `train` is a pure function of what it reads, so inside `_train_cache()`
 (which `harness.run_experiment` opens once per seed) a call whose model,
@@ -32,6 +33,12 @@ then its retrains as stacks, the merging and sequential experiments train
 their FFT arms on tasks A and B as one stack, and the `train` calls that
 follow only hit. A replica that diverges leaves the stack, with its data,
 and is not cached, so its `train` call raises as before.
+
+A stacked step issues a fixed set of numpy calls whatever R is. The
+`_ReplicaStack` holds preallocated scratch for the clip and the update,
+and the data is checked once, before the loop, not per step. The clip
+takes its float64 norms once per parameter name over the whole stack, and
+RMSProp runs in place on the scratch, in the order of the per-name formula.
 """
 
 from __future__ import annotations
@@ -116,35 +123,74 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def _clip_group_norm_inplace(grads: dict, max_norm: float) -> None:
-    """Scale each group to L2 norm <= max_norm in place; smaller groups untouched.
+class _ClipScratch:
+    """What the group clip of (R, P) gradients in one `Layout` reuses each step.
 
-    A group is one view of `grads`; the step loop passes one per replica
-    and parameter name, so each replica is clipped on its own.
+    `spans` holds each parameter name's `(lo, hi)` in a row. The clip
+    copies the gradients into the float64 `g64` and leaves the norm of
+    replica r's group k in `norms[k, r]`.
     """
-    for g in grads.values():
-        flat = g.ravel().astype(np.float64)
-        norm = math.sqrt(float(np.dot(flat, flat)))
-        if norm > max_norm:
-            g *= np.float32(max_norm / norm)
+
+    def __init__(self, layout, replicas: int):
+        self.spans = tuple(zip(layout.offsets, layout.offsets[1:]))
+        self.g64 = np.empty((replicas, layout.size), np.float64)
+        self.norms = np.empty((len(self.spans), replicas), np.float64)
+        # (R, 1, n) @ (R, n, 1) into an (R, 1, 1) view of norms[k]
+        self.parts = [
+            (self.g64[:, None, lo:hi], self.g64[:, lo:hi, None],
+             out.reshape(replicas, 1, 1))
+            for (lo, hi), out in zip(self.spans, self.norms)
+        ]
 
 
-def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, state) -> None:
+def _clip_group_norm_inplace(g, max_norm: float, scratch: _ClipScratch) -> None:
+    """Scale each group of the (R, P) gradients `g` to L2 norm <= max_norm.
+
+    A group is one replica's coordinates of one parameter name, so each
+    replica is clipped on its own. The float64 norms are taken once per
+    name over the whole stack: the stacked `np.matmul` of each row's slice
+    of the float64 copy with itself runs that slice's `np.dot`, so each
+    norm is bitwise `math.sqrt(float(np.dot(f, f)))` of its group's float64
+    copy `f`. Only the groups over the bound are scaled, in place; the rest
+    stay untouched.
+    """
+    np.copyto(scratch.g64, g)
+    for row, column, out in scratch.parts:
+        np.matmul(row, column, out=out)
+    norms = np.sqrt(scratch.norms, out=scratch.norms)
+    for k, r in zip(*(norms > max_norm).nonzero()):
+        lo, hi = scratch.spans[k]
+        g[r, lo:hi] *= np.float32(max_norm / norms[k, r])
+
+
+def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, state, scratch) -> None:
     """RMSProp on flat float32 vectors, only at the `kept` indices if given.
 
     `w` and `v` hold only the updated coordinates; the gradient `g` and the
     weights `state` are full length. Without `kept`, `w` is `state` itself;
     with it, the new weights of the kept coordinates are written back.
+    `scratch` is float32 buffers of `w`'s length: two, and a third for the
+    gathered gradient when `kept` is given. The arithmetic is that of
+    `v = decay * v + (1 - decay) * g * g; w -= lr * g / (sqrt(v) + eps)`,
+    in that order.
     """
     decay = np.float32(config.rmsprop_decay)
     one_minus = np.float32(1.0 - config.rmsprop_decay)
     lr = np.float32(config.learning_rate)
     eps = np.float32(config.rmsprop_epsilon)
+    step, denom, *gathered = scratch
     if kept is not None:
-        g = g[kept]
+        # "clip" writes straight into `out`; the kept indices are all valid
+        g = g.take(kept, out=gathered[0], mode="clip")
     v *= decay
-    v += one_minus * (g * g)
-    w -= lr * g / (np.sqrt(v) + eps)
+    np.multiply(g, g, out=step)
+    step *= one_minus
+    v += step
+    np.multiply(g, lr, out=step)
+    np.sqrt(v, out=denom)
+    denom += eps
+    step /= denom
+    w -= step
     if kept is not None:
         state[kept] = w
 
@@ -237,6 +283,8 @@ def _train_batch(
         )
     if len(runs[0][0]) == 0:
         raise ConfigError("dataset must be nonempty")
+    for dataset, _ in runs:
+        _check_data(model, dataset)
     layout = model.params.layout
     for _, c in runs:
         if c.mask is not None:
@@ -293,6 +341,25 @@ def _train_ahead(
             _train_batch(model, stack)
 
 
+def _check_data(model: ToyModel, dataset: Dataset) -> None:
+    """Refuse a nonempty dataset that does not fit the model's input and head."""
+    width, outputs = model.widths[0], model.widths[-1]
+    if dataset.inputs.shape[1] != width:
+        raise ConfigError(
+            f"inputs have width {dataset.inputs.shape[1]}; the model takes {width}"
+        )
+    targets = dataset.targets
+    if model.head == "softmax-cross-entropy":
+        if not dataset.is_classification:
+            raise ConfigError("a cross-entropy head needs class-index targets")
+        if targets.min() < 0 or targets.max() >= outputs:
+            raise ConfigError(f"class indices must be in [0, {outputs})")
+    elif dataset.is_classification or targets.shape[1:] != (outputs,):
+        raise ConfigError(
+            f"a mean-squared-error head needs float targets of width {outputs}"
+        )
+
+
 def _data_shape(dataset: Dataset) -> tuple:
     """What the datasets of one replica stack must share."""
     return dataset.inputs.shape, dataset.targets.shape, dataset.targets.dtype
@@ -310,11 +377,13 @@ def _step_loop(
     Replica r trains on `datasets[r]`; the datasets share one length. Each
     step gathers one index slice of the data, shared by every replica when
     all name one dataset and one slice per replica otherwise, then runs
-    one forward/backward over the stack, one group clip per replica and
-    name, and one RMSProp update over the replicas' kept sets. A replica
-    whose loss turns non-finite leaves the stack at that step, with its
-    data rows, and with the `DivergenceError` its solo run raises. Appends
-    each replica's epoch losses to its record.
+    one forward/backward over the stack, one group clip that takes one
+    norm per parameter name over the stack, and one RMSProp update over
+    the replicas' kept sets. The clip's and the update's scratch is built
+    once, by the `_ReplicaStack`. A replica whose loss turns non-finite
+    leaves the stack at that step, with its data rows, and with the
+    `DivergenceError` its solo run raises. Appends each replica's epoch
+    losses to its record.
     """
     layout = model.params.layout
     state = np.tile(model.params.flat, (len(masks), 1))
@@ -349,9 +418,10 @@ def _step_loop(
                     return outcomes
                 stack = stack.keep(finite)
                 values = list(itertools.compress(values, finite))
-            _clip_group_norm_inplace(stack.groups, config.clip_group_norm)
+            _clip_group_norm_inplace(stack.g, config.clip_group_norm, stack.clip)
             _rmsprop_update_inplace(
-                stack.w, stack.g_flat, stack.v, config, stack.kept, stack.state_flat
+                stack.w, stack.g_flat, stack.v, config, stack.kept, stack.state_flat,
+                stack.scratch,
             )
             for r, value in zip(replicas, values):
                 losses[r].append(value)
@@ -364,7 +434,8 @@ def _step_loop(
 
 
 class _ReplicaStack:
-    """The training state and data of R replicas that share a `Layout` of size P.
+    """The training state, data and scratch of R replicas that share a
+    `Layout` of size P.
 
     Row r of the float32 weights `state` and gradients `g`, both (R, P),
     belongs to replica r. `v` is the RMSProp state of the updated
@@ -375,6 +446,9 @@ class _ReplicaStack:
     gather, and otherwise the kept weights, which each update writes back.
     The data, `inputs` and `targets`, is one dataset's arrays that every
     row shares, or the per-row arrays stacked on a leading axis.
+
+    The scratch of the clip (`clip`) and of the update (`scratch`) is
+    built here once; `keep` builds it anew for the replicas that are left.
     """
 
     def __init__(self, layout, state, kept_sets, inputs, targets, v=None):
@@ -390,6 +464,8 @@ class _ReplicaStack:
             ])
         self.w = self.state_flat if self.kept is None else self.state_flat[self.kept]
         self.v = np.zeros_like(self.w) if v is None else v
+        self.scratch = [np.empty_like(self.w) for _ in range(2 + (self.kept is not None))]
+        self.clip = _ClipScratch(layout, len(state))
         # a lone replica runs on views without the replica axis, which is
         # the same arithmetic with less numpy overhead per call
         lone = len(state) == 1
@@ -399,11 +475,6 @@ class _ReplicaStack:
         self.inputs, self.targets = inputs, targets
         self.weights = layout.views(state[0] if lone else state)
         self.grads = layout.views(self.g[0] if lone else self.g)
-        self.groups = {
-            (row, name): view
-            for row, g_row in enumerate(self.g)
-            for name, view in layout.views(g_row).items()
-        }
 
     def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The inputs and targets of the examples at `indices`, for every row."""

@@ -23,7 +23,6 @@ from lota import (
     merge_grid_search,
     merge_lota,
     run_merge_spec,
-    task_arithmetic_merge,
     ties_merge,
 )
 from lota import merging, params
@@ -112,11 +111,22 @@ def reference_trim_elect_mean(stacked):
     return merged.astype(np.float32)
 
 
+def task_arithmetic(base, tvs, weights, lam=1.0):
+    """w_P + lam * sum_i weights_i * tv_i: `run_merge_spec` without election."""
+    spec = MergeSpec(
+        base_digest=digest(base).hex(),
+        entries=tuple(MergeEntry(weight=w) for w in weights),
+        elect_signs=False,
+        scaling=lam,
+    )
+    return run_merge_spec(base, tvs, spec)
+
+
 class TestTaskArithmetic:
     def test_single_vector_weight_one(self):
         base = base_map([1.0, -2.0, 0.5])
         tv = tv_for(base, [0.25, 0.0, -0.5])
-        merged = task_arithmetic_merge(base, [tv], [1.0], lam=1.0)
+        merged = task_arithmetic(base, [tv], [1.0], lam=1.0)
         applied = apply_adapter(base, encode(tv))
         assert merged == applied
 
@@ -124,21 +134,21 @@ class TestTaskArithmetic:
         base = base_map([1.0, 2.0])
         tv = tv_for(base, [0.5, -0.25])
         neg = tv_for(base, [-0.5, 0.25])
-        merged = task_arithmetic_merge(base, [tv, neg], [1.0, 1.0])
+        merged = task_arithmetic(base, [tv, neg], [1.0, 1.0])
         assert merged == base
 
     def test_disjoint_supports(self):
         base = base_map([0.0, 0.0, 0.0, 0.0])
         a = tv_for(base, [1.0, 2.0, 0.0, 0.0])
         b = tv_for(base, [0.0, 0.0, 3.0, 4.0])
-        merged = task_arithmetic_merge(base, [a, b], [1.0, 1.0])
+        merged = task_arithmetic(base, [a, b], [1.0, 1.0])
         np.testing.assert_array_equal(merged["w"], [1.0, 2.0, 3.0, 4.0])
 
     def test_digest_mismatch_rejected(self):
         base, other = base_map([1.0]), base_map([2.0])
         tv = tv_for(other, [0.5])
         with pytest.raises(DigestMismatchError):
-            task_arithmetic_merge(base, [tv], [1.0])
+            task_arithmetic(base, [tv], [1.0])
 
 
 class TestTiesMerge:
@@ -146,7 +156,7 @@ class TestTiesMerge:
         base = base_map([1.0, -1.0, 0.25, 0.0])
         tv = tv_for(base, [0.5, 0.0, -0.125, 2.0])
         ties = ties_merge(base, [tv], [1.0], lam=1.0)
-        plain = task_arithmetic_merge(base, [tv], [1.0], lam=1.0)
+        plain = task_arithmetic(base, [tv], [1.0], lam=1.0)
         assert ties == plain
 
     def test_sign_election_example(self):
@@ -296,9 +306,12 @@ class TestRunMergeSpec:
             scaling=lam,
         )
         merged = run_merge_spec(base, tvs, spec)
-        plain = task_arithmetic_merge(base, tvs, weights, lam=lam)
-        for name, arr in plain.items():
-            assert merged[name].tobytes() == arr.tobytes()
+        # the plain weighted sum, accumulated in task order
+        total = np.zeros(base.total_elements, dtype=np.float32)
+        for tv, w in zip(tvs, weights):
+            total += tv.entries.flat * F32(w)
+        plain = base.flat + F32(lam) * total
+        assert merged.flat.tobytes() == plain.tobytes()
 
 
 class TestMergeLota:
@@ -460,7 +473,10 @@ class TestMergeArgumentCheck:
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
             ties_merge(self.base, self.tvs, [0.5, 0.5], weights=[1.0])
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
-            task_arithmetic_merge(self.base, self.tvs, [1.0, 1.0, 1.0])
+            run_merge_spec(
+                self.base, self.tvs,
+                dataclasses.replace(self.spec([1.0, 1.0, 1.0]), elect_signs=False),
+            )
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
     def test_trim_fraction_outside_unit_interval_refused(self, fraction):
@@ -565,7 +581,7 @@ class TestSparseCoreOracle:
             assert_bitwise(run_merge_spec(base, tvs, spec), want)
         ones = [1.0] * len(tvs)
         want = reference_merge(base_flat, vectors, ones, weights, lam, False)
-        assert_bitwise(task_arithmetic_merge(base, tvs, weights, lam=lam), want)
+        assert_bitwise(task_arithmetic(base, tvs, weights, lam=lam), want)
 
     @settings(max_examples=150, deadline=None)
     @given(merge_cases(), st.booleans(), st.data())

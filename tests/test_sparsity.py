@@ -12,7 +12,6 @@ from lota import (
     SparsityMask,
     TaskVector,
     all_false_mask,
-    all_true_mask,
     apply_mask,
     compute_task_vector,
     digest,
@@ -142,7 +141,8 @@ class TestSparsify:
 class TestApplyMask:
     def test_all_true_identity(self):
         tv = random_tv(4)
-        out = apply_mask(tv, all_true_mask(tv.entries))
+        everything = np.ones(tv.total_elements, bool)
+        out = apply_mask(tv, SparsityMask.from_flat(tv.entries.layout, everything))
         for name, arr in tv.entries.items():
             np.testing.assert_array_equal(out.entries[name], arr)
 

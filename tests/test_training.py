@@ -18,7 +18,6 @@ from lota import (
     ToyModel,
     TrainConfig,
     all_false_mask,
-    all_true_mask,
     compute_task_vector,
     decode,
     digest,
@@ -56,40 +55,103 @@ def quick_config(**kwargs):
     return TrainConfig(**defaults)
 
 
-def group_views(entries):
-    """Writable per-name views of one flat float32 buffer, as `train` holds
-    its gradients, and the buffer."""
+def group_stack(entries, replicas=1):
+    """The (R, P) float32 gradients that `train` clips, every row holding
+    `entries`; their per-name views; and the clip's scratch."""
     pm = ParameterMap(entries)
-    flat = pm.flat.copy()
-    return pm.layout.views(flat), flat
+    g = np.tile(pm.flat, (replicas, 1))
+    return g, pm.layout.views(g), training._ClipScratch(pm.layout, replicas)
 
 
 class TestClipGroupNorm:
     def test_large_group_scaled_to_max(self):
-        g, _ = group_views({"w": np.full(4, 1.0, np.float32)})  # norm 2
-        training._clip_group_norm_inplace(g, 1.0)
-        assert np.linalg.norm(g["w"]) == pytest.approx(1.0, abs=1e-6)
-        np.testing.assert_allclose(g["w"], 0.5, rtol=1e-6)
+        g, views, scratch = group_stack({"w": np.full(4, 1.0, np.float32)})  # norm 2
+        training._clip_group_norm_inplace(g, 1.0, scratch)
+        assert np.linalg.norm(views["w"]) == pytest.approx(1.0, abs=1e-6)
+        np.testing.assert_allclose(views["w"], 0.5, rtol=1e-6)
 
     def test_small_group_untouched_bitwise(self):
-        g, flat = group_views({"w": np.full(4, 0.25, np.float32)})  # norm 0.5
-        before = flat.tobytes()
-        training._clip_group_norm_inplace(g, 1.0)
-        assert flat.tobytes() == before
+        g, _, scratch = group_stack({"w": np.full(4, 0.25, np.float32)})  # norm 0.5
+        before = g.tobytes()
+        training._clip_group_norm_inplace(g, 1.0, scratch)
+        assert g.tobytes() == before
 
     def test_per_group_not_global(self):
-        g, flat = group_views(
+        g, views, scratch = group_stack(
             {
                 "big": np.full(4, 1.0, np.float32),  # norm 2 -> scaled
                 "small": np.full(4, 0.25, np.float32),  # norm 0.5 -> kept
             }
         )
-        small = g["small"].tobytes()
-        training._clip_group_norm_inplace(g, 1.0)
-        assert np.linalg.norm(g["big"]) == pytest.approx(1.0, abs=1e-6)
-        assert g["small"].tobytes() == small
-        # the groups are views, so the clip lands in the flat buffer
-        np.testing.assert_array_equal(flat[:4], g["big"].ravel())
+        small = views["small"].tobytes()
+        training._clip_group_norm_inplace(g, 1.0, scratch)
+        assert np.linalg.norm(views["big"]) == pytest.approx(1.0, abs=1e-6)
+        assert views["small"].tobytes() == small
+        # the clip lands in the stack's buffer, where the views read it
+        np.testing.assert_array_equal(g[0, :4], views["big"].ravel())
+
+    def test_per_replica_not_across_the_stack(self):
+        g, views, scratch = group_stack({"w": np.full(4, 0.25, np.float32)}, 2)
+        g[1] *= 4.0  # replica 1: norm 2 -> scaled; replica 0: norm 0.5 -> kept
+        row0 = g[0].tobytes()
+        training._clip_group_norm_inplace(g, 1.0, scratch)
+        assert g[0].tobytes() == row0
+        np.testing.assert_allclose(views["w"][1], 0.5, rtol=1e-6)
+        assert scratch.norms[0].tolist() == [0.5, 2.0]
+
+
+@st.composite
+def gradient_stacks(draw):
+    """A random layout with 1-element tensors among others, and an (R, P)
+    float32 gradient stack, each (replica, tensor) at its own scale."""
+    shapes = draw(st.lists(
+        st.sampled_from([(), (1,), (1, 1), (3,), (7, 5), (64,), (33, 17), (300,)]),
+        min_size=1, max_size=6,
+    ))
+    layout = ParameterMap(
+        {f"t{i}": np.zeros(shape, np.float32) for i, shape in enumerate(shapes)}
+    ).layout
+    replicas = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((replicas, layout.size)).astype(np.float32)
+    for r in range(replicas):
+        for lo, hi in zip(layout.offsets, layout.offsets[1:]):
+            g[r, lo:hi] *= np.float32(10.0 ** draw(st.integers(-20, 20)))
+    return layout, g
+
+
+class TestGroupNormOracle:
+    """The clip takes one float64 norm per name over the whole stack; each
+    must be the per-group `np.dot` norm bit for bit, and the clip must
+    scale exactly the groups over the bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gradient_stacks(), st.floats(0.0, 1.0))
+    def test_batched_norms_equal_per_group_dot(self, case, quantile):
+        layout, g = case
+        spans = list(zip(layout.offsets, layout.offsets[1:]))
+        want = np.array([
+            [math.sqrt(float(np.dot(f, f)))
+             for f in (g[r, lo:hi].astype(np.float64) for r in range(len(g)))]
+            for lo, hi in spans
+        ])
+        scratch = training._ClipScratch(layout, len(g))
+        unclipped = g.copy()
+        training._clip_group_norm_inplace(g, math.inf, scratch)
+        assert g.tobytes() == unclipped.tobytes()
+        assert scratch.norms.tobytes() == want.tobytes()
+        # a bound among the norms, so that some groups are over it and some not
+        bound = float(np.quantile(want, quantile))
+        training._clip_group_norm_inplace(g, bound, scratch)
+        assert scratch.norms.tobytes() == want.tobytes()
+        for k, (lo, hi) in enumerate(spans):
+            for r in range(len(g)):
+                before = unclipped[r, lo:hi]
+                if want[k, r] > bound:
+                    expected = before * np.float32(bound / want[k, r])
+                else:
+                    expected = before
+                assert g[r, lo:hi].tobytes() == expected.tobytes()
 
 
 def rmsprop_update(w, g, v, config, kept=None):
@@ -103,7 +165,8 @@ def rmsprop_update(w, g, v, config, kept=None):
     else:
         kept = np.asarray(kept)
         w_kept = state[kept]
-    training._rmsprop_update_inplace(w_kept, g, v, config, kept, state)
+    scratch = [np.empty_like(w_kept) for _ in range(2 + (kept is not None))]
+    training._rmsprop_update_inplace(w_kept, g, v, config, kept, state, scratch)
     return w_kept, v, state
 
 
@@ -164,9 +227,9 @@ class TestTrain:
     def test_all_true_mask_matches_unmasked_bitwise(self):
         model, data = toy_model(), toy_task()
         w_plain, _ = train(model, data, quick_config())
-        w_masked, _ = train(
-            model, data, quick_config(mask=all_true_mask(model.params))
-        )
+        everything = np.ones(model.params.total_elements, bool)
+        mask = SparsityMask.from_flat(model.params.layout, everything)
+        w_masked, _ = train(model, data, quick_config(mask=mask))
         assert digest(w_plain) == digest(w_masked)
 
     def test_all_false_mask_freezes_everything(self):
@@ -197,6 +260,55 @@ class TestTrain:
         assert record.final_digest == digest(w_out).hex()
         assert len(record.loss_trace) == 2
         assert not record.diverged
+
+
+class TestDataFitsModel:
+    """`train` refuses data that does not fit the model before any step."""
+
+    def refused(self, step_counter, model, data, match):
+        with pytest.raises(ConfigError, match=match):
+            train(model, data, quick_config())
+        assert step_counter == []
+
+    def test_input_width_refused(self, step_counter):
+        self.refused(step_counter, toy_model(dim=6), toy_task(dim=5),
+                     r"inputs have width 5; the model takes 6")
+
+    def test_cross_entropy_refuses_vector_targets(self, step_counter):
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.standard_normal((64, 6)).astype(np.float32),
+                       rng.standard_normal((64, 3)).astype(np.float32))
+        self.refused(step_counter, toy_model(), data, "needs class-index targets")
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_cross_entropy_refuses_class_out_of_range(self, step_counter, label):
+        data = toy_task()
+        labels = data.targets.copy()
+        labels[17] = label
+        self.refused(step_counter, toy_model(classes=3), Dataset(data.inputs, labels),
+                     r"class indices must be in \[0, 3\)")
+
+    def test_mean_squared_error_refuses_class_targets(self, step_counter):
+        model = ToyModel.initialize([6, 16, 3], "tanh", "mean-squared-error", 0)
+        self.refused(step_counter, model, toy_task(), "float targets of width 3")
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1), (4, 2)])
+    def test_mean_squared_error_refuses_narrow_targets(self, step_counter, shape):
+        # (n, 1) targets against a 4-wide output would broadcast and train,
+        # and so may (n, 4, 1) ones; (n, 4, 2) ones would fail inside a step
+        model = ToyModel.initialize([6, 16, 4], "tanh", "mean-squared-error", 0)
+        data = toy_task()
+        narrow = Dataset(data.inputs, np.ones((len(data), *shape), np.float32))
+        self.refused(step_counter, model, narrow, "float targets of width 4")
+
+    def test_every_run_of_a_stack_is_checked(self, step_counter):
+        model, data = toy_model(), toy_task()
+        labels = data.targets.copy()
+        labels[0] = 3
+        runs = [(data, quick_config()), (Dataset(data.inputs, labels), quick_config())]
+        with pytest.raises(ConfigError, match="class indices"):
+            training._train_batch(model, runs)
+        assert step_counter == []
 
 
 def reference_train(model, dataset, config):
@@ -247,10 +359,10 @@ def reference_train(model, dataset, config):
     return ParameterMap(state), loss_trace
 
 
-def oracle_problem(head, activation, seed):
+def oracle_problem(head, activation, seed, dim=5):
     rng = np.random.default_rng(seed)
-    model = ToyModel.initialize([5, 7, 3], activation, head, seed)
-    inputs = rng.standard_normal((40, 5)).astype(np.float32)
+    model = ToyModel.initialize([dim, 7, 3], activation, head, seed)
+    inputs = rng.standard_normal((40, dim)).astype(np.float32)
     if head == "softmax-cross-entropy":
         targets = rng.integers(0, 3, size=40)
     else:
@@ -263,7 +375,7 @@ def oracle_mask(params, kind, density, seed):
     if kind == "none":
         return None
     if kind == "all-true":
-        return all_true_mask(params)
+        return SparsityMask.from_flat(params.layout, np.ones(n, bool))
     if kind == "all-false":
         return all_false_mask(params)
     if kind == "single":
@@ -451,6 +563,10 @@ class TestReplicaBatchOracle:
             x, y = kept.batch(idx)
             assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
             assert y.shape == want_y.shape and y.tolist() == want_y.tolist()
+            # the scratch is the survivors' own
+            assert kept.clip.g64.shape == kept.g.shape == kept.state.shape
+            assert kept.clip.norms.shape == (len(layout.names), len(survivors))
+            assert [a.shape for a in kept.scratch] == [kept.w.shape] * 3
 
     def test_configs_must_differ_only_in_mask(self):
         model, data = toy_model(), toy_task()
@@ -495,21 +611,27 @@ class TestReplicaBatchOracle:
             assert final.flat.tobytes() == solo_final.flat.tobytes()
             assert record == solo_record
 
-    @pytest.mark.parametrize("order", [
-        ("dense", "frozen", "half"), ("frozen", "half", "dense"),
-        ("half", "dense", "frozen"),
+    @pytest.mark.parametrize("order, head", [
+        pytest.param(order, head, id=f"order{i}{suffix}")
+        for head, suffix in (("softmax-cross-entropy", ""), ("mean-squared-error", "-mse"))
+        for i, order in enumerate([
+            ("dense", "frozen", "half"), ("frozen", "half", "dense"),
+            ("half", "dense", "frozen"), ("dense", "frozen"), ("frozen", "dense"),
+        ])
     ])
-    def test_diverging_replica_leaves_with_its_data_rows(self, order):
+    def test_diverging_replica_leaves_with_its_data_rows(self, order, head):
         # each replica has its own dataset; a survivor that kept another
-        # replica's rows after the drop would not equal its solo run
-        model = toy_model()
+        # replica's rows, or the scratch of a wider stack, after the drop would not equal its solo run. A pair
+        # leaves one replica, which runs on views without the replica axis.
+        model = ToyModel.initialize([6, 16, 3], "tanh", head, 0)
         masks = {
             "dense": None,
             "frozen": all_false_mask(model.params),
             "half": random_mask(model.params, 0.5, seed=1),
         }
         runs = [
-            (toy_task(seed), quick_config(learning_rate=1e38, epochs=3, mask=masks[k]))
+            (oracle_problem(head, "tanh", seed, dim=6)[1],
+             quick_config(learning_rate=1e38, epochs=3, batch_size=24, mask=masks[k]))
             for seed, k in enumerate(order)
         ]
         with np.errstate(all="ignore"):
