@@ -1,8 +1,12 @@
 """Seeded experiments over synthetic tasks, with reproducible JSON reports.
 
-`run_experiment` runs one seed at a time and aggregates the per-seed dicts
-into mean/SE report rows. Utility is exact-match accuracy for classification
-tasks and negative mean squared error for regression tasks; all
+`run_experiment` runs all seeds in lockstep and aggregates the per-seed
+dicts into mean/SE report rows. Each `_<kind>_one_seed(spec, seed)` is a
+lockstep generator (see `training`): it yields each list of runs it is
+about to train, and the engine trains the union of every seed's runs as
+replica stacks before it sends the seeds on. Utility is exact-match
+accuracy for classification tasks and negative mean squared error for
+regression tasks; all
 instruction-following-style claims are mapped onto these desk-scale metrics.
 Reports are deterministic for a given spec and carry no timing; the CLI
 records wall time in provenance.json.
@@ -15,7 +19,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -30,12 +34,13 @@ from .sparsity import SPARSITY, compute_task_vector
 from .tasks import SyntheticTaskSpec
 from .training import (
     FRACTION,
+    Run,
     TrainConfig,
-    _lota_grid,
+    _check_data,
+    _lota_grid_lockstep,
     _train_ahead,
     _train_cache,
     iterative_lota,
-    lota,
     lotto,
     mixed_data_fft,
     train,
@@ -66,19 +71,20 @@ def derive_seed(*parts) -> int:
 
 
 def evaluate(model: ToyModel, dataset: Dataset) -> float:
-    """Deterministic scalar utility of a model on a dataset."""
+    """Deterministic scalar utility of a model on a dataset.
+
+    Data that `train` would refuse for the model is refused here too, with
+    the same `ConfigError`: an empty dataset, an input width that is not
+    the model's, class indices out of range, or targets of the wrong kind
+    for the head.
+    """
+    if len(dataset) == 0:
+        raise ConfigError("dataset must be nonempty")
+    _check_data(model, dataset)
     outputs = model.forward(dataset.inputs)
-    if outputs.shape[1] != (
-        model.widths[-1]
-    ):  # pragma: no cover - forward already enforces
-        raise ValueError("output width mismatch")
     if dataset.is_classification:
-        if dataset.targets.max() >= outputs.shape[1]:
-            raise ValueError("class index out of range for model output width")
         predictions = outputs.argmax(axis=1)
         return float((predictions == dataset.targets).mean())
-    if dataset.targets.shape[1] != outputs.shape[1]:
-        raise ValueError("regression target width mismatch")
     err = outputs - dataset.targets
     return float(-(err * err).sum(axis=1).mean())
 
@@ -218,15 +224,20 @@ class SequentialSpec(_ExperimentSpec):
             raise ConfigError("require_interference needs the fft->fft pair in method_pairs")
 
 
-def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
+def _sequential_one_seed(
+    spec: SequentialSpec, seed: int
+) -> Generator[list[Run], None, dict]:
     model = spec.model.build(derive_seed("init", seed))
     a_train, a_test = spec.task_a.reseeded(derive_seed("task-a", seed)).make()
     b_train, b_test = spec.task_b.reseeded(derive_seed("task-b", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
+    plan_b = [(b_train, spec.sparsity, 1.0)]
 
-    _train_ahead(model, [(a_train, config), (b_train, config)])
+    yield [(model, a_train, config), (model, b_train, config)]
     w_fft_a, _ = train(model, a_train, config)
-    lota_a = lota(model, a_train, spec.sparsity, config)
+    (lota_a,) = yield from _lota_grid_lockstep(
+        model, [(a_train, spec.sparsity, 1.0)], config
+    )
     w_fft_b, _ = train(model, b_train, config)
     baseline_b = evaluate(model.with_params(w_fft_b), b_test)
     baselines_a = {
@@ -239,15 +250,20 @@ def _sequential_one_seed(spec: SequentialSpec, seed: int) -> dict:
         "baseline_b": baseline_b,
         "pairs": {},
     }
-    for pair in spec.method_pairs:
-        method_a, method_b = pair.split("->")
-        w_a = w_fft_a if method_a == "fft" else lota_a.w_final
-        start = model.with_params(w_a)
+    starts = {
+        "fft": model.with_params(w_fft_a),
+        "lota": model.with_params(lota_a.w_final),
+    }
+    pairs = [pair.split("->") for pair in spec.method_pairs]
+    # the dense B arms start from different A solutions; one stack
+    yield [(starts[a], b_train, config) for a, b in pairs if b == "fft"]
+    for pair, (method_a, method_b) in zip(spec.method_pairs, pairs):
+        start = starts[method_a]
         extras = {}
         if method_b == "fft":
             w_ab, _ = train(start, b_train, config)
         elif method_b == "lota":
-            result = lota(start, b_train, spec.sparsity, config)
+            (result,) = yield from _lota_grid_lockstep(start, plan_b, config)
             w_ab = result.w_final
             extras["mask_kept"] = result.mask.kept_count
         elif method_b == "lotto":  # only lota->lotto: its mask is the constraint
@@ -332,11 +348,15 @@ class SparsityAblationSpec(_ExperimentSpec):
             raise ConfigError("iterative_schedule must be strictly increasing")
 
 
-def _sparsity_one_seed(spec: SparsityAblationSpec, seed: int) -> dict:
+def _sparsity_one_seed(
+    spec: SparsityAblationSpec, seed: int
+) -> Generator[list[Run], None, dict]:
     model = spec.model.build(derive_seed("init", seed))
     train_data, test_data = spec.task.reseeded(derive_seed("task", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
-    grid = _lota_grid(model, [(train_data, s, 1.0) for s in spec.grid], config)
+    grid = yield from _lota_grid_lockstep(
+        model, [(train_data, s, 1.0) for s in spec.grid], config
+    )
     out = {
         f"s={s}": {
             "utility": evaluate(model.with_params(result.w_final), test_data),
@@ -392,7 +412,9 @@ class CalibrationAblationSpec(_ExperimentSpec):
             raise ConfigError("fractions must include 1.0 as the zero-drop reference")
 
 
-def _calibration_one_seed(spec: CalibrationAblationSpec, seed: int) -> dict:
+def _calibration_one_seed(
+    spec: CalibrationAblationSpec, seed: int
+) -> Generator[list[Run], None, dict]:
     model = spec.model.build(derive_seed("init", seed))
     task_seed = derive_seed("task", seed)
     train_data, test_data = spec.task.reseeded(task_seed).make()
@@ -401,10 +423,11 @@ def _calibration_one_seed(spec: CalibrationAblationSpec, seed: int) -> dict:
         base_config = _train_config(
             spec.base_train or spec.train, derive_seed("train", seed)
         )
+        yield [(model, base_train_data, base_config)]
         w_p, _ = train(model, base_train_data, base_config)
         model = model.with_params(w_p)
     config = _train_config(spec.train, derive_seed("train", seed))
-    grid = _lota_grid(
+    grid = yield from _lota_grid_lockstep(
         model, [(train_data, spec.sparsity, f) for f in spec.fractions], config
     )
     return {
@@ -457,17 +480,19 @@ class MergingSpec(_ExperimentSpec):
             raise ConfigError("fraction_grid must be nonempty when a pair has an fft side")
 
 
-def _merging_one_seed(spec: MergingSpec, seed: int) -> dict:
+def _merging_one_seed(
+    spec: MergingSpec, seed: int
+) -> Generator[list[Run], None, dict]:
     model = spec.model.build(derive_seed("init", seed))
     a_train, a_test = spec.task_a.reseeded(derive_seed("task-a", seed)).make()
     b_train, b_test = spec.task_b.reseeded(derive_seed("task-b", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
     w_p = model.params
 
-    _train_ahead(model, [(a_train, config), (b_train, config)])
+    yield [(model, a_train, config), (model, b_train, config)]
     w_fft_a, _ = train(model, a_train, config)
     w_fft_b, _ = train(model, b_train, config)
-    lota_a, lota_b = _lota_grid(
+    lota_a, lota_b = yield from _lota_grid_lockstep(
         model, [(a_train, spec.sparsity, 1.0), (b_train, spec.sparsity, 1.0)], config
     )
 
@@ -531,35 +556,79 @@ def _merging_rows(spec: MergingSpec, per_seed: list[dict]) -> list[dict]:
 
 
 def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
-    """Run `spec` once per seed, then aggregate the per-seed dicts into rows.
+    """Run `spec` for every seed, then aggregate the per-seed dicts into rows.
 
-    Each seed runs inside its own `train` cache, so a training that the seed
-    repeats (a LoTA calibration equal to its FFT arm, or a calibration shared
-    across a sparsity grid) runs once, and runs of one length train as one
-    replica stack, each replica on its own dataset: a grid's calibrations,
-    then its retrains (the merging experiment's LoTA arms on tasks A and B
-    among them), and the FFT arms on A and B. The cache ends with the seed,
-    which bounds its memory, and the outputs are bit-identical to uncached
-    runs.
+    The seeds run in lockstep (`_lockstep`) inside one `train` cache for
+    the whole experiment. So a training that the experiment repeats (a LoTA
+    calibration equal to its FFT arm, a calibration shared across a
+    sparsity grid, or a seed listed twice) runs once, and the runs that the
+    seeds train ahead at the same point form replica stacks, each replica
+    with its own start weights, data and shuffle: the FFT arms on tasks A
+    and B of every seed as one stack, a grid's calibrations and then its
+    retrains, and the sequential B phase's dense arms. The outputs are
+    bit-identical to running one uncached seed at a time.
+
+    Memory grows linearly with the number of seeds. The cache, dropped
+    when the call ends, keeps one final weight vector (4 bytes per
+    parameter) and one record per distinct run: 4 runs per merging seed
+    and 8 per sparsity-ablation seed. Every seed's data, models and
+    results so far are alive at once, and a stack of R replicas holds
+    their (R, P) float32 state with its gradients, RMSProp state and
+    scratch (about 36 bytes per parameter and replica) plus their training
+    data.
     """
-    # looked up per call, not at import: a tracer that rebinds the module's
-    # one-seed functions must see its wrappers used
-    one_seed, build_rows = {
-        SequentialSpec: (_sequential_one_seed, _sequential_rows),
-        SparsityAblationSpec: (_sparsity_one_seed, _sparsity_rows),
-        CalibrationAblationSpec: (_calibration_one_seed, _calibration_rows),
-        MergingSpec: (_merging_one_seed, _merging_rows),
-    }[type(spec)]
-    per_seed = []
-    for seed in spec.seeds:
-        with _train_cache():
-            per_seed.append(one_seed(spec, seed))
+    one_seed, build_rows = _kind_functions(spec)
+    with _train_cache():
+        per_seed = _lockstep([one_seed(spec, seed) for seed in spec.seeds])
     return MetricsReport(
         kind=spec.kind,
         spec=spec.to_json_dict(),
         seeds=list(spec.seeds),
         rows=build_rows(spec, per_seed),
     )
+
+
+def _kind_functions(spec: _ExperimentSpec) -> tuple:
+    """The one-seed generator and the row builder of `spec`'s kind."""
+    # looked up per call, not at import: a tracer that rebinds the module's
+    # one-seed functions must see its wrappers used
+    return {
+        SequentialSpec: (_sequential_one_seed, _sequential_rows),
+        SparsityAblationSpec: (_sparsity_one_seed, _sparsity_rows),
+        CalibrationAblationSpec: (_calibration_one_seed, _calibration_rows),
+        MergingSpec: (_merging_one_seed, _merging_rows),
+    }[type(spec)]
+
+
+def _lockstep(seeds: list[Generator[list[Run], None, dict]]) -> list[dict]:
+    """What each seed's lockstep generator returns, in seed order.
+
+    Each round sends every live seed on, in seed order, to its next yield,
+    and then trains the union of the runs they yielded ahead, as stacks.
+    A seed that raises is dropped and its error kept, and so is every seed
+    after it, which a seed-by-seed loop would never reach; at the end the
+    error of the first failing seed is raised, which is the error that a
+    seed-by-seed loop raises.
+    """
+    results: list = [None] * len(seeds)
+    live = dict(enumerate(seeds))
+    failure = None
+    while live:
+        runs = []
+        for i in list(live):
+            try:
+                runs += next(live[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]
+            except Exception as exc:  # any error: the loop would raise it
+                failure = exc
+                live = {j: steps for j, steps in live.items() if j < i}
+                break
+        _train_ahead(runs)
+    if failure is not None:
+        raise failure
+    return results
 
 
 # ---------------------------------------------------------------------------

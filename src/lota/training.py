@@ -16,23 +16,31 @@ mask=false stay bitwise-frozen at their initial values. Each run's data is
 checked against the model once, before any step.
 
 `train` is a pure function of what it reads, so inside `_train_cache()`
-(which `harness.run_experiment` opens once per seed) a call whose model,
-initial params, data, config and mask bits match an earlier call returns
-that call's result instead of training again; outside it, nothing is cached.
+(which `harness.run_experiment` opens once per experiment) a call whose
+model, initial params, data, config and mask bits match an earlier call
+returns that call's result instead of training again; outside it, nothing
+is cached.
 
-There is one optimizer step loop, over a leading replica axis: R runs of
-one model whose configs differ only in the mask train in lockstep on an
-(R, P) state, and each replica is bit-identical to its solo run. Each run
-names its own dataset; the datasets share one length, and a step gathers
-one index slice from all of them (from one shared dataset when every run
-names the same one). `train` is the R = 1 case. `_train_batch` runs
-R > 1, and `_train_ahead` hands its results over through the memo:
-inside `_train_cache()` each finished replica is stored exactly as
-`train` would store it, so `_lota_grid` trains a grid's calibrations and
-then its retrains as stacks, the merging and sequential experiments train
-their FFT arms on tasks A and B as one stack, and the `train` calls that
-follow only hit. A replica that diverges leaves the stack, with its data,
-and is not cached, so its `train` call raises as before.
+There is one optimizer step loop, over a leading replica axis: R runs
+train in lockstep on an (R, P) state, and each replica is bit-identical to
+its solo run. The runs' models may differ only in their params, which are
+each replica's start weights, and their configs only in `mask` and
+`seed`. Each run names its own dataset; the datasets share one length.
+Each epoch draws one permutation per distinct seed, and a step gathers
+each replica's slice of its own order from its own dataset; when every run
+names one dataset and one seed, the step gathers one shared batch. `train`
+is the R = 1 case. `_train_batch` runs R > 1, and `_train_ahead` hands its
+results over through the memo: inside `_train_cache()` each finished
+replica is stored exactly as `train` would store it, under its own initial
+digest, and the `train` calls that follow only hit. A replica that
+diverges leaves the stack, with its data, and is not cached, so its
+`train` call raises as before.
+
+Code that trains ahead is written as a lockstep generator: it yields each
+list of runs it is about to train and then makes its `train` calls, which
+hit. `_solo` drives one such generator alone; `harness.run_experiment`
+drives one per seed and trains the union of their runs as stacks.
+`_lota_grid_lockstep` yields a grid's calibrations and then its retrains.
 
 A stacked step issues a fixed set of numpy calls whatever R is. The
 `_ReplicaStack` holds preallocated scratch for the clip and the update,
@@ -51,7 +59,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -254,47 +262,63 @@ def train(
     read-only weights and a fresh copy of its record; a run that diverges
     is not cached.
     """
-    (result,) = _train_batch(model, [(dataset, config)])
+    (result,) = _train_batch([(model, dataset, config)])
     if isinstance(result, DivergenceError):
         raise result
     return result
 
 
-def _train_batch(
-    model: ToyModel, runs: Sequence[tuple[Dataset, TrainConfig]]
-) -> list[tuple[ParameterMap, RunRecord] | DivergenceError]:
-    """`train` for each `(dataset, config)` run, all runs as one replica stack.
+# what `train` takes: one run of a replica stack
+Run = tuple[ToyModel, Dataset, TrainConfig]
 
-    The configs may differ only in `mask`, and the datasets only in their
-    contents: one length, one input width, one target kind and shape.
-    Returns, per run, what `train` returns for it, or the `DivergenceError`
-    that `train` raises. Runs that `train` would key equal train once.
-    Inside `_train_cache()` a run that is cached is not trained again, and
-    each run that finishes is cached exactly as `train` caches it, so a
-    later `train` call is a hit.
+
+def _architecture(model: ToyModel) -> tuple:
+    return model.widths, model.activation, model.head
+
+
+def _shared_config(config: TrainConfig) -> TrainConfig:
+    """What the configs of one replica stack must share."""
+    return config.replace(mask=None, seed=0)
+
+
+def _train_batch(
+    runs: Sequence[Run],
+) -> list[tuple[ParameterMap, RunRecord] | DivergenceError]:
+    """`train` for each `(model, dataset, config)` run, as one replica stack.
+
+    The models may differ only in their params, the configs only in `mask`
+    and `seed`, and the datasets only in their contents: one length, one
+    input width, one target kind and shape. Returns, per run, what `train`
+    returns for it, or the `DivergenceError` that `train` raises. Runs that
+    `train` would key equal train once. Inside `_train_cache()` a run that
+    is cached is not trained again, and each run that finishes is cached
+    exactly as `train` caches it, so a later `train` call is a hit.
     """
-    shared = runs[0][1].replace(mask=None)
-    if any(c.replace(mask=None) != shared for _, c in runs):
-        raise ConfigError("batched training configs may differ only in mask")
-    if len({_data_shape(d) for d, _ in runs}) > 1:
+    model, _, config = runs[0]
+    shared = _shared_config(config)
+    if any(_shared_config(c) != shared for _, _, c in runs):
+        raise ConfigError("batched training configs may differ only in mask and seed")
+    if any(_architecture(m) != _architecture(model) for m, _, _ in runs):
+        raise ConfigError("batched models may differ only in params")
+    if len({_data_shape(d) for _, d, _ in runs}) > 1:
         raise ConfigError(
             "batched runs need datasets of one length, input width and target "
             "kind and shape"
         )
-    if len(runs[0][0]) == 0:
+    if len(runs[0][1]) == 0:
         raise ConfigError("dataset must be nonempty")
-    for dataset, _ in runs:
+    for _, dataset, _ in runs:
         _check_data(model, dataset)
     layout = model.params.layout
-    for _, c in runs:
+    for _, _, c in runs:
         if c.mask is not None:
             c.mask.layout.require_aligned(layout, "mask and model parameters")
-    initial_digest = digest(model.params).hex()
+    initial = {id(m.params): digest(m.params).hex() for m, _, _ in runs}
     cache = _TRAIN_CACHE.get()
     results: list = [None] * len(runs)
     misses: dict[bytes, list[int]] = {}  # key -> the runs it answers
-    for i, (dataset, config) in enumerate(runs):
-        key = _train_key(model, initial_digest, dataset, config)
+    for i, (m, dataset, c) in enumerate(runs):
+        key = _train_key(m, initial[id(m.params)], dataset, c)
         if cache is not None and key in cache:
             final, record = cache[key]
             results[i] = (final, copy.deepcopy(record))
@@ -303,10 +327,10 @@ def _train_batch(
     if not misses:
         return results
     firsts = [runs[ids[0]] for ids in misses.values()]
-    records = [RunRecord(c.snapshot(), initial_digest, None) for _, c in firsts]
-    finals = _step_loop(
-        model, [d for d, _ in firsts], shared, [c.mask for _, c in firsts], records
-    )
+    records = [
+        RunRecord(c.snapshot(), initial[id(m.params)], None) for m, _, c in firsts
+    ]
+    finals = _step_loop(firsts, records)
     for (key, ids), record, final in zip(misses.items(), records, finals):
         if not isinstance(final, DivergenceError):
             record.final_digest = digest(final).hex()
@@ -320,25 +344,34 @@ def _train_batch(
     return results
 
 
-def _train_ahead(
-    model: ToyModel, runs: Sequence[tuple[Dataset, TrainConfig]]
-) -> None:
+def _train_ahead(runs: Sequence[Run]) -> None:
     """Train `runs` into the open `train` memo, ahead of their `train` calls.
 
-    Runs whose configs differ only in `mask` and whose data shapes match
-    train as one replica stack. A run that fails is not cached, so its own
-    `train` call raises the error in its turn. Outside `_train_cache()`
-    this does nothing.
+    Runs whose models differ only in params, whose configs differ only in
+    `mask` and `seed` and whose data shapes match train as one replica
+    stack. A run that fails is not cached, so its own `train` call raises
+    the error in its turn. Outside `_train_cache()` this does nothing.
     """
     if _TRAIN_CACHE.get() is None:
         return
-    stacks: dict[tuple, list] = {}
-    for dataset, config in runs:
-        key = (config.replace(mask=None), *_data_shape(dataset))
-        stacks.setdefault(key, []).append((dataset, config))
+    stacks: dict[tuple, list[Run]] = {}
+    for model, dataset, config in runs:
+        key = (_architecture(model), _shared_config(config), *_data_shape(dataset))
+        stacks.setdefault(key, []).append((model, dataset, config))
     for stack in stacks.values():
         with contextlib.suppress(LotaError):  # raised again by `train`, in order
-            _train_batch(model, stack)
+            _train_batch(stack)
+
+
+def _solo(steps: Generator[list[Run], None, object]):
+    """Drive a lockstep generator alone: train each list of runs that it
+    yields ahead, into the open memo, and return what it returns."""
+    while True:
+        try:
+            runs = next(steps)
+        except StopIteration as stop:
+            return stop.value
+        _train_ahead(runs)
 
 
 def _check_data(model: ToyModel, dataset: Dataset) -> None:
@@ -365,45 +398,61 @@ def _data_shape(dataset: Dataset) -> tuple:
     return dataset.inputs.shape, dataset.targets.shape, dataset.targets.dtype
 
 
-def _step_loop(
-    model: ToyModel,
-    datasets: list[Dataset],
-    config: TrainConfig,
-    masks: list[SparsityMask | None],
-    records: list[RunRecord],
-) -> list[ParameterMap | DivergenceError]:
-    """The optimizer step loop: one replica per mask, all in lockstep.
+def _epoch_order(seeds: Sequence[int], epoch: int, n: int) -> np.ndarray:
+    """The order in which each replica visits its n examples in `epoch`.
 
-    Replica r trains on `datasets[r]`; the datasets share one length. Each
-    step gathers one index slice of the data, shared by every replica when
-    all name one dataset and one slice per replica otherwise, then runs
-    one forward/backward over the stack, one group clip that takes one
-    norm per parameter name over the stack, and one RMSProp update over
-    the replicas' kept sets. The clip's and the update's scratch is built
+    One `(n,)` permutation that every replica shares when all have one
+    seed, else the `(R, n)` stack of each replica's seed's permutation.
+    """
+    perms = {s: np.random.default_rng(s ^ epoch).permutation(n) for s in seeds}
+    if len(perms) == 1:
+        (perm,) = perms.values()
+        return perm
+    return np.stack([perms[s] for s in seeds])
+
+
+def _step_loop(
+    runs: Sequence[Run], records: list[RunRecord]
+) -> list[ParameterMap | DivergenceError]:
+    """The optimizer step loop: one replica per run, all in lockstep.
+
+    Replica r starts from the params of `runs[r]`'s model and trains on its
+    dataset under its mask, visiting the data in the order that its seed
+    draws each epoch; the datasets share one length, and every other
+    hyperparameter is shared. Each step gathers one index slice of the
+    data: one batch that every replica shares when all name one dataset
+    and one seed, else each replica's own rows. It then runs one
+    forward/backward over the stack, one group clip that takes one norm
+    per parameter name over the stack, and one RMSProp update over the
+    replicas' kept sets. The clip's and the update's scratch is built
     once, by the `_ReplicaStack`. A replica whose loss turns non-finite
     leaves the stack at that step, with its data rows, and with the
     `DivergenceError` its solo run raises. Appends each replica's epoch
     losses to its record.
     """
+    model, _, config = runs[0]
     layout = model.params.layout
-    state = np.tile(model.params.flat, (len(masks), 1))
+    datasets = [d for _, d, _ in runs]
+    seeds = [c.seed for _, _, c in runs]
     if all(d is datasets[0] for d in datasets):
         inputs, targets = datasets[0].inputs, datasets[0].targets
     else:
         inputs = np.stack([d.inputs for d in datasets])
         targets = np.stack([d.targets for d in datasets])
     stack = _ReplicaStack(
-        layout, state, [None if m is None else np.flatnonzero(m.flat) for m in masks],
+        layout,
+        np.stack([m.params.flat for m, _, _ in runs]),
+        [None if c.mask is None else np.flatnonzero(c.mask.flat) for _, _, c in runs],
         inputs, targets,
     )
-    replicas = list(range(len(masks)))  # the stack's rows, as indices into masks
-    outcomes: list = [None] * len(masks)
-    losses = [[] for _ in masks]
+    replicas = list(range(len(runs)))  # the stack's rows, as indices into runs
+    outcomes: list = [None] * len(runs)
+    losses = [[] for _ in runs]
     n = len(datasets[0])
     for epoch in range(config.epochs):
-        perm = np.random.default_rng(config.seed ^ epoch).permutation(n)
+        order = _epoch_order([seeds[r] for r in replicas], epoch, n)
         for lo in range(0, n, config.batch_size):
-            x, y = stack.batch(perm[lo : lo + config.batch_size])
+            x, y = stack.batch(order[..., lo : lo + config.batch_size])
             loss = _forward_backward_state(model, stack.weights, x, y, stack.grads)
             values = loss.reshape(-1).tolist()  # one per replica
             if not all(map(math.isfinite, values)):
@@ -417,6 +466,7 @@ def _step_loop(
                 if not replicas:
                     return outcomes
                 stack = stack.keep(finite)
+                order = _epoch_order([seeds[r] for r in replicas], epoch, n)
                 values = list(itertools.compress(values, finite))
             _clip_group_norm_inplace(stack.g, config.clip_group_norm, stack.clip)
             _rmsprop_update_inplace(
@@ -469,26 +519,36 @@ class _ReplicaStack:
         # a lone replica runs on views without the replica axis, which is
         # the same arithmetic with less numpy overhead per call
         lone = len(state) == 1
-        self.per_row = inputs.ndim == 3
-        if lone and self.per_row:
-            inputs, targets, self.per_row = inputs[0], targets[0], False
+        if lone and inputs.ndim == 3:
+            inputs, targets = inputs[0], targets[0]
         self.inputs, self.targets = inputs, targets
+        # per-row data is gathered from its (R * n, ...) view, with row r's
+        # indices offset by r * n, so one `take` serves every row
+        self.pool, self.offsets = (inputs, targets), None
+        if inputs.ndim == 3:
+            n = inputs.shape[1]
+            self.pool = tuple(a.reshape(-1, *a.shape[2:]) for a in (inputs, targets))
+            self.offsets = np.arange(0, len(inputs) * n, n)[:, None]
         self.weights = layout.views(state[0] if lone else state)
         self.grads = layout.views(self.g[0] if lone else self.g)
 
     def batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The inputs and targets of the examples at `indices`, for every row."""
-        axis = int(self.per_row)
-        return self.inputs.take(indices, axis), self.targets.take(indices, axis)
+        """The inputs and targets of the examples at `indices` for every row:
+        `(b,)` indices that every row shares, or `(R, b)`, one row each."""
+        if self.offsets is not None:
+            indices = indices + self.offsets
+        inputs, targets = self.pool
+        return inputs.take(indices, 0), targets.take(indices, 0)
 
     def keep(self, rows: np.ndarray) -> "_ReplicaStack":
-        """The stack of the replicas where the bool `rows` is true."""
+        """The stack of the replicas where the bool `rows` is true, with
+        their state and their gradients of the current step."""
         size = self.layout.size
         counts = [size if k is None else len(k) for k in self.kept_sets]
         inputs, targets = self.inputs, self.targets
-        if self.per_row:
+        if self.offsets is not None:
             inputs, targets = inputs[rows], targets[rows]
-        return _ReplicaStack(
+        kept = _ReplicaStack(
             self.layout,
             self.state[rows],
             list(itertools.compress(self.kept_sets, rows)),
@@ -496,6 +556,8 @@ class _ReplicaStack:
             targets,
             self.v[np.repeat(rows, counts)],
         )
+        kept.g[...] = self.g[rows]
+        return kept
 
 
 def _ticket(w_c, w_p, s: float, allowed: SparsityMask | None) -> SparsityMask:
@@ -567,14 +629,22 @@ def _lota_grid(
     model: ToyModel, plans: Sequence[tuple[Dataset, float, float]],
     config: TrainConfig,
 ) -> list[LotaResult]:
-    """`lota` for each `(dataset, s, calibration_fraction)` plan.
+    """`lota` for each `(dataset, s, calibration_fraction)` plan."""
+    return _solo(_lota_grid_lockstep(model, plans, config))
 
-    Inside `_train_cache()` the plans' calibrations first train ahead, one
-    replica stack per data length, and then their retrains do, so each
-    `train` call of the loop below is a hit; equal runs, such as the
-    sparsity grid's one shared calibration, train once. An error in plan
-    j is raised after the retrains of the plans before it, as a loop of
-    `lota` calls would raise it.
+
+def _lota_grid_lockstep(
+    model: ToyModel, plans: Sequence[tuple[Dataset, float, float]],
+    config: TrainConfig,
+) -> Generator[list[Run], None, list[LotaResult]]:
+    """`_lota_grid` as a lockstep generator.
+
+    It yields the plans' calibrations, then their retrains, so that inside
+    `_train_cache()` each stack trains ahead and each `train` call after a
+    yield is a hit; equal runs, such as the sparsity grid's one shared
+    calibration, train once. An error in plan j is raised after the
+    retrains of the plans before it, as a loop of `lota` calls would raise
+    it.
     """
     calibrations = []
     for dataset, s, fraction in plans:
@@ -583,8 +653,8 @@ def _lota_grid(
         except LotaError:  # raised again below, in its plan's turn
             break
         if run is not None:
-            calibrations.append(run)
-    _train_ahead(model, calibrations)
+            calibrations.append((model, *run))
+    yield calibrations
     tickets, failure = [], None
     for dataset, s, fraction in plans:
         try:
@@ -592,7 +662,7 @@ def _lota_grid(
         except LotaError as exc:  # re-raised below, after the earlier retrains
             failure = exc
             break
-    _train_ahead(model, [(d, config.replace(mask=m)) for d, m, _ in tickets])
+    yield [(model, d, config.replace(mask=m)) for d, m, _ in tickets]
     results = [_retrain(model, d, config, m, record) for d, m, record in tickets]
     if failure is not None:
         raise failure

@@ -1,14 +1,16 @@
 import contextlib
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from lota import HarnessError, ParameterMap, digest, harness, training
+from lota import ConfigError, HarnessError, ParameterMap, digest, harness, training
 from lota.harness import (
     CalibrationAblationSpec,
     MergingSpec,
+    MetricsReport,
     ModelSpec,
     SequentialSpec,
     derive_seed,
@@ -143,6 +145,27 @@ class TestEvaluate:
         targets = model.forward(inputs).astype(np.float32)
         ds = Dataset(inputs, targets, "t")
         assert evaluate(model, ds) == 0.0
+
+    # data that `train` refuses for the model is refused here too
+    def test_negative_class_index_refused(self):
+        model = ModelSpec(widths=(6, 16, 3)).build(seed=0)
+        labels = np.zeros(8, np.int64)
+        labels[3] = -1
+        data = Dataset(np.ones((8, 6), np.float32), labels)
+        with pytest.raises(ConfigError, match=r"class indices must be in \[0, 3\)"):
+            evaluate(model, data)
+
+    def test_mean_squared_error_model_refuses_class_targets(self):
+        model = ModelSpec(widths=(6, 16, 3), head="mean-squared-error").build(seed=0)
+        data = Dataset(np.ones((8, 6), np.float32), np.zeros(8, np.int64))
+        with pytest.raises(ConfigError, match="float targets of width 3"):
+            evaluate(model, data)
+
+    def test_input_width_mismatch_refused(self):
+        model = ModelSpec(widths=(6, 16, 3)).build(seed=0)
+        data = Dataset(np.ones((8, 5), np.float32), np.zeros(8, np.int64))
+        with pytest.raises(ConfigError, match="inputs have width 5; the model takes 6"):
+            evaluate(model, data)
 
 
 class TestDeriveSeed:
@@ -300,26 +323,26 @@ class TestMerging:
         assert u_merged == u_single
 
 
+BATCHES = math.ceil(256 / 32)  # cluster_task train_size / batch_size
+
+
+def check_cached(spec, step_counter, monkeypatch, cached, uncached):
+    """`run_experiment` trains `cached` replica steps, and `uncached` ones
+    without the `train` cache, for the same report byte for byte."""
+    report = run_experiment(spec)
+    assert len(step_counter) == cached
+    step_counter.clear()
+    monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
+    assert run_experiment(spec).to_json() == report.to_json()
+    assert len(step_counter) == uncached
+
+
 class TestTrainCachePerSeed:
-    """`run_experiment` memoizes `train` within each seed and never across
-    seeds or calls; the report equals an uncached run's byte for byte."""
+    """What each seed trains, and in how many stacked steps, under the
+    `train` cache of `run_experiment`; the report equals an uncached run's
+    byte for byte."""
 
-    batches = math.ceil(256 / 32)  # cluster_task train_size / batch_size
-
-    def check(self, spec, step_counter, monkeypatch, cached, uncached):
-        report = run_experiment(spec)
-        assert len(step_counter) == cached
-        step_counter.clear()
-        monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
-        assert run_experiment(spec).to_json() == report.to_json()
-        assert len(step_counter) == uncached
-
-    def test_merging_trains_4_of_6_runs_per_seed(self, step_counter, monkeypatch):
-        # lota's dense calibrations repeat the two fft runs; the repeated
-        # seed starts cold, so the cache does not outlive a seed
-        spec = small_merging_spec(seeds=(0, 0))
-        run = 8 * self.batches
-        self.check(spec, step_counter, monkeypatch, 2 * 4 * run, 2 * 6 * run)
+    batches = BATCHES
 
     def test_sparsity_ablation_trains_8_of_15_runs_per_seed(
         self, step_counter, monkeypatch
@@ -327,7 +350,7 @@ class TestTrainCachePerSeed:
         # one shared calibration, six grid retrains and iterative stage 1;
         # iterative stage 0 calibrates and retrains exactly as s=0.9 did
         cal, retrain = 2 * self.batches, 6 * self.batches
-        self.check(
+        check_cached(
             small_sparsity_spec(), step_counter, monkeypatch,
             cal + 7 * retrain, 7 * cal + 8 * retrain,
         )
@@ -350,19 +373,48 @@ class TestTrainCachePerSeed:
         # calibrations hit, then the two lota retrains as another
         run = 8 * self.batches
         with training._train_cache():
-            harness._merging_one_seed(small_merging_spec(), 0)
+            training._solo(harness._merging_one_seed(small_merging_spec(), 0))
         assert len(fwd_bwd_calls) == 2 * run
         assert len(step_counter) == 4 * run
 
     def test_sequential_seed_stacks_its_fft_arms(self, fwd_bwd_calls, monkeypatch):
-        # one step loop fewer per seed than unmemoized runs, and the same report
         spec = small_sequential_spec()
         report = run_experiment(spec)
         cached = len(fwd_bwd_calls)
         fwd_bwd_calls.clear()
         monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
         assert run_experiment(spec).to_json() == report.to_json()
-        assert cached == len(fwd_bwd_calls) - len(spec.seeds) * 8 * self.batches
+        run, cal = 8 * self.batches, 2 * self.batches
+        mixed = 8 * math.ceil(1.5 * 256 / 32)  # B plus half as many rows of A
+        seeds = len(spec.seeds)
+        # per seed: the fft arms on A and B, lota on A (calibration and
+        # retrain), fft->fft from w_fft_a, lotto (calibration and retrain)
+        # and the mixed-data run
+        assert len(fwd_bwd_calls) == seeds * (5 * run + 2 * cal + mixed)
+        # all seeds as one stack at each point that trains ahead: the fft
+        # arms, lota's calibration and its retrain, and the B phase's
+        # fft->fft arms; lotto's phase and the mixed-data run stay alone
+        assert cached == 3 * run + cal + seeds * (cal + run + mixed)
+
+    def test_sequential_b_phase_dense_arms_train_as_one_stack(self, monkeypatch):
+        loops = []
+        original = training._step_loop
+
+        def counting(runs, records):
+            loops.append((len(runs), len({id(m.params) for m, _, _ in runs})))
+            return original(runs, records)
+
+        monkeypatch.setattr(training, "_step_loop", counting)
+        spec = small_sequential_spec(method_pairs=("fft->fft", "lota->fft"), seeds=(0,))
+        report = run_experiment(spec)
+        # (replicas, distinct start weights) per step loop: the fft arms on
+        # A and B, lota's calibration and retrain on A, then fft->fft and
+        # lota->fft from w_fft_a and lota's w_final as one stack
+        assert loops == [(2, 1), (1, 1), (1, 1), (2, 2)]
+        monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
+        loops.clear()
+        assert run_experiment(spec).to_json() == report.to_json()
+        assert loops == [(1, 1)] * 6
 
     def test_second_call_starts_cold(self, step_counter):
         spec = small_merging_spec()
@@ -370,3 +422,114 @@ class TestTrainCachePerSeed:
         first = len(step_counter)
         run_experiment(spec)
         assert len(step_counter) == 2 * first == 2 * 4 * 8 * self.batches
+
+
+class TestTrainCachePerExperiment:
+    """`run_experiment` opens one `train` cache for the whole experiment:
+    its seeds share it, and no other call does."""
+
+    def test_repeated_seed_trains_once(self, step_counter, monkeypatch):
+        # lota's dense calibrations repeat the two fft runs, and the second
+        # listing of seed 0 hits every run of the first
+        spec = small_merging_spec(seeds=(0, 0))
+        run = 8 * BATCHES
+        check_cached(spec, step_counter, monkeypatch, 4 * run, 2 * 6 * run)
+
+    def test_two_calls_share_no_memo(self, step_counter, monkeypatch):
+        spec = small_merging_spec(seeds=(0, 1))
+        run_experiment(spec)
+        assert training._TRAIN_CACHE.get() is None
+        assert len(step_counter) == 2 * 4 * 8 * BATCHES
+        original = harness._merging_one_seed
+
+        def failing(spec, seed):
+            yield from original(spec, seed)
+            raise HarnessError("late")
+
+        monkeypatch.setattr(harness, "_merging_one_seed", failing)
+        with pytest.raises(HarnessError, match="late"):
+            run_experiment(spec)
+        assert training._TRAIN_CACHE.get() is None
+        monkeypatch.setattr(harness, "_merging_one_seed", original)
+        step_counter.clear()
+        run_experiment(spec)
+        assert len(step_counter) == 2 * 4 * 8 * BATCHES
+
+
+def seed_by_seed(spec):
+    """`run_experiment` without the lockstep: one seed at a time, each in a
+    `train` cache of its own."""
+    one_seed, build_rows = harness._kind_functions(spec)
+    per_seed = []
+    for seed in spec.seeds:
+        with training._train_cache():
+            per_seed.append(training._solo(one_seed(spec, seed)))
+    return MetricsReport(spec.kind, spec.to_json_dict(), list(spec.seeds),
+                         build_rows(spec, per_seed))
+
+
+def lockstep_specs():
+    seeds = (0, 1, 2)
+    return {
+        "sequential": small_sequential_spec(
+            seeds=seeds, method_pairs=harness.SEQUENTIAL_METHOD_PAIRS
+        ),
+        "sparsity-ablation": dataclasses.replace(small_sparsity_spec(), seeds=seeds),
+        "calibration-ablation": dataclasses.replace(
+            small_calibration_spec(), seeds=seeds, base_task=cluster_task(5, "c-base"),
+            base_train=dict(learning_rate=0.01, batch_size=32, epochs=3),
+        ),
+        "merging": small_merging_spec(seeds=seeds),
+    }
+
+
+class TestLockstepOracle:
+    """All seeds of an experiment train in lockstep, as shared stacks; the
+    report must equal driving one seed at a time byte for byte, and a
+    failure must raise what the seed-by-seed loop raises."""
+
+    @pytest.mark.parametrize("kind", list(lockstep_specs()))
+    def test_report_equals_one_seed_at_a_time(self, kind, fwd_bwd_calls):
+        spec = lockstep_specs()[kind]
+        report = run_experiment(spec)
+        stacked = len(fwd_bwd_calls)
+        fwd_bwd_calls.clear()
+        alone = seed_by_seed(spec)
+        assert report.to_json() == alone.to_json()
+        assert report.to_csv() == alone.to_csv()
+        # every seed trains ahead at the same points, so the lockstep takes
+        # fewer stacked steps; a merging seed trains only ahead, so a third
+        assert stacked < len(fwd_bwd_calls)
+        if kind == "merging":
+            assert 3 * stacked == len(fwd_bwd_calls)
+
+    @pytest.mark.parametrize("seeds, raised", [
+        pytest.param((0, 1, 2), "seed 0 fails late", id="0-1-2"),
+        pytest.param((1, 0, 2), "seed 1 fails early", id="1-0-2"),
+        pytest.param((2, 0, 1), "seed 0 fails late", id="2-0-1"),
+    ])
+    def test_first_failing_seed_raises_its_own_error(self, monkeypatch, seeds, raised):
+        # seed 1 fails before its first yield, seed 0 after its last; the
+        # seeds after the first failure in seed order are never sent on
+        original = harness._merging_one_seed
+        finished = []
+
+        def flaky(spec, seed):
+            if seed == 1:
+                raise HarnessError("seed 1 fails early")
+            result = yield from original(spec, seed)
+            finished.append(seed)
+            if seed == 0:
+                raise HarnessError("seed 0 fails late")
+            return result
+
+        monkeypatch.setattr(harness, "_merging_one_seed", flaky)
+        spec = small_merging_spec(seeds=seeds)
+        with pytest.raises(HarnessError) as from_loop:
+            seed_by_seed(spec)
+        alone = list(finished)
+        finished.clear()
+        with pytest.raises(HarnessError) as from_lockstep:
+            run_experiment(spec)
+        assert str(from_lockstep.value) == str(from_loop.value) == raised
+        assert finished == alone

@@ -307,7 +307,7 @@ class TestDataFitsModel:
         labels[0] = 3
         runs = [(data, quick_config()), (Dataset(data.inputs, labels), quick_config())]
         with pytest.raises(ConfigError, match="class indices"):
-            training._train_batch(model, runs)
+            training._train_batch([(model, *run) for run in runs])
         assert step_counter == []
 
 
@@ -457,9 +457,10 @@ def solo_outcome(model, data, config):
 
 
 class TestReplicaBatchOracle:
-    """`_train_batch` runs configs that differ only in mask as one replica
-    stack. Each replica must equal its solo `train` run bit for bit, and
-    reach later `train` calls through the open cache."""
+    """`_train_batch` runs models that differ only in params (each
+    replica's start weights), with configs that differ only in mask and
+    seed, as one replica stack. Each replica must equal its solo `train`
+    run bit for bit, and reach later `train` calls through the open cache."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -485,7 +486,7 @@ class TestReplicaBatchOracle:
             )
             for i, kind in enumerate(kinds)
         ]
-        batch = training._train_batch(model, [(data, c) for c in configs])
+        batch = training._train_batch([(model, data, c) for c in configs])
         for config, (final, record) in zip(configs, batch):
             solo_final, solo_record = train(model, data, config)
             assert final.flat.tobytes() == solo_final.flat.tobytes()
@@ -511,7 +512,7 @@ class TestReplicaBatchOracle:
             assert isinstance(kinds["dense"], DivergenceError)
             assert not isinstance(kinds["frozen"], DivergenceError)
             with training._train_cache():
-                batch = training._train_batch(model, [(data, c) for c in configs])
+                batch = training._train_batch([(model, data, c) for c in configs])
                 for config, expected, got in zip(configs, solo, batch):
                     before = len(step_counter)
                     again = solo_outcome(model, data, config)
@@ -571,9 +572,10 @@ class TestReplicaBatchOracle:
     def test_configs_must_differ_only_in_mask(self):
         model, data = toy_model(), toy_task()
         with pytest.raises(ConfigError, match="only in mask"):
-            training._train_batch(
-                model, [(data, quick_config()), (data, quick_config(learning_rate=0.02))]
-            )
+            training._train_batch([
+                (model, data, quick_config()),
+                (model, data, quick_config(learning_rate=0.02)),
+            ])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -605,7 +607,7 @@ class TestReplicaBatchOracle:
             ))
             for i, (j, kind) in enumerate(runs)
         ]
-        batch = training._train_batch(model, runs)
+        batch = training._train_batch([(model, *run) for run in runs])
         for (dataset, config), (final, record) in zip(runs, batch):
             solo_final, solo_record = train(model, dataset, config)
             assert final.flat.tobytes() == solo_final.flat.tobytes()
@@ -636,7 +638,7 @@ class TestReplicaBatchOracle:
         ]
         with np.errstate(all="ignore"):
             solo = [solo_outcome(model, d, c) for d, c in runs]
-            batch = training._train_batch(model, runs)
+            batch = training._train_batch([(model, *run) for run in runs])
         assert isinstance(solo[order.index("dense")], DivergenceError)
         assert not isinstance(solo[order.index("frozen")], DivergenceError)
         for expected, got in zip(solo, batch):
@@ -647,6 +649,88 @@ class TestReplicaBatchOracle:
             else:
                 assert got[0].flat.tobytes() == expected[0].flat.tobytes()
                 assert got[1] == expected[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        head=st.sampled_from(["softmax-cross-entropy", "mean-squared-error"]),
+        activation=st.sampled_from(["tanh", "relu"]),
+        runs=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # start weights
+                st.integers(0, 3),  # dataset; the fourth has huge inputs
+                st.integers(0, 2),  # config seed
+                st.sampled_from(["none", "all-true", "all-false", "single", "random"]),
+            ),
+            min_size=1, max_size=6,
+        ),
+        density=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**16),
+        clip=st.sampled_from([0.05, 1.0]),
+    )
+    def test_each_replica_from_its_own_start_and_seed_equals_its_solo_run(
+        self, head, activation, runs, density, seed, clip
+    ):
+        # replicas start from one of three models' weights, train on one of
+        # four datasets and shuffle by one of three seeds. On the huge
+        # inputs a relu model with a mean-squared-error head diverges in
+        # its first step and leaves the stack, with its rows of the data
+        # and of the epoch's order.
+        models = [oracle_problem(head, activation, seed + 10 * j)[0] for j in range(3)]
+        data = [oracle_problem(head, activation, seed + 1 + j)[1] for j in range(3)]
+        data.append(Dataset(data[0].inputs * np.float32(1e20), data[0].targets))
+        runs = [
+            (models[m], data[d], quick_config(
+                learning_rate=0.05, batch_size=16, epochs=3, seed=seed + s,
+                clip_group_norm=clip,
+                mask=oracle_mask(models[0].params, kind, density, seed + i),
+            ))
+            for i, (m, d, s, kind) in enumerate(runs)
+        ]
+        with np.errstate(all="ignore"):
+            solo = [solo_outcome(*run) for run in runs]
+            with training._train_cache():
+                batch = training._train_batch(runs)
+                again = [solo_outcome(*run) for run in runs]  # hits, or fresh failures
+        for expected, got, hit in zip(solo, batch, again):
+            for outcome in (got, hit):
+                if isinstance(expected, DivergenceError):
+                    assert isinstance(outcome, DivergenceError)
+                    assert str(outcome) == str(expected)
+                    assert outcome.partial_record == expected.partial_record
+                else:
+                    assert outcome[0].flat.tobytes() == expected[0].flat.tobytes()
+                    assert outcome[1] == expected[1]
+
+    @pytest.mark.parametrize("survivors", [1, 2])
+    def test_replica_leaves_a_stack_of_its_own_starts_and_seeds(self, survivors):
+        # replica 0 diverges in its first step; the survivors, each with
+        # its own start, seed and data, go on in their own order, alone
+        # (without the replica axis) or as a stack of two
+        head = "mean-squared-error"
+        models = [ToyModel.initialize([6, 16, 3], "relu", head, j) for j in range(3)]
+        data = [oracle_problem(head, "relu", j, dim=6)[1] for j in range(3)]
+        data[0] = Dataset(data[0].inputs * np.float32(1e20), data[0].targets)
+        runs = [
+            (models[j], data[j], quick_config(epochs=3, batch_size=24, seed=j))
+            for j in range(1 + survivors)
+        ]
+        with np.errstate(all="ignore"):
+            solo = [solo_outcome(*run) for run in runs]
+            batch = training._train_batch(runs)
+        assert isinstance(solo[0], DivergenceError)
+        assert str(batch[0]) == str(solo[0])
+        assert batch[0].partial_record == solo[0].partial_record
+        for expected, got in zip(solo[1:], batch[1:]):
+            assert got[0].flat.tobytes() == expected[0].flat.tobytes()
+            assert got[1] == expected[1]
+
+    def test_models_must_differ_only_in_params(self):
+        data, config = toy_task(), quick_config()
+        wider = ToyModel.initialize([6, 17, 3], "tanh", "softmax-cross-entropy", 0)
+        relu = ToyModel.initialize([6, 16, 3], "relu", "softmax-cross-entropy", 0)
+        for other in (wider, relu):
+            with pytest.raises(ConfigError, match="only in params"):
+                training._train_batch([(toy_model(), data, config), (other, data, config)])
 
     @pytest.mark.parametrize("other", [
         "length", "input width", "target kind", "target width",
@@ -667,7 +751,7 @@ class TestReplicaBatchOracle:
         first = data["vectors" if other == "target width" else "classes"]
         model, config = toy_model(), quick_config()
         with pytest.raises(ConfigError, match="one length"):
-            training._train_batch(model, [(first, config), (data[other], config)])
+            training._train_batch([(model, first, config), (model, data[other], config)])
 
 
 def steps_per_run(config, data):
