@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import build_container, checked_shape, parse_container, write_atomic
+from .container import checked_shape, container_parts, parse_container, write_atomic
 from .errors import AlignmentError, DigestMismatchError, FormatError
 from .params import MapDigest, ParameterMap, digest
 from .sparsity import TaskVector
@@ -216,7 +216,7 @@ def compression_report(adapter: SparseAdapter) -> CompressionReport:
     n_total = adapter.n_total
     c_total = adapter.c_total
     payload_bits = sum(8 * len(r.gap_bytes) + 32 * r.c for r in adapter.records)
-    total_bits = 8 * len(_container_bytes(adapter))
+    total_bits = 8 * sum(map(len, _container_parts(adapter)))
     ideal = math.inf if c_total == 0 else 32.0 * n_total / (40.0 * c_total)
     return CompressionReport(
         ideal_ratio=ideal,
@@ -228,7 +228,7 @@ def compression_report(adapter: SparseAdapter) -> CompressionReport:
     )
 
 
-def _container_bytes(adapter: SparseAdapter) -> bytes:
+def _container_parts(adapter: SparseAdapter) -> list:
     if len(adapter.base_digest) != 32:
         raise ValueError("base digest must be 32 bytes")
     entries = {}
@@ -241,11 +241,11 @@ def _container_bytes(adapter: SparseAdapter) -> bytes:
         "format": FORMAT,
         "shapes": {rec.name: list(rec.shape) for rec in adapter.records},
     }
-    return build_container(entries, metadata)
+    return container_parts(entries, metadata)
 
 
 def save_adapter(adapter: SparseAdapter, path: str | Path) -> None:
-    write_atomic(path, _container_bytes(adapter))
+    write_atomic(path, *_container_parts(adapter))
 
 
 def load_adapter(path: str | Path) -> SparseAdapter:

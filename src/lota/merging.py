@@ -23,6 +23,14 @@ small or empty.
 All merge arithmetic is float32. Per-coordinate sums accumulate in
 ascending value order, which makes every merge invariant to the order the
 task vectors are supplied in.
+
+Memory: a merge holds its rows, in proportion to the kept entries, and
+its float32 result. Beyond those, the election counts coverage in one byte
+per coordinate (wider only past 255 sources, so a count never wraps), then
+maps overlap columns through a slot array of the narrowest unsigned type
+that holds the overlap count (four bytes per coordinate at most, below
+2**32 overlaps), and frees each before the next step. The result is
+combined with the base in its own buffer, `merged *= lam; merged += w_P`.
 """
 
 from __future__ import annotations
@@ -102,18 +110,23 @@ def _scatter_add(n: int, rows: Sequence[Row]) -> np.ndarray:
 def _elect_mean(n: int, rows: Sequence[Row]) -> np.ndarray:
     """Flat sign-elected mean of the rows; the network runs on overlaps only."""
     merged = np.zeros(n, dtype=np.float32)
+    # rows hold distinct indices, so one += per row counts each coordinate's
+    # rows; the counter is one byte wide up to 255 rows and never wraps
+    cover = np.zeros(n, dtype=np.min_scalar_type(len(rows)))
     for idx, vals in rows:
         merged[idx] = vals
-    cover = np.bincount(np.concatenate([idx for idx, _ in rows]), minlength=n)
+        cover[idx] += 1
     multi = np.flatnonzero(cover > 1)
+    del cover
     if multi.size:
         # block column of each multiply covered index; the rest land in a
         # spare last column that is never merged
-        slot = np.full(n, multi.size, dtype=np.intp)
+        slot = np.full(n, multi.size, dtype=np.min_scalar_type(multi.size))
         slot[multi] = np.arange(multi.size)
         block = np.zeros((len(rows), multi.size + 1), dtype=np.float32)
         for row, (idx, vals) in zip(block, rows):
             row[slot[idx]] = vals
+        del slot
         merged[multi] = _trim_elect_mean(block[:, :-1])
     return merged
 
@@ -143,7 +156,12 @@ def _merge(
     n = w_p.total_elements
     rows = _rows(w_p, sources, fractions, weights)
     merged = _elect_mean(n, rows) if elect else _scatter_add(n, rows)
-    return ParameterMap.from_flat(w_p.layout, w_p.flat + np.float32(lam) * merged)
+    del rows
+    # lam * merged + w_P, in the merge's own buffer: float32 multiply and
+    # add commute, so this is w_P + lam * merged bit for bit
+    merged *= np.float32(lam)
+    merged += w_p.flat
+    return ParameterMap.from_flat(w_p.layout, merged)
 
 
 def _sort_columns(stacked: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import build_container, typed_entries, write_atomic
+from .container import build_container, container_parts, read_flat, write_atomic
 from .errors import AlignmentError, NonFiniteError
 
 MapDigest = bytes  # 32-byte SHA-256 over the canonical checkpoint serialization
@@ -162,26 +162,39 @@ class ParameterMap(_FlatMap):
         return f"ParameterMap({len(self)} tensors, {self.total_elements} elements)"
 
 
+def _checkpoint_parts(pm: ParameterMap) -> list:
+    """The canonical serialization of `pm` as container parts; the tensor
+    parts are views of `pm.flat`, which is the payload in layout order."""
+    return container_parts(dict(pm.items()), None)
+
+
 def serialize_checkpoint(pm: ParameterMap) -> bytes:
     """Canonical byte serialization; depends only on map content."""
     return build_container(dict(pm.items()), None)
 
 
 def save_checkpoint(pm: ParameterMap, path: str | Path) -> None:
-    write_atomic(path, serialize_checkpoint(pm))
+    write_atomic(path, *_checkpoint_parts(pm))
 
 
 def load_checkpoint(path: str | Path) -> ParameterMap:
-    return ParameterMap(typed_entries(Path(path).read_bytes(), "F32"))
+    """The map stored at `path`, its payload read straight into the map's buffer."""
+    shapes, flat = read_flat(path, "F32")
+    return ParameterMap.from_flat(Layout(shapes), flat)
 
 
 def digest(pm: ParameterMap) -> MapDigest:
     """32-byte SHA-256 of the canonical serialization.
 
-    Computed once per map and kept: `.flat` is read-only, so it cannot change.
+    The serialization's parts are hashed one by one, so no copy of the map
+    is made. Computed once per map and kept: `.flat` is read-only, so it
+    cannot change.
     """
     if pm._digest is None:
-        pm._digest = hashlib.sha256(serialize_checkpoint(pm)).digest()
+        h = hashlib.sha256()
+        for part in _checkpoint_parts(pm):
+            h.update(part)
+        pm._digest = h.digest()
     return pm._digest
 
 

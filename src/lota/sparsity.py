@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import real
-from .container import build_container, typed_entries, write_atomic
+from .container import container_parts, typed_entries, write_atomic
 from .errors import CapacityError, FormatError
 from .params import Layout, MapDigest, ParameterMap, _FlatMap, digest
 
@@ -243,13 +243,12 @@ def save_mask(
     Both are serialized before either is written, and each is replaced
     atomically, container first.
     """
-    entries = {n: a.astype(np.uint8) for n, a in mask.items()}
-    blob = build_container(entries, None)
+    parts = container_parts({n: a.view(np.uint8) for n, a in mask.items()}, None)
     sidecar = {"declared_sparsity": mask.declared_sparsity, "source": source}
     if seed is not None:
         sidecar["seed"] = seed
     text = json.dumps(sidecar, sort_keys=True, separators=(",", ":")) + "\n"
-    write_atomic(path, blob)
+    write_atomic(path, *parts)
     write_atomic(str(path) + ".json", text.encode())
 
 

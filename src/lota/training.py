@@ -34,7 +34,8 @@ results over through the memo: inside `_train_cache()` each finished
 replica is stored exactly as `train` would store it, under its own initial
 digest, and the `train` calls that follow only hit. A replica that
 diverges leaves the stack, with its data, and is not cached, so its
-`train` call raises as before.
+`train` call raises as before; so does one whose weights overflow while its
+loss stays finite, and the others in its stack keep their results.
 
 Code that trains ahead is written as a lockstep generator: it yields each
 list of runs it is about to train and then makes its `train` calls, which
@@ -65,7 +66,7 @@ import numpy as np
 
 from .adapter import SparseAdapter, encode
 from .config import COUNT_MAX, SEED_MAX, check_fields, checked, integer, optional, real
-from .errors import ConfigError, DivergenceError, LotaError
+from .errors import ConfigError, DivergenceError, LotaError, NonFiniteError
 from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
 from .sparsity import (
@@ -263,7 +264,7 @@ def train(
     is not cached.
     """
     (result,) = _train_batch([(model, dataset, config)])
-    if isinstance(result, DivergenceError):
+    if isinstance(result, LotaError):
         raise result
     return result
 
@@ -283,16 +284,18 @@ def _shared_config(config: TrainConfig) -> TrainConfig:
 
 def _train_batch(
     runs: Sequence[Run],
-) -> list[tuple[ParameterMap, RunRecord] | DivergenceError]:
+) -> list[tuple[ParameterMap, RunRecord] | DivergenceError | NonFiniteError]:
     """`train` for each `(model, dataset, config)` run, as one replica stack.
 
     The models may differ only in their params, the configs only in `mask`
     and `seed`, and the datasets only in their contents: one length, one
     input width, one target kind and shape. Returns, per run, what `train`
-    returns for it, or the `DivergenceError` that `train` raises. Runs that
-    `train` would key equal train once. Inside `_train_cache()` a run that
-    is cached is not trained again, and each run that finishes is cached
-    exactly as `train` caches it, so a later `train` call is a hit.
+    returns for it, or the error that `train` raises: a `DivergenceError`,
+    or a `NonFiniteError` for weights that overflowed while the loss stayed
+    finite. Runs that `train` would key equal train once. Inside
+    `_train_cache()` a run that is cached is not trained again, and each run
+    that finishes is cached exactly as `train` caches it, so a later `train`
+    call is a hit.
     """
     model, _, config = runs[0]
     shared = _shared_config(config)
@@ -332,14 +335,13 @@ def _train_batch(
     ]
     finals = _step_loop(firsts, records)
     for (key, ids), record, final in zip(misses.items(), records, finals):
-        if not isinstance(final, DivergenceError):
+        if not isinstance(final, LotaError):
             record.final_digest = digest(final).hex()
             if cache is not None:
                 cache[key] = (final, record)
         for i in ids:
             results[i] = (
-                final if isinstance(final, DivergenceError)
-                else (final, copy.deepcopy(record))
+                final if isinstance(final, LotaError) else (final, copy.deepcopy(record))
             )
     return results
 
@@ -413,7 +415,7 @@ def _epoch_order(seeds: Sequence[int], epoch: int, n: int) -> np.ndarray:
 
 def _step_loop(
     runs: Sequence[Run], records: list[RunRecord]
-) -> list[ParameterMap | DivergenceError]:
+) -> list[ParameterMap | DivergenceError | NonFiniteError]:
     """The optimizer step loop: one replica per run, all in lockstep.
 
     Replica r starts from the params of `runs[r]`'s model and trains on its
@@ -427,8 +429,10 @@ def _step_loop(
     replicas' kept sets. The clip's and the update's scratch is built
     once, by the `_ReplicaStack`. A replica whose loss turns non-finite
     leaves the stack at that step, with its data rows, and with the
-    `DivergenceError` its solo run raises. Appends each replica's epoch
-    losses to its record.
+    `DivergenceError` its solo run raises. A replica whose weights
+    overflowed while its loss stayed finite ends with the `NonFiniteError`
+    that its final weights raise, and the others keep their results.
+    Appends each replica's epoch losses to its record.
     """
     model, _, config = runs[0]
     layout = model.params.layout
@@ -479,7 +483,10 @@ def _step_loop(
             records[r].loss_trace.append(float(np.mean(losses[r])))
             losses[r].clear()
     for row, r in enumerate(replicas):
-        outcomes[r] = ParameterMap.from_flat(layout, stack.state[row].copy())
+        try:
+            outcomes[r] = ParameterMap.from_flat(layout, stack.state[row].copy())
+        except NonFiniteError as exc:
+            outcomes[r] = exc
     return outcomes
 
 

@@ -2,9 +2,17 @@
 
 Every reader answers a damaged file with FormatError or NonFiniteError and
 nothing else. An adapter that still loads either merges and applies onto
-its true base or fails with AlignmentError or DigestMismatchError.
+its true base or fails with AlignmentError or DigestMismatchError. A
+checkpoint's header is checked against the file's size before its payload
+buffer is allocated, so a forged size costs no memory: run under an
+address-space cap, a loader that sized a buffer from the header would fail
+with MemoryError.
 """
 
+import json
+import math
+import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,3 +130,69 @@ def test_undamaged_files_load(files):
     assert load_checkpoint(files.root / "base.ckpt") == files.base
     assert load_mask(files.root / "m.bin").kept_count > 0
     assert apply_adapter(files.base, load_adapter(files.root / "a.lta")) != files.base
+
+
+def refusal_peak(path) -> int:
+    """The traced peak of `load_checkpoint(path)`, which must raise FormatError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def with_header_length(blob: bytes, header_len: int) -> bytes:
+    return struct.pack("<Q", header_len) + blob[8:]
+
+
+def with_declared_elements(blob: bytes, elements: int) -> bytes:
+    """`blob` whose first tensor declares `elements` float32 values, with
+    every offset moved to match; the payload is unchanged."""
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8 : 8 + header_len])
+    header[min(header)]["shape"] = [elements]
+    cursor = 0
+    for name in sorted(header):
+        end = cursor + 4 * math.prod(header[name]["shape"])
+        header[name]["data_offsets"] = [cursor, end]
+        cursor = end
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack("<Q", len(raw)) + raw + blob[8 + header_len :]
+
+
+FORGED = {
+    # sizes beyond the file; 2**29 float32 values are 2 GiB
+    **{f"elements-{e}": (with_declared_elements, e) for e in (64, 2**29, 2**40)},
+    **{f"header-length-{h}": (with_header_length, h) for h in (2**31, 2**63)},
+}
+
+
+@pytest.mark.parametrize("forge", sorted(FORGED))
+def test_forged_checkpoint_size_allocates_nothing(files, forge):
+    build, value = FORGED[forge]
+    path = files.root / "forged.ckpt"
+    path.write_bytes(build(files.ckpt, value))
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)
+    assert refusal_peak(path) < 2**20
+
+
+def test_every_cut_of_a_checkpoint_is_refused(files):
+    # the prefix, the header or the payload cut short: each leaves a file
+    # shorter than its header declares
+    path = files.root / "cut.ckpt"
+    for pos in range(len(files.ckpt)):
+        path.write_bytes(files.ckpt[:pos])
+        assert refusal_peak(path) < 2**20
+
+
+@pytest.mark.parametrize("bits", [0x01, 0x80])
+def test_flipped_header_length_is_refused(files, bits):
+    path = files.root / "flip.ckpt"
+    for pos in range(8):
+        blob = bytearray(files.ckpt)
+        blob[pos] ^= bits
+        path.write_bytes(bytes(blob))
+        assert refusal_peak(path) < 2**20

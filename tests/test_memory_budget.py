@@ -1,0 +1,81 @@
+"""What a merge, a hash, a save and a load allocate, per parameter.
+
+numpy reports its buffers to tracemalloc, so the traced peak of one call
+is the scratch it allocates, its result included. Each bound is pinned on
+a map of about 1M parameters with some headroom. A merge may hold scratch
+in proportion to the kept entries plus at most one model-size buffer
+beyond its float32 result; the hash and the save stream the map's own
+buffer, and the load reads the file straight into the new map's buffer.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lota import (
+    ParameterMap,
+    ToyModel,
+    apply_mask,
+    digest,
+    encode,
+    load_checkpoint,
+    merge_lota,
+    save_checkpoint,
+    sparsify,
+    ties_merge,
+)
+from lota.sparsity import TaskVector
+
+# traced peak bytes per parameter; the result of a merge or a load is 4
+BUDGET = {
+    "ties_merge": 30.0,
+    "merge_lota": 16.0,
+    "digest": 1.0,
+    "save_checkpoint": 1.0,
+    "load_checkpoint": 6.0,
+}
+
+
+@pytest.fixture(scope="module")
+def problem(tmp_path_factory):
+    base = ToyModel.initialize(
+        (16, 1024, 1024, 4), "tanh", "softmax-cross-entropy", 0
+    ).params
+    rng = np.random.default_rng(0)
+    n = base.total_elements
+    tvs = [
+        TaskVector(
+            ParameterMap.from_flat(base.layout, rng.standard_normal(n, dtype=np.float32)),
+            digest(base),
+        )
+        for _ in range(4)
+    ]
+    adapters = [encode(apply_mask(tv, sparsify(tv, 0.9))) for tv in tvs]
+    path = tmp_path_factory.mktemp("budget") / "base.ckpt"
+    save_checkpoint(base, path)
+    return base, tvs, adapters, path
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("op", sorted(BUDGET))
+def test_peak_per_parameter(problem, tmp_path, op):
+    base, tvs, adapters, path = problem
+    fresh = ParameterMap.from_flat(base.layout, base.flat.copy())  # not yet hashed
+    calls = {
+        "ties_merge": lambda: ties_merge(base, tvs, [0.2] * len(tvs)),
+        "merge_lota": lambda: merge_lota(base, adapters),
+        "digest": lambda: digest(fresh),
+        "save_checkpoint": lambda: save_checkpoint(base, tmp_path / "out.ckpt"),
+        "load_checkpoint": lambda: load_checkpoint(path),
+    }
+    per_parameter = traced_peak(calls[op]) / base.total_elements
+    assert per_parameter <= BUDGET[op]

@@ -376,8 +376,8 @@ class TestGridSearch:
         tvs = [tv_for(base, rng.standard_normal(6)) for _ in range(2)]
         fresh = ParameterMap.from_flat(base.layout, base.flat.copy())  # unhashed
         serialized = []
-        original = params.serialize_checkpoint
-        monkeypatch.setattr(params, "serialize_checkpoint",
+        original = params._checkpoint_parts
+        monkeypatch.setattr(params, "_checkpoint_parts",
                             lambda pm: serialized.append(pm) or original(pm))
         grid = [0.1, 0.2, 0.3]
         result = merge_grid_search(fresh, tvs, [grid, grid], eval_fn=lambda pm: [0.0])
@@ -608,6 +608,53 @@ class TestSparseCoreOracle:
             )
             want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
             assert_bitwise(run_merge_spec(base, adapters, spec), want)
+
+
+# nonzero, of both signs, so that every coordinate a source covers counts
+MANY_POOL = [0.3, -0.3, 1.0, -1.0, 3e-8, -3e-8, 0.5, -2.0]
+
+
+def many_sources(support, count, n, rng):
+    """`count` flat task vectors over n coordinates: each dense ("shared"),
+    each on a coordinate of its own ("disjoint"), or all one ("identical")."""
+    if support == "identical":
+        return [rng.choice(MANY_POOL, n).astype(F32)] * count
+    vectors = []
+    for i in range(count):
+        v = rng.choice(MANY_POOL, n).astype(F32)
+        if support == "disjoint":
+            v[np.arange(n) != i] = 0.0
+        vectors.append(v)
+    return vectors
+
+
+class TestManySources:
+    """More sources than a one-byte coverage counter can count.
+
+    A counter that wrapped would take a coordinate of 256 sources for one
+    that a single source covers, and merge it to that source's value."""
+
+    @pytest.mark.parametrize("support, count", [
+        ("shared", 255), ("shared", 256), ("shared", 300), ("disjoint", 300),
+        ("identical", 300),
+    ])
+    def test_matches_dense_reference(self, support, count):
+        shapes = {"w": (count,)} if support == "disjoint" else LAYOUTS[1]
+        n = sum(math.prod(shape) for shape in shapes.values())
+        rng = np.random.default_rng(count)
+        base_flat = rng.choice(MANY_POOL, n).astype(F32)
+        vectors = many_sources(support, count, n, rng)
+        base = as_map(shapes, base_flat)
+        tvs = [TaskVector(as_map(shapes, v), digest(base)) for v in vectors]
+        adapters = [encode(tv) for tv in tvs]
+        ones = [1.0] * count
+        want = reference_merge(base_flat, vectors, ones, ones, 1.0, True)
+        assert_bitwise(ties_merge(base, tvs, ones), want)
+        assert_bitwise(merge_lota(base, adapters), want)
+        halves = [0.5] * count
+        want = reference_merge(base_flat, vectors, halves, ones, 1.0, True)
+        for sources in (tvs, adapters):
+            assert_bitwise(ties_merge(base, sources, halves), want)
 
 
 class TestAdapterMergeChecks:

@@ -13,6 +13,7 @@ from lota import (
     ConfigError,
     Dataset,
     DivergenceError,
+    NonFiniteError,
     ParameterMap,
     SparsityMask,
     ToyModel,
@@ -31,7 +32,7 @@ from lota import (
     sparsify,
     train,
 )
-from lota.adapter import _container_bytes
+from lota.adapter import _container_parts
 from lota.models import (
     _activate_grad, _forward_pass, _loss_and_output_grad, concat_datasets,
 )
@@ -724,6 +725,45 @@ class TestReplicaBatchOracle:
             assert got[0].flat.tobytes() == expected[0].flat.tobytes()
             assert got[1] == expected[1]
 
+    @pytest.mark.parametrize("overflow_first", [True, False])
+    def test_replica_whose_weights_overflow_leaves_the_others_their_results(
+        self, step_counter, overflow_first
+    ):
+        # one first-layer weight steps to inf at learning rate 1e38; tanh
+        # saturates, so the loss stays finite and only the final weights
+        # are not. The run alone raises NonFiniteError; in a stack with a
+        # frozen run it must raise that alone, and the frozen run finishes.
+        model = ToyModel.initialize([4, 8, 3], "tanh", "softmax-cross-entropy", 0)
+        data = toy_task(dim=4)
+        layout = model.params.layout
+        single = np.zeros(layout.size, bool)
+        single[layout.offsets[layout.names.index("layer0.weight")]] = True
+        overflow, frozen = (
+            quick_config(learning_rate=1e38, epochs=3, clip_group_norm=0.05, mask=m)
+            for m in (SparsityMask.from_flat(layout, single), all_false_mask(model.params))
+        )
+        runs = {"overflow": overflow, "frozen": frozen}
+        order = ["overflow", "frozen"] if overflow_first else ["frozen", "overflow"]
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError) as solo_error:
+                train(model, data, overflow)
+            solo_final, solo_record = train(model, data, frozen)
+            with training._train_cache():
+                batch = dict(zip(order, training._train_batch(
+                    [(model, data, runs[name]) for name in order]
+                )))
+                before = len(step_counter)
+                hit_final, hit_record = train(model, data, frozen)
+                assert len(step_counter) == before  # cached
+                with pytest.raises(NonFiniteError) as again:
+                    train(model, data, overflow)
+                assert len(step_counter) > before  # not cached: trains again
+        assert isinstance(batch["overflow"], NonFiniteError)
+        assert str(batch["overflow"]) == str(again.value) == str(solo_error.value)
+        for final, record in (batch["frozen"], (hit_final, hit_record)):
+            assert final.flat.tobytes() == solo_final.flat.tobytes()
+            assert record == solo_record
+
     def test_models_must_differ_only_in_params(self):
         data, config = toy_task(), quick_config()
         wider = ToyModel.initialize([6, 17, 3], "tanh", "softmax-cross-entropy", 0)
@@ -761,7 +801,9 @@ def steps_per_run(config, data):
 def assert_same_lota(got, want):
     assert got.mask == want.mask
     assert got.w_final.flat.tobytes() == want.w_final.flat.tobytes()
-    assert _container_bytes(got.adapter) == _container_bytes(want.adapter)
+    assert b"".join(_container_parts(got.adapter)) == b"".join(
+        _container_parts(want.adapter)
+    )
     assert got.train_record == want.train_record
     assert got.calibration_record == want.calibration_record
 
