@@ -1,4 +1,9 @@
-"""Sparse task-vector fine-tuning, storage, and merging toolkit."""
+"""Sparse task-vector fine-tuning, storage, and merging toolkit.
+
+Supported: Python 3.11 with numpy 2.4. Outputs are deterministic, but the
+golden digests in `tests/golden.json` hold for numpy 2.4.6 only: another
+numpy release may round a float32 reduction differently.
+"""
 
 from .adapter import (
     AdapterRecord,
@@ -41,7 +46,6 @@ from .params import (
     zeros_like,
 )
 from .sparsity import (
-    OverlapStats,
     SparsityMask,
     TaskVector,
     all_false_mask,
@@ -50,7 +54,6 @@ from .sparsity import (
     load_mask,
     mask_complement,
     mask_union,
-    overlap_stats,
     random_mask,
     save_mask,
     sparsify,

@@ -41,6 +41,7 @@ from .training import (
     _train_ahead,
     _train_cache,
     iterative_lota,
+    lota,
     lotto,
     mixed_data_fft,
     train,
@@ -231,13 +232,10 @@ def _sequential_one_seed(
     a_train, a_test = spec.task_a.reseeded(derive_seed("task-a", seed)).make()
     b_train, b_test = spec.task_b.reseeded(derive_seed("task-b", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
-    plan_b = [(b_train, spec.sparsity, 1.0)]
 
     yield [(model, a_train, config), (model, b_train, config)]
     w_fft_a, _ = train(model, a_train, config)
-    (lota_a,) = yield from _lota_grid_lockstep(
-        model, [(a_train, spec.sparsity, 1.0)], config
-    )
+    lota_a = yield from lota.lockstep(model, a_train, spec.sparsity, config)
     w_fft_b, _ = train(model, b_train, config)
     baseline_b = evaluate(model.with_params(w_fft_b), b_test)
     baselines_a = {
@@ -263,23 +261,21 @@ def _sequential_one_seed(
         if method_b == "fft":
             w_ab, _ = train(start, b_train, config)
         elif method_b == "lota":
-            (result,) = yield from _lota_grid_lockstep(start, plan_b, config)
+            result = yield from lota.lockstep(start, b_train, spec.sparsity, config)
             w_ab = result.w_final
             extras["mask_kept"] = result.mask.kept_count
         elif method_b == "lotto":  # only lota->lotto: its mask is the constraint
-            result = lotto(
-                start,
-                [b_train],
-                spec.sparsity,
-                config,
-                initial_constraints=lota_a.mask,
+            result = yield from lotto.lockstep(
+                start, [b_train], spec.sparsity, config, initial_constraints=lota_a.mask
             )
             w_ab = result.w_final
             extras["mask_kept"] = result.masks[0].kept_count
             report = compression_report(result.adapters[0])
             extras["ideal_ratio"] = report.ideal_ratio
         else:  # fft-mixed
-            w_ab, _ = mixed_data_fft(start, b_train, a_train, spec.mix_fraction, config)
+            w_ab, _ = yield from mixed_data_fft.lockstep(
+                start, b_train, a_train, spec.mix_fraction, config
+            )
         utility_a = evaluate(model.with_params(w_ab), a_test)
         utility_b = evaluate(model.with_params(w_ab), b_test)
         out["pairs"][pair] = {
@@ -365,7 +361,9 @@ def _sparsity_one_seed(
         for s, result in zip(spec.grid, grid)
     }
     if spec.iterative_schedule:
-        result = iterative_lota(model, train_data, list(spec.iterative_schedule), config)
+        result = yield from iterative_lota.lockstep(
+            model, train_data, spec.iterative_schedule, config
+        )
         out["iterative"] = {
             "utility": evaluate(model.with_params(result.w_final), test_data),
             "k": result.mask.kept_count,
@@ -565,7 +563,9 @@ def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
     seeds train ahead at the same point form replica stacks, each replica
     with its own start weights, data and shuffle: the FFT arms on tasks A
     and B of every seed as one stack, a grid's calibrations and then its
-    retrains, and the sequential B phase's dense arms. The outputs are
+    retrains, the sequential B phase's dense arms, each LoTA and LoTTO
+    phase's calibrations and then its retrains, the mixed-data runs, and
+    each later stage of the iterative schedule. The outputs are
     bit-identical to running one uncached seed at a time.
 
     Memory grows linearly with the number of seeds. The cache, dropped

@@ -124,12 +124,6 @@ class SparsityMask(_FlatMap):
         )
 
 
-@dataclass(frozen=True)
-class OverlapStats:
-    intersection_count: int
-    jaccard: float
-
-
 def compute_task_vector(w_f: ParameterMap, w_p: ParameterMap) -> TaskVector:
     """Elementwise w_f - w_p, tagged with the base digest.
 
@@ -202,14 +196,6 @@ def mask_union(a: SparsityMask, b: SparsityMask) -> SparsityMask:
 
 def mask_complement(a: SparsityMask) -> SparsityMask:
     return SparsityMask.from_flat(a.layout, ~a.flat)
-
-
-def overlap_stats(a: SparsityMask, b: SparsityMask) -> OverlapStats:
-    a.layout.require_aligned(b.layout, "masks")
-    inter = int(np.count_nonzero(a.flat & b.flat))
-    union = int(np.count_nonzero(a.flat | b.flat))
-    jaccard = 1.0 if union == 0 else inter / union
-    return OverlapStats(intersection_count=inter, jaccard=jaccard)
 
 
 def all_false_mask(keyspace: ParameterMap) -> SparsityMask:

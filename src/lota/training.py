@@ -1,14 +1,15 @@
 """Masked-gradient training with RMSProp, plus the adaptation drivers.
 
-The drivers are loops over one LoTA phase on a base model w_P: calibrate
-by training within an allowed set (`_calibrate`), extract the top-k of the
-task vector within that set (`_ticket`), reset to w_P, retrain with the
-mask and encode the adapter (`_retrain`).
-  * lota: one phase; `_lota_grid` runs it over a grid of plans.
+The drivers run LoTA phases on a base model w_P: calibrate by training
+within an allowed set, extract the top-k of the task vector within that
+set (`_ticket`), reset to w_P, retrain with the mask and encode the adapter
+(`_retrain`). `_lota_grid_lockstep` runs one phase per plan.
+  * lota: one phase.
   * iterative_lota: progressively sparser masks, each extracted from the
     previous stage's sparse task vector.
   * lotto: sequential tasks under a growing constraint set; each task's
     mask is disjoint from every earlier one.
+  * mixed_data_fft: dense training on task B with a sample of A mixed in.
 
 `train` keeps flat state and clips each group's gradient norm; with a mask,
 RMSProp gathers and scatters only the kept indices, so coordinates with
@@ -37,11 +38,11 @@ diverges leaves the stack, with its data, and is not cached, so its
 `train` call raises as before; so does one whose weights overflow while its
 loss stays finite, and the others in its stack keep their results.
 
-Code that trains ahead is written as a lockstep generator: it yields each
-list of runs it is about to train and then makes its `train` calls, which
-hit. `_solo` drives one such generator alone; `harness.run_experiment`
+Each driver is written once, as a lockstep generator: it yields each list
+of runs it is about to train and then makes its `train` calls, which hit.
+`_solo` drives one such generator alone, and each public driver is `_solo`
+over its generator, which it keeps as `.lockstep`; `harness.run_experiment`
 drives one per seed and trains the union of their runs as stacks.
-`_lota_grid_lockstep` yields a grid's calibrations and then its retrains.
 
 A stacked step issues a fixed set of numpy calls whatever R is. The
 `_ReplicaStack` holds preallocated scratch for the clip and the update,
@@ -56,6 +57,7 @@ import contextlib
 import contextvars
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -376,6 +378,18 @@ def _solo(steps: Generator[list[Run], None, object]):
         _train_ahead(runs)
 
 
+def _driver(steps):
+    """The solo driver of the lockstep generator function `steps`: it returns
+    what the generator returns, and keeps `steps` as `.lockstep`."""
+
+    @functools.wraps(steps)
+    def solo(*args, **kwargs):
+        return _solo(steps(*args, **kwargs))
+
+    solo.lockstep = steps
+    return solo
+
+
 def _check_data(model: ToyModel, dataset: Dataset) -> None:
     """Refuse a nonempty dataset that does not fit the model's input and head."""
     width, outputs = model.widths[0], model.widths[-1]
@@ -596,23 +610,6 @@ def _calibration_run(
     return dataset.take(np.arange(math.ceil(fraction * len(dataset)))), cal_config
 
 
-def _calibrate(
-    model: ToyModel, dataset: Dataset, s: float, config: TrainConfig,
-    fraction: float = 1.0, allowed: SparsityMask | None = None,
-) -> tuple[SparsityMask, RunRecord | None]:
-    """A LoTA phase's mask and calibration record; checks all before training.
-
-    Trains within `allowed` on the first `fraction` of the data for the
-    calibration budget, then takes the ticket. At fraction 0 the mask is
-    uniformly random over all coordinates, with no record.
-    """
-    run = _calibration_run(model, dataset, s, config, fraction, allowed)
-    if run is None:
-        return random_mask(model.params, s, config.seed), None
-    w_c, record = train(model, *run)
-    return _ticket(w_c, model.params, s, allowed), record
-
-
 @dataclass(frozen=True)
 class LotaResult:
     adapter: SparseAdapter
@@ -632,19 +629,12 @@ def _retrain(
     return LotaResult(encode(tv), mask, w_final, calibration_record, train_record)
 
 
-def _lota_grid(
-    model: ToyModel, plans: Sequence[tuple[Dataset, float, float]],
-    config: TrainConfig,
-) -> list[LotaResult]:
-    """`lota` for each `(dataset, s, calibration_fraction)` plan."""
-    return _solo(_lota_grid_lockstep(model, plans, config))
-
-
 def _lota_grid_lockstep(
     model: ToyModel, plans: Sequence[tuple[Dataset, float, float]],
-    config: TrainConfig,
+    config: TrainConfig, allowed: SparsityMask | None = None,
 ) -> Generator[list[Run], None, list[LotaResult]]:
-    """`_lota_grid` as a lockstep generator.
+    """`lota` for each `(dataset, s, calibration_fraction)` plan, with its
+    calibration and ticket within `allowed` if given, as a lockstep generator.
 
     It yields the plans' calibrations, then their retrains, so that inside
     `_train_cache()` each stack trains ahead and each `train` call after a
@@ -653,22 +643,26 @@ def _lota_grid_lockstep(
     retrains of the plans before it, as a loop of `lota` calls would raise
     it.
     """
-    calibrations = []
+    calibrations, failure = [], None
     for dataset, s, fraction in plans:
         try:
-            run = _calibration_run(model, dataset, s, config, fraction, None)
-        except LotaError:  # raised again below, in its plan's turn
-            break
-        if run is not None:
-            calibrations.append((model, *run))
-    yield calibrations
-    tickets, failure = [], None
-    for dataset, s, fraction in plans:
-        try:
-            tickets.append((dataset, *_calibrate(model, dataset, s, config, fraction)))
-        except LotaError as exc:  # re-raised below, after the earlier retrains
+            run = _calibration_run(model, dataset, s, config, fraction, allowed)
+        except LotaError as exc:  # raised below, after the earlier retrains
             failure = exc
             break
+        calibrations.append((dataset, s, run))
+    yield [(model, *run) for _, _, run in calibrations if run is not None]
+    tickets = []
+    for dataset, s, run in calibrations:
+        if run is None:  # fraction 0: a random mask over all coordinates
+            tickets.append((dataset, random_mask(model.params, s, config.seed), None))
+            continue
+        try:
+            w_c, record = train(model, *run)
+        except LotaError as exc:  # an earlier plan's error comes first
+            failure = exc
+            break
+        tickets.append((dataset, _ticket(w_c, model.params, s, allowed), record))
     yield [(model, d, config.replace(mask=m)) for d, m, _ in tickets]
     results = [_retrain(model, d, config, m, record) for d, m, record in tickets]
     if failure is not None:
@@ -676,19 +670,19 @@ def _lota_grid_lockstep(
     return results
 
 
+@_driver
 def lota(
-    model: ToyModel,
-    dataset: Dataset,
-    s: float,
-    config: TrainConfig,
+    model: ToyModel, dataset: Dataset, s: float, config: TrainConfig,
     calibration_fraction: float = 1.0,
-) -> LotaResult:
+) -> Generator[list[Run], None, LotaResult]:
     """Calibrate a mask by dense training, then retrain w_P under the mask.
 
     calibration_fraction scales how much data the calibration phase sees;
     0 skips calibration entirely and draws a uniform random mask instead.
     """
-    (result,) = _lota_grid(model, [(dataset, s, calibration_fraction)], config)
+    (result,) = yield from _lota_grid_lockstep(
+        model, [(dataset, s, calibration_fraction)], config
+    )
     return result
 
 
@@ -701,12 +695,11 @@ class IterativeLotaResult:
     stage_records: list[RunRecord]
 
 
+@_driver
 def iterative_lota(
-    model: ToyModel,
-    dataset: Dataset,
-    sparsity_schedule: Sequence[float],
+    model: ToyModel, dataset: Dataset, sparsity_schedule: Sequence[float],
     config: TrainConfig,
-) -> IterativeLotaResult:
+) -> Generator[list[Run], None, IterativeLotaResult]:
     """Chain of sparse trainings with progressively sparser masks.
 
     Stage 0 calibrates from dense training; stage j extracts its mask from
@@ -719,10 +712,11 @@ def iterative_lota(
         _kept_count(s, model.params.total_elements)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be strictly increasing")
-    stages = [lota(model, dataset, schedule[0], config)]
+    stages = yield from _lota_grid_lockstep(model, [(dataset, schedule[0], 1.0)], config)
     for s in schedule[1:]:
         prev = stages[-1]
         mask = _ticket(prev.w_final, model.params, s, prev.mask)
+        yield [(model, dataset, config.replace(mask=mask))]
         stages.append(_retrain(model, dataset, config, mask, None))
     last = stages[-1]
     return IterativeLotaResult(
@@ -740,6 +734,7 @@ class LottoResult:
     records: list[RunRecord]
 
 
+@_driver
 def lotto(
     model: ToyModel,
     datasets: Sequence[Dataset],
@@ -747,7 +742,7 @@ def lotto(
     config: TrainConfig,
     initial_constraints: SparsityMask | None = None,
     base: ParameterMap | None = None,
-) -> LottoResult:
+) -> Generator[list[Run], None, LottoResult]:
     """Sequential adaptation with mutually disjoint per-task masks.
 
     Per task: one LoTA phase from the previous task's weights, calibrated
@@ -771,9 +766,11 @@ def lotto(
     phases: list[LotaResult] = []
     for ds in datasets:
         start = model.with_params(phases[-1].w_final if phases else w_start)
-        ticket = _calibrate(start, ds, s, config, allowed=mask_complement(constraints))
-        phases.append(_retrain(start, ds, config, *ticket))
-        constraints = mask_union(constraints, phases[-1].mask)
+        (phase,) = yield from _lota_grid_lockstep(
+            start, [(ds, s, 1.0)], config, mask_complement(constraints)
+        )
+        phases.append(phase)
+        constraints = mask_union(constraints, phase.mask)
         trace.append(constraints)
     return LottoResult(
         masks=[phase.mask for phase in phases],
@@ -785,21 +782,20 @@ def lotto(
     )
 
 
+@_driver
 def mixed_data_fft(
-    model: ToyModel,
-    dataset_b: Dataset,
-    dataset_a: Dataset,
-    mix_fraction: float,
+    model: ToyModel, dataset_b: Dataset, dataset_a: Dataset, mix_fraction: float,
     config: TrainConfig,
-) -> tuple[ParameterMap, RunRecord]:
+) -> Generator[list[Run], None, tuple[ParameterMap, RunRecord]]:
     """Dense training on B plus a seed-deterministic sample of A mixed in."""
     FRACTION.require("mix_fraction", mix_fraction)
     if config.mask is not None:
         raise ConfigError("mixed-data training is dense; config.mask must be None")
     k = round_half_up(mix_fraction * len(dataset_b))
-    if k == 0:
-        return train(model, dataset_b, config)
-    rng = np.random.default_rng(config.seed)
-    idx = rng.choice(len(dataset_a), size=k, replace=k > len(dataset_a))
-    mixed = concat_datasets([dataset_b, dataset_a.take(idx)], dataset_b.task_id)
-    return train(model, mixed, config)
+    data = dataset_b
+    if k:
+        rng = np.random.default_rng(config.seed)
+        idx = rng.choice(len(dataset_a), size=k, replace=k > len(dataset_a))
+        data = concat_datasets([dataset_b, dataset_a.take(idx)], dataset_b.task_id)
+    yield [(model, data, config)]
+    return train(model, data, config)

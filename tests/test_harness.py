@@ -392,9 +392,9 @@ class TestTrainCachePerSeed:
         # and the mixed-data run
         assert len(fwd_bwd_calls) == seeds * (5 * run + 2 * cal + mixed)
         # all seeds as one stack at each point that trains ahead: the fft
-        # arms, lota's calibration and its retrain, and the B phase's
-        # fft->fft arms; lotto's phase and the mixed-data run stay alone
-        assert cached == 3 * run + cal + seeds * (cal + run + mixed)
+        # arms, lota's calibration and its retrain, the B phase's fft->fft
+        # arms, lotto's calibration and its retrain, and the mixed-data run
+        assert cached == 3 * run + cal + cal + run + mixed
 
     def test_sequential_b_phase_dense_arms_train_as_one_stack(self, monkeypatch):
         loops = []
@@ -415,6 +415,28 @@ class TestTrainCachePerSeed:
         loops.clear()
         assert run_experiment(spec).to_json() == report.to_json()
         assert loops == [(1, 1)] * 6
+
+    def test_sparsity_iterative_stage_trains_as_one_stack(self, monkeypatch):
+        loops = []
+        original = training._step_loop
+
+        def counting(runs, records):
+            loops.append((len(runs), len({id(m.params) for m, _, _ in runs})))
+            return original(runs, records)
+
+        monkeypatch.setattr(training, "_step_loop", counting)
+        spec = dataclasses.replace(small_sparsity_spec(), seeds=(0, 1, 2))
+        report = run_experiment(spec)
+        # (replicas, distinct start weights) per step loop: each seed's one
+        # shared calibration, the six grid retrains of every seed, then
+        # iterative stage 1 of every seed (stage 0 hits the s=0.9 runs)
+        assert loops == [(3, 3), (18, 3), (3, 3)]
+        monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
+        loops.clear()
+        assert run_experiment(spec).to_json() == report.to_json()
+        # per seed: 6 grid calibrations and retrains, 2 iterative stages
+        # and the calibration of stage 0
+        assert loops == [(1, 1)] * 3 * 15
 
     def test_second_call_starts_cold(self, step_counter):
         spec = small_merging_spec()

@@ -18,7 +18,6 @@ from lota import (
     load_mask,
     mask_complement,
     mask_union,
-    overlap_stats,
     random_mask,
     save_mask,
     sparsify,
@@ -253,7 +252,7 @@ class TestMaskAlgebra:
     def test_a_subset_of_union(self, bits_a, bits_b):
         n = min(len(bits_a), len(bits_b))
         a, b = mask_of(bits_a[:n]), mask_of(bits_b[:n])
-        assert overlap_stats(a, mask_union(a, b)).intersection_count == a.kept_count
+        assert np.count_nonzero(a.flat & mask_union(a, b).flat) == a.kept_count
 
     @settings(max_examples=60, deadline=None)
     @given(bool_arrays)
@@ -277,30 +276,6 @@ class TestMaskAlgebra:
         np.testing.assert_array_equal(lhs["w"], rhs_bits)
 
 
-class TestOverlapStats:
-    def test_self_jaccard_one(self):
-        a = mask_of([True, False, True])
-        assert overlap_stats(a, a).jaccard == 1.0
-
-    def test_disjoint(self):
-        a = mask_of([True, False])
-        b = mask_of([False, True])
-        stats = overlap_stats(a, b)
-        assert stats.intersection_count == 0
-        assert stats.jaccard == 0.0
-
-    def test_random_masks_near_analytic_expectation(self):
-        # hypergeometric: |A∩B| for independent k-subsets of n
-        n, keep = 100_000, 10_000
-        pm = ParameterMap({"w": np.zeros(n, np.float32) + 1})
-        a = random_mask(pm, 0.9, seed=1)
-        b = random_mask(pm, 0.9, seed=2)
-        inter = overlap_stats(a, b).intersection_count
-        mean = keep * keep / n
-        var = mean * (n - keep) / n * (n - keep) / (n - 1)
-        assert abs(inter - mean) <= 3 * np.sqrt(var)
-
-
 class TestRandomMask:
     def test_seed_determinism(self):
         pm = ParameterMap({"w": np.ones(100, np.float32)})
@@ -310,6 +285,17 @@ class TestRandomMask:
     def test_kept_count_rounding(self):
         pm = ParameterMap({"w": np.ones(1000, np.float32)})
         assert random_mask(pm, 0.9, seed=3).kept_count == 100
+
+    def test_random_masks_near_analytic_expectation(self):
+        # hypergeometric: |A∩B| for independent k-subsets of n
+        n, keep = 100_000, 10_000
+        pm = ParameterMap({"w": np.zeros(n, np.float32) + 1})
+        a = random_mask(pm, 0.9, seed=1)
+        b = random_mask(pm, 0.9, seed=2)
+        inter = np.count_nonzero(a.flat & b.flat)
+        mean = keep * keep / n
+        var = mean * (n - keep) / n * (n - keep) / (n - 1)
+        assert abs(inter - mean) <= 3 * np.sqrt(var)
 
 
 class TestSparsityCheck:

@@ -27,7 +27,6 @@ from lota import (
     lotto,
     mask_union,
     mixed_data_fft,
-    overlap_stats,
     random_mask,
     sparsify,
     train,
@@ -808,8 +807,12 @@ def assert_same_lota(got, want):
     assert got.calibration_record == want.calibration_record
 
 
+def lota_grid(model, plans, config):
+    return training._solo(training._lota_grid_lockstep(model, plans, config))
+
+
 class TestLotaGridOracle:
-    """`_lota_grid` is `lota` over a list of `(s, calibration_fraction)`
+    """`_lota_grid_lockstep` is `lota` over a list of `(s, calibration_fraction)`
     plans: it must equal a loop of `lota` calls bit for bit, and raise what
     that loop raises first."""
 
@@ -818,12 +821,12 @@ class TestLotaGridOracle:
         grid = [(0.0, 1.0), (0.5, 1.0), (0.9, 1.0), (0.9, 0.25), (0.9, 0.0)]
         expected = [lota(model, data, s, config, f) for s, f in grid]
         plans = [(data, s, f) for s, f in grid]
-        for got, want in zip(training._lota_grid(model, plans, config), expected):
+        for got, want in zip(lota_grid(model, plans, config), expected):
             assert_same_lota(got, want)
         calls = fwd_bwd_calls
         calls.clear()
         with training._train_cache():
-            results = training._lota_grid(model, plans, config)
+            results = lota_grid(model, plans, config)
             # one shared full calibration, one on the 32-row prefix, then
             # the five retrains as one stack
             assert len(calls) == 2 * steps_per_run(config, data) + config.epochs
@@ -849,7 +852,7 @@ class TestLotaGridOracle:
                 for s, f in grid:
                     lota(model, data, s, config, f)
             with context, pytest.raises(DivergenceError) as from_grid:
-                training._lota_grid(model, [(data, s, f) for s, f in grid], config)
+                lota_grid(model, [(data, s, f) for s, f in grid], config)
         want, got = from_loop.value, from_grid.value
         # the calibration's record has no mask, the retrain's has one
         assert (want.partial_record.config["mask"] is None) == (first == "frozen")
@@ -863,12 +866,12 @@ class TestLotaGridOracle:
         plans = [(a, 0.9, 1.0), (b, 0.9, 1.0), (short, 0.5, 1.0), (b, 0.5, 0.5),
                  (a, 0.9, 0.0)]
         expected = [lota(model, d, s, config, f) for d, s, f in plans]
-        for got, want in zip(training._lota_grid(model, plans, config), expected):
+        for got, want in zip(lota_grid(model, plans, config), expected):
             assert_same_lota(got, want)
         calls = fwd_bwd_calls
         calls.clear()
         with training._train_cache():
-            results = training._lota_grid(model, plans, config)
+            results = lota_grid(model, plans, config)
             # calibrations: a and b as one stack, then `short` and b's
             # 64-row prefix as another; retrains: the four on 128 rows as
             # one stack, then the one on `short`
@@ -899,7 +902,7 @@ class TestLotaGridOracle:
                     lota(model, d, s, config, f)
             with training._train_cache():
                 with pytest.raises(expected) as from_grid:
-                    training._lota_grid(model, plans, config)
+                    lota_grid(model, plans, config)
                 before = len(step_counter)
                 d, s, f = plans[0]
                 first = lota(model, d, s, config, f)
@@ -1109,8 +1112,7 @@ class TestLotto:
         model = toy_model(9)
         data = [toy_task(9), toy_task(10)]
         result = lotto(model, data, 0.9, quick_config())
-        stats = overlap_stats(result.masks[0], result.masks[1])
-        assert stats.intersection_count == 0
+        assert np.count_nonzero(result.masks[0].flat & result.masks[1].flat) == 0
 
     def test_first_mask_coordinates_frozen_during_second_task(self):
         model = toy_model(11)
@@ -1130,7 +1132,7 @@ class TestLotto:
         result = lotto(
             model, [data], 0.9, quick_config(), initial_constraints=blocked
         )
-        assert overlap_stats(result.masks[0], blocked).intersection_count == 0
+        assert np.count_nonzero(result.masks[0].flat & blocked.flat) == 0
 
     def test_constraint_exhaustion(self):
         model, data = toy_model(14), toy_task(14)
