@@ -149,8 +149,8 @@ def encode(tv: TaskVector) -> SparseAdapter:
     records = []
     for name, arr in tv.entries.items():
         flat = arr.ravel()
-        nz = np.flatnonzero(flat)
-        values = flat[nz].astype(np.float32)
+        nz = np.flatnonzero(flat != 0)
+        values = flat[nz]  # float32 already, and a copy
         values.flags.writeable = False
         records.append(
             AdapterRecord(

@@ -30,7 +30,7 @@ from .errors import ConfigError, HarnessError
 from .merging import merge_grid_search
 from .models import ACTIVATIONS, HEADS, Dataset, ToyModel
 from .params import ParameterMap
-from .sparsity import SPARSITY, compute_task_vector
+from .sparsity import SPARSITY, SparsityMask, compute_task_vector
 from .tasks import SyntheticTaskSpec
 from .training import (
     FRACTION,
@@ -38,7 +38,8 @@ from .training import (
     TrainConfig,
     _check_data,
     _lota_grid_lockstep,
-    _train_ahead,
+    _solo,
+    _together,
     _train_cache,
     iterative_lota,
     lota,
@@ -253,29 +254,13 @@ def _sequential_one_seed(
         "lota": model.with_params(lota_a.w_final),
     }
     pairs = [pair.split("->") for pair in spec.method_pairs]
-    # the dense B arms start from different A solutions; one stack
-    yield [(starts[a], b_train, config) for a, b in pairs if b == "fft"]
-    for pair, (method_a, method_b) in zip(spec.method_pairs, pairs):
-        start = starts[method_a]
-        extras = {}
-        if method_b == "fft":
-            w_ab, _ = train(start, b_train, config)
-        elif method_b == "lota":
-            result = yield from lota.lockstep(start, b_train, spec.sparsity, config)
-            w_ab = result.w_final
-            extras["mask_kept"] = result.mask.kept_count
-        elif method_b == "lotto":  # only lota->lotto: its mask is the constraint
-            result = yield from lotto.lockstep(
-                start, [b_train], spec.sparsity, config, initial_constraints=lota_a.mask
-            )
-            w_ab = result.w_final
-            extras["mask_kept"] = result.masks[0].kept_count
-            report = compression_report(result.adapters[0])
-            extras["ideal_ratio"] = report.ideal_ratio
-        else:  # fft-mixed
-            w_ab, _ = yield from mixed_data_fft.lockstep(
-                start, b_train, a_train, spec.mix_fraction, config
-            )
+    # every pair's B phase in lockstep: the dense arms train as one stack,
+    # and so do the LoTA and LoTTO phases' calibrations, then their retrains
+    phases = yield from _together([
+        _b_phase(spec, method_b, starts[method_a], a_train, b_train, config, lota_a.mask)
+        for method_a, method_b in pairs
+    ])
+    for pair, (method_a, _), (w_ab, extras) in zip(spec.method_pairs, pairs, phases):
         utility_a = evaluate(model.with_params(w_ab), a_test)
         utility_b = evaluate(model.with_params(w_ab), b_test)
         out["pairs"][pair] = {
@@ -286,6 +271,34 @@ def _sequential_one_seed(
             **extras,
         }
     return out
+
+
+def _b_phase(
+    spec: SequentialSpec, method_b: str, start: ToyModel, a_train: Dataset,
+    b_train: Dataset, config: TrainConfig, a_mask: SparsityMask,
+) -> Generator[list[Run], None, tuple[ParameterMap, dict]]:
+    """One pair's training on task B from `start`, as a lockstep generator:
+    it returns the trained weights and the pair's extra report fields."""
+    if method_b == "fft":
+        yield [(start, b_train, config)]
+        w_ab, _ = train(start, b_train, config)
+        return w_ab, {}
+    if method_b == "lota":
+        result = yield from lota.lockstep(start, b_train, spec.sparsity, config)
+        return result.w_final, {"mask_kept": result.mask.kept_count}
+    if method_b == "lotto":  # only lota->lotto: its mask is the constraint
+        result = yield from lotto.lockstep(
+            start, [b_train], spec.sparsity, config, initial_constraints=a_mask
+        )
+        return result.w_final, {
+            "mask_kept": result.masks[0].kept_count,
+            "ideal_ratio": compression_report(result.adapters[0]).ideal_ratio,
+        }
+    # fft-mixed
+    w_ab, _ = yield from mixed_data_fft.lockstep(
+        start, b_train, a_train, spec.mix_fraction, config
+    )
+    return w_ab, {}
 
 
 def _sequential_rows(spec: SequentialSpec, per_seed: list[dict]) -> list[dict]:
@@ -556,16 +569,17 @@ def _merging_rows(spec: MergingSpec, per_seed: list[dict]) -> list[dict]:
 def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
     """Run `spec` for every seed, then aggregate the per-seed dicts into rows.
 
-    The seeds run in lockstep (`_lockstep`) inside one `train` cache for
-    the whole experiment. So a training that the experiment repeats (a LoTA
+    The seeds run in lockstep (`training._together`) inside one `train`
+    cache for the whole experiment. So a training that the experiment repeats (a LoTA
     calibration equal to its FFT arm, a calibration shared across a
     sparsity grid, or a seed listed twice) runs once, and the runs that the
     seeds train ahead at the same point form replica stacks, each replica
     with its own start weights, data and shuffle: the FFT arms on tasks A
     and B of every seed as one stack, a grid's calibrations and then its
-    retrains, the sequential B phase's dense arms, each LoTA and LoTTO
-    phase's calibrations and then its retrains, the mixed-data runs, and
-    each later stage of the iterative schedule. The outputs are
+    retrains, each LoTA and LoTTO phase's calibrations and then its
+    retrains (a sequential seed's task-B phases of every method pair
+    together), the sequential dense arms on task B, the mixed-data runs,
+    and each later stage of the iterative schedule. The outputs are
     bit-identical to running one uncached seed at a time.
 
     Memory grows linearly with the number of seeds. The cache, dropped
@@ -579,7 +593,7 @@ def run_experiment(spec: _ExperimentSpec) -> MetricsReport:
     """
     one_seed, build_rows = _kind_functions(spec)
     with _train_cache():
-        per_seed = _lockstep([one_seed(spec, seed) for seed in spec.seeds])
+        per_seed = _solo(_together([one_seed(spec, seed) for seed in spec.seeds]))
     return MetricsReport(
         kind=spec.kind,
         spec=spec.to_json_dict(),
@@ -598,37 +612,6 @@ def _kind_functions(spec: _ExperimentSpec) -> tuple:
         CalibrationAblationSpec: (_calibration_one_seed, _calibration_rows),
         MergingSpec: (_merging_one_seed, _merging_rows),
     }[type(spec)]
-
-
-def _lockstep(seeds: list[Generator[list[Run], None, dict]]) -> list[dict]:
-    """What each seed's lockstep generator returns, in seed order.
-
-    Each round sends every live seed on, in seed order, to its next yield,
-    and then trains the union of the runs they yielded ahead, as stacks.
-    A seed that raises is dropped and its error kept, and so is every seed
-    after it, which a seed-by-seed loop would never reach; at the end the
-    error of the first failing seed is raised, which is the error that a
-    seed-by-seed loop raises.
-    """
-    results: list = [None] * len(seeds)
-    live = dict(enumerate(seeds))
-    failure = None
-    while live:
-        runs = []
-        for i in list(live):
-            try:
-                runs += next(live[i])
-            except StopIteration as stop:
-                results[i] = stop.value
-                del live[i]
-            except Exception as exc:  # any error: the loop would raise it
-                failure = exc
-                live = {j: steps for j, steps in live.items() if j < i}
-                break
-        _train_ahead(runs)
-    if failure is not None:
-        raise failure
-    return results
 
 
 # ---------------------------------------------------------------------------

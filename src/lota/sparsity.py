@@ -8,7 +8,8 @@ row-major within a tensor). Ties at the threshold magnitude keep the
 earlier element in that order, so masks are fully deterministic. The top
 k is found by selection, not by sorting: one partition finds the k-th
 largest magnitude, everything above it is kept, and a tie pass keeps the
-earliest elements equal to it.
+earliest elements equal to it. The selection runs on the uint32 bit
+patterns of the float32 magnitudes, which order as the floats do.
 """
 
 from __future__ import annotations
@@ -136,22 +137,31 @@ def compute_task_vector(w_f: ParameterMap, w_p: ParameterMap) -> TaskVector:
 
 
 def topk_keep(m: np.ndarray, k: int) -> np.ndarray:
-    """Boolean vector keeping the k largest of the magnitudes `m`.
+    """Boolean vector keeping the k largest of the float32 magnitudes `m`.
 
     Ties broken by position (earlier wins). O(len(m)): `np.partition`
     finds the threshold t, the k-th largest magnitude. Every element
     above t is kept, then the earliest elements equal to t fill the
     remaining slots.
+
+    `m` must be float32, finite and non-negative, such as `np.abs` of
+    finite values; a `ValueError` refuses any other dtype. The selection
+    runs on the bit patterns `m.view(np.uint32)`: for such values their
+    order as integers is the float order, and two patterns are equal
+    exactly when the floats are, so the kept set is the float top-k.
     """
+    if m.dtype != np.float32:
+        raise ValueError(f"magnitudes must be float32, not {m.dtype}")
     if k > m.size:
         raise CapacityError(
             f"cannot keep {k} elements: only {m.size} positions allowed"
         )
     keep = np.full(m.size, k == m.size)
     if 0 < k < m.size:
-        t = np.partition(m, m.size - k)[m.size - k]
-        np.greater(m, t, out=keep)
-        ties = np.flatnonzero(m == t)
+        keys = m.view(np.uint32)
+        t = np.partition(keys, m.size - k)[m.size - k]
+        np.greater(keys, t, out=keep)
+        ties = np.flatnonzero(keys == t)
         keep[ties[: k - int(np.count_nonzero(keep))]] = True
     return keep
 

@@ -41,8 +41,10 @@ loss stays finite, and the others in its stack keep their results.
 Each driver is written once, as a lockstep generator: it yields each list
 of runs it is about to train and then makes its `train` calls, which hit.
 `_solo` drives one such generator alone, and each public driver is `_solo`
-over its generator, which it keeps as `.lockstep`; `harness.run_experiment`
-drives one per seed and trains the union of their runs as stacks.
+over its generator, which it keeps as `.lockstep`. `_together` drives
+several as one generator that yields the union of their runs:
+`harness.run_experiment` drives one per seed this way, and a sequential
+seed its method pairs' task-B phases.
 
 A stacked step issues a fixed set of numpy calls whatever R is. The
 `_ReplicaStack` holds preallocated scratch for the clip and the update,
@@ -376,6 +378,40 @@ def _solo(steps: Generator[list[Run], None, object]):
         except StopIteration as stop:
             return stop.value
         _train_ahead(runs)
+
+
+def _together(
+    steps: Sequence[Generator[list[Run], None, object]],
+) -> Generator[list[Run], None, list]:
+    """Lockstep generators driven as one: it returns what each returns, in order.
+
+    Each round sends every live generator on, in order, to its next yield,
+    and yields the union of the runs they yielded, so that they train ahead
+    as shared stacks. A generator that raises is dropped and its error
+    kept, and so is every generator after it, which a one-at-a-time loop
+    would never reach; at the end the error of the first failing generator
+    is raised, which is the error that such a loop raises.
+    """
+    results: list = [None] * len(steps)
+    live = dict(enumerate(steps))
+    failure = None
+    while live:
+        runs = []
+        for i in list(live):
+            try:
+                runs += next(live[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]
+            except Exception as exc:  # any error: the loop would raise it
+                failure = exc
+                live = {j: gen for j, gen in live.items() if j < i}
+                break
+        if runs or live:
+            yield runs
+    if failure is not None:
+        raise failure
+    return results
 
 
 def _driver(steps):

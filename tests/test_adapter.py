@@ -115,6 +115,13 @@ class TestGapCodec:
         np.testing.assert_array_equal(out, idx)
 
 
+TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+# signed zeros and subnormals among ordinary values
+SUPPORT_POOL = st.sampled_from(
+    [0.0, -0.0, TINY32, -TINY32, 1.1754942e-38, -1.1754942e-38, 1.0, -2.5]
+) | st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
 class TestEncodeDecode:
     def test_all_zero_vector(self):
         tv = tv_with_indices(10, [])
@@ -165,6 +172,25 @@ class TestEncodeDecode:
         tv = TaskVector(entries=pm, base_digest=digest(zeros_like(pm)))
         back = decode(encode(tv))
         assert flat.tobytes() == back.entries["t"].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SUPPORT_POOL, min_size=1, max_size=60), st.data())
+    def test_support_is_flatnonzero_and_zeros_read_back_positive(self, values, data):
+        # -0.0 is a zero: not stored, and read back as +0.0
+        flat = np.array(values, dtype=np.float32)
+        cut = data.draw(st.integers(0, flat.size - 1))
+        parts = {"a": flat[:cut], "b": flat[cut:]} if cut else {"a": flat}
+        tv = tv_of(parts)
+        adapter = encode(tv)
+        back = decode(adapter)
+        for rec in adapter.records:
+            arr = tv.entries[rec.name].ravel()
+            np.testing.assert_array_equal(rec.indices(), np.flatnonzero(arr))
+            assert rec.values.dtype == np.float32
+            assert rec.values.tobytes() == arr[np.flatnonzero(arr)].tobytes()
+            assert not rec.values.flags.writeable
+            want = np.where(arr == 0, np.float32(0.0), arr)  # every zero as +0.0
+            assert back.entries[rec.name].ravel().tobytes() == want.tobytes()
 
 
 GAPS_3_7 = np.array([3, 4], np.uint8)  # indices 3 and 7

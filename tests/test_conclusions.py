@@ -5,12 +5,21 @@ Each assertion follows the direction of a claim of the paper, not a value
 of today's reports: LoTA on a later task forgets less of the earlier one,
 utility plateaus as sparsity rises and then falls, the calibration data
 matters, and sparse task vectors merge better than dense ones. Near-ties
-are printed, not asserted.
+are printed, not asserted. Each report is also pinned by the SHA-256 of
+its `report.json` bytes in `golden.json`, so a change that keeps the
+small golden specs but moves a default report shows here.
 """
 
 import functools
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
 
 from lota import harness
+
+GOLDEN = Path(__file__).with_name("golden.json")
 
 
 @functools.cache
@@ -86,3 +95,11 @@ class TestMerging:
             assert average[pair] > average["fft+fft"], pair
         print(f"near-tie: lota+lota task_average {average['lota+lota']:.4f}, "
               f"lota+fft {average['lota+fft']:.4f}")
+
+
+@pytest.mark.parametrize("kind", sorted(harness.EXPERIMENT_KINDS))
+def test_report_matches_its_golden_digest(kind):
+    # the bytes that `lota experiment` writes to report.json
+    text = report(kind).to_json() + "\n"
+    expected = json.loads(GOLDEN.read_text())[f"default/{kind}/report.json"]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

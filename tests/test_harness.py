@@ -416,6 +416,26 @@ class TestTrainCachePerSeed:
         assert run_experiment(spec).to_json() == report.to_json()
         assert loops == [(1, 1)] * 6
 
+    def test_sequential_b_phase_lota_and_lotto_train_as_one_stack(self, monkeypatch):
+        loops = []
+        original = training._step_loop
+
+        def counting(runs, records):
+            loops.append((len(runs), len({id(m.params) for m, _, _ in runs})))
+            return original(runs, records)
+
+        monkeypatch.setattr(training, "_step_loop", counting)
+        spec = small_sequential_spec(method_pairs=("fft->lota", "lota->lotto"))
+        report = run_experiment(spec)
+        # (replicas, distinct start weights) per step loop: the fft arms on
+        # A and B of both seeds, lota's calibration and retrain on A, then
+        # the B phase's LoTA and LoTTO calibrations of both seeds as one
+        # stack, and their retrains as another
+        assert loops == [(4, 2), (2, 2), (2, 2), (4, 4), (4, 4)]
+        monkeypatch.setattr(harness, "_train_cache", contextlib.nullcontext)
+        loops.clear()
+        assert run_experiment(spec).to_json() == report.to_json()
+
     def test_sparsity_iterative_stage_trains_as_one_stack(self, monkeypatch):
         loops = []
         original = training._step_loop

@@ -1,4 +1,4 @@
-"""What a merge, a hash, a save and a load allocate, per parameter.
+"""What a publish, a merge, a hash, a save and a load allocate, per parameter.
 
 numpy reports its buffers to tracemalloc, so the traced peak of one call
 is the scratch it allocates, its result included. Each bound is pinned on
@@ -6,6 +6,10 @@ a map of about 1M parameters with some headroom. A merge may hold scratch
 in proportion to the kept entries plus at most one model-size buffer
 beyond its float32 result; the hash and the save stream the map's own
 buffer, and the load reads the file straight into the new map's buffer.
+In a publish, `sparsify` holds the float32 magnitudes, their partition
+copy and its boolean result, `apply_mask` its float32 result, and
+`encode` a one-byte boolean per element for its support scan plus
+scratch in proportion to the kept entries.
 """
 
 import tracemalloc
@@ -29,6 +33,9 @@ from lota.sparsity import TaskVector
 
 # traced peak bytes per parameter; the result of a merge or a load is 4
 BUDGET = {
+    "sparsify": 10.0,
+    "apply_mask": 6.0,
+    "encode": 6.0,
     "ties_merge": 30.0,
     "merge_lota": 16.0,
     "digest": 1.0,
@@ -51,10 +58,12 @@ def problem(tmp_path_factory):
         )
         for _ in range(4)
     ]
-    adapters = [encode(apply_mask(tv, sparsify(tv, 0.9))) for tv in tvs]
+    masks = [sparsify(tv, 0.9) for tv in tvs]
+    masked = [apply_mask(tv, mask) for tv, mask in zip(tvs, masks)]
+    adapters = [encode(tv) for tv in masked]
     path = tmp_path_factory.mktemp("budget") / "base.ckpt"
     save_checkpoint(base, path)
-    return base, tvs, adapters, path
+    return base, tvs, (masks[0], masked[0]), adapters, path
 
 
 def traced_peak(call) -> int:
@@ -68,9 +77,12 @@ def traced_peak(call) -> int:
 
 @pytest.mark.parametrize("op", sorted(BUDGET))
 def test_peak_per_parameter(problem, tmp_path, op):
-    base, tvs, adapters, path = problem
+    base, tvs, (mask, masked), adapters, path = problem
     fresh = ParameterMap.from_flat(base.layout, base.flat.copy())  # not yet hashed
     calls = {
+        "sparsify": lambda: sparsify(tvs[0], 0.9),
+        "apply_mask": lambda: apply_mask(tvs[0], mask),
+        "encode": lambda: encode(masked),
         "ties_merge": lambda: ties_merge(base, tvs, [0.2] * len(tvs)),
         "merge_lota": lambda: merge_lota(base, adapters),
         "digest": lambda: digest(fresh),

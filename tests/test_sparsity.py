@@ -24,7 +24,7 @@ from lota import (
     zeros_like,
 )
 from lota.container import build_container
-from lota.sparsity import topk_keep_flat
+from lota.sparsity import topk_keep, topk_keep_flat
 
 
 def tv_from(entries):
@@ -186,7 +186,12 @@ def reference_topk(entries, k, allowed=None):
     return kept_flat
 
 
-TIE_POOL = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e-30]
+FMAX = float(np.finfo(np.float32).max)
+TINY = float(np.finfo(np.float32).smallest_subnormal)
+# zeros of both signs, subnormals (the smallest and the largest), the
+# smallest normal and the largest finite float32, among ordinary values
+TIE_POOL = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e-30, TINY, -TINY, 2 * TINY,
+            1.1754942e-38, float(np.finfo(np.float32).tiny), FMAX, -FMAX]
 
 
 @st.composite
@@ -212,12 +217,33 @@ class TestTopkOracle:
             | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
         )
         size = n if allowed is None else int(np.count_nonzero(allowed))
-        k = data.draw(st.sampled_from(sorted({0, min(1, size), size // 2, size})))
+        k = data.draw(st.sampled_from(
+            sorted({0, min(1, size), size // 2, max(size - 1, 0), size})
+        ))
         got = topk_keep_flat(entries, k, allowed)
         assert got.dtype == np.bool_
         np.testing.assert_array_equal(got, reference_topk(entries, k, allowed))
         with pytest.raises(CapacityError):
             topk_keep_flat(entries, size + 1, allowed)
+
+    # topk_keep selects on the uint32 bit patterns of the float32 magnitudes
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(TIE_POOL)
+                 | st.floats(width=32, allow_nan=False, allow_infinity=False),
+                 min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_integer_key_selection_matches_full_sort(self, values, data):
+        flat = np.array(values, dtype=np.float32)
+        n = flat.size
+        k = data.draw(st.sampled_from(sorted({0, 1, n - 1, n})) | st.integers(0, n))
+        got = topk_keep(np.abs(flat), k)
+        np.testing.assert_array_equal(got, reference_topk(ParameterMap({"t": flat}), k))
+
+    def test_refuses_magnitudes_that_are_not_float32(self):
+        with pytest.raises(ValueError, match="float32"):
+            topk_keep(np.abs(np.arange(4.0)), 2)
 
 
 bool_arrays = st.integers(2, 40).flatmap(

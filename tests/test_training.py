@@ -913,6 +913,57 @@ class TestLotaGridOracle:
             assert from_grid.value.partial_record == from_loop.value.partial_record
 
 
+class TestTogether:
+    """`_together` drives lockstep generators as one: each round yields the
+    union of their runs, and it returns their results in order or raises
+    the first failing generator's error."""
+
+    @staticmethod
+    def steps(name, rounds, fails_at=None, sent=None):
+        for r in range(rounds):
+            if r == fails_at:
+                raise ValueError(f"{name} fails at {r}")
+            if sent is not None:
+                sent.append((name, r))
+            yield [f"{name}{r}"]
+        if fails_at == rounds:
+            raise ValueError(f"{name} fails at the end")
+        return name
+
+    def test_yields_the_union_of_each_round_and_returns_in_order(self):
+        together = training._together(
+            [self.steps("a", 1), self.steps("b", 3), self.steps("c", 2)]
+        )
+        rounds = []
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                rounds.append(next(together))
+        assert rounds == [["a0", "b0", "c0"], ["b1", "c1"], ["b2"]]
+        assert stop.value.value == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("fails, raised", [
+        pytest.param({"a": 2, "b": 0}, "a fails at the end", id="earlier-late"),
+        pytest.param({"b": 1, "c": 0}, "b fails at 1", id="both-midway"),
+        pytest.param({"c": 1}, "c fails at 1", id="last"),
+    ])
+    def test_first_failing_generator_raises_as_a_loop_would(self, fails, raised):
+        def loop(sent):
+            for name in "abc":
+                training._solo(self.steps(name, 2, fails.get(name), sent))
+
+        def at_once(sent):
+            training._solo(training._together(
+                [self.steps(name, 2, fails.get(name), sent) for name in "abc"]
+            ))
+
+        sent = {loop: [], at_once: []}
+        for drive in (loop, at_once):
+            with pytest.raises(ValueError, match=raised):
+                drive(sent[drive])
+        # the same rounds are sent on: none after the first failing generator's
+        assert sorted(sent[loop]) == sorted(sent[at_once])
+
+
 class TestTrainCache:
     """Inside `_train_cache()` a repeated `train` call takes no steps and
     returns what a fresh run returns; any difference in its inputs misses."""
