@@ -1,13 +1,14 @@
 """Command-line entry point.
 
-Every artifact-producing run takes an --out directory and writes a
-provenance.json (resolved config, tool version, wall time) beside its
-outputs. Artifacts and reports are byte-reproducible for identical inputs
-and seeds; provenance carries the only volatile fields.
+Every artifact-producing run takes an --out directory; it returns its
+resolved config and the names of its outputs, and `dispatch` writes
+provenance.json (resolved config, tool version, wall time) beside them.
+Artifacts and reports are byte-reproducible for identical inputs and seeds;
+provenance carries the only volatile fields.
 
 Every config key, and every --seed or --sparsity flag, is checked before
-any file is read or any step is taken; an unknown key is refused, so a typo
-never runs at a default.
+any file is read or any step is taken; an unknown key, or one that the
+command does not read, is refused, so a typo never runs at a default.
 
 Exit codes: 0 success, 1 usage/config error, 2 validation error (digest
 mismatch, misalignment, malformed file, capacity), 3 runtime failure
@@ -96,19 +97,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_provenance(out: Path, args, config: dict, outputs: list[str],
-                      started: float) -> None:
-    record = {
-        "tool": "lota",
-        "version": __version__,
-        "subcommand": args.command,
-        "config": config,
-        "outputs": sorted(outputs),
-        "wall_time_s": time.perf_counter() - started,
-    }
-    _write_json(out / "provenance.json", record)
-
-
 def _write_json(path: Path, obj) -> None:
     """Sorted, indented JSON and a newline, written atomically."""
     write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
@@ -117,7 +105,8 @@ def _write_json(path: Path, obj) -> None:
 @dataclass(frozen=True)
 class RunConfig:
     """The config of `lota train` and `lota lota` (`task`) and `lota lotto`
-    (`tasks`); `mask` and `initial_constraints` are mask file paths."""
+    (`tasks`); `mask` and `initial_constraints` are mask file paths. Each
+    command takes only the keys that `_RUN_KEYS` lists for it."""
 
     model: ModelSpec
     train: TrainConfig
@@ -136,15 +125,28 @@ class RunConfig:
                 self.model.check_task(task)
 
 
+# the RunConfig keys that each run command reads
+_RUN_KEYS = {
+    "train": {"model", "train", "task", "init_seed", "mask"},
+    "lota": {"model", "train", "task", "init_seed", "sparsity", "calibration_fraction"},
+    "lotto": {"model", "train", "tasks", "init_seed", "sparsity", "initial_constraints"},
+}
+
+
 def _run_config(args, task_key: str) -> tuple[dict, RunConfig]:
     """The JSON config of a run command and its RunConfig, flags applied."""
     config = _load_json(args.config)
+    unread = sorted(config.keys() - _RUN_KEYS[args.command])
+    if unread:
+        raise ConfigError(
+            f"unknown key {unread[0]!r} in config: lota {args.command} does not read it"
+        )
     run = from_json(RunConfig, config, "config")
     if getattr(run, task_key) is None:
         raise ConfigError(f"missing key {task_key!r} in config")
     if args.seed is not None:
         run = dataclasses.replace(run, train=run.train.replace(seed=args.seed))
-    if args.sparsity is not None:
+    if getattr(args, "sparsity", None) is not None:
         run = dataclasses.replace(run, sparsity=args.sparsity)
     return config, run
 
@@ -152,37 +154,31 @@ def _run_config(args, task_key: str) -> tuple[dict, RunConfig]:
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_diff(args) -> int:
-    started = time.perf_counter()
+# Each artifact command returns its config and the names of its outputs.
+Done = tuple[dict, list[str]]
+
+
+def cmd_diff(args) -> Done:
     base = load_checkpoint(args.base)
     finetuned = load_checkpoint(args.finetuned)
     adapter = encode(compute_task_vector(finetuned, base))
     out = _out_dir(args)
     save_adapter(adapter, out / "adapter.lta")
-    _write_provenance(
-        out, args, {"base": args.base, "finetuned": args.finetuned},
-        ["adapter.lta"], started,
-    )
-    return 0
+    return {"base": args.base, "finetuned": args.finetuned}, ["adapter.lta"]
 
 
-def cmd_sparsify(args) -> int:
-    started = time.perf_counter()
+def cmd_sparsify(args) -> Done:
     SPARSITY.require("sparsity", args.sparsity)
     adapter = load_adapter(args.adapter)
     tv = decode(adapter)
     mask = sparsify(tv, args.sparsity)
     out = _out_dir(args)
     save_mask(mask, out / "mask.bin", source=f"sparsify:{args.adapter}")
-    _write_provenance(
-        out, args, {"adapter": args.adapter, "sparsity": args.sparsity},
-        ["mask.bin", "mask.bin.json"], started,
-    )
-    return 0
+    config = {"adapter": args.adapter, "sparsity": args.sparsity}
+    return config, ["mask.bin", "mask.bin.json"]
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args) -> Done:
     config, run = _run_config(args, "task")
     model = run.model.build(run.init_seed)
     train_config = run.train.replace(mask=load_mask(run.mask) if run.mask else None)
@@ -192,14 +188,10 @@ def cmd_train(args) -> int:
     save_checkpoint(model.params, out / "initial.ckpt")
     save_checkpoint(final, out / "final.ckpt")
     _write_json(out / "run.json", record.to_json_dict())
-    _write_provenance(
-        out, args, config, ["initial.ckpt", "final.ckpt", "run.json"], started
-    )
-    return 0
+    return config, ["initial.ckpt", "final.ckpt", "run.json"]
 
 
-def cmd_lota(args) -> int:
-    started = time.perf_counter()
+def cmd_lota(args) -> Done:
     config, run = _run_config(args, "task")
     model, train_config = run.model.build(run.init_seed), run.train
     sparsity, fraction = float(run.sparsity), float(run.calibration_fraction)
@@ -220,12 +212,10 @@ def cmd_lota(args) -> int:
     _write_json(out / "run.json", records)
     outputs = ["initial.ckpt", "final.ckpt", "adapter.lta", "mask.bin",
                "mask.bin.json", "run.json"]
-    _write_provenance(out, args, {**config, "sparsity": sparsity}, outputs, started)
-    return 0
+    return {**config, "sparsity": sparsity}, outputs
 
 
-def cmd_lotto(args) -> int:
-    started = time.perf_counter()
+def cmd_lotto(args) -> Done:
     config, run = _run_config(args, "tasks")
     model, train_config = run.model.build(run.init_seed), run.train
     sparsity = float(run.sparsity)
@@ -235,31 +225,21 @@ def cmd_lotto(args) -> int:
         model, datasets, sparsity, train_config, initial_constraints=constraints
     )
     out = _out_dir(args)
-    outputs = []
-
-    def emit(name, writer):
-        writer(out / name)
-        outputs.append(name)
-
-    emit("initial.ckpt", lambda p: save_checkpoint(model.params, p))
-    emit("final.ckpt", lambda p: save_checkpoint(result.w_final, p))
+    save_checkpoint(model.params, out / "initial.ckpt")
+    save_checkpoint(result.w_final, out / "final.ckpt")
+    outputs = ["initial.ckpt", "final.ckpt"]
     for i, (mask, adapter) in enumerate(zip(result.masks, result.adapters)):
-        emit(f"task{i}.mask.bin", lambda p, m=mask: save_mask(m, p, source=f"lotto:task{i}"))
-        outputs.append(f"task{i}.mask.bin.json")
-        emit(f"task{i}.adapter.lta", lambda p, a=adapter: save_adapter(a, p))
-    emit(
-        "constraints.mask.bin",
-        lambda p: save_mask(result.constraint_trace[-1], p, source="lotto:union"),
-    )
-    outputs.append("constraints.mask.bin.json")
+        save_mask(mask, out / f"task{i}.mask.bin", source=f"lotto:task{i}")
+        save_adapter(adapter, out / f"task{i}.adapter.lta")
+        outputs += [f"task{i}.mask.bin", f"task{i}.mask.bin.json", f"task{i}.adapter.lta"]
+    save_mask(result.constraint_trace[-1], out / "constraints.mask.bin",
+              source="lotto:union")
     _write_json(out / "run.json", [r.to_json_dict() for r in result.records])
-    outputs.append("run.json")
-    _write_provenance(out, args, {**config, "sparsity": sparsity}, outputs, started)
-    return 0
+    outputs += ["constraints.mask.bin", "constraints.mask.bin.json", "run.json"]
+    return {**config, "sparsity": sparsity}, outputs
 
 
-def cmd_encode(args) -> int:
-    started = time.perf_counter()
+def cmd_encode(args) -> Done:
     base = load_checkpoint(args.base)
     delta = load_checkpoint(args.delta)
     base.layout.require_aligned(delta.layout, "base and delta")
@@ -268,37 +248,26 @@ def cmd_encode(args) -> int:
     tv = TaskVector(entries=delta, base_digest=digest(base))
     out = _out_dir(args)
     save_adapter(encode(tv), out / "adapter.lta")
-    _write_provenance(
-        out, args, {"base": args.base, "delta": args.delta}, ["adapter.lta"],
-        started,
-    )
-    return 0
+    return {"base": args.base, "delta": args.delta}, ["adapter.lta"]
 
 
-def cmd_decode(args) -> int:
-    started = time.perf_counter()
+def cmd_decode(args) -> Done:
     adapter = load_adapter(args.adapter)
     tv = decode(adapter)
     out = _out_dir(args)
     save_checkpoint(tv.entries, out / "delta.ckpt")
-    _write_provenance(out, args, {"adapter": args.adapter}, ["delta.ckpt"], started)
-    return 0
+    return {"adapter": args.adapter}, ["delta.ckpt"]
 
 
-def cmd_apply(args) -> int:
-    started = time.perf_counter()
+def cmd_apply(args) -> Done:
     base = load_checkpoint(args.base)
     adapter = load_adapter(args.adapter)
     result = apply_adapter(base, adapter, check_digest=not args.no_check_digest)
     out = _out_dir(args)
     save_checkpoint(result, out / "model.ckpt")
-    _write_provenance(
-        out, args,
-        {"base": args.base, "adapter": args.adapter,
-         "check_digest": not args.no_check_digest},
-        ["model.ckpt"], started,
-    )
-    return 0
+    config = {"base": args.base, "adapter": args.adapter,
+              "check_digest": not args.no_check_digest}
+    return config, ["model.ckpt"]
 
 
 @dataclass(frozen=True)
@@ -318,8 +287,7 @@ class MergeConfig:
             raise ConfigError("one entries item per adapter required")
 
 
-def cmd_merge(args) -> int:
-    started = time.perf_counter()
+def cmd_merge(args) -> Done:
     config = _load_json(args.config)
     spec = from_json(MergeConfig, config, "config")
     base = load_checkpoint(spec.base)
@@ -340,13 +308,10 @@ def cmd_merge(args) -> int:
     out = _out_dir(args)
     save_checkpoint(merged, out / "merged.ckpt")
     _write_json(out / "merge_spec.json", spec_record.to_json_dict())
-    _write_provenance(
-        out, args, config, ["merged.ckpt", "merge_spec.json"], started
-    )
-    return 0
+    return config, ["merged.ckpt", "merge_spec.json"]
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     if bool(args.adapter) == bool(args.mask):
         raise ConfigError("inspect needs exactly one of --adapter / --mask")
     if args.adapter:
@@ -385,7 +350,6 @@ def cmd_inspect(args) -> int:
             ],
         }
     print(json.dumps(payload, sort_keys=True, indent=2))
-    return 0
 
 
 def _experiment_spec_from_config(config: dict):
@@ -402,8 +366,7 @@ def _experiment_spec_from_config(config: dict):
     return from_json(spec_cls, fields, "config")
 
 
-def cmd_experiment(args) -> int:
-    started = time.perf_counter()
+def cmd_experiment(args) -> Done:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seeds"] = [args.seed]
@@ -411,10 +374,7 @@ def cmd_experiment(args) -> int:
     out = _out_dir(args)
     write_atomic(out / "report.json", (report.to_json() + "\n").encode())
     write_atomic(out / "report.csv", report.to_csv().encode())
-    _write_provenance(
-        out, args, config, ["report.json", "report.csv"], started
-    )
-    return 0
+    return config, ["report.json", "report.csv"]
 
 
 # -- parser -----------------------------------------------------------------
@@ -459,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int)
-        p.add_argument("--sparsity", type=float)
+        if name != "train":
+            p.add_argument("--sparsity", type=float)
 
     p = add("encode", cmd_encode, "dense delta checkpoint -> sparse adapter")
     p.add_argument("--base", required=True)
@@ -495,8 +456,20 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        done = args.fn(args)
+        if done is not None:  # an artifact command: its config and outputs
+            config, outputs = done
+            _write_json(Path(args.out) / "provenance.json", {
+                "tool": "lota",
+                "version": __version__,
+                "subcommand": args.command,
+                "config": config,
+                "outputs": sorted(outputs),
+                "wall_time_s": time.perf_counter() - started,
+            })
+        return 0
     except Exception as exc:  # mapped to documented exit codes
         return _print_error(exc)
 

@@ -187,16 +187,6 @@ def _parse_header(
     return specs, metadata
 
 
-def _require_dtype(dtypes, dtype_tag: str) -> None:
-    """FormatError unless every `(name, dtype)` pair is of `dtype_tag`."""
-    for name, np_dtype in dtypes:
-        if np_dtype != _DTYPES[dtype_tag]:
-            raise FormatError(
-                f"dtype mismatch for {name!r}: expected {dtype_tag}, "
-                f"got {_TAGS[np_dtype]}"
-            )
-
-
 def parse_container(blob: bytes) -> tuple[dict[str, np.ndarray], dict | None]:
     """Parse container bytes into (name -> read-only ndarray, metadata or None).
 
@@ -214,13 +204,6 @@ def parse_container(blob: bytes) -> tuple[dict[str, np.ndarray], dict | None]:
         for name, np_dtype, shape, begin in specs
     }
     return entries, metadata
-
-
-def typed_entries(blob: bytes, dtype_tag: str) -> dict[str, np.ndarray]:
-    """The entries of a container whose every entry must be of `dtype_tag`."""
-    entries, _ = parse_container(blob)
-    _require_dtype(((name, arr.dtype) for name, arr in entries.items()), dtype_tag)
-    return entries
 
 
 def read_flat(
@@ -242,8 +225,13 @@ def read_flat(
             raise FormatError("truncated: header length exceeds file size")
         payload_size = size - 8 - header_len
         specs, _ = _parse_header(raw, payload_size)
-        _require_dtype(((name, np_dtype) for name, np_dtype, _, _ in specs), dtype_tag)
         np_dtype = _DTYPES[dtype_tag]
+        for name, dtype, _, _ in specs:
+            if dtype != np_dtype:
+                raise FormatError(
+                    f"dtype mismatch for {name!r}: expected {dtype_tag}, "
+                    f"got {_TAGS[dtype]}"
+                )
         flat = np.empty(payload_size // np_dtype.itemsize, np_dtype)
         if fh.readinto(memoryview(flat).cast("B")) != payload_size:
             raise FormatError("truncated: payload shorter than declared offsets")

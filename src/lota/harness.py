@@ -80,8 +80,6 @@ def evaluate(model: ToyModel, dataset: Dataset) -> float:
     the model's, class indices out of range, or targets of the wrong kind
     for the head.
     """
-    if len(dataset) == 0:
-        raise ConfigError("dataset must be nonempty")
     _check_data(model, dataset)
     outputs = model.forward(dataset.inputs)
     if dataset.is_classification:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import real
-from .container import container_parts, typed_entries, write_atomic
+from .container import container_parts, read_flat, write_atomic
 from .errors import CapacityError, FormatError
 from .params import Layout, MapDigest, ParameterMap, _FlatMap, digest
 
@@ -249,12 +249,13 @@ def save_mask(
 
 
 def load_mask(path: str | Path) -> SparsityMask:
-    raw = typed_entries(Path(path).read_bytes(), "U8")
-    entries = {}
-    for name, arr in raw.items():
-        if not np.isin(arr, (0, 1)).all():
-            raise FormatError(f"mask tensor {name!r} contains non-0/1 bytes")
-        entries[name] = arr.astype(bool)
+    """The mask stored at `path` and its sidecar; its payload is read
+    straight into the mask's buffer."""
+    shapes, flat = read_flat(path, "U8")
+    layout = Layout(shapes)
+    if (flat > 1).any():
+        bad = next(n for n, a in layout.views(flat).items() if (a > 1).any())
+        raise FormatError(f"mask tensor {bad!r} contains non-0/1 bytes")
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise FormatError(f"missing mask sidecar: {sidecar_path}")
@@ -267,6 +268,6 @@ def load_mask(path: str | Path) -> SparsityMask:
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed mask sidecar: {exc}") from exc
     try:
-        return SparsityMask(entries, declared_sparsity=declared)
+        return SparsityMask.from_flat(layout, flat.view(bool), declared)
     except ValueError as exc:  # empty mask, or a declared sparsity it does not have
         raise FormatError(f"mask {path}: {exc}") from exc

@@ -13,8 +13,8 @@ set (`_ticket`), reset to w_P, retrain with the mask and encode the adapter
 
 `train` keeps flat state and clips each group's gradient norm; with a mask,
 RMSProp gathers and scatters only the kept indices, so coordinates with
-mask=false stay bitwise-frozen at their initial values. Each run's data is
-checked against the model once, before any step.
+mask=false stay bitwise-frozen at their initial values. Each run's data and
+mask are checked against the model once, before any step.
 
 `train` is a pure function of what it reads, so inside `_train_cache()`
 (which `harness.run_experiment` opens once per experiment) a call whose
@@ -24,23 +24,24 @@ is cached.
 
 There is one optimizer step loop, over a leading replica axis: R runs
 train in lockstep on an (R, P) state, and each replica is bit-identical to
-its solo run. The runs' models may differ only in their params, which are
-each replica's start weights, and their configs only in `mask` and
-`seed`. Each run names its own dataset; the datasets share one length.
-Each epoch draws one permutation per distinct seed, and a step gathers
-each replica's slice of its own order from its own dataset; when every run
-names one dataset and one seed, the step gathers one shared batch. `train`
-is the R = 1 case. `_train_batch` runs R > 1, and `_train_ahead` hands its
-results over through the memo: inside `_train_cache()` each finished
-replica is stored exactly as `train` would store it, under its own initial
-digest, and the `train` calls that follow only hit. A replica that
-diverges leaves the stack, with its data, and is not cached, so its
-`train` call raises as before; so does one whose weights overflow while its
-loss stays finite, and the others in its stack keep their results.
+its solo run. `_train_batch` forms the stacks: runs whose models differ
+only in their params, which are each replica's start weights, whose
+configs differ only in `mask` and `seed` and whose datasets share one
+shape train as one stack. Each epoch draws one permutation per distinct
+seed, and a step gathers each replica's slice of its own order from its
+own dataset; when every run names one dataset and one seed, the step
+gathers one shared batch. `train` is `_train_batch` of one run. Inside
+`_train_cache()` each finished replica is stored exactly as `train` would
+store it, under its own initial digest, so the `train` calls that follow
+a batch only hit. A replica that diverges leaves the stack, with its data,
+and is not cached, so its `train` call raises as before; so does one whose
+weights overflow while its loss stays finite, and the others in its stack
+keep their results.
 
 Each driver is written once, as a lockstep generator: it yields each list
 of runs it is about to train and then makes its `train` calls, which hit.
-`_solo` drives one such generator alone, and each public driver is `_solo`
+`_solo` drives one such generator alone, training each list it yields as
+one `_train_batch` while a memo is open, and each public driver is `_solo`
 over its generator, which it keeps as `.lockstep`. `_together` drives
 several as one generator that yields the union of their runs:
 `harness.run_experiment` drives one per seed this way, and a sequential
@@ -288,96 +289,65 @@ def _shared_config(config: TrainConfig) -> TrainConfig:
 
 def _train_batch(
     runs: Sequence[Run],
-) -> list[tuple[ParameterMap, RunRecord] | DivergenceError | NonFiniteError]:
-    """`train` for each `(model, dataset, config)` run, as one replica stack.
+) -> list[tuple[ParameterMap, RunRecord] | LotaError]:
+    """`train` for each `(model, dataset, config)` run, in replica stacks.
 
-    The models may differ only in their params, the configs only in `mask`
-    and `seed`, and the datasets only in their contents: one length, one
-    input width, one target kind and shape. Returns, per run, what `train`
-    returns for it, or the error that `train` raises: a `DivergenceError`,
-    or a `NonFiniteError` for weights that overflowed while the loss stayed
-    finite. Runs that `train` would key equal train once. Inside
-    `_train_cache()` a run that is cached is not trained again, and each run
-    that finishes is cached exactly as `train` caches it, so a later `train`
-    call is a hit.
+    Returns, per run, what `train` returns for it, or the error that
+    `train` raises: the `ConfigError` or `AlignmentError` of a run that
+    `_check_run` refuses, which joins no stack, a `DivergenceError`, or a
+    `NonFiniteError` for weights that overflowed while the loss stayed
+    finite. Runs whose models differ only in their params, whose configs
+    differ only in `mask` and `seed` and whose datasets share one shape
+    train as one stack, and runs that `train` would key equal train once.
+    Inside `_train_cache()` a run that is cached is not trained again, and
+    each run that finishes is cached exactly as `train` caches it, so a
+    later `train` call is a hit.
     """
-    model, _, config = runs[0]
-    shared = _shared_config(config)
-    if any(_shared_config(c) != shared for _, _, c in runs):
-        raise ConfigError("batched training configs may differ only in mask and seed")
-    if any(_architecture(m) != _architecture(model) for m, _, _ in runs):
-        raise ConfigError("batched models may differ only in params")
-    if len({_data_shape(d) for _, d, _ in runs}) > 1:
-        raise ConfigError(
-            "batched runs need datasets of one length, input width and target "
-            "kind and shape"
-        )
-    if len(runs[0][1]) == 0:
-        raise ConfigError("dataset must be nonempty")
-    for _, dataset, _ in runs:
-        _check_data(model, dataset)
-    layout = model.params.layout
-    for _, _, c in runs:
-        if c.mask is not None:
-            c.mask.layout.require_aligned(layout, "mask and model parameters")
-    initial = {id(m.params): digest(m.params).hex() for m, _, _ in runs}
     cache = _TRAIN_CACHE.get()
     results: list = [None] * len(runs)
-    misses: dict[bytes, list[int]] = {}  # key -> the runs it answers
-    for i, (m, dataset, c) in enumerate(runs):
-        key = _train_key(m, initial[id(m.params)], dataset, c)
+    stacks: dict[tuple, dict[bytes, list[int]]] = {}  # stack -> key -> its runs
+    for i, (model, dataset, config) in enumerate(runs):
+        try:
+            _check_run(model, dataset, config)
+        except LotaError as exc:
+            results[i] = exc
+            continue
+        key = _train_key(model, digest(model.params).hex(), dataset, config)
         if cache is not None and key in cache:
             final, record = cache[key]
             results[i] = (final, copy.deepcopy(record))
-        else:
-            misses.setdefault(key, []).append(i)
-    if not misses:
-        return results
-    firsts = [runs[ids[0]] for ids in misses.values()]
-    records = [
-        RunRecord(c.snapshot(), initial[id(m.params)], None) for m, _, c in firsts
-    ]
-    finals = _step_loop(firsts, records)
-    for (key, ids), record, final in zip(misses.items(), records, finals):
-        if not isinstance(final, LotaError):
-            record.final_digest = digest(final).hex()
-            if cache is not None:
-                cache[key] = (final, record)
-        for i in ids:
-            results[i] = (
-                final if isinstance(final, LotaError) else (final, copy.deepcopy(record))
-            )
+            continue
+        stack = (_architecture(model), _shared_config(config), _data_shape(dataset))
+        stacks.setdefault(stack, {}).setdefault(key, []).append(i)
+    for misses in stacks.values():
+        firsts = [runs[ids[0]] for ids in misses.values()]
+        records = [
+            RunRecord(c.snapshot(), digest(m.params).hex(), None) for m, _, c in firsts
+        ]
+        finals = _step_loop(firsts, records)
+        for (key, ids), record, final in zip(misses.items(), records, finals):
+            if not isinstance(final, LotaError):
+                record.final_digest = digest(final).hex()
+                if cache is not None:
+                    cache[key] = (final, record)
+            for i in ids:
+                results[i] = (
+                    final if isinstance(final, LotaError)
+                    else (final, copy.deepcopy(record))
+                )
     return results
-
-
-def _train_ahead(runs: Sequence[Run]) -> None:
-    """Train `runs` into the open `train` memo, ahead of their `train` calls.
-
-    Runs whose models differ only in params, whose configs differ only in
-    `mask` and `seed` and whose data shapes match train as one replica
-    stack. A run that fails is not cached, so its own `train` call raises
-    the error in its turn. Outside `_train_cache()` this does nothing.
-    """
-    if _TRAIN_CACHE.get() is None:
-        return
-    stacks: dict[tuple, list[Run]] = {}
-    for model, dataset, config in runs:
-        key = (_architecture(model), _shared_config(config), *_data_shape(dataset))
-        stacks.setdefault(key, []).append((model, dataset, config))
-    for stack in stacks.values():
-        with contextlib.suppress(LotaError):  # raised again by `train`, in order
-            _train_batch(stack)
 
 
 def _solo(steps: Generator[list[Run], None, object]):
     """Drive a lockstep generator alone: train each list of runs that it
-    yields ahead, into the open memo, and return what it returns."""
+    yields into the open memo, and return what it returns."""
     while True:
         try:
             runs = next(steps)
         except StopIteration as stop:
             return stop.value
-        _train_ahead(runs)
+        if _TRAIN_CACHE.get() is not None:
+            _train_batch(runs)  # a failed run is not cached: `train` raises it
 
 
 def _together(
@@ -427,7 +397,9 @@ def _driver(steps):
 
 
 def _check_data(model: ToyModel, dataset: Dataset) -> None:
-    """Refuse a nonempty dataset that does not fit the model's input and head."""
+    """Refuse a dataset that is empty or does not fit the model's input and head."""
+    if len(dataset) == 0:
+        raise ConfigError("dataset must be nonempty")
     width, outputs = model.widths[0], model.widths[-1]
     if dataset.inputs.shape[1] != width:
         raise ConfigError(
@@ -442,6 +414,16 @@ def _check_data(model: ToyModel, dataset: Dataset) -> None:
     elif dataset.is_classification or targets.shape[1:] != (outputs,):
         raise ConfigError(
             f"a mean-squared-error head needs float targets of width {outputs}"
+        )
+
+
+def _check_run(model: ToyModel, dataset: Dataset, config: TrainConfig) -> None:
+    """Refuse a run before any step: data that `_check_data` refuses, or a
+    mask that is not aligned with the model's params."""
+    _check_data(model, dataset)
+    if config.mask is not None:
+        config.mask.layout.require_aligned(
+            model.params.layout, "mask and model parameters"
         )
 
 

@@ -63,7 +63,6 @@ def train_config(tmp_path, **overrides):
             "calibration_epochs": 1,
             "seed": 9,
         },
-        "sparsity": 0.8,
     }
     config.update(overrides)
     path = tmp_path / "config.json"
@@ -734,3 +733,80 @@ class TestMaskPathFields:
         argv = ["lotto", "--config", str(path), "--out", str(out)]
         assert "initial_constraints" in config_error(capsys, argv)
         assert not out.exists()
+
+
+class TestUnreadKeys:
+    """A run command refuses a config key that it does not read, before it
+    reads a file or takes a step, and `train` takes no --sparsity flag."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "sparsity", 0.5),
+        ("lota", "mask", "does-not-exist.bin"),
+        ("lotto", "calibration_fraction", 0.0),
+        ("lotto", "task", lotto_task(5)),
+    ], ids=["train-sparsity", "lota-mask", "lotto-calibration_fraction", "lotto-task"])
+    def test_unread_key_exits_1(self, tmp_path, capsys, monkeypatch, command, key, value):
+        make = lotto_config if command == "lotto" else train_config
+        monkeypatch.setattr("lota.cli.load_mask", lambda *a: pytest.fail("read a mask"))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(make(tmp_path, **{key: value})),
+                "--out", str(out)]
+        message = config_error(capsys, argv)
+        assert f"unknown key {key!r}" in message and f"lota {command}" in message
+        assert not out.exists()
+
+    def test_train_takes_no_sparsity_flag(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["train", "--config", str(train_config(tmp_path)),
+                      "--out", str(out), "--sparsity", "0.5"])
+        assert exc.value.code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "UsageError" and "--sparsity" in error["message"]
+        assert not out.exists()
+
+
+class TestProvenance:
+    def test_each_artifact_command_records_what_it_wrote(self, base_ckpt, tmp_path):
+        """provenance.json names exactly the files that the command wrote to
+        --out, its subcommand and its resolved config."""
+        pm, base = base_ckpt
+        ft = tmp_path / "ft.ckpt"
+        save_checkpoint(tweaked(pm), ft)
+        base, ft = str(base), str(ft)
+        adapter = str(tmp_path / "out-diff" / "adapter.lta")
+        run = json.loads(train_config(tmp_path).read_text())
+        lotto = json.loads(lotto_config(tmp_path).read_text())
+        merge = {"base": base, "adapters": [adapter]}
+        experiment = {
+            "kind": "sparsity-ablation", "model": {"widths": [6, 16, 3]},
+            "train": {"learning_rate": 0.01, "batch_size": 32, "epochs": 1},
+            "seeds": [0], "task": lotto_task(2), "grid": [0.9],
+            "iterative_schedule": None,
+        }
+        for name, config in (("merge", merge), ("experiment", experiment)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        commands = [
+            ("diff", [base, ft], {"base": base, "finetuned": ft}),
+            ("sparsify", ["--adapter", adapter, "--sparsity", "0.5"],
+             {"adapter": adapter, "sparsity": 0.5}),
+            ("train", ["--config", str(tmp_path / "config.json")], run),
+            ("lota", ["--config", str(tmp_path / "config.json"), "--sparsity", "0.95"],
+             {**run, "sparsity": 0.95}),
+            ("lotto", ["--config", str(tmp_path / "lotto.json")], lotto),
+            ("encode", ["--base", base, "--delta", ft], {"base": base, "delta": ft}),
+            ("decode", ["--adapter", adapter], {"adapter": adapter}),
+            ("apply", ["--base", base, "--adapter", adapter],
+             {"base": base, "adapter": adapter, "check_digest": True}),
+            ("merge", ["--config", str(tmp_path / "merge.json")], merge),
+            ("experiment", ["--config", str(tmp_path / "experiment.json"), "--seed", "3"],
+             {**experiment, "seeds": [3]}),
+        ]
+        for command, argv, config in commands:
+            out = tmp_path / f"out-{command}"
+            assert dispatch([command, *argv, "--out", str(out)]) == 0, command
+            provenance = json.loads((out / "provenance.json").read_text())
+            written = sorted(p.name for p in out.iterdir() if p.name != "provenance.json")
+            assert provenance["outputs"] == written, command
+            assert provenance["subcommand"] == command
+            assert provenance["config"] == config, command

@@ -32,15 +32,16 @@ def task(seed, **params):
 
 TRAIN = {"learning_rate": 0.01, "batch_size": 32, "epochs": 2, "calibration_epochs": 1,
          "rmsprop_decay": 0.99, "rmsprop_epsilon": 1e-8, "clip_group_norm": 1.0}
-RUN = {"model": MODEL, "train": {**TRAIN, "seed": 9}, "init_seed": 3, "sparsity": 0.8}
+RUN = {"model": MODEL, "train": {**TRAIN, "seed": 9}, "init_seed": 3}
 EXPERIMENT = {"model": MODEL, "train": TRAIN, "seeds": [0, 1]}
 PAIR = {"task_a": task(1, active_dims=[0, 1, 2]), "task_b": task(2, background=0.5)}
 
 # command -> (subcommand, config)
 CONFIGS = {
     "train": ("train", {**RUN, "task": task(1), "mask": "absent.bin"}),
-    "lota": ("lota", {**RUN, "task": task(1), "calibration_fraction": 0.5}),
-    "lotto": ("lotto", {**RUN, "tasks": [task(1), task(2)],
+    "lota": ("lota", {**RUN, "task": task(1), "sparsity": 0.8,
+                      "calibration_fraction": 0.5}),
+    "lotto": ("lotto", {**RUN, "tasks": [task(1), task(2)], "sparsity": 0.8,
                         "initial_constraints": "absent.bin"}),
     "merge": ("merge", {
         "base": "absent.ckpt", "adapters": ["a.lta", "b.lta"], "scaling": 1.0,

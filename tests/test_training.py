@@ -13,6 +13,7 @@ from lota import (
     ConfigError,
     Dataset,
     DivergenceError,
+    LotaError,
     NonFiniteError,
     ParameterMap,
     SparsityMask,
@@ -301,14 +302,20 @@ class TestDataFitsModel:
         narrow = Dataset(data.inputs, np.ones((len(data), *shape), np.float32))
         self.refused(step_counter, model, narrow, "float targets of width 4")
 
-    def test_every_run_of_a_stack_is_checked(self, step_counter):
+    def test_a_refused_run_leaves_its_batch_the_others_solo_results(self, step_counter):
         model, data = toy_model(), toy_task()
         labels = data.targets.copy()
         labels[0] = 3
-        runs = [(data, quick_config()), (Dataset(data.inputs, labels), quick_config())]
-        with pytest.raises(ConfigError, match="class indices"):
-            training._train_batch([(model, *run) for run in runs])
-        assert step_counter == []
+        config = quick_config()
+        bad, good = training._train_batch(
+            [(model, Dataset(data.inputs, labels), config), (model, data, config)]
+        )
+        assert isinstance(bad, ConfigError)
+        assert "class indices" in str(bad)
+        assert len(step_counter) == steps_per_run(config, data)  # the good run only
+        final, record = train(model, data, config)
+        assert good[0].flat.tobytes() == final.flat.tobytes()
+        assert good[1] == record
 
 
 def reference_train(model, dataset, config):
@@ -449,18 +456,34 @@ class TestStepHelperContract:
 
 
 def solo_outcome(model, data, config):
-    """`train`'s result, or the DivergenceError it raises."""
+    """`train`'s result, or the error it raises."""
     try:
         return train(model, data, config)
-    except DivergenceError as exc:
+    except LotaError as exc:
         return exc
+
+
+def assert_batch_equals_solo_runs(runs):
+    """`_train_batch(runs)` gives each run its solo `train` outcome: its
+    weights and record bit for bit, or an error of the same type and text.
+    Returns the outcomes."""
+    batch = training._train_batch(runs)
+    for run, got in zip(runs, batch):
+        want = solo_outcome(*run)
+        if isinstance(want, LotaError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got[0].flat.tobytes() == want[0].flat.tobytes()
+            assert got[1] == want[1]
+    return batch
 
 
 class TestReplicaBatchOracle:
     """`_train_batch` runs models that differ only in params (each
     replica's start weights), with configs that differ only in mask and
-    seed, as one replica stack. Each replica must equal its solo `train`
-    run bit for bit, and reach later `train` calls through the open cache."""
+    seed, as one replica stack; other runs train in stacks of their own.
+    Each replica must equal its solo `train` run bit for bit, and reach
+    later `train` calls through the open cache."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -569,13 +592,12 @@ class TestReplicaBatchOracle:
             assert kept.clip.norms.shape == (len(layout.names), len(survivors))
             assert [a.shape for a in kept.scratch] == [kept.w.shape] * 3
 
-    def test_configs_must_differ_only_in_mask(self):
+    def test_runs_of_other_configs_each_equal_their_solo_run(self, fwd_bwd_calls):
         model, data = toy_model(), toy_task()
-        with pytest.raises(ConfigError, match="only in mask"):
-            training._train_batch([
-                (model, data, quick_config()),
-                (model, data, quick_config(learning_rate=0.02)),
-            ])
+        configs = [quick_config(), quick_config(learning_rate=0.02)]
+        assert_batch_equals_solo_runs([(model, data, c) for c in configs])
+        # two stacks in the batch, then two solo runs
+        assert len(fwd_bwd_calls) == 4 * steps_per_run(configs[0], data)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -763,18 +785,19 @@ class TestReplicaBatchOracle:
             assert final.flat.tobytes() == solo_final.flat.tobytes()
             assert record == solo_record
 
-    def test_models_must_differ_only_in_params(self):
+    def test_runs_of_other_architectures_each_equal_their_solo_run(self):
         data, config = toy_task(), quick_config()
         wider = ToyModel.initialize([6, 17, 3], "tanh", "softmax-cross-entropy", 0)
         relu = ToyModel.initialize([6, 16, 3], "relu", "softmax-cross-entropy", 0)
         for other in (wider, relu):
-            with pytest.raises(ConfigError, match="only in params"):
-                training._train_batch([(toy_model(), data, config), (other, data, config)])
+            assert_batch_equals_solo_runs(
+                [(toy_model(), data, config), (other, data, config)]
+            )
 
     @pytest.mark.parametrize("other", [
         "length", "input width", "target kind", "target width",
     ])
-    def test_datasets_must_share_one_shape(self, other):
+    def test_other_data_shapes_equal_solo_runs(self, other):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 6)).astype(np.float32)
         labels = rng.integers(0, 3, size=64)
@@ -787,10 +810,18 @@ class TestReplicaBatchOracle:
             "target kind": Dataset(x, vectors),
             "target width": Dataset(x, vectors[:, :2]),
         }
-        first = data["vectors" if other == "target width" else "classes"]
-        model, config = toy_model(), quick_config()
-        with pytest.raises(ConfigError, match="one length"):
-            training._train_batch([(model, first, config), (model, data[other], config)])
+        if other == "target width":
+            first = data["vectors"]
+            model = ToyModel.initialize([6, 16, 3], "tanh", "mean-squared-error", 0)
+        else:
+            first, model = data["classes"], toy_model()
+        config = quick_config()
+        batch = assert_batch_equals_solo_runs(
+            [(model, first, config), (model, data[other], config)]
+        )
+        assert not isinstance(batch[0], LotaError)
+        # data of another length fits the model; the other shapes do not
+        assert isinstance(batch[1], ConfigError) == (other != "length")
 
 
 def steps_per_run(config, data):
