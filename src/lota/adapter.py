@@ -39,17 +39,26 @@ _LTA_MAGIC = b"LTA1"
 
 
 def encode_gaps(indices: np.ndarray) -> bytes:
-    """Gap-encode a strictly increasing index array."""
+    """Gap-encode a strictly increasing index array.
+
+    Each gap g is written as g // 255 bytes of 255, then the byte g % 255.
+    The gaps are taken in the narrowest unsigned dtype that holds both the
+    last index and the stream length, which the last index plus the count
+    bounds; only the byte positions of the remainders need `intp`.
+    """
     if indices.size == 0:
         return b""
-    gaps = np.empty(indices.size, dtype=np.int64)
+    gaps = np.empty(indices.size, np.min_scalar_type(int(indices[-1]) + indices.size))
     gaps[0] = indices[0]
-    np.subtract(indices[1:], indices[:-1], out=gaps[1:])
-    q, r = np.divmod(gaps, 255)
-    lengths = q + 1
-    ends = np.cumsum(lengths) - 1
+    np.subtract(indices[1:], indices[:-1], out=gaps[1:], casting="unsafe")
+    # each gap's last byte position: the running sum of g // 255 + 1, less 1
+    ends = np.empty(indices.size, np.intp)
+    np.divmod(gaps, 255, out=(ends, gaps))
+    ends += 1
+    np.cumsum(ends, out=ends)
+    ends -= 1
     buf = np.full(int(ends[-1]) + 1, 255, dtype=np.uint8)
-    buf[ends] = r.astype(np.uint8)
+    buf[ends] = gaps
     return buf.tobytes()
 
 

@@ -134,7 +134,8 @@ _RUN_KEYS = {
 
 
 def _run_config(args, task_key: str) -> tuple[dict, RunConfig]:
-    """The JSON config of a run command and its RunConfig, flags applied."""
+    """The JSON config of a run command and its RunConfig, `--seed` applied
+    to both, so that the config that provenance records is the one run."""
     config = _load_json(args.config)
     unread = sorted(config.keys() - _RUN_KEYS[args.command])
     if unread:
@@ -146,6 +147,7 @@ def _run_config(args, task_key: str) -> tuple[dict, RunConfig]:
         raise ConfigError(f"missing key {task_key!r} in config")
     if args.seed is not None:
         run = dataclasses.replace(run, train=run.train.replace(seed=args.seed))
+        config = {**config, "train": {**config["train"], "seed": args.seed}}
     if getattr(args, "sparsity", None) is not None:
         run = dataclasses.replace(run, sparsity=args.sparsity)
     return config, run

@@ -146,6 +146,24 @@ def _forward_pass(model: ToyModel, state, x: np.ndarray):
     return h, acts, preacts
 
 
+def _row_max(out: np.ndarray) -> np.ndarray:
+    """The max of each row of `out` over its last axis, kept as a length-1 axis.
+
+    Stacked `(R, batch, classes)` logits take it as a chain of `np.maximum`
+    over the class columns: each call runs over all R * batch rows at once,
+    where `np.maximum.reduce` pays per row for its short reduction. A lone
+    replica's 2-D logits, and a single class, keep the reduction, which is
+    faster there. Both forms pick the same element of each row, signed zeros
+    included.
+    """
+    if out.ndim < 3 or out.shape[-1] < 2:
+        return np.maximum.reduce(out, axis=-1, keepdims=True)
+    top = np.maximum(out[..., :1], out[..., 1:2])
+    for c in range(2, out.shape[-1]):
+        np.maximum(top, out[..., c : c + 1], out=top)
+    return top
+
+
 def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets):
     """Mean loss over the batch axis (-2), one per replica, and its gradient.
 
@@ -156,7 +174,7 @@ def _loss_and_output_grad(model: ToyModel, out: np.ndarray, targets):
     """
     batch = out.shape[-2]
     if model.head == "softmax-cross-entropy":
-        shifted = out - np.maximum.reduce(out, axis=-1, keepdims=True)
+        shifted = out - _row_max(out)
         log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
         log_p = np.subtract(shifted, log_z, out=shifted)
         # each example's target class as a flat index into log_p; the picks
@@ -193,6 +211,9 @@ def _forward_backward_state(model: ToyModel, state, inputs, targets, grads):
         np.matmul(acts[i].swapaxes(-1, -2), d_z, out=grads[f"layer{i}.weight"])
         np.add.reduce(d_z, axis=-2, out=grads[f"layer{i}.bias"])
         if i > 0:
-            d_z = d_z @ state[f"layer{i}.weight"].swapaxes(-1, -2)
+            # a contiguous copy of the transposed weights gives the bits of
+            # the transposed view, and a faster product
+            w_t = np.ascontiguousarray(state[f"layer{i}.weight"].swapaxes(-1, -2))
+            d_z = d_z @ w_t
             d_z *= _activate_grad(preacts[i - 1], acts[i], model.activation)
     return loss

@@ -49,9 +49,10 @@ seed its method pairs' task-B phases.
 
 A stacked step issues a fixed set of numpy calls whatever R is. The
 `_ReplicaStack` holds preallocated scratch for the clip and the update,
-and the data is checked once, before the loop, not per step. The clip
-takes its float64 norms once per parameter name over the whole stack, and
-RMSProp runs in place on the scratch, in the order of the per-name formula.
+and the data is checked once, before the loop, not per step. The whole
+step runs in float32: the clip takes its norms from the float32 gradients
+themselves, once per parameter name over the whole stack, and RMSProp runs
+in place on the scratch, in the order of the per-name formula.
 """
 
 from __future__ import annotations
@@ -138,21 +139,21 @@ class RunRecord:
 
 
 class _ClipScratch:
-    """What the group clip of (R, P) gradients in one `Layout` reuses each step.
+    """What the group clip of the (R, P) float32 gradients `g` in one `Layout`
+    reuses each step.
 
-    `spans` holds each parameter name's `(lo, hi)` in a row. The clip
-    copies the gradients into the float64 `g64` and leaves the norm of
-    replica r's group k in `norms[k, r]`.
+    `spans` holds each parameter name's `(lo, hi)` in a row, and `parts` the
+    views of `g` whose stacked product leaves the squared norm of replica r's
+    group k in the float32 `norms[k, r]`.
     """
 
-    def __init__(self, layout, replicas: int):
+    def __init__(self, layout, g):
+        replicas = len(g)
         self.spans = tuple(zip(layout.offsets, layout.offsets[1:]))
-        self.g64 = np.empty((replicas, layout.size), np.float64)
-        self.norms = np.empty((len(self.spans), replicas), np.float64)
+        self.norms = np.empty((len(self.spans), replicas), np.float32)
         # (R, 1, n) @ (R, n, 1) into an (R, 1, 1) view of norms[k]
         self.parts = [
-            (self.g64[:, None, lo:hi], self.g64[:, lo:hi, None],
-             out.reshape(replicas, 1, 1))
+            (g[:, None, lo:hi], g[:, lo:hi, None], out.reshape(replicas, 1, 1))
             for (lo, hi), out in zip(self.spans, self.norms)
         ]
 
@@ -161,20 +162,25 @@ def _clip_group_norm_inplace(g, max_norm: float, scratch: _ClipScratch) -> None:
     """Scale each group of the (R, P) gradients `g` to L2 norm <= max_norm.
 
     A group is one replica's coordinates of one parameter name, so each
-    replica is clipped on its own. The float64 norms are taken once per
-    name over the whole stack: the stacked `np.matmul` of each row's slice
-    of the float64 copy with itself runs that slice's `np.dot`, so each
-    norm is bitwise `math.sqrt(float(np.dot(f, f)))` of its group's float64
-    copy `f`. Only the groups over the bound are scaled, in place; the rest
-    stay untouched.
+    replica is clipped on its own. `scratch` is built over `g`. The norms
+    are taken in float32 from `g` itself, once per name over the whole
+    stack: the stacked `np.matmul` of each row's slice with itself runs that
+    slice's `np.dot` (`sdot`), so each norm is bitwise `np.sqrt(np.dot(f,
+    f))` of its group `f`, whatever the BLAS thread count. Only the groups
+    over the bound are scaled, in place, by `max_norm / norm` rounded to
+    float32; the rest stay untouched. A group over about 1.8e19 overflows
+    its float32 sum of squares, and numpy warns; it takes its norm in
+    float64 instead, so that it is scaled to the bound and not to zero.
     """
-    np.copyto(scratch.g64, g)
     for row, column, out in scratch.parts:
         np.matmul(row, column, out=out)
     norms = np.sqrt(scratch.norms, out=scratch.norms)
     for k, r in zip(*(norms > max_norm).nonzero()):
         lo, hi = scratch.spans[k]
-        g[r, lo:hi] *= np.float32(max_norm / norms[k, r])
+        norm = float(norms[k, r])
+        if norm == math.inf:
+            norm = math.sqrt(np.square(g[r, lo:hi], dtype=np.float64).sum())
+        g[r, lo:hi] *= np.float32(max_norm / norm)
 
 
 def _rmsprop_update_inplace(w, g, v, config: TrainConfig, kept, state, scratch) -> None:
@@ -554,7 +560,7 @@ class _ReplicaStack:
         self.w = self.state_flat if self.kept is None else self.state_flat[self.kept]
         self.v = np.zeros_like(self.w) if v is None else v
         self.scratch = [np.empty_like(self.w) for _ in range(2 + (self.kept is not None))]
-        self.clip = _ClipScratch(layout, len(state))
+        self.clip = _ClipScratch(layout, self.g)
         # a lone replica runs on views without the replica axis, which is
         # the same arithmetic with less numpy overhead per call
         lone = len(state) == 1

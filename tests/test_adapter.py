@@ -90,6 +90,17 @@ class TestGapCodec:
             out = decode_gaps(encode_gaps(arr), n=2000, c=len(idx))
             np.testing.assert_array_equal(out, arr)
 
+    # the gaps' dtype holds the last index plus the count (4 here), which
+    # bounds the stream length: each side of the uint8, uint16 and uint32
+    # limits gives the bytes of the int64 formula
+    @pytest.mark.parametrize("last", [251, 252, 65_531, 65_532, 2**32 - 5, 2**32 - 4])
+    def test_gap_dtype_bounds(self, last):
+        idx = np.array([0, 1, 2, last], dtype=np.int64)
+        gaps = np.diff(idx, prepend=0)
+        want = b"".join(b"\xff" * (g // 255) + bytes([g % 255]) for g in gaps.tolist())
+        assert encode_gaps(idx) == want
+        np.testing.assert_array_equal(decode_gaps(want, n=last + 1, c=4), idx)
+
     def test_index_out_of_range(self):
         stream = encode_gaps(np.array([5]))
         with pytest.raises(FormatError, match="out of range"):

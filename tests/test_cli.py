@@ -810,3 +810,20 @@ class TestProvenance:
             assert provenance["outputs"] == written, command
             assert provenance["subcommand"] == command
             assert provenance["config"] == config, command
+
+    @pytest.mark.parametrize("command", ["train", "lota", "lotto"])
+    def test_seed_flag_is_the_recorded_seed(self, tmp_path, command):
+        """`--seed 5` on a config with seed 9 records, and writes, what the
+        config with seed 5 does."""
+        make = lotto_config if command == "lotto" else train_config
+        config = json.loads(make(tmp_path).read_text())
+        runs = {}
+        for seed, argv in ((9, ["--seed", "5"]), (5, [])):
+            (tmp_path / f"seed{seed}").mkdir()
+            path = make(tmp_path / f"seed{seed}", train={**config["train"], "seed": seed})
+            out = tmp_path / f"out{seed}"
+            assert dispatch([command, "--config", str(path), *argv, "--out", str(out)]) == 0
+            provenance = json.loads((out / "provenance.json").read_text())
+            runs[seed] = provenance["config"], (out / "final.ckpt").read_bytes()
+        assert runs[9][0]["train"]["seed"] == 5
+        assert runs[9] == runs[5]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from lota import training
 from lota.cli import dispatch
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -72,6 +73,17 @@ LOTTO_OUTPUTS = ("task0.adapter.lta", "task0.mask.bin", "task0.mask.bin.json",
                  "constraints.mask.bin", "constraints.mask.bin.json",
                  "final.ckpt", "run.json")
 
+# a 128 x 128 weight group, over the 10,000 elements past which OpenBLAS
+# splits a float64 dot product across threads, with a clip that scales it on
+# some steps and not on others: CI runs this file under default threads and
+# under one BLAS thread, and both must give these digests
+WIDE_CONFIG = {
+    "model": {"widths": [16, 128, 128, 4]},
+    "task": {**cluster_task(8, "w"), "input_dim": 16, "output_dim": 4},
+    "train": {"learning_rate": 0.01, "batch_size": 32, "epochs": 2, "seed": 3,
+              "clip_group_norm": 0.2},
+}
+
 # trim fractions below the adapters' 20% density, so trimming drops values
 WEIGHTED_ENTRIES = [{"weight": 0.7, "trim_keep_fraction": 0.1},
                     {"weight": 1.3, "trim_keep_fraction": 0.15}]
@@ -115,6 +127,9 @@ def current_digests(tmp_path: Path) -> dict[str, str]:
         merged = _run(tmp_path, "merge", name,
                       {"base": base, "adapters": adapters, **extra})
         digests[f"{name}/merged.ckpt"] = _sha256(merged / "merged.ckpt")
+    out_w = _run(tmp_path, "train", "train-wide", WIDE_CONFIG)
+    for name in ("final.ckpt", "run.json"):
+        digests[f"train-wide/{name}"] = _sha256(out_w / name)
     applied = tmp_path / "apply"
     assert dispatch(["apply", "--base", base, "--adapter", adapters[1],
                      "--out", str(applied)]) == 0
@@ -137,3 +152,17 @@ def test_outputs_match_golden_digests(tmp_path):
             f"golden digests changed for {changed}; new digests:\n"
             + json.dumps(actual, sort_keys=True, indent=2)
         )
+
+
+def test_wide_case_clips_its_large_group_on_some_steps(tmp_path, monkeypatch):
+    clipped = []
+    original = training._clip_group_norm_inplace
+
+    def spy(g, max_norm, scratch):
+        original(g, max_norm, scratch)
+        (k,) = [k for k, (lo, hi) in enumerate(scratch.spans) if hi - lo == 128 * 128]
+        clipped.append(bool(scratch.norms[k, 0] > max_norm))
+
+    monkeypatch.setattr(training, "_clip_group_norm_inplace", spy)
+    _run(tmp_path, "train", "train-wide", WIDE_CONFIG)
+    assert any(clipped) and not all(clipped)

@@ -35,7 +35,7 @@ from lota.sparsity import TaskVector
 BUDGET = {
     "sparsify": 10.0,
     "apply_mask": 6.0,
-    "encode": 6.0,
+    "encode": 3.0,
     "ties_merge": 30.0,
     "merge_lota": 16.0,
     "digest": 1.0,

@@ -8,7 +8,11 @@ from gradcheck import (
 )
 
 from lota import Dataset, ParameterMap, ToyModel
-from lota.models import concat_datasets
+from lota import models
+from lota.models import (
+    _activate_grad, _forward_backward_state, _forward_pass, _loss_and_output_grad,
+    _row_max, concat_datasets,
+)
 
 
 class TestGradients:
@@ -93,3 +97,77 @@ class TestDataset:
         reg = Dataset(np.zeros((2, 2), np.float32), np.zeros((2, 1), np.float32), "b")
         with pytest.raises(ValueError):
             concat_datasets([cls, reg])
+
+
+def view_form_backward(model, state, inputs, targets, monkeypatch):
+    """The loss and gradients of the backward in its earlier form: the row
+    max by `np.maximum.reduce`, and each input-gradient product times the
+    transposed view of the weights."""
+    with monkeypatch.context() as m:
+        m.setattr(models, "_row_max",
+                  lambda out: np.maximum.reduce(out, axis=-1, keepdims=True))
+        out, acts, preacts = _forward_pass(model, state, inputs)
+        loss, d_z = _loss_and_output_grad(model, out, targets)
+    grads = {}
+    for i in range(len(model.widths) - 2, -1, -1):
+        grads[f"layer{i}.weight"] = acts[i].swapaxes(-1, -2) @ d_z
+        grads[f"layer{i}.bias"] = np.add.reduce(d_z, axis=-2)
+        if i > 0:
+            d_z = d_z @ state[f"layer{i}.weight"].swapaxes(-1, -2)
+            d_z *= _activate_grad(preacts[i - 1], acts[i], model.activation)
+    return loss, grads
+
+
+class TestBackwardOracle:
+    """The backward's row max, a chain of `np.maximum` over the class columns
+    on stacked logits, and its products times a contiguous copy of the
+    transposed weights give the bits of their earlier forms."""
+
+    @pytest.mark.parametrize("replicas", range(1, 7))
+    @pytest.mark.parametrize("head", ["softmax-cross-entropy", "mean-squared-error"])
+    @pytest.mark.parametrize("classes", [4, 16])
+    def test_stacked_step_equals_view_form(self, monkeypatch, replicas, head, classes):
+        rng = np.random.default_rng(replicas * 100 + classes)
+        for draw in range(4):
+            activation = ("tanh", "relu")[draw % 2]
+            starts = [
+                ToyModel.initialize((16, 96, 48, classes), activation, head, seed)
+                for seed in rng.integers(0, 2**31, replicas)
+            ]
+            model = starts[0]
+            state = np.stack([m.params.flat for m in starts])
+            state += rng.standard_normal(state.shape, dtype=np.float32) * 0.1
+            # shared data on even draws, one batch per replica on odd ones
+            lead = (replicas,) if draw % 2 else ()
+            inputs = rng.standard_normal((*lead, 32, 16), dtype=np.float32)
+            if head == "softmax-cross-entropy":
+                targets = rng.integers(0, classes, (*lead, 32))
+            else:
+                targets = rng.standard_normal((*lead, 32, classes), dtype=np.float32)
+            g = np.empty_like(state)
+            if replicas == 1:  # a lone replica runs without the replica axis
+                state, g = state[0], g[0]
+                if lead:
+                    inputs, targets = inputs[0], targets[0]
+            views = model.params.layout.views(state)
+            loss = _forward_backward_state(
+                model, views, inputs, targets, model.params.layout.views(g)
+            )
+            want_loss, want = view_form_backward(model, views, inputs, targets, monkeypatch)
+            assert loss.tobytes() == want_loss.tobytes()
+            grads = model.params.layout.views(g)
+            for name, arr in want.items():
+                assert grads[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("replicas", range(1, 7))
+    @pytest.mark.parametrize("classes", [1, 2, 3, 4, 16])
+    def test_row_max_equals_reduce_signed_zeros_included(self, replicas, classes):
+        rng = np.random.default_rng(classes)
+        # ties, and on every other row a max of +0.0 against -0.0
+        values = np.array([0.0, -0.0, -2.0, 1.5], np.float32)
+        out = rng.choice(values, (replicas, 64, classes))
+        out[:, ::2] = rng.choice(values[:3], (replicas, 32, classes))
+        if replicas == 1:
+            out = out[0]
+        got, want = _row_max(out), np.maximum.reduce(out, axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
