@@ -1,8 +1,13 @@
 """Command-line entry point.
 
-Every artifact-producing run takes an --out directory; it returns its
-resolved config and the names of its outputs, and `dispatch` writes
-provenance.json (resolved config, tool version, wall time) beside them.
+Every artifact-producing run takes an --out directory, which `dispatch`
+alone writes. The command writes its files into a fresh staging directory
+`.<name>.<hex>.staging` in --out (beside it if --out is new) and returns its
+config; `dispatch` writes provenance.json (config, outputs, tool version,
+wall time) there, removes the old one from --out, and moves each file in,
+provenance.json last. A failed run leaves --out as it was, or without a
+provenance.json if a move failed; a killed run also leaves its staging
+directory. A provenance.json never names a file that its run did not write.
 Artifacts and reports are byte-reproducible for identical inputs and seeds;
 provenance carries the only volatile fields.
 
@@ -10,10 +15,10 @@ Every config key, and every --seed or --sparsity flag, is checked before
 any file is read or any step is taken; an unknown key, or one that the
 command does not read, is refused, so a typo never runs at a default.
 
-Exit codes: 0 success, 1 usage/config error, 2 validation error (digest
-mismatch, misalignment, malformed file, capacity), 3 runtime failure
-(divergence, failed harness assertion). Errors print a JSON object on
-stderr.
+Exit codes: 0 success, 1 usage/config error (a missing input file too),
+2 validation error (digest mismatch, misalignment, malformed file,
+capacity), 3 runtime failure (divergence, failed harness assertion, any
+other I/O error such as a full disk). Errors print a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import secrets
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -67,6 +75,7 @@ _ERROR_CODES = (
     (CapacityError, VALIDATION_ERROR),
     (DivergenceError, RUNTIME_ERROR),
     (HarnessError, RUNTIME_ERROR),
+    (OSError, RUNTIME_ERROR),
 )
 
 
@@ -89,12 +98,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return config
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_json(path: Path, obj) -> None:
@@ -154,52 +157,45 @@ def _run_config(args, task_key: str) -> tuple[dict, RunConfig]:
 
 
 # -- subcommands ------------------------------------------------------------
+# Each artifact command writes its files into `out`, the staging directory
+# that `dispatch` made for it, and returns its config.
 
 
-# Each artifact command returns its config and the names of its outputs.
-Done = tuple[dict, list[str]]
-
-
-def cmd_diff(args) -> Done:
+def cmd_diff(args, out: Path) -> dict:
     base = load_checkpoint(args.base)
     finetuned = load_checkpoint(args.finetuned)
     adapter = encode(compute_task_vector(finetuned, base))
-    out = _out_dir(args)
     save_adapter(adapter, out / "adapter.lta")
-    return {"base": args.base, "finetuned": args.finetuned}, ["adapter.lta"]
+    return {"base": args.base, "finetuned": args.finetuned}
 
 
-def cmd_sparsify(args) -> Done:
+def cmd_sparsify(args, out: Path) -> dict:
     SPARSITY.require("sparsity", args.sparsity)
     adapter = load_adapter(args.adapter)
     tv = decode(adapter)
     mask = sparsify(tv, args.sparsity)
-    out = _out_dir(args)
     save_mask(mask, out / "mask.bin", source=f"sparsify:{args.adapter}")
-    config = {"adapter": args.adapter, "sparsity": args.sparsity}
-    return config, ["mask.bin", "mask.bin.json"]
+    return {"adapter": args.adapter, "sparsity": args.sparsity}
 
 
-def cmd_train(args) -> Done:
+def cmd_train(args, out: Path) -> dict:
     config, run = _run_config(args, "task")
     model = run.model.build(run.init_seed)
     train_config = run.train.replace(mask=load_mask(run.mask) if run.mask else None)
     train_data, _ = run.task.make()
     final, record = train(model, train_data, train_config)
-    out = _out_dir(args)
     save_checkpoint(model.params, out / "initial.ckpt")
     save_checkpoint(final, out / "final.ckpt")
     _write_json(out / "run.json", record.to_json_dict())
-    return config, ["initial.ckpt", "final.ckpt", "run.json"]
+    return config
 
 
-def cmd_lota(args) -> Done:
+def cmd_lota(args, out: Path) -> dict:
     config, run = _run_config(args, "task")
     model, train_config = run.model.build(run.init_seed), run.train
     sparsity, fraction = float(run.sparsity), float(run.calibration_fraction)
     train_data, _ = run.task.make()
     result = lota(model, train_data, sparsity, train_config, fraction)
-    out = _out_dir(args)
     save_checkpoint(model.params, out / "initial.ckpt")
     save_checkpoint(result.w_final, out / "final.ckpt")
     save_adapter(result.adapter, out / "adapter.lta")
@@ -212,12 +208,10 @@ def cmd_lota(args) -> Done:
         "sparse": result.train_record.to_json_dict(),
     }
     _write_json(out / "run.json", records)
-    outputs = ["initial.ckpt", "final.ckpt", "adapter.lta", "mask.bin",
-               "mask.bin.json", "run.json"]
-    return {**config, "sparsity": sparsity}, outputs
+    return {**config, "sparsity": sparsity}
 
 
-def cmd_lotto(args) -> Done:
+def cmd_lotto(args, out: Path) -> dict:
     config, run = _run_config(args, "tasks")
     model, train_config = run.model.build(run.init_seed), run.train
     sparsity = float(run.sparsity)
@@ -226,50 +220,42 @@ def cmd_lotto(args) -> Done:
     result = lotto(
         model, datasets, sparsity, train_config, initial_constraints=constraints
     )
-    out = _out_dir(args)
     save_checkpoint(model.params, out / "initial.ckpt")
     save_checkpoint(result.w_final, out / "final.ckpt")
-    outputs = ["initial.ckpt", "final.ckpt"]
     for i, (mask, adapter) in enumerate(zip(result.masks, result.adapters)):
         save_mask(mask, out / f"task{i}.mask.bin", source=f"lotto:task{i}")
         save_adapter(adapter, out / f"task{i}.adapter.lta")
-        outputs += [f"task{i}.mask.bin", f"task{i}.mask.bin.json", f"task{i}.adapter.lta"]
     save_mask(result.constraint_trace[-1], out / "constraints.mask.bin",
               source="lotto:union")
     _write_json(out / "run.json", [r.to_json_dict() for r in result.records])
-    outputs += ["constraints.mask.bin", "constraints.mask.bin.json", "run.json"]
-    return {**config, "sparsity": sparsity}, outputs
+    return {**config, "sparsity": sparsity}
 
 
-def cmd_encode(args) -> Done:
+def cmd_encode(args, out: Path) -> dict:
     base = load_checkpoint(args.base)
     delta = load_checkpoint(args.delta)
     base.layout.require_aligned(delta.layout, "base and delta")
     from .sparsity import TaskVector
 
     tv = TaskVector(entries=delta, base_digest=digest(base))
-    out = _out_dir(args)
     save_adapter(encode(tv), out / "adapter.lta")
-    return {"base": args.base, "delta": args.delta}, ["adapter.lta"]
+    return {"base": args.base, "delta": args.delta}
 
 
-def cmd_decode(args) -> Done:
+def cmd_decode(args, out: Path) -> dict:
     adapter = load_adapter(args.adapter)
     tv = decode(adapter)
-    out = _out_dir(args)
     save_checkpoint(tv.entries, out / "delta.ckpt")
-    return {"adapter": args.adapter}, ["delta.ckpt"]
+    return {"adapter": args.adapter}
 
 
-def cmd_apply(args) -> Done:
+def cmd_apply(args, out: Path) -> dict:
     base = load_checkpoint(args.base)
     adapter = load_adapter(args.adapter)
     result = apply_adapter(base, adapter, check_digest=not args.no_check_digest)
-    out = _out_dir(args)
     save_checkpoint(result, out / "model.ckpt")
-    config = {"base": args.base, "adapter": args.adapter,
-              "check_digest": not args.no_check_digest}
-    return config, ["model.ckpt"]
+    return {"base": args.base, "adapter": args.adapter,
+            "check_digest": not args.no_check_digest}
 
 
 @dataclass(frozen=True)
@@ -289,7 +275,7 @@ class MergeConfig:
             raise ConfigError("one entries item per adapter required")
 
 
-def cmd_merge(args) -> Done:
+def cmd_merge(args, out: Path) -> dict:
     config = _load_json(args.config)
     spec = from_json(MergeConfig, config, "config")
     base = load_checkpoint(spec.base)
@@ -307,10 +293,9 @@ def cmd_merge(args) -> Done:
         scaling=scaling,
     )
     merged = run_merge_spec(base, adapters, spec_record)
-    out = _out_dir(args)
     save_checkpoint(merged, out / "merged.ckpt")
     _write_json(out / "merge_spec.json", spec_record.to_json_dict())
-    return config, ["merged.ckpt", "merge_spec.json"]
+    return config
 
 
 def cmd_inspect(args) -> None:
@@ -368,15 +353,14 @@ def _experiment_spec_from_config(config: dict):
     return from_json(spec_cls, fields, "config")
 
 
-def cmd_experiment(args) -> Done:
+def cmd_experiment(args, out: Path) -> dict:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seeds"] = [args.seed]
     report = run_experiment(_experiment_spec_from_config(config))
-    out = _out_dir(args)
     write_atomic(out / "report.json", (report.to_json() + "\n").encode())
     write_atomic(out / "report.csv", report.to_csv().encode())
-    return config, ["report.json", "report.csv"]
+    return config
 
 
 # -- parser -----------------------------------------------------------------
@@ -458,22 +442,37 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
-        done = args.fn(args)
-        if done is not None:  # an artifact command: its config and outputs
-            config, outputs = done
-            _write_json(Path(args.out) / "provenance.json", {
-                "tool": "lota",
-                "version": __version__,
-                "subcommand": args.command,
-                "config": config,
-                "outputs": sorted(outputs),
-                "wall_time_s": time.perf_counter() - started,
-            })
+        if hasattr(args, "out"):
+            _publish(args)
+        else:  # lota inspect prints, and writes no file
+            args.fn(args)
         return 0
     except Exception as exc:  # mapped to documented exit codes
         return _print_error(exc)
+
+
+def _publish(args) -> None:
+    """Run an artifact command in staging, then move its files into --out."""
+    started = time.perf_counter()
+    out = Path(args.out)
+    # in --out, or beside it while it is new: each move stays in one filesystem
+    home = out if out.exists() else out.parent
+    staging = home / f".{out.name}.{secrets.token_hex(4)}.staging"
+    staging.mkdir(parents=True)
+    try:
+        config = args.fn(args, staging)
+        outputs = sorted(p.name for p in staging.iterdir())
+        _write_json(staging / "provenance.json", {
+            "tool": "lota", "version": __version__, "subcommand": args.command,
+            "config": config, "outputs": outputs,
+            "wall_time_s": time.perf_counter() - started})
+        out.mkdir(exist_ok=True)
+        (out / "provenance.json").unlink(missing_ok=True)
+        for name in (*outputs, "provenance.json"):
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def main() -> None:

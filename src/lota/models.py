@@ -24,7 +24,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    task_id: str = ""
 
     def __post_init__(self):
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float32)
@@ -51,10 +50,10 @@ class Dataset:
         return len(self.inputs)
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[indices], self.targets[indices], self.task_id)
+        return Dataset(self.inputs[indices], self.targets[indices])
 
 
-def concat_datasets(parts: Sequence[Dataset], task_id: str | None = None) -> Dataset:
+def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
     if not parts:
         raise ValueError("need at least one dataset")
     kinds = {p.is_classification for p in parts}
@@ -63,7 +62,6 @@ def concat_datasets(parts: Sequence[Dataset], task_id: str | None = None) -> Dat
     return Dataset(
         np.concatenate([p.inputs for p in parts]),
         np.concatenate([p.targets for p in parts]),
-        task_id if task_id is not None else parts[0].task_id,
     )
 
 
@@ -107,23 +105,26 @@ class ToyModel:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Network outputs (logits or regression values), float32."""
-        out, _, _ = _forward_pass(self, self.params, np.asarray(x, dtype=np.float32))
+        out, _ = _forward_pass(self, self.params, np.asarray(x, dtype=np.float32))
         return out
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    return np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0)
+    """The activation of the preactivation `z`, written over it."""
+    return np.tanh(z, out=z) if activation == "tanh" else np.maximum(z, 0.0, out=z)
 
 
-def _activate_grad(z, a, activation: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's derivative, from its output `a`: ReLU's `a > 0` is
+    the test `z > 0` on its input."""
     if activation == "tanh":
         g = a * a
         return np.subtract(1.0, g, out=g)
-    return z > 0.0
+    return a > 0.0
 
 
 def _forward_pass(model: ToyModel, state, x: np.ndarray):
-    """Outputs, activations and preactivations for the weights `state[name]`.
+    """Outputs, and each layer's input, for the weights `state[name]`.
 
     The arithmetic is that of `state` and `x`. Weights may carry leading
     replica axes, `(R, in, out)` and `(R, out)`; `np.matmul` broadcasts
@@ -132,18 +133,13 @@ def _forward_pass(model: ToyModel, state, x: np.ndarray):
     """
     n_layers = len(model.widths) - 1
     acts = [x]
-    preacts = []
     h = x
     for i in range(n_layers):
-        z = h @ state[f"layer{i}.weight"]
-        z += state[f"layer{i}.bias"][..., None, :]
-        preacts.append(z)
+        h = h @ state[f"layer{i}.weight"]
+        h += state[f"layer{i}.bias"][..., None, :]
         if i < n_layers - 1:
-            h = _activate(z, model.activation)
-            acts.append(h)
-        else:
-            h = z
-    return h, acts, preacts
+            acts.append(_activate(h, model.activation))
+    return h, acts
 
 
 def _row_max(out: np.ndarray) -> np.ndarray:
@@ -205,7 +201,7 @@ def _forward_backward_state(model: ToyModel, state, inputs, targets, grads):
     carry the replica axis too: one batch per replica.
     """
     n_layers = len(model.widths) - 1
-    out, acts, preacts = _forward_pass(model, state, inputs)
+    out, acts = _forward_pass(model, state, inputs)
     loss, d_z = _loss_and_output_grad(model, out, targets)
     for i in range(n_layers - 1, -1, -1):
         np.matmul(acts[i].swapaxes(-1, -2), d_z, out=grads[f"layer{i}.weight"])
@@ -215,5 +211,5 @@ def _forward_backward_state(model: ToyModel, state, inputs, targets, grads):
             # the transposed view, and a faster product
             w_t = np.ascontiguousarray(state[f"layer{i}.weight"].swapaxes(-1, -2))
             d_z = d_z @ w_t
-            d_z *= _activate_grad(preacts[i - 1], acts[i], model.activation)
+            d_z *= _activate_grad(acts[i], model.activation)
     return loss

@@ -107,11 +107,7 @@ def _make_clusters(spec: SyntheticTaskSpec, split: int) -> Dataset:
     inputs[:, active] = means[clusters] + spec.noise * rng.standard_normal(
         (n, active.size)
     )
-    return Dataset(
-        inputs.astype(np.float32),
-        label_map[clusters],
-        spec.task_id or f"clusters-{spec.seed}",
-    )
+    return Dataset(inputs.astype(np.float32), label_map[clusters])
 
 
 def _make_teacher(spec: SyntheticTaskSpec, split: int) -> Dataset:
@@ -128,11 +124,7 @@ def _make_teacher(spec: SyntheticTaskSpec, split: int) -> Dataset:
     targets = teacher.forward(inputs) + spec.noise * rng.standard_normal(
         (n, spec.output_dim)
     )
-    return Dataset(
-        inputs,
-        targets.astype(np.float32),
-        spec.task_id or f"teacher-{spec.seed}",
-    )
+    return Dataset(inputs, targets.astype(np.float32))
 
 
 def _make_parity(spec: SyntheticTaskSpec, split: int) -> Dataset:
@@ -142,6 +134,4 @@ def _make_parity(spec: SyntheticTaskSpec, split: int) -> Dataset:
     signs = rng.choice([-1.0, 1.0], size=(n, spec.input_dim))
     labels = (np.prod(signs[:, :bits], axis=1) > 0).astype(np.int64)
     inputs = signs + spec.noise * rng.standard_normal((n, spec.input_dim))
-    return Dataset(
-        inputs.astype(np.float32), labels, spec.task_id or f"parity-{spec.seed}"
-    )
+    return Dataset(inputs.astype(np.float32), labels)

@@ -820,6 +820,6 @@ def mixed_data_fft(
     if k:
         rng = np.random.default_rng(config.seed)
         idx = rng.choice(len(dataset_a), size=k, replace=k > len(dataset_a))
-        data = concat_datasets([dataset_b, dataset_a.take(idx)], dataset_b.task_id)
+        data = concat_datasets([dataset_b, dataset_a.take(idx)])
     yield [(model, data, config)]
     return train(model, data, config)

@@ -25,7 +25,7 @@ def finite_difference_grads(model, batch, h=1e-4):
     """Central finite differences on a float64 replica of the forward pass."""
 
     def loss_at(state64):
-        out, _, _ = _forward_pass(model, state64, batch.inputs.astype(np.float64))
+        out, _ = _forward_pass(model, state64, batch.inputs.astype(np.float64))
         targets = (
             batch.targets
             if batch.is_classification
@@ -61,9 +61,14 @@ def max_relative_error(analytic, fd):
 
 
 def _min_preact_magnitude(model, batch):
-    state64 = {n: a.astype(np.float64) for n, a in model.params.items()}
-    _, _, preacts = _forward_pass(model, state64, batch.inputs.astype(np.float64))
-    return min(float(np.abs(z).min()) for z in preacts)
+    """The smallest |preactivation| of a ReLU model's float64 forward pass."""
+    h, smallest = batch.inputs.astype(np.float64), np.inf
+    for i in range(len(model.widths) - 1):
+        z = h @ model.params[f"layer{i}.weight"].astype(np.float64)
+        z += model.params[f"layer{i}.bias"]
+        smallest = min(smallest, float(np.abs(z).min()))
+        h = np.maximum(z, 0.0)
+    return smallest
 
 
 def random_generic_problem(seed, head):
@@ -89,7 +94,7 @@ def random_generic_problem(seed, head):
             targets = rng.integers(0, widths[-1], size=n)
         else:
             targets = rng.standard_normal((n, widths[-1])).astype(np.float32)
-        batch = Dataset(inputs, targets, "gradcheck")
+        batch = Dataset(inputs, targets)
         if activation == "tanh" or _min_preact_magnitude(model, batch) > 1e-3:
             return model, batch
     raise RuntimeError("could not find a generic evaluation point")

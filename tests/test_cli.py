@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import json
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from lota import (
     save_checkpoint,
     save_mask,
 )
+from lota import container
 from lota.cli import dispatch, _experiment_spec_from_config
 from lota.harness import EXPERIMENT_KINDS
 from test_adapter import forged_adapter, old_lta_adapter
@@ -827,3 +831,160 @@ class TestProvenance:
             runs[seed] = provenance["config"], (out / "final.ckpt").read_bytes()
         assert runs[9][0]["train"]["seed"] == 5
         assert runs[9] == runs[5]
+
+
+ARTIFACT_COMMANDS = ("diff", "sparsify", "train", "lota", "lotto", "encode", "decode",
+                     "apply", "merge", "experiment")
+
+
+def artifact_argv(base_ckpt, tmp_path) -> dict[str, list[str]]:
+    """The arguments, but --out, of a small run of each artifact command."""
+    pm, base = base_ckpt
+    ft = tmp_path / "ft.ckpt"
+    save_checkpoint(tweaked(pm), ft)
+    base, ft = str(base), str(ft)
+    adapter = tmp_path / "adapter.lta"
+    assert dispatch(["diff", base, ft, "--out", str(tmp_path)]) == 0
+    experiment = {
+        "kind": "sparsity-ablation", "model": {"widths": [6, 16, 3]},
+        "train": {"learning_rate": 0.01, "batch_size": 32, "epochs": 1},
+        "seeds": [0], "task": lotto_task(2), "grid": [0.9],
+        "iterative_schedule": None,
+    }
+    merge = {"base": base, "adapters": [str(adapter)]}
+    for name, config in (("merge", merge), ("experiment", experiment)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    return {
+        "diff": [base, ft],
+        "sparsify": ["--adapter", str(adapter), "--sparsity", "0.5"],
+        "train": ["--config", str(train_config(tmp_path))],
+        "lota": ["--config", str(train_config(tmp_path))],
+        "lotto": ["--config", str(lotto_config(tmp_path))],
+        "encode": ["--base", base, "--delta", ft],
+        "decode": ["--adapter", str(adapter)],
+        "apply": ["--base", base, "--adapter", str(adapter)],
+        "merge": ["--config", str(tmp_path / "merge.json")],
+        "experiment": ["--config", str(tmp_path / "experiment.json")],
+    }
+
+
+def fail_write(monkeypatch, k: int) -> list:
+    """Make the k-th `write_atomic` call (from 1; 0 for none) raise ENOSPC.
+    Returns the list of the paths that calls name, filled as they come."""
+    calls = []
+
+    def write_atomic(path, *parts):
+        calls.append(path)
+        if len(calls) == k:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        container.write_atomic(path, *parts)
+
+    for module in ("cli", "params", "adapter", "sparsity"):
+        monkeypatch.setattr(f"lota.{module}.write_atomic", write_atomic)
+    return calls
+
+
+def snapshot(directory):
+    """Each file of `directory`, name -> bytes; None if it does not exist."""
+    if not directory.exists():
+        return None
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestRunDirectory:
+    """A run's outputs reach --out as one unit: a failure leaves --out as it
+    was, and no staging directory is left beside it."""
+
+    @pytest.mark.parametrize("command", ARTIFACT_COMMANDS)
+    def test_failed_write_leaves_out_as_it_was(self, base_ckpt, tmp_path, capsys,
+                                               monkeypatch, command):
+        argv = [command, *artifact_argv(base_ckpt, tmp_path)[command], "--out"]
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        earlier = runs / "earlier"
+        with monkeypatch.context() as m:
+            writes = fail_write(m, 0)
+            assert dispatch([*argv, str(earlier)]) == 0
+        assert len(writes) >= 2  # the outputs and provenance.json
+        for out in (runs / "empty", earlier):
+            before = snapshot(out)
+            for k in range(1, len(writes) + 1):
+                with monkeypatch.context() as m:
+                    fail_write(m, k)
+                    assert dispatch([*argv, str(out)]) == 3, (out.name, k)
+                assert json.loads(capsys.readouterr().err)["error"]["type"] == "OSError"
+                assert snapshot(out) == before, (out.name, k)
+                assert [p.name for p in runs.iterdir()] == ["earlier"], (out.name, k)
+
+    @pytest.mark.parametrize("command", ARTIFACT_COMMANDS)
+    def test_failed_move_leaves_no_provenance(self, base_ckpt, tmp_path, capsys,
+                                              monkeypatch, command):
+        argv = [command, *artifact_argv(base_ckpt, tmp_path)[command], "--out"]
+        out = tmp_path / "runs" / "out"
+        assert dispatch([*argv, str(out)]) == 0
+        # the outputs, then provenance.json
+        moves = len(json.loads((out / "provenance.json").read_text())["outputs"]) + 1
+        replace = os.replace
+        for k in range(1, moves + 1):
+            calls = []
+
+            def move(src, dst):
+                if os.path.dirname(dst) == str(out):  # a move into --out
+                    calls.append(dst)
+                    if len(calls) == k:
+                        raise OSError(errno.EXDEV, "Invalid cross-device link")
+                replace(src, dst)
+
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", move)
+                assert dispatch([*argv, str(out)]) == 3, k
+            assert json.loads(capsys.readouterr().err)["error"]["type"] == "OSError"
+            assert not (out / "provenance.json").exists(), k
+            assert not [p for p in out.iterdir() if p.name.endswith(".staging")], k
+            assert [p.name for p in out.parent.iterdir()] == ["out"], k
+
+    def test_out_on_another_filesystem(self, base_ckpt, tmp_path, monkeypatch):
+        # an existing --out that is a mount point: a move between it and its
+        # parent fails with EXDEV, so staging must happen inside --out
+        argv = ["lota", *artifact_argv(base_ckpt, tmp_path)["lota"], "--out"]
+        out = tmp_path / "runs" / "out"
+        assert dispatch([*argv, str(out)]) == 0
+        replace = os.replace
+
+        def move(src, dst):
+            if Path(src).is_relative_to(out) != Path(dst).is_relative_to(out):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", move)
+        assert dispatch([*argv, str(out), "--seed", "9"]) == 0
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert provenance["config"]["train"]["seed"] == 9
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*provenance["outputs"], "provenance.json"])
+        assert [p.name for p in out.parent.iterdir()] == ["out"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes into any directory")
+    def test_out_under_a_read_only_parent(self, base_ckpt, tmp_path):
+        # an existing --out needs only itself to be writable, not its parent
+        argv = ["lota", *artifact_argv(base_ckpt, tmp_path)["lota"], "--out"]
+        runs = tmp_path / "runs"
+        out = runs / "out"
+        out.mkdir(parents=True)
+        runs.chmod(0o555)
+        try:
+            assert dispatch([*argv, str(out)]) == 0
+        finally:
+            runs.chmod(0o755)
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*provenance["outputs"], "provenance.json"])
+
+    def test_out_naming_a_file_exits_3(self, base_ckpt, tmp_path, capsys):
+        _, path = base_ckpt
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory")
+        assert dispatch(["diff", str(path), str(path), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "NotADirectoryError"
+        assert out.read_bytes() == b"not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base.ckpt", "out"]

@@ -108,16 +108,16 @@ class TestEvaluate:
         model = ToyModel((4, 2), "tanh", "softmax-cross-entropy", ParameterMap(entries))
         rng = np.random.default_rng(0)
         inputs = rng.standard_normal((100, 4)).astype(np.float32)
-        balanced = Dataset(inputs, np.repeat([0, 1], 50).astype(np.int64), "t")
+        balanced = Dataset(inputs, np.repeat([0, 1], 50).astype(np.int64))
         assert evaluate(model, balanced) == 0.5
-        all_zero = Dataset(inputs, np.zeros(100, dtype=np.int64), "t")
+        all_zero = Dataset(inputs, np.zeros(100, dtype=np.int64))
         assert evaluate(model, all_zero) == 1.0
 
     def test_all_correct_constructed_set(self):
         model = ModelSpec(widths=(4, 3)).build(seed=0)
         inputs = np.random.default_rng(1).standard_normal((64, 4)).astype(np.float32)
         labels = model.forward(inputs).argmax(axis=1)
-        ds = Dataset(inputs, labels.astype(np.int64), "t")
+        ds = Dataset(inputs, labels.astype(np.int64))
         assert evaluate(model, ds) == 1.0
 
     def test_permutation_invariant(self):
@@ -125,9 +125,9 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         inputs = rng.standard_normal((40, 4)).astype(np.float32)
         labels = rng.integers(0, 3, size=40)
-        ds = Dataset(inputs, labels, "t")
+        ds = Dataset(inputs, labels)
         perm = rng.permutation(40)
-        shuffled = Dataset(inputs[perm], labels[perm], "t")
+        shuffled = Dataset(inputs[perm], labels[perm])
         assert evaluate(model, ds) == evaluate(model, shuffled)
 
     def test_perfect_teacher_zero_mse(self):
@@ -143,7 +143,7 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         inputs = rng.choice([-1.0, 1.0], size=(30, 4)).astype(np.float32)
         targets = model.forward(inputs).astype(np.float32)
-        ds = Dataset(inputs, targets, "t")
+        ds = Dataset(inputs, targets)
         assert evaluate(model, ds) == 0.0
 
     # data that `train` refuses for the model is refused here too

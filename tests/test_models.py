@@ -10,7 +10,7 @@ from gradcheck import (
 from lota import Dataset, ParameterMap, ToyModel
 from lota import models
 from lota.models import (
-    _activate_grad, _forward_backward_state, _forward_pass, _loss_and_output_grad,
+    _activate, _activate_grad, _forward_backward_state, _loss_and_output_grad,
     _row_max, concat_datasets,
 )
 
@@ -40,7 +40,6 @@ class TestGradients:
         batch = Dataset(
             rng.standard_normal((5, 3)).astype(np.float32),
             np.zeros((5, 2), np.float32),
-            "t",
         )
         loss, grads = analytic_grads(model, batch)
         assert loss == 0.0
@@ -51,7 +50,6 @@ class TestGradients:
         doubled = Dataset(
             np.concatenate([batch.inputs, batch.inputs]),
             np.concatenate([batch.targets, batch.targets]),
-            "t",
         )
         single_loss, single = analytic_grads(model, batch)
         double_loss, double = analytic_grads(model, doubled)
@@ -75,17 +73,16 @@ class TestGradients:
 class TestDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((3, 2), np.float32), np.zeros(2, np.int64), "t")
+            Dataset(np.zeros((3, 2), np.float32), np.zeros(2, np.int64))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(np.array([[np.inf, 0.0]], np.float32), np.zeros(1, np.int64), "t")
+            Dataset(np.array([[np.inf, 0.0]], np.float32), np.zeros(1, np.int64))
 
     def test_take_and_concat(self):
         ds = Dataset(
             np.arange(12, dtype=np.float32).reshape(6, 2),
             np.arange(6, dtype=np.int64),
-            "t",
         )
         sub = ds.take(np.array([0, 2]))
         assert len(sub) == 2
@@ -93,35 +90,69 @@ class TestDataset:
         assert len(merged) == 4
 
     def test_mixed_kinds_rejected(self):
-        cls = Dataset(np.zeros((2, 2), np.float32), np.zeros(2, np.int64), "a")
-        reg = Dataset(np.zeros((2, 2), np.float32), np.zeros((2, 1), np.float32), "b")
+        cls = Dataset(np.zeros((2, 2), np.float32), np.zeros(2, np.int64))
+        reg = Dataset(np.zeros((2, 2), np.float32), np.zeros((2, 1), np.float32))
         with pytest.raises(ValueError):
             concat_datasets([cls, reg])
 
 
+def out_of_place(z, activation):
+    return np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0)
+
+
 def view_form_backward(model, state, inputs, targets, monkeypatch):
-    """The loss and gradients of the backward in its earlier form: the row
-    max by `np.maximum.reduce`, and each input-gradient product times the
-    transposed view of the weights."""
+    """The loss and gradients of the backward in its earlier form: each
+    activation a new array beside its preactivation, ReLU's derivative taken
+    from the preactivation, the row max by `np.maximum.reduce`, and each
+    input-gradient product times the transposed view of the weights."""
+    n_layers = len(model.widths) - 1
+    acts, preacts, h = [inputs], [], inputs
+    for i in range(n_layers):
+        h = h @ state[f"layer{i}.weight"]
+        h += state[f"layer{i}.bias"][..., None, :]
+        preacts.append(h)
+        if i < n_layers - 1:
+            h = out_of_place(h, model.activation)
+            acts.append(h)
     with monkeypatch.context() as m:
         m.setattr(models, "_row_max",
                   lambda out: np.maximum.reduce(out, axis=-1, keepdims=True))
-        out, acts, preacts = _forward_pass(model, state, inputs)
-        loss, d_z = _loss_and_output_grad(model, out, targets)
+        loss, d_z = _loss_and_output_grad(model, h, targets)
     grads = {}
-    for i in range(len(model.widths) - 2, -1, -1):
+    for i in range(n_layers - 1, -1, -1):
         grads[f"layer{i}.weight"] = acts[i].swapaxes(-1, -2) @ d_z
         grads[f"layer{i}.bias"] = np.add.reduce(d_z, axis=-2)
         if i > 0:
             d_z = d_z @ state[f"layer{i}.weight"].swapaxes(-1, -2)
-            d_z *= _activate_grad(preacts[i - 1], acts[i], model.activation)
+            if model.activation == "tanh":
+                d_z *= np.float32(1.0) - acts[i] * acts[i]
+            else:
+                d_z *= preacts[i - 1] > 0.0
     return loss, grads
 
 
+class TestActivation:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_in_place_equals_out_of_place_signed_zeros_included(self, activation):
+        """`_activate` writes over the preactivation the bits of a new array,
+        and the derivative from the activation is the one from its input."""
+        rng = np.random.default_rng(0)
+        edges = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 30.0, -30.0])
+        z = np.concatenate([edges, rng.standard_normal(1016)]).astype(np.float32)
+        z = z.reshape(4, 16, 16)
+        want = out_of_place(z, activation)
+        a = z.copy()
+        assert _activate(a, activation) is a
+        assert a.tobytes() == want.tobytes()
+        if activation == "relu":
+            assert np.array_equal(_activate_grad(a, activation), z > 0.0)
+
+
 class TestBackwardOracle:
-    """The backward's row max, a chain of `np.maximum` over the class columns
-    on stacked logits, and its products times a contiguous copy of the
-    transposed weights give the bits of their earlier forms."""
+    """The backward's activations, written over their preactivations, its
+    row max, a chain of `np.maximum` over the class columns on stacked
+    logits, and its products times a contiguous copy of the transposed
+    weights give the bits of their earlier forms."""
 
     @pytest.mark.parametrize("replicas", range(1, 7))
     @pytest.mark.parametrize("head", ["softmax-cross-entropy", "mean-squared-error"])

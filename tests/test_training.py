@@ -43,7 +43,7 @@ def toy_task(seed=0, n=128, dim=6, classes=3):
     means = rng.standard_normal((classes, dim)).astype(np.float32) * 2.0
     labels = rng.integers(0, classes, size=n)
     inputs = means[labels] + 0.3 * rng.standard_normal((n, dim)).astype(np.float32)
-    return Dataset(inputs.astype(np.float32), labels, f"toy{seed}")
+    return Dataset(inputs.astype(np.float32), labels)
 
 
 def toy_model(seed=0, dim=6, classes=3):
@@ -353,7 +353,7 @@ def reference_train(model, dataset, config):
         batch_losses = []
         for lo in range(0, len(dataset), config.batch_size):
             batch = dataset.take(perm[lo : lo + config.batch_size])
-            out, acts, preacts = _forward_pass(model, state, batch.inputs)
+            out, acts = _forward_pass(model, state, batch.inputs)
             loss, d_z = _loss_and_output_grad(model, out, batch.targets)
             grads = {}
             for i in range(n_layers - 1, -1, -1):
@@ -362,7 +362,7 @@ def reference_train(model, dataset, config):
                 if i > 0:
                     d_a = d_z @ state[f"layer{i}.weight"].T
                     act = model.activation
-                    d_z = d_a * _activate_grad(preacts[i - 1], acts[i], act)
+                    d_z = d_a * _activate_grad(acts[i], act)
             for name, g in grads.items():
                 norm = float32_norm(g.ravel())
                 if norm > config.clip_group_norm:
@@ -389,7 +389,7 @@ def oracle_problem(head, activation, seed, dim=5):
         targets = rng.integers(0, 3, size=40)
     else:
         targets = rng.standard_normal((40, 3)).astype(np.float32)
-    return model, Dataset(inputs, targets, "oracle")
+    return model, Dataset(inputs, targets)
 
 
 def oracle_mask(params, kind, density, seed):
