@@ -8,15 +8,17 @@ path, trimmed as the dense vectors they decode to; `merge_lota` merges
 them untrimmed. `merge_grid_search` merges and scores each cell of a
 per-source grid of trim fractions once.
 
-Every merge works in the sparse domain. Each task becomes one row: its
-sorted global indices and their nonzero float32 values, after the trim
-and the weight. Zeros never change a merge: a zero adds nothing to a sum
-and never counts toward a sign. So task arithmetic is a scatter-add of
-the rows in task order, and sign election needs work only where rows
-overlap. A coordinate that one row covers merges to that row's value bit
-for bit (x plus zeros is x, and x / 1 is x); one that no row covers
-merges to +0.0. Only the columns covered by two or more rows are gathered
-into a small (tasks, m) block for the sorting network and the
+Every merge walks the flat coordinates in blocks of `_BLOCK` columns.
+First each source is checked against the base, and a source that is
+trimmed gets its top-k cut (`sparsity._topk_cut`); an adapter also gets
+its sorted global indices and the first of them in each block. In a
+block, each source fills one row of a (sources, block) float32 buffer
+with its values, weighted, the trimmed ones zeroed. Zeros never change a
+merge: a zero adds nothing to a sum and never counts toward a sign. So
++0.0 plus the rows in source order is task arithmetic, and it is also the
+elected merge of every column that at most one row covers (x plus zeros
+is x, and x / 1 is x). Only the columns covered by two or more rows are
+gathered into a (sources, m) block for the sorting network and the
 elect/mean. With LoTA's sparse or LoTTO's disjoint adapters that block is
 small or empty.
 
@@ -24,13 +26,12 @@ All merge arithmetic is float32. Per-coordinate sums accumulate in
 ascending value order, which makes every merge invariant to the order the
 task vectors are supplied in.
 
-Memory: a merge holds its rows, in proportion to the kept entries, and
-its float32 result. Beyond those, the election counts coverage in one byte
-per coordinate (wider only past 255 sources, so a count never wraps), then
-maps overlap columns through a slot array of the narrowest unsigned type
-that holds the overlap count (four bytes per coordinate at most, below
-2**32 overlaps), and frees each before the next step. The result is
-combined with the base in its own buffer, `merged *= lam; merged += w_P`.
+Memory: the top-k cuts run first, in one uint32 scratch of the model's
+size. The walk holds the float32 result, the (sources, block) buffer and
+each adapter's entries, in proportion to its stored count. Coverage is
+counted per block in the narrowest unsigned type that holds the source
+count, so a count never wraps. The result is combined with the base in
+its own buffer, block by block: `merged *= lam; merged += w_P`.
 """
 
 from __future__ import annotations
@@ -46,23 +47,33 @@ from .adapter import SparseAdapter
 from .config import BOOL, STRING, check_fields, checked, optional, real
 from .errors import AlignmentError, DigestMismatchError
 from .params import ParameterMap, digest
-from .sparsity import TaskVector, round_half_up, topk_keep
+from .sparsity import _MAGNITUDE_BITS, TaskVector, _kept, _topk_cut, round_half_up
 
-# sorted global indices (intp) and their nonzero float32 values
-Row = tuple[np.ndarray, np.ndarray]
 Source = TaskVector | SparseAdapter
+# columns per block of the merge walk; 2**16 measures alike, 2**13 slower
+_BLOCK = 2**15
 
 
-def _rows(
+def _prepare(
     w_p: ParameterMap,
     sources: Sequence[Source],
     fractions: Sequence[float],
     weights: Sequence[float],
-) -> list[Row]:
-    """Each source's trimmed and weighted row, after checking it against `w_p`."""
+    edges: np.ndarray,
+) -> list[tuple]:
+    """Each source checked against `w_p`, as (values, indices, starts,
+    weight, cut); a source with k = 0 keeps nothing and is left out.
+
+    An adapter has the global index of each stored value and, at
+    `starts[b]`, its first entry at or past `edges[b]`; a dense source has
+    None for both. `cut` is the `_topk_cut` of the source's top k, or None
+    when it keeps every value. Zeros are all an adapter leaves out, so its
+    top-k keeps the nonzero values of the dense top-k.
+    """
     base = digest(w_p)
     n = w_p.total_elements
-    rows = []
+    scratch = None
+    prepared = []
     for i, (src, fraction, weight) in enumerate(zip(sources, fractions, weights)):
         if src.base_digest != base:
             raise DigestMismatchError(
@@ -72,63 +83,19 @@ def _rows(
             idx, vals = src.flat_entries(w_p)
             if sorted(r.name for r in src.records) != list(w_p.names):
                 raise AlignmentError(f"adapter {i} must hold each base tensor once")
+            starts = np.searchsorted(idx, edges)
         else:
             src.entries.layout.require_aligned(w_p.layout, "task vector and base")
-            idx, vals = None, src.entries.flat
-        rows.append(_trim(idx, vals, round_half_up(fraction * n), weight))
-    return rows
-
-
-def _trim(idx: np.ndarray | None, vals: np.ndarray, k: int, weight: float) -> Row:
-    """The k largest magnitudes of `vals` (earlier wins ties) times `weight`.
-
-    `idx` holds the sorted global index of each value, or is None when
-    `vals` is a whole flat vector. Zeros are dropped, and zeros are all a
-    sparse source leaves out, so its top-k is the dense top-k: for k at
-    most its nonzero count they keep the same values, and beyond it the
-    dense top-k adds only zeros.
-    """
-    keep = topk_keep(np.abs(vals), k) if k < vals.size else vals != 0
-    pos = np.flatnonzero(keep)
-    vals = vals[pos] * np.float32(weight)
-    idx = pos if idx is None else idx[pos]
-    nonzero = vals != 0
-    if nonzero.all():
-        return idx, vals
-    pos = np.flatnonzero(nonzero)
-    return idx[pos], vals[pos]
-
-
-def _scatter_add(n: int, rows: Sequence[Row]) -> np.ndarray:
-    """sum_i rows_i as a flat vector, added in task order."""
-    acc = np.zeros(n, dtype=np.float32)
-    for idx, vals in rows:
-        acc[idx] += vals
-    return acc
-
-
-def _elect_mean(n: int, rows: Sequence[Row]) -> np.ndarray:
-    """Flat sign-elected mean of the rows; the network runs on overlaps only."""
-    merged = np.zeros(n, dtype=np.float32)
-    # rows hold distinct indices, so one += per row counts each coordinate's
-    # rows; the counter is one byte wide up to 255 rows and never wraps
-    cover = np.zeros(n, dtype=np.min_scalar_type(len(rows)))
-    for idx, vals in rows:
-        merged[idx] = vals
-        cover[idx] += 1
-    multi = np.flatnonzero(cover > 1)
-    del cover
-    if multi.size:
-        # block column of each multiply covered index; the rest land in a
-        # spare last column that is never merged
-        slot = np.full(n, multi.size, dtype=np.min_scalar_type(multi.size))
-        slot[multi] = np.arange(multi.size)
-        block = np.zeros((len(rows), multi.size + 1), dtype=np.float32)
-        for row, (idx, vals) in zip(block, rows):
-            row[slot[idx]] = vals
-        del slot
-        merged[multi] = _trim_elect_mean(block[:, :-1])
-    return merged
+            idx, vals, starts = None, src.entries.flat, None
+        k = round_half_up(fraction * n)
+        cut = None
+        if k < vals.size:
+            if k == 0:
+                continue
+            scratch = np.empty(n, np.uint32) if scratch is None else scratch
+            cut = _topk_cut(vals, k, scratch)
+        prepared.append((vals, idx, starts, np.float32(weight), cut))
+    return prepared
 
 
 def _merge(
@@ -154,13 +121,41 @@ def _merge(
     if elect and not sources:
         raise ValueError("need at least one task vector")
     n = w_p.total_elements
-    rows = _rows(w_p, sources, fractions, weights)
-    merged = _elect_mean(n, rows) if elect else _scatter_add(n, rows)
-    del rows
-    # lam * merged + w_P, in the merge's own buffer: float32 multiply and
-    # add commute, so this is w_P + lam * merged bit for bit
-    merged *= np.float32(lam)
-    merged += w_p.flat
+    edges = np.append(np.arange(0, n, _BLOCK), n)
+    prepared = _prepare(w_p, sources, fractions, weights, edges)
+    merged = np.empty(n, np.float32)
+    rows = np.empty((len(prepared), min(n, _BLOCK)), np.float32)
+    entries = np.empty(min(n, _BLOCK), np.float32)
+    cover = np.min_scalar_type(len(prepared))  # so a coverage count never wraps
+    for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        block = rows[:, : hi - lo]
+        for row, (vals, idx, starts, weight, cut) in zip(block, prepared):
+            a, z = (lo, hi) if idx is None else (starts[b], starts[b + 1])
+            part = row if idx is None else entries[: z - a]
+            if cut is None:
+                np.multiply(vals[a:z], weight, out=part)
+            else:  # zero the trimmed values first, so only kept ones can overflow
+                keys = np.bitwise_and(vals[a:z].view(np.uint32), _MAGNITUDE_BITS)
+                np.multiply(vals[a:z], _kept(keys, cut[0], cut[1] - a), out=part)
+                part *= weight
+            if idx is not None:
+                row[...] = 0
+                row[idx[a:z] - lo] = part
+        # +0.0 plus the rows in source order is task arithmetic, and the
+        # merge of every column that at most one row covers: x plus zeros
+        # is x, and x / 1 is x
+        out = merged[lo:hi]
+        out[...] = 0
+        for row in block:
+            out += row
+        if elect:
+            multi = np.flatnonzero(np.add.reduce(block != 0, axis=0, dtype=cover) > 1)
+            if multi.size:
+                out[multi] = _trim_elect_mean(block.take(multi, axis=1))
+        # lam * merged + w_P: float32 multiply and add commute, so this is
+        # w_P + lam * merged bit for bit
+        out *= np.float32(lam)
+        out += w_p.flat[lo:hi]
     return ParameterMap.from_flat(w_p.layout, merged)
 
 

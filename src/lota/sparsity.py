@@ -27,6 +27,9 @@ from .errors import CapacityError, FormatError
 from .params import Layout, MapDigest, ParameterMap, _FlatMap, digest
 
 SPARSITY = real("[0, 1)")
+# clears a float32 bit pattern's sign bit
+_MAGNITUDE_BITS = np.uint32(0x7FFFFFFF)
+_TIE_SCAN = 2**16  # elements per step of the tie scan in `_topk_cut`
 
 
 def round_half_up(x: float) -> int:
@@ -56,10 +59,6 @@ class TaskVector:
 
     entries: ParameterMap
     base_digest: MapDigest
-
-    @property
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.entries.flat))
 
     @property
     def total_elements(self) -> int:
@@ -136,19 +135,49 @@ def compute_task_vector(w_f: ParameterMap, w_p: ParameterMap) -> TaskVector:
     return TaskVector(entries=diff, base_digest=digest(w_p))
 
 
-def topk_keep(m: np.ndarray, k: int) -> np.ndarray:
-    """Boolean vector keeping the k largest of the float32 magnitudes `m`.
+def _topk_cut(values: np.ndarray, k: int, scratch: np.ndarray) -> tuple[np.uint32, int]:
+    """The top k of the magnitudes of float32 `values`, for 0 < k < values.size.
 
-    Ties broken by position (earlier wins). O(len(m)): `np.partition`
-    finds the threshold t, the k-th largest magnitude. Every element
-    above t is kept, then the earliest elements equal to t fill the
-    remaining slots.
+    Returns (t, cut) for `_kept`: t is the k-th largest magnitude bit
+    pattern, and the ties at t kept are those before position `cut`
+    (earlier wins). The bits are `values.view(np.uint32)` with the sign
+    bit cleared: for finite values they order as the magnitudes do, and
+    two are equal exactly when the magnitudes are. One partition in
+    `scratch`, a uint32 buffer at least values.size long, finds t; the
+    tie scan stops at the last tie kept.
+    """
+    n = values.size
+    keys = np.bitwise_and(values.view(np.uint32), _MAGNITUDE_BITS, out=scratch[:n])
+    keys.partition(n - k)
+    t = keys[n - k]
+    ties = int(np.count_nonzero(keys[n - k :] == t))  # equal to t and kept
+    for lo in range(0, n, _TIE_SCAN):
+        part = values[lo : lo + _TIE_SCAN].view(np.uint32)
+        equal = np.bitwise_and(part, _MAGNITUDE_BITS) == t
+        seen = int(np.count_nonzero(equal))
+        if seen >= ties:
+            return t, lo + int(np.flatnonzero(equal)[ties - 1]) + 1
+        ties -= seen
+
+
+def _kept(keys: np.ndarray, t: np.uint32, cut: int) -> np.ndarray:
+    """The top-k rule of `_topk_cut` on magnitude bits `keys`: above t, or
+    equal to t before position `cut`."""
+    keep = np.empty(keys.size, bool)
+    cut = max(cut, 0)
+    np.greater_equal(keys[:cut], t, out=keep[:cut])
+    np.greater(keys[cut:], t, out=keep[cut:])
+    return keep
+
+
+def topk_keep(m: np.ndarray, k: int) -> np.ndarray:
+    """Boolean vector keeping the k largest of the float32 magnitudes `m`,
+    ties broken by position (earlier wins), in O(len(m)) by `_topk_cut`.
 
     `m` must be float32, finite and non-negative, such as `np.abs` of
-    finite values; a `ValueError` refuses any other dtype. The selection
-    runs on the bit patterns `m.view(np.uint32)`: for such values their
-    order as integers is the float order, and two patterns are equal
-    exactly when the floats are, so the kept set is the float top-k.
+    finite values; a `ValueError` refuses any other dtype. For such values
+    the bit patterns `m.view(np.uint32)` are the magnitude bits that
+    `_topk_cut` ranks.
     """
     if m.dtype != np.float32:
         raise ValueError(f"magnitudes must be float32, not {m.dtype}")
@@ -156,14 +185,9 @@ def topk_keep(m: np.ndarray, k: int) -> np.ndarray:
         raise CapacityError(
             f"cannot keep {k} elements: only {m.size} positions allowed"
         )
-    keep = np.full(m.size, k == m.size)
-    if 0 < k < m.size:
-        keys = m.view(np.uint32)
-        t = np.partition(keys, m.size - k)[m.size - k]
-        np.greater(keys, t, out=keep)
-        ties = np.flatnonzero(keys == t)
-        keep[ties[: k - int(np.count_nonzero(keep))]] = True
-    return keep
+    if not 0 < k < m.size:
+        return np.full(m.size, k == m.size)
+    return _kept(m.view(np.uint32), *_topk_cut(m, k, np.empty(m.size, np.uint32)))
 
 
 def topk_keep_flat(

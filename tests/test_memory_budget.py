@@ -2,10 +2,12 @@
 
 numpy reports its buffers to tracemalloc, so the traced peak of one call
 is the scratch it allocates, its result included. Each bound is pinned on
-a map of about 1M parameters with some headroom. A merge may hold scratch
-in proportion to the kept entries plus at most one model-size buffer
-beyond its float32 result; the hash and the save stream the map's own
-buffer, and the load reads the file straight into the new map's buffer.
+a map of about 1M parameters with some headroom. A merge holds its
+float32 result, one block of rows of its sources, and each adapter's
+entries (12 bytes per stored value); the top-k cuts of its trimmed sources
+take one uint32 buffer of the map's size, freed before the result is
+allocated. The hash and the save stream the map's own buffer, and the load
+reads the file straight into the new map's buffer.
 In a publish, `sparsify` holds the float32 magnitudes, their partition
 copy and its boolean result, `apply_mask` its float32 result, and
 `encode` a one-byte boolean per element for its support scan plus
@@ -36,8 +38,8 @@ BUDGET = {
     "sparsify": 10.0,
     "apply_mask": 6.0,
     "encode": 3.0,
-    "ties_merge": 30.0,
-    "merge_lota": 16.0,
+    "ties_merge": 8.0,
+    "merge_lota": 12.0,
     "digest": 1.0,
     "save_checkpoint": 1.0,
     "load_checkpoint": 6.0,

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -609,6 +610,38 @@ class TestSparseCoreOracle:
             want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
             assert_bitwise(run_merge_spec(base, adapters, spec), want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(merge_cases(), st.data())
+    def test_mixed_sources_match_dense_reference(self, case, data):
+        shapes, base_flat, vectors, fractions, weights, lam = case
+        base = as_map(shapes, base_flat)
+        sources = []
+        for v in vectors:
+            tv = TaskVector(as_map(shapes, v), digest(base))
+            sources.append(encode(tv) if data.draw(st.booleans()) else tv)
+        for elect in (True, False):
+            spec = MergeSpec(
+                base_digest=digest(base).hex(),
+                entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
+                elect_signs=elect,
+                scaling=lam,
+            )
+            want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
+            assert_bitwise(run_merge_spec(base, sources, spec), want)
+
+
+@pytest.fixture(scope="class", params=[3, 7])
+def small_blocks(request):
+    """The merge walk in blocks of 3 or 7 columns, so that the small maps
+    here cross block edges, most of them not at a multiple of the block."""
+    with mock.patch.object(merging, "_BLOCK", request.param):
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSparseCoreOracleInSmallBlocks(TestSparseCoreOracle):
+    pass
+
 
 # nonzero, of both signs, so that every coordinate a source covers counts
 MANY_POOL = [0.3, -0.3, 1.0, -1.0, 3e-8, -3e-8, 0.5, -2.0]
@@ -655,6 +688,53 @@ class TestManySources:
         want = reference_merge(base_flat, vectors, halves, ones, 1.0, True)
         for sources in (tvs, adapters):
             assert_bitwise(ties_merge(base, sources, halves), want)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestManySourcesInSmallBlocks(TestManySources):
+    pass
+
+
+# magnitude 0.5 at positions 3-17, larger at 0, 1 and 19, smaller at 2 and 18
+TIED = np.array([1.0, -2.0, 0.25] + [0.5, -0.5] * 7 + [0.5, -0.25, 3.0], F32)
+# ties at 0.5 again, among zeros of both signs
+SIGNED_ZEROS = np.resize(np.array([0.0, -0.5, -0.0, 0.5], F32), 20)
+# at trim 0.5 its negative values are trimmed: a -0.0 in its row at each
+# odd position, where the base below is -0.0 too
+TRIMMED_NEGATIVE = np.resize(np.array([0.3, -1e-30], F32), 20)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBlockEdges:
+    """Cuts, zeros and mixed sources at the edges of small blocks."""
+
+    # a fraction of 0.75 keeps the 3 values above 0.5 and the ties at
+    # 3-14, so the tie run crosses two edges of 7-column blocks and the
+    # cut lands in the last block; 0.01 keeps none (k = 0), 1.0 all
+    @pytest.mark.parametrize("fraction", [0.01, 0.75, 1.0])
+    @pytest.mark.parametrize("elect", [True, False])
+    def test_threshold_ties_across_block_edges(self, fraction, elect):
+        rng = np.random.default_rng(0)
+        odd = np.arange(20) % 2 == 1
+        base_flat = np.where(odd, -0.0, rng.choice(MANY_POOL, 20)).astype(F32)
+        base = base_map(base_flat)
+        vectors = [TIED, -TIED, SIGNED_ZEROS, TRIMMED_NEGATIVE]
+        tvs = [tv_for(base, v) for v in vectors]
+        extra = np.arange(20) % 3 == 0  # stored zeros too
+        sources = [tvs[0], encode(tvs[1]), with_stored_zeros(tvs[2], extra), tvs[3]]
+        fractions = [fraction, fraction, fraction, 0.5]
+        weights = [1.0, 0.5, -2.0, -1.0]
+        spec = MergeSpec(
+            base_digest=digest(base).hex(),
+            entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
+            elect_signs=elect,
+            scaling=-0.5,
+        )
+        want = reference_merge(base_flat, vectors, fractions, weights, -0.5, elect)
+        assert_bitwise(run_merge_spec(base, sources, spec), want)
+        want = reference_merge(base_flat, vectors, fractions, [1.0] * 4, 1.0, True)
+        for each in (tvs, sources):
+            assert_bitwise(ties_merge(base, each, fractions), want)
 
 
 class TestAdapterMergeChecks:

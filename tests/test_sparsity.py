@@ -44,7 +44,7 @@ class TestComputeTaskVector:
     def test_identical_maps_give_zero(self):
         pm = ParameterMap({"w": np.ones((2, 2), np.float32)})
         tv = compute_task_vector(pm, pm)
-        assert tv.nonzero_count == 0
+        assert np.count_nonzero(tv.entries.flat) == 0
 
     def test_zero_base_gives_finetuned(self):
         rng = np.random.default_rng(0)
@@ -148,12 +148,12 @@ class TestApplyMask:
     def test_all_false_zeroes(self):
         tv = random_tv(5)
         out = apply_mask(tv, all_false_mask(tv.entries))
-        assert out.nonzero_count == 0
+        assert np.count_nonzero(out.entries.flat) == 0
 
     def test_nnz_equals_k(self):
         tv = random_tv(6)
         mask = sparsify(tv, 0.7)
-        assert apply_mask(tv, mask).nonzero_count == mask.kept_count
+        assert np.count_nonzero(apply_mask(tv, mask).entries.flat) == mask.kept_count
 
     def test_largest_magnitudes_preserved(self):
         tv = random_tv(8, {"x": (200,)})
