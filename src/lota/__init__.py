@@ -29,11 +29,8 @@ from .errors import (
 )
 from .merging import (
     GridSearchResult,
-    MergeEntry,
-    MergeSpec,
     merge_grid_search,
     merge_lota,
-    run_merge_spec,
     ties_merge,
 )
 from .models import Dataset, ToyModel, concat_datasets

@@ -63,7 +63,11 @@ def encode_gaps(indices: np.ndarray) -> bytes:
 
 
 def decode_gaps(stream: bytes, n: int, c: int) -> np.ndarray:
-    """Inverse of encode_gaps; validates bounds and monotonicity."""
+    """Inverse of encode_gaps; validates bounds and monotonicity.
+
+    A gap is the sum of its bytes, so each index is the running byte sum at
+    the byte that ends its gap, the first byte that is not 255.
+    """
     buf = np.frombuffer(stream, dtype=np.uint8)
     if c == 0:
         if buf.size:
@@ -76,12 +80,9 @@ def decode_gaps(stream: bytes, n: int, c: int) -> np.ndarray:
         )
     if terminators[-1] != buf.size - 1:
         raise FormatError("gap stream ends with dangling continuation bytes")
-    prev = np.concatenate(([-1], terminators[:-1]))
-    runs = terminators - prev - 1
-    gaps = runs * 255 + buf[terminators].astype(np.int64)
-    if (gaps[1:] == 0).any():
+    indices = np.cumsum(buf, dtype=np.int64)[terminators]
+    if (indices[1:] <= indices[:-1]).any():
         raise FormatError("gap stream yields non-increasing indices")
-    indices = np.cumsum(gaps)
     if indices[-1] >= n:
         raise FormatError(f"index {int(indices[-1])} out of range for n={n}")
     return indices
@@ -93,7 +94,6 @@ class AdapterRecord:
 
     name: str
     shape: tuple[int, ...]
-    c: int
     gap_bytes: bytes
     values: np.ndarray
 
@@ -101,13 +101,12 @@ class AdapterRecord:
     def n(self) -> int:
         return math.prod(self.shape)
 
+    @property
+    def c(self) -> int:
+        return self.values.size
+
     def indices(self) -> np.ndarray:
-        """Flat positions of `values` within the tensor, checked against n and c."""
-        if self.values.size != self.c:
-            raise FormatError(
-                f"value count {self.values.size} != stored count {self.c} "
-                f"for {self.name!r}"
-            )
+        """Flat positions of `values` within the tensor, checked against n."""
         return decode_gaps(self.gap_bytes, self.n, self.c)
 
 
@@ -161,15 +160,7 @@ def encode(tv: TaskVector) -> SparseAdapter:
         nz = np.flatnonzero(flat != 0)
         values = flat[nz]  # float32 already, and a copy
         values.flags.writeable = False
-        records.append(
-            AdapterRecord(
-                name=name,
-                shape=arr.shape,
-                c=int(nz.size),
-                gap_bytes=encode_gaps(nz),
-                values=values,
-            )
-        )
+        records.append(AdapterRecord(name, arr.shape, encode_gaps(nz), values))
     return SparseAdapter(base_digest=tv.base_digest, records=tuple(records))
 
 
@@ -298,5 +289,5 @@ def load_adapter(path: str | Path) -> SparseAdapter:
         gap_bytes = gaps.tobytes()
         decode_gaps(gap_bytes, n, values.size)  # check the stream against n and c
         values.flags.writeable = False
-        records.append(AdapterRecord(name, shape, values.size, gap_bytes, values))
+        records.append(AdapterRecord(name, shape, gap_bytes, values))
     return SparseAdapter(base_digest=base_digest, records=tuple(records))

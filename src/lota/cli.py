@@ -57,9 +57,10 @@ from .errors import (
     NonFiniteError,
 )
 from .harness import EXPERIMENT_KINDS, ModelSpec, run_experiment
-from .merging import MergeEntry, MergeSpec, run_merge_spec
+from .merging import _merge
 from .params import digest, load_checkpoint, save_checkpoint
-from .sparsity import SPARSITY, compute_task_vector, load_mask, save_mask, sparsify
+from .sparsity import (SPARSITY, TaskVector, compute_task_vector, load_mask, save_mask,
+                       sparsify)
 from .tasks import SyntheticTaskSpec
 from .training import FRACTION, TrainConfig, lota, lotto, train
 
@@ -105,49 +106,52 @@ def _write_json(path: Path, obj) -> None:
     write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The config of `lota train` and `lota lota` (`task`) and `lota lotto`
-    (`tasks`); `mask` and `initial_constraints` are mask file paths. Each
-    command takes only the keys that `_RUN_KEYS` lists for it."""
+@dataclass(frozen=True, kw_only=True)
+class _RunCommandConfig:
+    """The keys that `lota train`, `lota lota` and `lota lotto` share."""
 
     model: ModelSpec
     train: TrainConfig
-    task: SyntheticTaskSpec | None = None
-    tasks: tuple[SyntheticTaskSpec, ...] | None = None
     init_seed: int = checked(integer(0, SEED_MAX), default=0)
-    sparsity: float = checked(SPARSITY, default=0.9)
-    calibration_fraction: float = checked(FRACTION, default=1.0)
-    mask: str | None = checked(optional(STRING), default=None)
-    initial_constraints: str | None = checked(optional(STRING), default=None)
 
     def __post_init__(self):
         check_fields(self)
-        for task in (self.task, *(self.tasks or ())):
-            if task is not None:
-                self.model.check_task(task)
+        for task in self.tasks if hasattr(self, "tasks") else (self.task,):
+            self.model.check_task(task)
 
 
-# the RunConfig keys that each run command reads
-_RUN_KEYS = {
-    "train": {"model", "train", "task", "init_seed", "mask"},
-    "lota": {"model", "train", "task", "init_seed", "sparsity", "calibration_fraction"},
-    "lotto": {"model", "train", "tasks", "init_seed", "sparsity", "initial_constraints"},
-}
+@dataclass(frozen=True, kw_only=True)
+class TrainCommandConfig(_RunCommandConfig):
+    """The config of `lota train`; `mask` is a mask file path."""
+
+    task: SyntheticTaskSpec
+    mask: str | None = checked(optional(STRING), default=None)
 
 
-def _run_config(args, task_key: str) -> tuple[dict, RunConfig]:
-    """The JSON config of a run command and its RunConfig, `--seed` applied
-    to both, so that the config that provenance records is the one run."""
+@dataclass(frozen=True, kw_only=True)
+class LotaCommandConfig(_RunCommandConfig):
+    """The config of `lota lota`."""
+
+    task: SyntheticTaskSpec
+    sparsity: float = checked(SPARSITY, default=0.9)
+    calibration_fraction: float = checked(FRACTION, default=1.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LottoCommandConfig(_RunCommandConfig):
+    """The config of `lota lotto`; `initial_constraints` is a mask file path."""
+
+    tasks: tuple[SyntheticTaskSpec, ...]
+    sparsity: float = checked(SPARSITY, default=0.9)
+    initial_constraints: str | None = checked(optional(STRING), default=None)
+
+
+def _run_config(args, cls):
+    """The JSON config of a run command and the `cls` built from it. `--seed`
+    is applied to both, so that the config that provenance records is the
+    one run; `--sparsity` is applied to the `cls`."""
     config = _load_json(args.config)
-    unread = sorted(config.keys() - _RUN_KEYS[args.command])
-    if unread:
-        raise ConfigError(
-            f"unknown key {unread[0]!r} in config: lota {args.command} does not read it"
-        )
-    run = from_json(RunConfig, config, "config")
-    if getattr(run, task_key) is None:
-        raise ConfigError(f"missing key {task_key!r} in config")
+    run = from_json(cls, config, f"config of lota {args.command}")
     if args.seed is not None:
         run = dataclasses.replace(run, train=run.train.replace(seed=args.seed))
         config = {**config, "train": {**config["train"], "seed": args.seed}}
@@ -179,7 +183,7 @@ def cmd_sparsify(args, out: Path) -> dict:
 
 
 def cmd_train(args, out: Path) -> dict:
-    config, run = _run_config(args, "task")
+    config, run = _run_config(args, TrainCommandConfig)
     model = run.model.build(run.init_seed)
     train_config = run.train.replace(mask=load_mask(run.mask) if run.mask else None)
     train_data, _ = run.task.make()
@@ -191,7 +195,7 @@ def cmd_train(args, out: Path) -> dict:
 
 
 def cmd_lota(args, out: Path) -> dict:
-    config, run = _run_config(args, "task")
+    config, run = _run_config(args, LotaCommandConfig)
     model, train_config = run.model.build(run.init_seed), run.train
     sparsity, fraction = float(run.sparsity), float(run.calibration_fraction)
     train_data, _ = run.task.make()
@@ -212,7 +216,7 @@ def cmd_lota(args, out: Path) -> dict:
 
 
 def cmd_lotto(args, out: Path) -> dict:
-    config, run = _run_config(args, "tasks")
+    config, run = _run_config(args, LottoCommandConfig)
     model, train_config = run.model.build(run.init_seed), run.train
     sparsity = float(run.sparsity)
     constraints = load_mask(run.initial_constraints) if run.initial_constraints else None
@@ -235,8 +239,6 @@ def cmd_encode(args, out: Path) -> dict:
     base = load_checkpoint(args.base)
     delta = load_checkpoint(args.delta)
     base.layout.require_aligned(delta.layout, "base and delta")
-    from .sparsity import TaskVector
-
     tv = TaskVector(entries=delta, base_digest=digest(base))
     save_adapter(encode(tv), out / "adapter.lta")
     return {"base": args.base, "delta": args.delta}
@@ -256,6 +258,18 @@ def cmd_apply(args, out: Path) -> dict:
     save_checkpoint(result, out / "model.ckpt")
     return {"base": args.base, "adapter": args.adapter,
             "check_digest": not args.no_check_digest}
+
+
+@dataclass(frozen=True)
+class MergeEntry:
+    """One adapter's weight and trim in `lota merge`; no trim keeps it whole."""
+
+    weight: float = checked(real(), default=1.0)
+    trim_keep_fraction: float | None = checked(optional(real("(0, 1]")), default=None)
+
+    def __post_init__(self):
+        check_fields(self)
+        object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True)
@@ -282,19 +296,18 @@ def cmd_merge(args, out: Path) -> dict:
     adapters = [load_adapter(p) for p in spec.adapters]
     # a sign-elect merge without entries is a LoTA merge: every adapter whole
     trim = 1.0 if spec.entries is None and spec.elect_signs else None
-    items = spec.entries or [MergeEntry(trim_keep_fraction=trim) for _ in spec.adapters]
+    entries = spec.entries or [MergeEntry(trim_keep_fraction=trim)] * len(adapters)
+    fractions = [1.0 if e.trim_keep_fraction is None else e.trim_keep_fraction
+                 for e in entries]
     scaling = float(spec.scaling)
-    spec_record = MergeSpec(
-        base_digest=digest(base).hex(),
-        entries=tuple(
-            dataclasses.replace(e, source=p) for e, p in zip(items, spec.adapters)
-        ),
-        elect_signs=spec.elect_signs,
-        scaling=scaling,
-    )
-    merged = run_merge_spec(base, adapters, spec_record)
+    merged = _merge(base, adapters, fractions, [e.weight for e in entries],
+                    spec.elect_signs, scaling)
     save_checkpoint(merged, out / "merged.ckpt")
-    _write_json(out / "merge_spec.json", spec_record.to_json_dict())
+    _write_json(out / "merge_spec.json", {
+        "base_digest": digest(base).hex(), "elect_signs": spec.elect_signs,
+        "scaling": scaling, "entries": [{"source": path, **dataclasses.asdict(e)}
+                                        for path, e in zip(spec.adapters, entries)],
+    })
     return config
 
 

@@ -126,7 +126,7 @@ def _build(hint, value, name: str):
 def from_json(cls, data, name: str):
     """`cls` built from the JSON object `data`, which `name` labels in errors.
     Its keys are the fields that carry a check or hold configs; a field with
-    neither (a TrainConfig's mask, a MergeEntry's source) is set in code only."""
+    neither, such as a TrainConfig's mask, is set in code only."""
     if not isinstance(data, dict):
         raise ConfigError(f"{name} must be a JSON object: {data!r}")
     hints = typing.get_type_hints(cls)

@@ -1,12 +1,13 @@
 """Combining task vectors against a shared base model.
 
-Two primitives: plain weighted task arithmetic (`run_merge_spec` with
-`elect_signs` false), and trim/elect/mean merging (per-task global
-magnitude trim, per-coordinate sign election by summed value, mean over
-sign-agreeing kept values). Sparse adapters merge through the same
-path, trimmed as the dense vectors they decode to; `merge_lota` merges
-them untrimmed. `merge_grid_search` merges and scores each cell of a
-per-source grid of trim fractions once.
+One kernel, `_merge`, does every merge: per-source global magnitude trim
+and weight, then either plain task arithmetic (the weighted sum) or sign
+election (per-coordinate sign of the summed value, mean over the
+sign-agreeing kept values). `ties_merge` elects over trimmed dense task
+vectors or sparse adapters, which are trimmed as the dense vectors they
+decode to; `merge_lota` elects over adapters untrimmed; `lota merge`
+calls `_merge` with its config's weights and trims. `merge_grid_search`
+merges and scores each cell of a per-source grid of trim fractions once.
 
 Every merge walks the flat coordinates in blocks of `_BLOCK` columns.
 First each source is checked against the base, and a source that is
@@ -36,7 +37,6 @@ its own buffer, block by block: `merged *= lam; merged += w_P`.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,7 +44,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .adapter import SparseAdapter
-from .config import BOOL, STRING, check_fields, checked, optional, real
 from .errors import AlignmentError, DigestMismatchError
 from .params import ParameterMap, digest
 from .sparsity import _MAGNITUDE_BITS, TaskVector, _kept, _topk_cut, round_half_up
@@ -230,43 +229,6 @@ def merge_lota(
     """Merge inherently sparse adapters: no trimming, elect/mean only."""
     ones = [1.0] * len(adapters)
     return _merge(w_p, adapters, ones, ones, True, lam)
-
-
-@dataclass(frozen=True)
-class MergeEntry:
-    weight: float = checked(real(), default=1.0)
-    trim_keep_fraction: float | None = checked(optional(real("(0, 1]")), default=None)
-    source: str | None = None  # adapter path when driven from a file spec
-
-    def __post_init__(self):
-        check_fields(self)
-        object.__setattr__(self, "weight", float(self.weight))
-
-
-@dataclass(frozen=True)
-class MergeSpec:
-    base_digest: str = checked(STRING)  # hex
-    entries: tuple[MergeEntry, ...]
-    elect_signs: bool = checked(BOOL, default=True)
-    scaling: float = checked(real(), default=1.0)
-
-    def __post_init__(self):
-        check_fields(self)
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def run_merge_spec(
-    w_p: ParameterMap, sources: Sequence[Source], spec: MergeSpec
-) -> ParameterMap:
-    """Execute a merge described by a MergeSpec over task vectors or adapters."""
-    fractions = [
-        1.0 if e.trim_keep_fraction is None else e.trim_keep_fraction
-        for e in spec.entries
-    ]
-    weights = [e.weight for e in spec.entries]
-    return _merge(w_p, sources, fractions, weights, spec.elect_signs, spec.scaling)
 
 
 @dataclass(frozen=True)

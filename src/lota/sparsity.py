@@ -208,10 +208,13 @@ def topk_keep_flat(
     return kept_flat
 
 
-def sparsify(tv: TaskVector, s: float) -> SparsityMask:
-    """Mask keeping the round((1-s)*n) largest-magnitude delta coordinates."""
-    k = _kept_count(s, tv.total_elements)
-    kept = topk_keep_flat(tv.entries, k)
+def sparsify(
+    tv: TaskVector, s: float, allowed: SparsityMask | None = None
+) -> SparsityMask:
+    """Mask keeping the round((1-s)*n) largest-magnitude delta coordinates,
+    within `allowed` if given."""
+    k = _kept_count(s, tv.total_elements, allowed)
+    kept = topk_keep_flat(tv.entries, k, None if allowed is None else allowed.flat)
     return SparsityMask.from_flat(tv.entries.layout, kept, declared_sparsity=s)
 
 

@@ -2,8 +2,8 @@
 
 The drivers run LoTA phases on a base model w_P: calibrate by training
 within an allowed set, extract the top-k of the task vector within that
-set (`_ticket`), reset to w_P, retrain with the mask and encode the adapter
-(`_retrain`). `_lota_grid_lockstep` runs one phase per plan.
+set (`sparsify`), reset to w_P, retrain with the mask and encode the
+adapter (`_retrain`). `_lota_grid_lockstep` runs one phase per plan.
   * lota: one phase.
   * iterative_lota: progressively sparser masks, each extracted from the
     previous stage's sparse task vector.
@@ -85,8 +85,8 @@ from .sparsity import (
     mask_union,
     random_mask,
     round_half_up,
+    sparsify,
     support_mask,
-    topk_keep_flat,
 )
 
 
@@ -605,14 +605,6 @@ class _ReplicaStack:
         return kept
 
 
-def _ticket(w_c, w_p, s: float, allowed: SparsityMask | None) -> SparsityMask:
-    """The top (1 - s) of w_c - w_p by magnitude, within `allowed` if given."""
-    k = _kept_count(s, w_p.total_elements, allowed)
-    tv = compute_task_vector(w_c, w_p)
-    kept = topk_keep_flat(tv.entries, k, None if allowed is None else allowed.flat)
-    return SparsityMask.from_flat(w_p.layout, kept, declared_sparsity=s)
-
-
 def _calibration_run(
     model: ToyModel, dataset: Dataset, s: float, config: TrainConfig,
     fraction: float, allowed: SparsityMask | None,
@@ -658,7 +650,7 @@ def _lota_grid_lockstep(
     config: TrainConfig, allowed: SparsityMask | None = None,
 ) -> Generator[list[Run], None, list[LotaResult]]:
     """`lota` for each `(dataset, s, calibration_fraction)` plan, with its
-    calibration and ticket within `allowed` if given, as a lockstep generator.
+    calibration and mask within `allowed` if given, as a lockstep generator.
 
     It yields the plans' calibrations, then their retrains, so that inside
     `_train_cache()` each stack trains ahead and each `train` call after a
@@ -686,7 +678,8 @@ def _lota_grid_lockstep(
         except LotaError as exc:  # an earlier plan's error comes first
             failure = exc
             break
-        tickets.append((dataset, _ticket(w_c, model.params, s, allowed), record))
+        mask = sparsify(compute_task_vector(w_c, model.params), s, allowed)
+        tickets.append((dataset, mask, record))
     yield [(model, d, config.replace(mask=m)) for d, m, _ in tickets]
     results = [_retrain(model, d, config, m, record) for d, m, record in tickets]
     if failure is not None:
@@ -739,7 +732,7 @@ def iterative_lota(
     stages = yield from _lota_grid_lockstep(model, [(dataset, schedule[0], 1.0)], config)
     for s in schedule[1:]:
         prev = stages[-1]
-        mask = _ticket(prev.w_final, model.params, s, prev.mask)
+        mask = sparsify(compute_task_vector(prev.w_final, model.params), s, prev.mask)
         yield [(model, dataset, config.replace(mask=mask))]
         stages.append(_retrain(model, dataset, config, mask, None))
     last = stages[-1]

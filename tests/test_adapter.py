@@ -125,6 +125,48 @@ class TestGapCodec:
         out = decode_gaps(encode_gaps(idx), n=5001, c=len(idx))
         np.testing.assert_array_equal(out, idx)
 
+    # byte streams rich in continuations and zero gaps; n and c each near
+    # the stream's own last index and count, so both bounds are exercised
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0, 1, 254, 255]) | st.integers(0, 255), max_size=40),
+        st.integers(-2, 2),
+        st.integers(-1, 1),
+    )
+    def test_decode_matches_per_gap_reference(self, stream, dn, dc):
+        stream = bytes(stream)
+        n = max(sum(stream) + dn, 0)
+        c = max(sum(b != 255 for b in stream) + dc, 0)
+        try:
+            want = reference_decode_gaps(stream, n, c)
+        except FormatError:
+            with pytest.raises(FormatError):
+                decode_gaps(stream, n, c)
+            return
+        got = decode_gaps(stream, n, c)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def reference_decode_gaps(stream: bytes, n: int, c: int) -> list[int]:
+    """The gap codec's decoder one gap at a time: each 255 adds 255 to the
+    gap, and any other byte adds itself and ends the gap."""
+    indices, gap = [], 0
+    for byte in stream:
+        gap += byte
+        if byte == 255:
+            continue
+        if indices and gap == 0:
+            raise FormatError("repeated index")
+        indices.append(gap + (indices[-1] if indices else 0))
+        gap = 0
+    if gap:
+        raise FormatError("dangling continuation")
+    if len(indices) != c:
+        raise FormatError("count mismatch")
+    if indices and indices[-1] >= n:
+        raise FormatError("out of range")
+    return indices
+
 
 TINY32 = float(np.finfo(np.float32).smallest_subnormal)
 # signed zeros and subnormals among ordinary values

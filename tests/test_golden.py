@@ -94,6 +94,34 @@ MERGES = {
     "merge-elect-weighted": {"elect_signs": True, "scaling": 0.9,
                              "entries": WEIGHTED_ENTRIES},
 }
+# more merges of the same adapters, each with the sha256 of its merged.ckpt:
+# a sum without entries, and entries that leave a key out or give an integer
+MORE_MERGES = {
+    "merge-sum": (
+        {"elect_signs": False},
+        "156b4d57d7e74f126e087f83c2c89243cc020bd5cf5aafed64012dbf6b69a188"),
+    "merge-elect-partial": (
+        {"scaling": 2, "entries": [{"weight": 0.5},
+                                   {"trim_keep_fraction": 0.15, "weight": -1}]},
+        "1d44d7d3373d0b86c4616f48d5f9511333cd4b21e2c6327ffb67bc198f6cd3bb"),
+    "merge-sum-whole": (
+        {"elect_signs": False, "entries": [{"trim_keep_fraction": 1}, {}]},
+        "156b4d57d7e74f126e087f83c2c89243cc020bd5cf5aafed64012dbf6b69a188"),
+}
+# the base_digest that each merge_spec.json records: LOTA_CONFIG's initial.ckpt
+BASE_DIGEST = "f66548888955f8fa6db549507e2275c9ae88d25fd3d34932e32285919948cd25"
+# each merge's merge_spec.json: elect_signs, scaling, and per adapter
+# (trim_keep_fraction, weight); a sign-elect merge without entries keeps
+# each adapter whole, and a number is written as the config gave it except
+# that a weight and the scaling are floats
+MERGE_SPECS = {
+    "merge-elect": (True, 1.0, [(1.0, 1.0), (1.0, 1.0)]),
+    "merge-sum-weighted": (False, 0.9, [(0.1, 0.7), (0.15, 1.3)]),
+    "merge-elect-weighted": (True, 0.9, [(0.1, 0.7), (0.15, 1.3)]),
+    "merge-sum": (False, 1.0, [(None, 1.0), (None, 1.0)]),
+    "merge-elect-partial": (True, 2.0, [(None, 0.5), (0.15, -1.0)]),
+    "merge-sum-whole": (False, 1.0, [(1, 1.0), (None, 1.0)]),
+}
 
 
 def _sha256(path: Path) -> str:
@@ -152,6 +180,30 @@ def test_outputs_match_golden_digests(tmp_path):
             f"golden digests changed for {changed}; new digests:\n"
             + json.dumps(actual, sort_keys=True, indent=2)
         )
+
+
+def test_merge_spec_records_the_merge_it_ran(tmp_path):
+    """Each merge's merge_spec.json byte for byte, and its merged.ckpt."""
+    golden = json.loads(GOLDEN.read_text())
+    out = _run(tmp_path, "lota", "lota", LOTA_CONFIG)
+    out_b = _run(tmp_path, "lota", "lota-b", LOTA_CONFIG_B)
+    base = str(out / "initial.ckpt")
+    adapters = [str(out / "adapter.lta"), str(out_b / "adapter.lta")]
+    for name, (elect, scaling, entries) in MERGE_SPECS.items():
+        if name in MERGES:
+            extra, merged_sha = MERGES[name], golden[f"{name}/merged.ckpt"]
+        else:
+            extra, merged_sha = MORE_MERGES[name]
+        merged = _run(tmp_path, "merge", name,
+                      {"base": base, "adapters": adapters, **extra})
+        spec = {
+            "base_digest": BASE_DIGEST, "elect_signs": elect, "scaling": scaling,
+            "entries": [{"source": path, "trim_keep_fraction": fraction, "weight": weight}
+                        for path, (fraction, weight) in zip(adapters, entries)],
+        }
+        want = json.dumps(spec, sort_keys=True, indent=2) + "\n"
+        assert (merged / "merge_spec.json").read_text() == want, name
+        assert _sha256(merged / "merged.ckpt") == merged_sha, name
 
 
 def test_wide_case_clips_its_large_group_on_some_steps(tmp_path, monkeypatch):

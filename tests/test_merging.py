@@ -13,8 +13,6 @@ from lota import (
     AdapterRecord,
     AlignmentError,
     DigestMismatchError,
-    MergeEntry,
-    MergeSpec,
     ParameterMap,
     SparseAdapter,
     TaskVector,
@@ -23,12 +21,11 @@ from lota import (
     encode,
     merge_grid_search,
     merge_lota,
-    run_merge_spec,
     ties_merge,
 )
 from lota import merging, params
 from lota.adapter import encode_gaps
-from lota.merging import _sort_columns, _trim_elect_mean
+from lota.merging import _merge, _sort_columns, _trim_elect_mean
 
 F32 = np.float32
 
@@ -113,14 +110,8 @@ def reference_trim_elect_mean(stacked):
 
 
 def task_arithmetic(base, tvs, weights, lam=1.0):
-    """w_P + lam * sum_i weights_i * tv_i: `run_merge_spec` without election."""
-    spec = MergeSpec(
-        base_digest=digest(base).hex(),
-        entries=tuple(MergeEntry(weight=w) for w in weights),
-        elect_signs=False,
-        scaling=lam,
-    )
-    return run_merge_spec(base, tvs, spec)
+    """w_P + lam * sum_i weights_i * tv_i: `_merge` without trim or election."""
+    return _merge(base, tvs, [1.0] * len(tvs), weights, False, lam)
 
 
 class TestTaskArithmetic:
@@ -276,7 +267,7 @@ class TestElectMeanOracle:
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
-class TestRunMergeSpec:
+class TestMergeWithoutElection:
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 4),
@@ -300,13 +291,7 @@ class TestRunMergeSpec:
             for _ in range(n_tasks)
         ]
         weights = [float(w) for w in rng.choice([1.0, 0.5, -0.75, 3.0], n_tasks)]
-        spec = MergeSpec(
-            base_digest=digest(base).hex(),
-            entries=tuple(MergeEntry(weight=w) for w in weights),
-            elect_signs=False,
-            scaling=lam,
-        )
-        merged = run_merge_spec(base, tvs, spec)
+        merged = _merge(base, tvs, [1.0] * n_tasks, weights, False, lam)
         # the plain weighted sum, accumulated in task order
         total = np.zeros(base.total_elements, dtype=np.float32)
         for tv, w in zip(tvs, weights):
@@ -456,28 +441,17 @@ class TestMergeArgumentCheck:
         self.base = base_map(np.zeros(4))
         self.tvs = [tv_for(self.base, [1.0, 0.0, -2.0, 0.0])] * 2
 
-    def spec(self, fractions, weights=None):
-        weights = weights or [1.0] * len(fractions)
-        return MergeSpec(
-            base_digest=digest(self.base).hex(),
-            entries=tuple(MergeEntry(weight=w, trim_keep_fraction=f)
-                          for f, w in zip(fractions, weights)),
-        )
-
     def test_fraction_count_refused(self):
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
             ties_merge(self.base, self.tvs, [0.5])
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
-            run_merge_spec(self.base, self.tvs, self.spec([0.5, 0.5, 0.5]))
+            _merge(self.base, self.tvs, [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], True, 1.0)
 
     def test_weight_count_refused(self):
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
             ties_merge(self.base, self.tvs, [0.5, 0.5], weights=[1.0])
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
-            run_merge_spec(
-                self.base, self.tvs,
-                dataclasses.replace(self.spec([1.0, 1.0, 1.0]), elect_signs=False),
-            )
+            _merge(self.base, self.tvs, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], False, 1.0)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
     def test_trim_fraction_outside_unit_interval_refused(self, fraction):
@@ -553,8 +527,8 @@ def with_stored_zeros(tv, extra):
         stored = np.flatnonzero((arr != 0) | extra[lo : lo + arr.size])
         values = arr[stored].copy()
         values.flags.writeable = False
-        records.append(AdapterRecord(name, tv.entries[name].shape, int(stored.size),
-                                     encode_gaps(stored), values))
+        records.append(AdapterRecord(name, tv.entries[name].shape, encode_gaps(stored),
+                                     values))
     return SparseAdapter(tv.base_digest, tuple(records))
 
 
@@ -572,14 +546,8 @@ class TestSparseCoreOracle:
         want = reference_merge(base_flat, vectors, fractions, weights, lam, True)
         assert_bitwise(ties_merge(base, tvs, fractions, lam=lam, weights=weights), want)
         for elect in (True, False):
-            spec = MergeSpec(
-                base_digest=digest(base).hex(),
-                entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
-                elect_signs=elect,
-                scaling=lam,
-            )
             want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
-            assert_bitwise(run_merge_spec(base, tvs, spec), want)
+            assert_bitwise(_merge(base, tvs, fractions, weights, elect, lam), want)
         ones = [1.0] * len(tvs)
         want = reference_merge(base_flat, vectors, ones, weights, lam, False)
         assert_bitwise(task_arithmetic(base, tvs, weights, lam=lam), want)
@@ -601,14 +569,8 @@ class TestSparseCoreOracle:
         want = reference_merge(base_flat, vectors, ones, ones, lam, True)
         assert_bitwise(merge_lota(base, adapters, lam=lam), want)
         for elect in (True, False):
-            spec = MergeSpec(
-                base_digest=digest(base).hex(),
-                entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
-                elect_signs=elect,
-                scaling=lam,
-            )
             want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
-            assert_bitwise(run_merge_spec(base, adapters, spec), want)
+            assert_bitwise(_merge(base, adapters, fractions, weights, elect, lam), want)
 
     @settings(max_examples=100, deadline=None)
     @given(merge_cases(), st.data())
@@ -620,14 +582,8 @@ class TestSparseCoreOracle:
             tv = TaskVector(as_map(shapes, v), digest(base))
             sources.append(encode(tv) if data.draw(st.booleans()) else tv)
         for elect in (True, False):
-            spec = MergeSpec(
-                base_digest=digest(base).hex(),
-                entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
-                elect_signs=elect,
-                scaling=lam,
-            )
             want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
-            assert_bitwise(run_merge_spec(base, sources, spec), want)
+            assert_bitwise(_merge(base, sources, fractions, weights, elect, lam), want)
 
 
 @pytest.fixture(scope="class", params=[3, 7])
@@ -724,14 +680,8 @@ class TestBlockEdges:
         sources = [tvs[0], encode(tvs[1]), with_stored_zeros(tvs[2], extra), tvs[3]]
         fractions = [fraction, fraction, fraction, 0.5]
         weights = [1.0, 0.5, -2.0, -1.0]
-        spec = MergeSpec(
-            base_digest=digest(base).hex(),
-            entries=tuple(MergeEntry(w, f) for w, f in zip(weights, fractions)),
-            elect_signs=elect,
-            scaling=-0.5,
-        )
         want = reference_merge(base_flat, vectors, fractions, weights, -0.5, elect)
-        assert_bitwise(run_merge_spec(base, sources, spec), want)
+        assert_bitwise(_merge(base, sources, fractions, weights, elect, -0.5), want)
         want = reference_merge(base_flat, vectors, fractions, [1.0] * 4, 1.0, True)
         for each in (tvs, sources):
             assert_bitwise(ties_merge(base, each, fractions), want)
@@ -752,11 +702,10 @@ class TestAdapterMergeChecks:
         return base, adapter
 
     def merges(self, base, adapter):
-        spec = MergeSpec(digest(base).hex(), (MergeEntry(0.5, 0.5),), elect_signs=False)
         return [
             lambda: merge_lota(base, [adapter]),
-            lambda: run_merge_spec(base, [adapter], dataclasses.replace(spec, elect_signs=True)),
-            lambda: run_merge_spec(base, [adapter], spec),
+            lambda: _merge(base, [adapter], [0.5], [0.5], True, 1.0),
+            lambda: _merge(base, [adapter], [0.5], [0.5], False, 1.0),
         ]
 
     @pytest.mark.parametrize("other_base, error", [
