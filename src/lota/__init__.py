@@ -56,9 +56,7 @@ from .sparsity import (
     sparsify,
 )
 from .training import (
-    IterativeLotaResult,
     LotaResult,
-    LottoResult,
     RunRecord,
     TrainConfig,
     iterative_lota,

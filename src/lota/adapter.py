@@ -29,7 +29,7 @@ import numpy as np
 
 from .container import checked_shape, container_parts, parse_container, write_atomic
 from .errors import AlignmentError, DigestMismatchError, FormatError
-from .params import MapDigest, ParameterMap, digest
+from .params import Layout, MapDigest, ParameterMap, digest
 from .sparsity import TaskVector
 
 FORMAT = "lota-adapter-3"
@@ -105,10 +105,6 @@ class AdapterRecord:
     def c(self) -> int:
         return self.values.size
 
-    def indices(self) -> np.ndarray:
-        """Flat positions of `values` within the tensor, checked against n."""
-        return decode_gaps(self.gap_bytes, self.n, self.c)
-
 
 @dataclass(frozen=True)
 class SparseAdapter:
@@ -128,26 +124,28 @@ class SparseAdapter:
         n = self.n_total
         return 1.0 - self.c_total / n if n else 1.0
 
-    def flat_entries(self, base: ParameterMap) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending positions in `base.flat` and the values stored there.
+    def flat_entries(self, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions in a buffer of `layout` and the values stored there.
 
-        Every record must name a base tensor of its shape. All are checked
-        first, so nothing is allocated from dims read out of a file.
+        Every record must name a tensor of `layout` of its shape. All are
+        checked first, so nothing is allocated from dims read out of a file.
         """
         for rec in self.records:
-            if rec.name not in base:
+            shape = layout.shapes.get(rec.name)
+            if shape is None:
                 raise AlignmentError(f"adapter tensor {rec.name!r} not in base map")
-            if base[rec.name].shape != rec.shape:
+            if shape != rec.shape:
                 raise AlignmentError(
-                    f"shape mismatch for {rec.name!r}: base "
-                    f"{base[rec.name].shape}, adapter {rec.shape}"
+                    f"shape mismatch for {rec.name!r}: base {shape}, adapter {rec.shape}"
                 )
-        offsets = dict(zip(base.layout.names, base.layout.offsets))
+        offsets = dict(zip(layout.names, layout.offsets))
         records = sorted(self.records, key=lambda r: offsets[r.name])
         if not records:
             return np.empty(0, np.intp), np.empty(0, np.float32)
         return (
-            np.concatenate([r.indices() + offsets[r.name] for r in records]),
+            np.concatenate([
+                decode_gaps(r.gap_bytes, r.n, r.c) + offsets[r.name] for r in records
+            ]),
             np.concatenate([r.values for r in records]),
         )
 
@@ -165,21 +163,22 @@ def encode(tv: TaskVector) -> SparseAdapter:
 
 
 def decode(adapter: SparseAdapter) -> TaskVector:
-    """Exact reconstruction of the encoded task vector."""
-    entries = {}
-    for rec in adapter.records:
-        indices = rec.indices()
-        try:
-            flat = np.zeros(rec.n, dtype=np.float32)
-        except (MemoryError, ValueError) as exc:
-            raise FormatError(
-                f"cannot allocate {rec.n} elements for {rec.name!r}: {exc}"
-            ) from exc
-        flat[indices] = rec.values
-        entries[rec.name] = flat.reshape(rec.shape)
-    return TaskVector(
-        entries=ParameterMap(entries), base_digest=adapter.base_digest
-    )
+    """Exact reconstruction of the encoded task vector: the stored values
+    scattered into one zeroed buffer of the adapter's own layout.
+
+    The summed size is checked before anything is allocated.
+    """
+    layout = Layout({rec.name: rec.shape for rec in adapter.records})
+    names = ", ".join(map(repr, layout.names))
+    if layout.size > _INT64_MAX:
+        raise FormatError(f"tensors {names} hold {layout.size} elements, past int64")
+    try:
+        flat = np.zeros(layout.size, dtype=np.float32)
+    except (MemoryError, ValueError) as exc:
+        raise FormatError(f"cannot allocate {layout.size} elements for {names}") from exc
+    idx, vals = adapter.flat_entries(layout)
+    flat[idx] = vals
+    return TaskVector(ParameterMap.from_flat(layout, flat), adapter.base_digest)
 
 
 def apply_adapter(
@@ -195,7 +194,7 @@ def apply_adapter(
         raise DigestMismatchError(
             "adapter was built against a different base model"
         )
-    idx, vals = adapter.flat_entries(w_p)
+    idx, vals = adapter.flat_entries(w_p.layout)
     out = w_p.flat.copy()
     out[idx] += vals
     return ParameterMap.from_flat(w_p.layout, out)

@@ -59,8 +59,8 @@ from .errors import (
 from .harness import EXPERIMENT_KINDS, ModelSpec, run_experiment
 from .merging import _merge
 from .params import digest, load_checkpoint, save_checkpoint
-from .sparsity import (SPARSITY, TaskVector, compute_task_vector, load_mask, save_mask,
-                       sparsify)
+from .sparsity import (SPARSITY, TaskVector, all_false_mask, compute_task_vector,
+                       load_mask, mask_union, save_mask, sparsify)
 from .tasks import SyntheticTaskSpec
 from .training import FRACTION, TrainConfig, lota, lotto, train
 
@@ -221,17 +221,19 @@ def cmd_lotto(args, out: Path) -> dict:
     sparsity = float(run.sparsity)
     constraints = load_mask(run.initial_constraints) if run.initial_constraints else None
     datasets = [task.make()[0] for task in run.tasks]
-    result = lotto(
+    phases = lotto(
         model, datasets, sparsity, train_config, initial_constraints=constraints
     )
     save_checkpoint(model.params, out / "initial.ckpt")
-    save_checkpoint(result.w_final, out / "final.ckpt")
-    for i, (mask, adapter) in enumerate(zip(result.masks, result.adapters)):
-        save_mask(mask, out / f"task{i}.mask.bin", source=f"lotto:task{i}")
-        save_adapter(adapter, out / f"task{i}.adapter.lta")
-    save_mask(result.constraint_trace[-1], out / "constraints.mask.bin",
-              source="lotto:union")
-    _write_json(out / "run.json", [r.to_json_dict() for r in result.records])
+    save_checkpoint(phases[-1].w_final, out / "final.ckpt")
+    union = all_false_mask(model.params) if constraints is None else constraints
+    for i, phase in enumerate(phases):
+        save_mask(phase.mask, out / f"task{i}.mask.bin", source=f"lotto:task{i}")
+        save_adapter(phase.adapter, out / f"task{i}.adapter.lta")
+        union = mask_union(union, phase.mask)
+    save_mask(union, out / "constraints.mask.bin", source="lotto:union")
+    records = [r for p in phases for r in (p.calibration_record, p.train_record)]
+    _write_json(out / "run.json", [r.to_json_dict() for r in records])
     return {**config, "sparsity": sparsity}
 
 

@@ -284,12 +284,12 @@ def _b_phase(
         result = yield from lota.lockstep(start, b_train, spec.sparsity, config)
         return result.w_final, {"mask_kept": result.mask.kept_count}
     if method_b == "lotto":  # only lota->lotto: its mask is the constraint
-        result = yield from lotto.lockstep(
+        (result,) = yield from lotto.lockstep(
             start, [b_train], spec.sparsity, config, initial_constraints=a_mask
         )
         return result.w_final, {
-            "mask_kept": result.masks[0].kept_count,
-            "ideal_ratio": compression_report(result.adapters[0]).ideal_ratio,
+            "mask_kept": result.mask.kept_count,
+            "ideal_ratio": compression_report(result.adapter).ideal_ratio,
         }
     # fft-mixed
     w_ab, _ = yield from mixed_data_fft.lockstep(
@@ -371,7 +371,7 @@ def _sparsity_one_seed(
         for s, result in zip(spec.grid, grid)
     }
     if spec.iterative_schedule:
-        result = yield from iterative_lota.lockstep(
+        *_, result = yield from iterative_lota.lockstep(
             model, train_data, spec.iterative_schedule, config
         )
         out["iterative"] = {

@@ -12,16 +12,16 @@ merges and scores each cell of a per-source grid of trim fractions once.
 Every merge walks the flat coordinates in blocks of `_BLOCK` columns.
 First each source is checked against the base, and a source that is
 trimmed gets its top-k cut (`sparsity._topk_cut`); an adapter also gets
-its sorted global indices and the first of them in each block. In a
-block, each source fills one row of a (sources, block) float32 buffer
-with its values, weighted, the trimmed ones zeroed. Zeros never change a
-merge: a zero adds nothing to a sum and never counts toward a sign. So
-+0.0 plus the rows in source order is task arithmetic, and it is also the
-elected merge of every column that at most one row covers (x plus zeros
-is x, and x / 1 is x). Only the columns covered by two or more rows are
-gathered into a (sources, m) block for the sorting network and the
-elect/mean. With LoTA's sparse or LoTTO's disjoint adapters that block is
-small or empty.
+its sorted global indices (`SparseAdapter.flat_entries(layout)`) and the
+first of them in each block. In a block, each source fills one row of a
+(sources, block) float32 buffer with its values, weighted, the trimmed
+ones zeroed. Zeros never change a merge: a zero adds nothing to a sum
+and never counts toward a sign. So +0.0 plus the rows in source order is
+task arithmetic, and it is also the elected merge of every column that
+at most one row covers (x plus zeros is x, and x / 1 is x). Only the
+columns covered by two or more rows are gathered into a (sources, m)
+block for the sorting network and the elect/mean. With LoTA's sparse or
+LoTTO's disjoint adapters that block is small or empty.
 
 All merge arithmetic is float32. Per-coordinate sums accumulate in
 ascending value order, which makes every merge invariant to the order the
@@ -79,7 +79,7 @@ def _prepare(
                 f"task vector {i} was computed against a different base"
             )
         if isinstance(src, SparseAdapter):
-            idx, vals = src.flat_entries(w_p)
+            idx, vals = src.flat_entries(w_p.layout)
             if sorted(r.name for r in src.records) != list(w_p.names):
                 raise AlignmentError(f"adapter {i} must hold each base tensor once")
             starts = np.searchsorted(idx, edges)
@@ -207,7 +207,6 @@ def ties_merge(
     tvs: Sequence[Source],
     trim_keep_fractions: Sequence[float],
     lam: float = 1.0,
-    weights: Sequence[float] | None = None,
 ) -> ParameterMap:
     """Trim each source, elect per-coordinate signs, average agreers.
 
@@ -219,8 +218,7 @@ def ties_merge(
     is the mean of surviving values with that sign, or 0 when the sum is
     exactly 0 or nothing survived.
     """
-    weights = [1.0] * len(tvs) if weights is None else weights
-    return _merge(w_p, tvs, trim_keep_fractions, weights, True, lam)
+    return _merge(w_p, tvs, trim_keep_fractions, [1.0] * len(tvs), True, lam)
 
 
 def merge_lota(

@@ -170,40 +170,34 @@ def _kept(keys: np.ndarray, t: np.uint32, cut: int) -> np.ndarray:
     return keep
 
 
-def topk_keep(m: np.ndarray, k: int) -> np.ndarray:
-    """Boolean vector keeping the k largest of the float32 magnitudes `m`,
-    ties broken by position (earlier wins), in O(len(m)) by `_topk_cut`.
-
-    `m` must be float32, finite and non-negative, such as `np.abs` of
-    finite values; a `ValueError` refuses any other dtype. For such values
-    the bit patterns `m.view(np.uint32)` are the magnitude bits that
-    `_topk_cut` ranks.
-    """
-    if m.dtype != np.float32:
-        raise ValueError(f"magnitudes must be float32, not {m.dtype}")
-    if k > m.size:
-        raise CapacityError(
-            f"cannot keep {k} elements: only {m.size} positions allowed"
-        )
-    if not 0 < k < m.size:
-        return np.full(m.size, k == m.size)
-    return _kept(m.view(np.uint32), *_topk_cut(m, k, np.empty(m.size, np.uint32)))
-
-
 def topk_keep_flat(
     entries: ParameterMap, k: int, allowed: np.ndarray | None = None
 ) -> np.ndarray:
     """Flat boolean vector keeping the k largest magnitudes of `entries.flat`.
 
-    Ties broken by flat position (earlier wins). `allowed` optionally
-    restricts candidate positions (flat boolean vector).
+    Ties broken by flat position (earlier wins), in O(n) by `_topk_cut`.
+    `allowed` optionally restricts candidate positions (flat boolean
+    vector). The selection runs on the sign-cleared bits of the values in
+    one uint32 scratch: `_topk_cut` partitions them there, and `_kept`
+    reads them written there again.
     """
-    mags = np.abs(entries.flat)
+    values = entries.flat
     candidates = None if allowed is None else np.flatnonzero(allowed)
-    keep = topk_keep(mags if candidates is None else mags[candidates], k)
+    if candidates is not None:
+        values = values[candidates]
+    n = values.size
+    if k > n:
+        raise CapacityError(f"cannot keep {k} elements: only {n} positions allowed")
+    if 0 < k < n:
+        scratch = np.empty(n, np.uint32)
+        t, cut = _topk_cut(values, k, scratch)
+        keys = np.bitwise_and(values.view(np.uint32), _MAGNITUDE_BITS, out=scratch)
+        keep = _kept(keys, t, cut)
+    else:
+        keep = np.full(n, k == n)
     if candidates is None:
         return keep
-    kept_flat = np.zeros(mags.size, dtype=bool)
+    kept_flat = np.zeros(entries.flat.size, dtype=bool)
     kept_flat[candidates] = keep
     return kept_flat
 

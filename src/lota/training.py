@@ -3,13 +3,16 @@
 A LoTA phase (`_lota_phase`) runs on a base model w_P: calibrate by
 training within an allowed set, extract the top-k of the task vector
 within that set (`sparsify`), reset to w_P, retrain with the mask and
-encode the adapter (`_retrain`).
-  * lota: one phase. A grid of phases, such as the sparsity ablation's,
-    is `_together` of one `lota.lockstep` per plan.
+encode the adapter (`_retrain`). Each phase or retrain ends in a
+`LotaResult`, and a driver returns the ones it ran.
+  * lota: one phase, and its `LotaResult`. A grid of phases, such as the
+    sparsity ablation's, is `_together` of one `lota.lockstep` per plan.
   * iterative_lota: one phase, then progressively sparser masks, each
-    extracted from the previous stage's sparse task vector.
+    extracted from the previous stage's sparse task vector; it returns
+    every stage's `LotaResult`, in order.
   * lotto: one phase per task, in sequence, under a growing constraint
-    set; each task's mask is disjoint from every earlier one.
+    set; each task's mask is disjoint from every earlier one. It returns
+    every task's `LotaResult`, in order.
   * mixed_data_fft: dense training on task B with a sample of A mixed in.
 
 `train` keeps flat state and clips each group's gradient norm; with a mask,
@@ -564,8 +567,6 @@ class _ReplicaStack:
         # a lone replica runs on views without the replica axis, which is
         # the same arithmetic with less numpy overhead per call
         lone = len(state) == 1
-        if lone and inputs.ndim == 3:
-            inputs, targets = inputs[0], targets[0]
         # per-row data is gathered from its (R * n, ...) view, with row r's
         # indices offset by r * n, so one `take` serves every row
         self.pool, self.offsets = (inputs, targets), None
@@ -652,24 +653,17 @@ def lota(
     return (yield from _lota_phase(model, dataset, s, config, calibration_fraction))
 
 
-@dataclass(frozen=True)
-class IterativeLotaResult:
-    adapter: SparseAdapter
-    mask: SparsityMask
-    w_final: ParameterMap
-    stage_masks: list[SparsityMask]
-    stage_records: list[RunRecord]
-
-
 @_driver
 def iterative_lota(
     model: ToyModel, dataset: Dataset, sparsity_schedule: Sequence[float],
     config: TrainConfig,
-) -> Generator[list[Run], None, IterativeLotaResult]:
-    """Chain of sparse trainings with progressively sparser masks.
+) -> Generator[list[Run], None, list[LotaResult]]:
+    """Chain of sparse trainings with progressively sparser masks; returns
+    each stage's `LotaResult`, in order.
 
-    Stage 0 calibrates from dense training; stage j extracts its mask from
-    the task vector of stage j-1's sparse model, so kept sets are nested.
+    Stage 0 is a LoTA phase; stage j extracts its mask from the task vector
+    of stage j-1's sparse model, so kept sets are nested, and has no
+    calibration record.
     """
     schedule = list(sparsity_schedule)
     if not schedule:
@@ -683,20 +677,7 @@ def iterative_lota(
         prev = stages[-1]
         mask = sparsify(compute_task_vector(prev.w_final, model.params), s, prev.mask)
         stages.append((yield from _retrain(model, dataset, config, mask, None)))
-    last = stages[-1]
-    return IterativeLotaResult(
-        last.adapter, last.mask, last.w_final,
-        [stage.mask for stage in stages], [stage.train_record for stage in stages],
-    )
-
-
-@dataclass(frozen=True)
-class LottoResult:
-    masks: list[SparsityMask]
-    constraint_trace: list[SparsityMask]
-    w_final: ParameterMap
-    adapters: list[SparseAdapter]
-    records: list[RunRecord]
+    return stages
 
 
 @_driver
@@ -706,8 +687,9 @@ def lotto(
     s: float,
     config: TrainConfig,
     initial_constraints: SparsityMask | None = None,
-) -> Generator[list[Run], None, LottoResult]:
-    """Sequential adaptation with mutually disjoint per-task masks.
+) -> Generator[list[Run], None, list[LotaResult]]:
+    """Sequential adaptation with mutually disjoint per-task masks; returns
+    each task's `LotaResult`, in order.
 
     Per task: one LoTA phase from the previous task's weights, calibrated
     and extracted only outside the constraint set; its mask then joins
@@ -716,32 +698,19 @@ def lotto(
     """
     if not datasets:
         raise ConfigError("lotto needs at least one dataset")
-    w_start = model.params
-    if initial_constraints is not None:
-        initial_constraints.layout.require_aligned(
-            w_start.layout, "constraints and model"
-        )
-        constraints = initial_constraints
-    else:
-        constraints = all_false_mask(w_start)
-    trace = [constraints]
+    constraints = initial_constraints
+    if constraints is None:
+        constraints = all_false_mask(model.params)
+    constraints.layout.require_aligned(model.params.layout, "constraints and model")
     phases: list[LotaResult] = []
     for ds in datasets:
-        start = model.with_params(phases[-1].w_final if phases else w_start)
+        start = model.with_params(phases[-1].w_final) if phases else model
         phase = yield from _lota_phase(
             start, ds, s, config, allowed=mask_complement(constraints)
         )
         phases.append(phase)
         constraints = mask_union(constraints, phase.mask)
-        trace.append(constraints)
-    return LottoResult(
-        masks=[phase.mask for phase in phases],
-        constraint_trace=trace,
-        w_final=phases[-1].w_final,
-        adapters=[phase.adapter for phase in phases],
-        records=[r for phase in phases
-                 for r in (phase.calibration_record, phase.train_record)],
-    )
+    return phases
 
 
 @_driver

@@ -238,7 +238,8 @@ class TestEncodeDecode:
         back = decode(adapter)
         for rec in adapter.records:
             arr = tv.entries[rec.name].ravel()
-            np.testing.assert_array_equal(rec.indices(), np.flatnonzero(arr))
+            indices = decode_gaps(rec.gap_bytes, rec.n, rec.c)
+            np.testing.assert_array_equal(indices, np.flatnonzero(arr))
             assert rec.values.dtype == np.float32
             assert rec.values.tobytes() == arr[np.flatnonzero(arr)].tobytes()
             assert not rec.values.flags.writeable
@@ -323,6 +324,15 @@ class TestAdapterFile:
         # 2**62 float32s is 2**64 bytes: numpy refuses without allocating
         adapter = load_bytes(forged_adapter((2**62,)), tmp_path)
         with pytest.raises(FormatError, match="cannot allocate .* for 'w'"):
+            decode(adapter)
+
+    def test_records_past_int64_in_all_rejected_by_decode(self, tmp_path):
+        # each of 2**62 elements fits int64, their sum does not: decode must
+        # refuse the sum before it allocates or offsets a record
+        shapes = {name: [2**62] for name in "abc"}
+        adapter = load_bytes(forged_adapter((1,), shapes=shapes), tmp_path)
+        assert [r.c for r in adapter.records] == [0, 0, 0]
+        with pytest.raises(FormatError, match="past int64"):
             decode(adapter)
 
     def test_not_an_adapter_file_rejected(self, tmp_path):

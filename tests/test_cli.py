@@ -277,6 +277,23 @@ class TestTrainingCommands:
         m1 = load_mask(out / "task1.mask.bin")
         assert np.count_nonzero(m0.flat & m1.flat) == 0
 
+    def test_lotto_constraints_are_the_union_with_the_initial_mask(self, tmp_path):
+        from lota import ToyModel, load_mask, random_mask
+
+        params = ToyModel.initialize((6, 16, 3), "tanh", "softmax-cross-entropy", 0).params
+        initial = random_mask(params, 0.5, seed=1)
+        save_mask(initial, tmp_path / "blocked.mask.bin")
+        path = lotto_config(tmp_path, initial_constraints=str(tmp_path / "blocked.mask.bin"))
+        out = tmp_path / "lo"
+        assert dispatch(["lotto", "--config", str(path), "--out", str(out)]) == 0
+        m0 = load_mask(out / "task0.mask.bin")
+        m1 = load_mask(out / "task1.mask.bin")
+        assert not (m0.flat & initial.flat).any() and not (m1.flat & initial.flat).any()
+        union = load_mask(out / "constraints.mask.bin")
+        assert union.layout == initial.layout
+        np.testing.assert_array_equal(union.flat, initial.flat | m0.flat | m1.flat)
+        assert union.declared_sparsity == union.measured_sparsity
+
 
 class TestMergeCommand:
     def test_merge_two_adapters(self, base_ckpt, tmp_path):

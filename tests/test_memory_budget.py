@@ -8,10 +8,11 @@ entries (12 bytes per stored value); the top-k cuts of its trimmed sources
 take one uint32 buffer of the map's size, freed before the result is
 allocated. The hash and the save stream the map's own buffer, and the load
 reads the file straight into the new map's buffer.
-In a publish, `sparsify` holds the float32 magnitudes, their partition
-copy and its boolean result, `apply_mask` its float32 result, and
+In a publish, `sparsify` holds one uint32 scratch of the sign-cleared
+bits and its boolean result, `apply_mask` its float32 result, and
 `encode` a one-byte boolean per element for its support scan plus
-scratch in proportion to the kept entries.
+scratch in proportion to the kept entries. `decode` holds its float32
+result, its finite check and the adapter's entries.
 """
 
 import tracemalloc
@@ -23,6 +24,7 @@ from lota import (
     ParameterMap,
     ToyModel,
     apply_mask,
+    decode,
     digest,
     encode,
     load_checkpoint,
@@ -35,9 +37,10 @@ from lota.sparsity import TaskVector
 
 # traced peak bytes per parameter; the result of a merge or a load is 4
 BUDGET = {
-    "sparsify": 10.0,
+    "sparsify": 7.0,
     "apply_mask": 6.0,
     "encode": 3.0,
+    "decode": 8.0,
     "ties_merge": 8.0,
     "merge_lota": 12.0,
     "digest": 1.0,
@@ -85,6 +88,7 @@ def test_peak_per_parameter(problem, tmp_path, op):
         "sparsify": lambda: sparsify(tvs[0], 0.9),
         "apply_mask": lambda: apply_mask(tvs[0], mask),
         "encode": lambda: encode(masked),
+        "decode": lambda: decode(adapters[0]),
         "ties_merge": lambda: ties_merge(base, tvs, [0.2] * len(tvs)),
         "merge_lota": lambda: merge_lota(base, adapters),
         "digest": lambda: digest(fresh),

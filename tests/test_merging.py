@@ -449,7 +449,7 @@ class TestMergeArgumentCheck:
 
     def test_weight_count_refused(self):
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
-            ties_merge(self.base, self.tvs, [0.5, 0.5], weights=[1.0])
+            _merge(self.base, self.tvs, [0.5, 0.5], [1.0], True, 1.0)
         with pytest.raises(ValueError, match="one trim fraction and one weight"):
             _merge(self.base, self.tvs, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], False, 1.0)
 
@@ -543,12 +543,12 @@ class TestSparseCoreOracle:
         shapes, base_flat, vectors, fractions, weights, lam = case
         base = as_map(shapes, base_flat)
         tvs = [TaskVector(as_map(shapes, v), digest(base)) for v in vectors]
-        want = reference_merge(base_flat, vectors, fractions, weights, lam, True)
-        assert_bitwise(ties_merge(base, tvs, fractions, lam=lam, weights=weights), want)
+        ones = [1.0] * len(tvs)
+        want = reference_merge(base_flat, vectors, fractions, ones, lam, True)
+        assert_bitwise(ties_merge(base, tvs, fractions, lam=lam), want)
         for elect in (True, False):
             want = reference_merge(base_flat, vectors, fractions, weights, lam, elect)
             assert_bitwise(_merge(base, tvs, fractions, weights, elect, lam), want)
-        ones = [1.0] * len(tvs)
         want = reference_merge(base_flat, vectors, ones, weights, lam, False)
         assert_bitwise(task_arithmetic(base, tvs, weights, lam=lam), want)
 

@@ -24,7 +24,7 @@ from lota import (
     zeros_like,
 )
 from lota.container import build_container
-from lota.sparsity import topk_keep, topk_keep_flat
+from lota.sparsity import topk_keep_flat
 
 
 def tv_from(entries):
@@ -226,7 +226,7 @@ class TestTopkOracle:
         with pytest.raises(CapacityError):
             topk_keep_flat(entries, size + 1, allowed)
 
-    # topk_keep selects on the uint32 bit patterns of the float32 magnitudes
+    # topk_keep_flat selects on the uint32 bit patterns of the float32 magnitudes
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.sampled_from(TIE_POOL)
@@ -238,12 +238,8 @@ class TestTopkOracle:
         flat = np.array(values, dtype=np.float32)
         n = flat.size
         k = data.draw(st.sampled_from(sorted({0, 1, n - 1, n})) | st.integers(0, n))
-        got = topk_keep(np.abs(flat), k)
-        np.testing.assert_array_equal(got, reference_topk(ParameterMap({"t": flat}), k))
-
-    def test_refuses_magnitudes_that_are_not_float32(self):
-        with pytest.raises(ValueError, match="float32"):
-            topk_keep(np.abs(np.arange(4.0)), 2)
+        entries = ParameterMap({"t": flat})
+        np.testing.assert_array_equal(topk_keep_flat(entries, k), reference_topk(entries, k))
 
 
 bool_arrays = st.integers(2, 40).flatmap(

@@ -26,7 +26,6 @@ from lota import (
     iterative_lota,
     lota,
     lotto,
-    mask_union,
     mixed_data_fft,
     random_mask,
     sparsify,
@@ -1177,14 +1176,14 @@ class TestIterativeLota:
     def test_single_stage_matches_lota(self):
         model, data = toy_model(6), toy_task(6)
         single = lota(model, data, 0.9, quick_config())
-        chained = iterative_lota(model, data, [0.9], quick_config())
+        (chained,) = iterative_lota(model, data, [0.9], quick_config())
         assert digest(chained.w_final) == digest(single.w_final)
         assert chained.mask == single.mask
 
     def test_nested_masks(self):
         model, data = toy_model(7), toy_task(7)
-        result = iterative_lota(model, data, [0.8, 0.95], quick_config())
-        coarse, fine = result.stage_masks
+        stages = iterative_lota(model, data, [0.8, 0.95], quick_config())
+        coarse, fine = (stage.mask for stage in stages)
         assert not (fine.flat & ~coarse.flat).any()
         assert fine.kept_count < coarse.kept_count
 
@@ -1199,52 +1198,43 @@ class TestIterativeLota:
 class TestLotto:
     def test_single_task_empty_constraints_matches_lota(self):
         model, data = toy_model(8), toy_task(8)
-        lotto_result = lotto(model, [data], 0.9, quick_config())
+        (lotto_result,) = lotto(model, [data], 0.9, quick_config())
         lota_result = lota(model, data, 0.9, quick_config(), calibration_fraction=1.0)
         assert digest(lotto_result.w_final) == digest(lota_result.w_final)
-        assert lotto_result.masks[0] == lota_result.mask
+        assert lotto_result.mask == lota_result.mask
 
     def test_two_task_masks_disjoint(self):
         model = toy_model(9)
         data = [toy_task(9), toy_task(10)]
-        result = lotto(model, data, 0.9, quick_config())
-        assert np.count_nonzero(result.masks[0].flat & result.masks[1].flat) == 0
+        first, second = lotto(model, data, 0.9, quick_config())
+        assert np.count_nonzero(first.mask.flat & second.mask.flat) == 0
 
     def test_first_mask_coordinates_frozen_during_second_task(self):
         model = toy_model(11)
         data = [toy_task(11), toy_task(12)]
-        result = lotto(model, data, 0.9, quick_config())
+        phases = lotto(model, data, 0.9, quick_config())
         # the first phase starts from w_P with no constraints, so it is a
         # lota run; replaying its adapter would round w_P + (w_1 - w_P)
         first = lota(model, data[0], 0.9, quick_config(), calibration_fraction=1.0)
-        m1 = result.masks[0]
+        m1 = phases[0].mask
         assert m1 == first.mask and m1.kept_count > 0
         kept = m1.flat
-        assert result.w_final.flat[kept].tobytes() == first.w_final.flat[kept].tobytes()
+        w_final = phases[-1].w_final
+        assert w_final.flat[kept].tobytes() == first.w_final.flat[kept].tobytes()
 
     def test_initial_constraints_respected(self):
         model, data = toy_model(13), toy_task(13)
         blocked = random_mask(model.params, 0.5, seed=1)
-        result = lotto(
+        (result,) = lotto(
             model, [data], 0.9, quick_config(), initial_constraints=blocked
         )
-        assert np.count_nonzero(result.masks[0].flat & blocked.flat) == 0
+        assert np.count_nonzero(result.mask.flat & blocked.flat) == 0
 
     def test_constraint_exhaustion(self):
         model, data = toy_model(14), toy_task(14)
         nearly_full = random_mask(model.params, 0.01, seed=2)  # 99% blocked
         with pytest.raises(CapacityError, match="constraint set exhausted"):
             lotto(model, [data], 0.5, quick_config(), initial_constraints=nearly_full)
-
-    def test_constraint_trace_grows_by_union(self):
-        model = toy_model(15)
-        data = [toy_task(15), toy_task(16)]
-        result = lotto(model, data, 0.9, quick_config())
-        assert result.constraint_trace[0].kept_count == 0
-        expected = mask_union(result.constraint_trace[0], result.masks[0])
-        assert result.constraint_trace[1] == expected
-        expected = mask_union(result.constraint_trace[1], result.masks[1])
-        assert result.constraint_trace[2] == expected
 
 
 class TestMixedDataFft:
