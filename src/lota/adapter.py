@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import checked_shape, container_parts, parse_container, write_atomic
+from .container import checked_shape, container_parts, read_container, write_atomic
 from .errors import AlignmentError, DigestMismatchError, FormatError
 from .params import Layout, MapDigest, ParameterMap, digest
 from .sparsity import TaskVector
@@ -249,13 +249,13 @@ def save_adapter(adapter: SparseAdapter, path: str | Path) -> None:
 
 def load_adapter(path: str | Path) -> SparseAdapter:
     """Read an adapter file; any departure from the format is a FormatError."""
-    blob = Path(path).read_bytes()
-    if blob.startswith(_LTA_MAGIC):
-        raise FormatError(
-            "old LTA adapter format (before lota-adapter-3) is not readable; "
-            "encode the adapter again"
-        )
-    entries, meta = parse_container(blob)
+    with open(path, "rb") as fh:
+        if fh.read(len(_LTA_MAGIC)) == _LTA_MAGIC:
+            raise FormatError(
+                "old LTA adapter format (before lota-adapter-3) is not readable; "
+                "encode the adapter again"
+            )
+    entries, meta, _ = read_container(path)
     tag = (meta or {}).get("format")
     if tag != FORMAT:
         raise FormatError(f"not an adapter file: unknown format tag {tag!r}")

@@ -18,7 +18,8 @@ command does not read, is refused, so a typo never runs at a default.
 Exit codes: 0 success, 1 usage/config error (a missing input file too),
 2 validation error (digest mismatch, misalignment, malformed file,
 capacity), 3 runtime failure (divergence, failed harness assertion, any
-other I/O error such as a full disk). Errors print a JSON object on stderr.
+other I/O error such as a full disk, an allocation that the memory cannot
+hold). Errors print a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ _ERROR_CODES = (
     (DivergenceError, RUNTIME_ERROR),
     (HarnessError, RUNTIME_ERROR),
     (OSError, RUNTIME_ERROR),
+    (MemoryError, RUNTIME_ERROR),
 )
 
 

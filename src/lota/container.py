@@ -14,12 +14,14 @@ Each entry's tag follows its dtype: float32 is F32, uint8 is U8. Every
 dimension is positive, so no entry is empty. The writer is deterministic:
 identical entries and metadata produce identical bytes.
 
-A container is built as its parts: the length, the header, and each
-tensor's own buffer. `write_atomic` writes the parts one after another and
-a hash takes them one by one, so neither copies the tensors into one
-bytes object; `build_container` joins them for callers that need bytes.
-`read_flat` reads a single-dtype file's payload straight into one flat
-array, after checking the sizes in its header against the file's size.
+There is one writer and one reader. `container_parts` is the writer: a
+container is built as its parts, the length, the header, and each
+tensor's own buffer, and `write_atomic` writes them one after another
+and a hash takes them one by one, so neither copies the tensors into one
+bytes object. `read_container` is the reader: it checks the sizes in a
+file's header against the file's size, then reads the payload straight
+into one read-only buffer, of which each entry is a view. `read_flat`
+takes a single-dtype file's payload as one flat array.
 """
 
 from __future__ import annotations
@@ -75,11 +77,6 @@ def container_parts(entries: dict[str, np.ndarray], metadata: dict | None) -> li
     return [struct.pack("<Q", len(header_bytes)), header_bytes, *buffers]
 
 
-def build_container(entries: dict[str, np.ndarray], metadata: dict | None) -> bytes:
-    """The container of `entries` and `metadata` as one bytes object."""
-    return b"".join(container_parts(entries, metadata))
-
-
 def write_atomic(path: str | Path, *parts) -> None:
     """Replace `path` with the concatenated byte `parts` as one step.
 
@@ -121,16 +118,6 @@ def checked_shape(shape, name: str) -> tuple[int, ...]:
     if not all(d > 0 for d in shape):
         raise FormatError(f"non-positive dimension in shape of {name!r}")
     return tuple(shape)
-
-
-def _header_length(head: bytes, size: int) -> int:
-    """The header length that a file of `size` bytes starts with, in `head`."""
-    if len(head) < 8:
-        raise FormatError("truncated: file shorter than 8-byte header length")
-    (header_len,) = struct.unpack("<Q", head[:8])
-    if 8 + header_len > size:
-        raise FormatError("truncated: header length exceeds file size")
-    return header_len
 
 
 # one tensor of a parsed header: name, dtype, shape, byte offset in the payload
@@ -187,52 +174,54 @@ def _parse_header(
     return specs, metadata
 
 
-def parse_container(blob: bytes) -> tuple[dict[str, np.ndarray], dict | None]:
-    """Parse container bytes into (name -> read-only ndarray, metadata or None).
+def read_container(
+    path: str | Path,
+) -> tuple[dict[str, np.ndarray], dict | None, np.ndarray]:
+    """The entries (name -> read-only ndarray), the metadata or None, and
+    the whole payload as one read-only uint8 array, of the container file
+    at `path`.
 
-    Rejects truncated files, duplicate names, unknown dtypes, padding or
-    gaps between tensors, and trailing bytes. Values are not checked: the
+    The header is checked against the file's size before anything is
+    sized from it, so a forged header cannot ask for more memory than the
+    file holds; the payload is then read straight into its array. Rejects
+    truncated files, duplicate names, unknown dtypes, padding or gaps
+    between tensors, and trailing bytes. Values are not checked: the
     reader of each artifact decides which dtypes and values it accepts.
     """
-    header_len = _header_length(blob, len(blob))
-    payload = memoryview(blob)[8 + header_len :]
-    specs, metadata = _parse_header(blob[8 : 8 + header_len], len(payload))
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8:
+            raise FormatError("truncated: file shorter than 8-byte header length")
+        (header_len,) = struct.unpack("<Q", head)
+        raw = fh.read(header_len) if 8 + header_len <= size else b""
+        if len(raw) != header_len:
+            raise FormatError("truncated: header length exceeds file size")
+        specs, metadata = _parse_header(raw, size - 8 - header_len)
+        payload = np.empty(size - 8 - header_len, np.uint8)
+        if fh.readinto(payload) != payload.size:
+            raise FormatError("truncated: payload shorter than declared offsets")
+    payload.flags.writeable = False
     entries = {
-        name: np.frombuffer(
-            payload, dtype=np_dtype, count=math.prod(shape), offset=begin
-        ).reshape(shape)
+        name: payload[begin : begin + math.prod(shape) * np_dtype.itemsize]
+        .view(np_dtype)
+        .reshape(shape)
         for name, np_dtype, shape, begin in specs
     }
-    return entries, metadata
+    return entries, metadata, payload
 
 
 def read_flat(
     path: str | Path, dtype_tag: str
 ) -> tuple[dict[str, tuple[int, ...]], np.ndarray]:
     """The shapes of a container file whose every entry is of `dtype_tag`,
-    and its whole payload as one flat array, in name order.
-
-    The payload is read from the file straight into that array, so the
-    file's bytes are never held twice. The header is checked against the
-    file's size first: a forged header cannot ask for more memory than
-    the file holds.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header_len = _header_length(fh.read(8), size)
-        raw = fh.read(header_len)
-        if len(raw) != header_len:
-            raise FormatError("truncated: header length exceeds file size")
-        payload_size = size - 8 - header_len
-        specs, _ = _parse_header(raw, payload_size)
-        np_dtype = _DTYPES[dtype_tag]
-        for name, dtype, _, _ in specs:
-            if dtype != np_dtype:
-                raise FormatError(
-                    f"dtype mismatch for {name!r}: expected {dtype_tag}, "
-                    f"got {_TAGS[dtype]}"
-                )
-        flat = np.empty(payload_size // np_dtype.itemsize, np_dtype)
-        if fh.readinto(memoryview(flat).cast("B")) != payload_size:
-            raise FormatError("truncated: payload shorter than declared offsets")
-    return {name: shape for name, _, shape, _ in specs}, flat
+    and its whole payload as one flat read-only array, in name order."""
+    entries, _, payload = read_container(path)
+    np_dtype = _DTYPES[dtype_tag]
+    for name, arr in entries.items():
+        if arr.dtype != np_dtype:
+            raise FormatError(
+                f"dtype mismatch for {name!r}: expected {dtype_tag}, "
+                f"got {_TAGS[arr.dtype]}"
+            )
+    return {name: arr.shape for name, arr in entries.items()}, payload.view(np_dtype)

@@ -138,14 +138,7 @@ class MetricsReport:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys, extrasaction="ignore")
         writer.writeheader()
-        for row in self.rows:
-            writer.writerow(
-                {
-                    k: v
-                    for k, v in row.items()
-                    if isinstance(v, (int, float, str))
-                }
-            )
+        writer.writerows(self.rows)
         return buf.getvalue()
 
 

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import build_container, container_parts, read_flat, write_atomic
+from .container import container_parts, read_flat, write_atomic
 from .errors import AlignmentError, NonFiniteError
 
 MapDigest = bytes  # 32-byte SHA-256 over the canonical checkpoint serialization
@@ -170,7 +170,7 @@ def _checkpoint_parts(pm: ParameterMap) -> list:
 
 def serialize_checkpoint(pm: ParameterMap) -> bytes:
     """Canonical byte serialization; depends only on map content."""
-    return build_container(dict(pm.items()), None)
+    return b"".join(_checkpoint_parts(pm))
 
 
 def save_checkpoint(pm: ParameterMap, path: str | Path) -> None:

@@ -467,8 +467,8 @@ def _step_loop(
     and one seed, else each replica's own rows. It then runs one
     forward/backward over the stack, one group clip that takes one norm
     per parameter name over the stack, and one RMSProp update over the
-    replicas' kept sets. The clip's and the update's scratch is built
-    once, by the `_ReplicaStack`.
+    replicas' kept sets. The stack's state, data and scratch are built
+    once, by `_ReplicaStack(runs)`.
 
     A replica whose loss turns non-finite gets, at that step, the
     `DivergenceError` that its solo run raises. Its row keeps stepping
@@ -479,24 +479,13 @@ def _step_loop(
     final weights raise, and the others keep their results. Appends each
     live replica's epoch losses to its record.
     """
-    model, _, config = runs[0]
+    model, dataset, config = runs[0]
     layout = model.params.layout
-    datasets = [d for _, d, _ in runs]
     seeds = [c.seed for _, _, c in runs]
-    if all(d is datasets[0] for d in datasets):
-        inputs, targets = datasets[0].inputs, datasets[0].targets
-    else:
-        inputs = np.stack([d.inputs for d in datasets])
-        targets = np.stack([d.targets for d in datasets])
-    stack = _ReplicaStack(
-        layout,
-        np.stack([m.params.flat for m, _, _ in runs]),
-        [None if c.mask is None else np.flatnonzero(c.mask.flat) for _, _, c in runs],
-        inputs, targets,
-    )
+    stack = _ReplicaStack(runs)
     outcomes: list = [None] * len(runs)
     losses = [[] for _ in runs]
-    n = len(datasets[0])
+    n = len(dataset)
     for epoch in range(config.epochs):
         order = _epoch_order(seeds, epoch, n)
         for lo in range(0, n, config.batch_size):
@@ -533,8 +522,8 @@ def _step_loop(
 
 
 class _ReplicaStack:
-    """The training state, data and scratch of R replicas that share a
-    `Layout` of size P.
+    """The training state, data and scratch of the R replicas of `runs`,
+    whose params share a `Layout` of size P; all of it is allocated here.
 
     Row r of the float32 weights `state` and gradients `g`, both (R, P),
     belongs to replica r. `v` is the RMSProp state of the updated
@@ -543,15 +532,18 @@ class _ReplicaStack:
     order. `kept` holds those indices, or is None when no replica has a
     mask; then `w` is the flattened state itself, so the update needs no
     gather, and otherwise the kept weights, which each update writes back.
-    The data, `inputs` and `targets`, is one dataset's arrays that every
-    row shares, or the per-row arrays stacked on a leading axis. The
+    The data `pool` is one dataset's inputs and targets that every row
+    shares, or the per-row datasets concatenated in row order. The
     scratch of the clip (`clip`) and of the update (`scratch`) is built
     here once, and every row keeps its place until the loop ends.
     """
 
-    def __init__(self, layout, state, kept_sets, inputs, targets):
+    def __init__(self, runs: Sequence[Run]):
+        layout = runs[0][0].params.layout
         size = layout.size
-        self.state = state
+        self.state = state = np.stack([m.params.flat for m, _, _ in runs])
+        kept_sets = [None if c.mask is None else np.flatnonzero(c.mask.flat)
+                     for _, _, c in runs]
         self.g = np.empty_like(state)
         self.state_flat, self.g_flat = state.reshape(-1), self.g.reshape(-1)
         self.kept = None
@@ -567,13 +559,15 @@ class _ReplicaStack:
         # a lone replica runs on views without the replica axis, which is
         # the same arithmetic with less numpy overhead per call
         lone = len(state) == 1
-        # per-row data is gathered from its (R * n, ...) view, with row r's
-        # indices offset by r * n, so one `take` serves every row
-        self.pool, self.offsets = (inputs, targets), None
-        if inputs.ndim == 3:
-            n = inputs.shape[1]
-            self.pool = tuple(a.reshape(-1, *a.shape[2:]) for a in (inputs, targets))
-            self.offsets = np.arange(0, len(inputs) * n, n)[:, None]
+        # per-row data is gathered from the (R * n, ...) concatenation, with
+        # row r's indices offset by r * n, so one `take` serves every row
+        datasets = [d for _, d, _ in runs]
+        self.pool, self.offsets = (datasets[0].inputs, datasets[0].targets), None
+        if any(d is not datasets[0] for d in datasets):
+            n = len(datasets[0])
+            self.pool = (np.concatenate([d.inputs for d in datasets]),
+                         np.concatenate([d.targets for d in datasets]))
+            self.offsets = np.arange(0, len(datasets) * n, n)[:, None]
         self.weights = layout.views(state[0] if lone else state)
         self.grads = layout.views(self.g[0] if lone else self.g)
 

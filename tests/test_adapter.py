@@ -25,7 +25,7 @@ from lota import (
     zeros_like,
 )
 from lota.adapter import FORMAT, decode_gaps, encode_gaps
-from lota.container import build_container
+from lota.container import container_parts
 
 
 def tv_with_indices(n, indices, values=None, name="w"):
@@ -47,7 +47,7 @@ def forged_adapter(dims, entries=None, **metadata):
     With no `entries`, 'w' stores no values (c = 0).
     """
     meta = {"base_digest": "00" * 32, "format": FORMAT, "shapes": {"w": list(dims)}}
-    return build_container(entries or {}, {**meta, **metadata})
+    return b"".join(container_parts(entries or {}, {**meta, **metadata}))
 
 
 def old_lta_adapter():

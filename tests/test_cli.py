@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import tracemalloc
@@ -885,15 +886,16 @@ def artifact_argv(base_ckpt, tmp_path) -> dict[str, list[str]]:
     }
 
 
-def fail_write(monkeypatch, k: int) -> list:
-    """Make the k-th `write_atomic` call (from 1; 0 for none) raise ENOSPC.
-    Returns the list of the paths that calls name, filled as they come."""
+def fail_write(monkeypatch, k: int, error=None) -> list:
+    """Make the k-th `write_atomic` call (from 1; 0 for none) raise `error`,
+    by default ENOSPC. Returns the list of the paths that calls name, filled
+    as they come."""
     calls = []
 
     def write_atomic(path, *parts):
         calls.append(path)
         if len(calls) == k:
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            raise error or OSError(errno.ENOSPC, "No space left on device", str(path))
         container.write_atomic(path, *parts)
 
     for module in ("cli", "params", "adapter", "sparsity"):
@@ -923,13 +925,16 @@ class TestRunDirectory:
             writes = fail_write(m, 0)
             assert dispatch([*argv, str(earlier)]) == 0
         assert len(writes) >= 2  # the outputs and provenance.json
+        # a full disk, or an allocation that the memory cannot hold
+        errors = (None, MemoryError("Unable to allocate 2.00 GiB"))
         for out in (runs / "empty", earlier):
             before = snapshot(out)
-            for k in range(1, len(writes) + 1):
+            for k, error in itertools.product(range(1, len(writes) + 1), errors):
                 with monkeypatch.context() as m:
-                    fail_write(m, k)
+                    fail_write(m, k, error)
                     assert dispatch([*argv, str(out)]) == 3, (out.name, k)
-                assert json.loads(capsys.readouterr().err)["error"]["type"] == "OSError"
+                assert json.loads(capsys.readouterr().err)["error"]["type"] == (
+                    "OSError" if error is None else "MemoryError")
                 assert snapshot(out) == before, (out.name, k)
                 assert [p.name for p in runs.iterdir()] == ["earlier"], (out.name, k)
 

@@ -6,8 +6,10 @@ a map of about 1M parameters with some headroom. A merge holds its
 float32 result, one block of rows of its sources, and each adapter's
 entries (12 bytes per stored value); the top-k cuts of its trimmed sources
 take one uint32 buffer of the map's size, freed before the result is
-allocated. The hash and the save stream the map's own buffer, and the load
-reads the file straight into the new map's buffer.
+allocated. The hash and the save stream the map's own buffer, and each
+load reads its file's payload straight into one buffer: a checkpoint's
+becomes the new map's, a mask's the new mask's, and an adapter's holds its
+values, beside a copy of each gap stream.
 In a publish, `sparsify` holds one uint32 scratch of the sign-cleared
 bits and its boolean result, `apply_mask` its float32 result, and
 `encode` a one-byte boolean per element for its support scan plus
@@ -27,9 +29,13 @@ from lota import (
     decode,
     digest,
     encode,
+    load_adapter,
     load_checkpoint,
+    load_mask,
     merge_lota,
+    save_adapter,
     save_checkpoint,
+    save_mask,
     sparsify,
     ties_merge,
 )
@@ -46,6 +52,8 @@ BUDGET = {
     "digest": 1.0,
     "save_checkpoint": 1.0,
     "load_checkpoint": 6.0,
+    "load_adapter": 4.0,
+    "load_mask": 3.0,
 }
 
 
@@ -66,9 +74,11 @@ def problem(tmp_path_factory):
     masks = [sparsify(tv, 0.9) for tv in tvs]
     masked = [apply_mask(tv, mask) for tv, mask in zip(tvs, masks)]
     adapters = [encode(tv) for tv in masked]
-    path = tmp_path_factory.mktemp("budget") / "base.ckpt"
-    save_checkpoint(base, path)
-    return base, tvs, (masks[0], masked[0]), adapters, path
+    files = tmp_path_factory.mktemp("budget")
+    save_checkpoint(base, files / "base.ckpt")
+    save_mask(masks[0], files / "0.mask.bin")
+    save_adapter(adapters[0], files / "0.lta")
+    return base, tvs, (masks[0], masked[0]), adapters, files
 
 
 def traced_peak(call) -> int:
@@ -82,7 +92,7 @@ def traced_peak(call) -> int:
 
 @pytest.mark.parametrize("op", sorted(BUDGET))
 def test_peak_per_parameter(problem, tmp_path, op):
-    base, tvs, (mask, masked), adapters, path = problem
+    base, tvs, (mask, masked), adapters, files = problem
     fresh = ParameterMap.from_flat(base.layout, base.flat.copy())  # not yet hashed
     calls = {
         "sparsify": lambda: sparsify(tvs[0], 0.9),
@@ -93,7 +103,9 @@ def test_peak_per_parameter(problem, tmp_path, op):
         "merge_lota": lambda: merge_lota(base, adapters),
         "digest": lambda: digest(fresh),
         "save_checkpoint": lambda: save_checkpoint(base, tmp_path / "out.ckpt"),
-        "load_checkpoint": lambda: load_checkpoint(path),
+        "load_checkpoint": lambda: load_checkpoint(files / "base.ckpt"),
+        "load_adapter": lambda: load_adapter(files / "0.lta"),
+        "load_mask": lambda: load_mask(files / "0.mask.bin"),
     }
     per_parameter = traced_peak(calls[op]) / base.total_elements
     assert per_parameter <= BUDGET[op]

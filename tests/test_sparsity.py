@@ -23,7 +23,7 @@ from lota import (
     sparsify,
     zeros_like,
 )
-from lota.container import build_container
+from lota.container import container_parts
 from lota.sparsity import topk_keep_flat
 
 
@@ -386,6 +386,6 @@ class TestMaskIO:
         (tmp_path / "m.mask.json").write_text('{"declared_sparsity": 0.0}')
         for entries, match in (({}, "at least one element"),
                                ({"w": np.ones(2, np.float32)}, "dtype mismatch")):
-            path.write_bytes(build_container(entries, None))
+            path.write_bytes(b"".join(container_parts(entries, None)))
             with pytest.raises(FormatError, match=match):
                 load_mask(path)
