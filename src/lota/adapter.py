@@ -16,7 +16,9 @@ entry. The header's `__metadata__` holds
 with every tensor's dense shape, so the entry set follows from the shapes
 and the stored counts. The tensor's element count n is the product of its
 dims (1 for a 0-d tensor). Every dim is positive, n fits in int64, and
-ndim is at most `container.MAX_NDIM`.
+ndim is at most `container.MAX_NDIM`. A record is checked once, when it
+is made, and its gap stream is a uint8 array; an adapter is aligned with
+a base by its `layout`, as a map or a mask is.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _INT64_MAX = 2**63 - 1
 _LTA_MAGIC = b"LTA1"
 
 
-def encode_gaps(indices: np.ndarray) -> bytes:
+def encode_gaps(indices: np.ndarray) -> np.ndarray:
     """Gap-encode a strictly increasing index array.
 
     Each gap g is written as g // 255 bytes of 255, then the byte g % 255.
@@ -47,7 +49,7 @@ def encode_gaps(indices: np.ndarray) -> bytes:
     bounds; only the byte positions of the remainders need `intp`.
     """
     if indices.size == 0:
-        return b""
+        return np.empty(0, np.uint8)
     gaps = np.empty(indices.size, np.min_scalar_type(int(indices[-1]) + indices.size))
     gaps[0] = indices[0]
     np.subtract(indices[1:], indices[:-1], out=gaps[1:], casting="unsafe")
@@ -59,43 +61,51 @@ def encode_gaps(indices: np.ndarray) -> bytes:
     ends -= 1
     buf = np.full(int(ends[-1]) + 1, 255, dtype=np.uint8)
     buf[ends] = gaps
-    return buf.tobytes()
+    return buf
 
 
-def decode_gaps(stream: bytes, n: int, c: int) -> np.ndarray:
-    """Inverse of encode_gaps; validates bounds and monotonicity.
-
-    A gap is the sum of its bytes, so each index is the running byte sum at
-    the byte that ends its gap, the first byte that is not 255.
-    """
-    buf = np.frombuffer(stream, dtype=np.uint8)
-    if c == 0:
-        if buf.size:
-            raise FormatError("gap stream present but stored count is 0")
-        return np.empty(0, dtype=np.int64)
-    terminators = np.flatnonzero(buf != 255)
-    if terminators.size != c:
-        raise FormatError(
-            f"gap stream decodes to {terminators.size} indices, expected {c}"
-        )
-    if terminators[-1] != buf.size - 1:
+def _check_gaps(buf: np.ndarray, n: int, c: int) -> None:
+    """Refuse `buf` unless it holds exactly c strictly increasing indices below
+    n, without building them: a byte other than 255 ends a gap, a 0 byte that
+    starts one repeats an index, and the last index is the sum of the bytes."""
+    ends = buf.size - np.count_nonzero(buf == 255)
+    if ends != c:
+        raise FormatError(f"gap stream decodes to {ends} indices, expected {c}")
+    if buf.size and buf[-1] == 255:
         raise FormatError("gap stream ends with dangling continuation bytes")
-    indices = np.cumsum(buf, dtype=np.int64)[terminators]
-    if (indices[1:] <= indices[:-1]).any():
+    if (buf[np.flatnonzero(buf[1:] == 0)] != 255).any():  # the byte before each 0
         raise FormatError("gap stream yields non-increasing indices")
-    if indices[-1] >= n:
-        raise FormatError(f"index {int(indices[-1])} out of range for n={n}")
-    return indices
+    last = int(buf.sum(dtype=np.uint64))
+    if buf.size and last >= n:
+        raise FormatError(f"index {last} out of range for n={n}")
+
+
+def decode_gaps(stream: bytes | np.ndarray, n: int, c: int) -> np.ndarray:
+    """Inverse of encode_gaps, of a stream (bytes or uint8) that `_check_gaps`
+    passes: each index is the running byte sum at the byte that ends its gap."""
+    buf = np.frombuffer(stream, dtype=np.uint8)
+    _check_gaps(buf, n, c)
+    return np.cumsum(buf, dtype=np.int64)[buf != 255]
 
 
 @dataclass(frozen=True)
 class AdapterRecord:
-    """One tensor's sparse payload: its shape and its c nonzero coordinates."""
+    """One tensor's sparse payload: its shape and its c nonzero coordinates.
+    Checked when it is made; both arrays are then read-only."""
 
     name: str
     shape: tuple[int, ...]
-    gap_bytes: bytes
+    gap_bytes: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        gaps, values = self.gap_bytes, self.values
+        if (gaps.dtype, gaps.ndim, values.dtype, values.ndim) != (np.uint8, 1, np.float32, 1):
+            raise FormatError(f"gaps or values of {self.name!r}: wrong dtype or rank")
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite values in tensor {self.name!r}")
+        _check_gaps(gaps, self.n, self.c)
+        gaps.flags.writeable = values.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -124,20 +134,19 @@ class SparseAdapter:
         n = self.n_total
         return 1.0 - self.c_total / n if n else 1.0
 
-    def flat_entries(self, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending positions in a buffer of `layout` and the values stored there.
-
-        Every record must name a tensor of `layout` of its shape. All are
-        checked first, so nothing is allocated from dims read out of a file.
-        """
+    @property
+    def layout(self) -> Layout:
+        """The `Layout` of the records; a tensor held twice is an AlignmentError."""
+        shapes = {}
         for rec in self.records:
-            shape = layout.shapes.get(rec.name)
-            if shape is None:
-                raise AlignmentError(f"adapter tensor {rec.name!r} not in base map")
-            if shape != rec.shape:
-                raise AlignmentError(
-                    f"shape mismatch for {rec.name!r}: base {shape}, adapter {rec.shape}"
-                )
+            if rec.name in shapes:
+                raise AlignmentError(f"adapter holds tensor {rec.name!r} twice")
+            shapes[rec.name] = rec.shape
+        return Layout(shapes)
+
+    def flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions in a buffer of `layout` and the values stored there."""
+        layout = self.layout
         offsets = dict(zip(layout.names, layout.offsets))
         records = sorted(self.records, key=lambda r: offsets[r.name])
         if not records:
@@ -156,9 +165,7 @@ def encode(tv: TaskVector) -> SparseAdapter:
     for name, arr in tv.entries.items():
         flat = arr.ravel()
         nz = np.flatnonzero(flat != 0)
-        values = flat[nz]  # float32 already, and a copy
-        values.flags.writeable = False
-        records.append(AdapterRecord(name, arr.shape, encode_gaps(nz), values))
+        records.append(AdapterRecord(name, arr.shape, encode_gaps(nz), flat[nz]))
     return SparseAdapter(base_digest=tv.base_digest, records=tuple(records))
 
 
@@ -168,7 +175,7 @@ def decode(adapter: SparseAdapter) -> TaskVector:
 
     The summed size is checked before anything is allocated.
     """
-    layout = Layout({rec.name: rec.shape for rec in adapter.records})
+    layout = adapter.layout
     names = ", ".join(map(repr, layout.names))
     if layout.size > _INT64_MAX:
         raise FormatError(f"tensors {names} hold {layout.size} elements, past int64")
@@ -176,7 +183,7 @@ def decode(adapter: SparseAdapter) -> TaskVector:
         flat = np.zeros(layout.size, dtype=np.float32)
     except (MemoryError, ValueError) as exc:
         raise FormatError(f"cannot allocate {layout.size} elements for {names}") from exc
-    idx, vals = adapter.flat_entries(layout)
+    idx, vals = adapter.flat_entries()
     flat[idx] = vals
     return TaskVector(ParameterMap.from_flat(layout, flat), adapter.base_digest)
 
@@ -194,7 +201,8 @@ def apply_adapter(
         raise DigestMismatchError(
             "adapter was built against a different base model"
         )
-    idx, vals = adapter.flat_entries(w_p.layout)
+    adapter.layout.require_aligned(w_p.layout, "adapter and base")
+    idx, vals = adapter.flat_entries()
     out = w_p.flat.copy()
     out[idx] += vals
     return ParameterMap.from_flat(w_p.layout, out)
@@ -233,7 +241,7 @@ def _container_parts(adapter: SparseAdapter) -> list:
     entries = {}
     for rec in adapter.records:
         if rec.c:
-            entries[f"{rec.name}/gaps"] = np.frombuffer(rec.gap_bytes, np.uint8)
+            entries[f"{rec.name}/gaps"] = rec.gap_bytes
             entries[f"{rec.name}/values"] = rec.values
     metadata = {
         "base_digest": adapter.base_digest.hex(),
@@ -274,19 +282,10 @@ def load_adapter(path: str | Path) -> SparseAdapter:
         if not name:
             raise FormatError("empty tensor name")
         shape = checked_shape(shapes[name], name)
-        n = math.prod(shape)
-        if n > _INT64_MAX:
+        if math.prod(shape) > _INT64_MAX:
             raise FormatError(f"element count of {name!r} overflows int64")
-        gaps = entries.get(f"{name}/gaps", np.empty(0, np.uint8))
-        values = entries.get(f"{name}/values", np.empty(0, np.float32))
-        if (gaps.dtype, gaps.ndim, values.dtype, values.ndim) != (
-            np.uint8, 1, np.float32, 1
-        ):
-            raise FormatError(f"gaps or values of {name!r}: wrong dtype or rank")
-        if not np.isfinite(values).all():
-            raise FormatError(f"non-finite values in tensor {name!r}")
-        gap_bytes = gaps.tobytes()
-        decode_gaps(gap_bytes, n, values.size)  # check the stream against n and c
-        values.flags.writeable = False
-        records.append(AdapterRecord(name, shape, gap_bytes, values))
+        records.append(AdapterRecord(
+            name, shape, entries.get(f"{name}/gaps", np.empty(0, np.uint8)),
+            entries.get(f"{name}/values", np.empty(0, np.float32)),
+        ))
     return SparseAdapter(base_digest=base_digest, records=tuple(records))

@@ -79,6 +79,12 @@ def distinct(check: Check) -> Check:
                  lambda x: check.test(x) and len(set(x)) == len(x))
 
 
+def increasing(check: Check) -> Check:
+    """A list that passes `check` and whose items strictly increase."""
+    return Check(f"{check.what}, strictly increasing",
+                 lambda x: check.test(x) and all(a < b for a, b in zip(x, x[1:])))
+
+
 def optional(check: Check) -> Check:
     return Check(f"null or {check.what}", lambda x: x is None or check.test(x))
 

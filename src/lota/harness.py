@@ -25,7 +25,7 @@ import numpy as np
 
 from .adapter import compression_report
 from .config import (BOOL, DIM_MAX, OBJECT, SEED_MAX, check_fields, checked, choice,
-                     distinct, from_json, integer, optional, real, seq)
+                     distinct, from_json, increasing, integer, optional, real, seq)
 from .errors import ConfigError, HarnessError
 from .merging import merge_grid_search
 from .models import ACTIVATIONS, HEADS, Dataset, ToyModel
@@ -337,14 +337,8 @@ class SparsityAblationSpec(_ExperimentSpec):
         distinct(seq(SPARSITY)), default=(0.0, 0.25, 0.5, 0.75, 0.9, 0.99)
     )
     iterative_schedule: tuple[float, ...] | None = checked(
-        optional(seq(SPARSITY)), default=(0.9, 0.99)
+        optional(increasing(seq(SPARSITY))), default=(0.9, 0.99)
     )
-
-    def __post_init__(self):
-        super().__post_init__()
-        schedule = self.iterative_schedule or ()
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("iterative_schedule must be strictly increasing")
 
 
 def _sparsity_one_seed(

@@ -12,7 +12,7 @@ merges and scores each cell of a per-source grid of trim fractions once.
 Every merge walks the flat coordinates in blocks of `_BLOCK` columns.
 First each source is checked against the base, and a source that is
 trimmed gets its top-k cut (`sparsity._topk_cut`); an adapter also gets
-its sorted global indices (`SparseAdapter.flat_entries(layout)`) and the
+its sorted global indices (`SparseAdapter.flat_entries()`) and the
 first of them in each block. In a block, each source fills one row of a
 (sources, block) float32 buffer with its values, weighted, the trimmed
 ones zeroed. Zeros never change a merge: a zero adds nothing to a sum
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .adapter import SparseAdapter
-from .errors import AlignmentError, DigestMismatchError
+from .errors import DigestMismatchError
 from .params import ParameterMap, digest
 from .sparsity import _MAGNITUDE_BITS, TaskVector, _kept, _topk_cut, round_half_up
 
@@ -79,9 +79,8 @@ def _prepare(
                 f"task vector {i} was computed against a different base"
             )
         if isinstance(src, SparseAdapter):
-            idx, vals = src.flat_entries(w_p.layout)
-            if sorted(r.name for r in src.records) != list(w_p.names):
-                raise AlignmentError(f"adapter {i} must hold each base tensor once")
+            src.layout.require_aligned(w_p.layout, f"adapter {i} and base")
+            idx, vals = src.flat_entries()
             starts = np.searchsorted(idx, edges)
         else:
             src.entries.layout.require_aligned(w_p.layout, "task vector and base")

@@ -63,8 +63,12 @@ class Layout:
         }
 
     def require_aligned(self, other: "Layout", what: str = "maps") -> None:
+        """Refuse `other` naming the first tensor where the two differ, in name order."""
         if self != other:
-            raise AlignmentError(f"{what} are not aligned (names/shapes differ)")
+            name = min(n for n in self.shapes.keys() | other.shapes.keys()
+                       if self.shapes.get(n) != other.shapes.get(n))
+            a, b = (layout.shapes.get(name, "missing") for layout in (self, other))
+            raise AlignmentError(f"{what} are not aligned at {name!r}: {a} against {b}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Layout):

@@ -75,11 +75,13 @@ from typing import Generator, Sequence
 import numpy as np
 
 from .adapter import SparseAdapter, encode
-from .config import COUNT_MAX, SEED_MAX, check_fields, checked, integer, optional, real
+from .config import (COUNT_MAX, SEED_MAX, check_fields, checked, increasing, integer,
+                     optional, real, seq)
 from .errors import ConfigError, DivergenceError, LotaError, NonFiniteError
 from .models import Dataset, ToyModel, concat_datasets, _forward_backward_state
 from .params import ParameterMap, digest
 from .sparsity import (
+    SPARSITY,
     SparsityMask,
     _kept_count,
     all_false_mask,
@@ -660,12 +662,7 @@ def iterative_lota(
     calibration record.
     """
     schedule = list(sparsity_schedule)
-    if not schedule:
-        raise ConfigError("sparsity schedule must be nonempty")
-    for s in schedule:
-        _kept_count(s, model.params.total_elements)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("schedule must be strictly increasing")
+    increasing(seq(SPARSITY, min_len=1)).require("sparsity schedule", schedule)
     stages = [(yield from _lota_phase(model, dataset, schedule[0], config))]
     for s in schedule[1:]:
         prev = stages[-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -20,11 +21,12 @@ from lota import (
     digest,
     encode,
     load_adapter,
+    merge_lota,
     save_adapter,
     save_checkpoint,
     zeros_like,
 )
-from lota.adapter import FORMAT, decode_gaps, encode_gaps
+from lota.adapter import FORMAT, AdapterRecord, decode_gaps, encode_gaps
 from lota.container import container_parts
 
 
@@ -75,14 +77,14 @@ def load_bytes(blob, tmp_path):
 class TestGapCodec:
     def test_worked_example(self):
         # indices [3, 10, 300]: gaps 3, 7, 290 = 255 + 35
-        assert encode_gaps(np.array([3, 10, 300])) == bytes([3, 7, 0xFF, 35])
+        assert encode_gaps(np.array([3, 10, 300])).tobytes() == bytes([3, 7, 0xFF, 35])
 
     def test_gap_exactly_255(self):
-        assert encode_gaps(np.array([0, 255])) == bytes([0, 0xFF, 0])
+        assert encode_gaps(np.array([0, 255])).tobytes() == bytes([0, 0xFF, 0])
 
     def test_multiple_continuations(self):
         # gap 510 -> 255 + 255 + 0
-        assert encode_gaps(np.array([510])) == bytes([0xFF, 0xFF, 0])
+        assert encode_gaps(np.array([510])).tobytes() == bytes([0xFF, 0xFF, 0])
 
     def test_decode_inverse(self):
         for idx in ([0], [254], [255], [256], [3, 10, 300], [0, 255, 510, 1000]):
@@ -98,7 +100,7 @@ class TestGapCodec:
         idx = np.array([0, 1, 2, last], dtype=np.int64)
         gaps = np.diff(idx, prepend=0)
         want = b"".join(b"\xff" * (g // 255) + bytes([g % 255]) for g in gaps.tolist())
-        assert encode_gaps(idx) == want
+        assert encode_gaps(idx).tobytes() == want
         np.testing.assert_array_equal(decode_gaps(want, n=last + 1, c=4), idx)
 
     def test_index_out_of_range(self):
@@ -455,8 +457,50 @@ class TestApplyAdapter:
         tv = TaskVector(entries=ParameterMap({"w": delta}), base_digest=digest(w_p))
         path = tmp_path / "w.lta"
         save_adapter(encode(tv), path)
-        with pytest.raises(AlignmentError, match="shape mismatch"):
+        with pytest.raises(AlignmentError, match=r"at 'w': \(4, 6\) against \(6, 4\)"):
             apply_adapter(w_p, load_adapter(path))
+
+
+class TestAdapterChecks:
+    """A record checks itself when it is made, and decode, apply and merge
+    all align an adapter with a base by its layout."""
+
+    def base_and_adapter(self):
+        base = ParameterMap({"a": np.ones(4, np.float32), "b": np.ones(3, np.float32)})
+        delta = {"a": np.array([1, 0, 0, 2], np.float32),
+                 "b": np.array([0, 3, 0], np.float32)}
+        return base, encode(TaskVector(ParameterMap(delta), digest(base)))
+
+    @pytest.mark.parametrize("gaps, values, match", [
+        ([3, 0], [1, 2], "non-increasing"),  # index 3 twice
+        ([3, 4], [1, np.nan], "non-finite"),
+        ([3, 4], [1], "expected 1"),
+        ([3, 7], [1, 2], "out of range"),
+    ], ids=["repeated-index", "nan-value", "count", "range"])
+    def test_hand_built_record_checked_when_made(self, gaps, values, match):
+        with pytest.raises(FormatError, match=match):
+            AdapterRecord("w", (10,), np.array(gaps, np.uint8),
+                          np.array(values, np.float32))
+
+    def test_record_arrays_become_read_only(self):
+        gaps, values = np.array([3, 4], np.uint8), np.ones(2, np.float32)
+        AdapterRecord("w", (10,), gaps, values)
+        assert not gaps.flags.writeable and not values.flags.writeable
+
+    def test_tensor_held_twice_refused_by_decode_apply_and_merge(self):
+        base, adapter = self.base_and_adapter()
+        a, b = adapter.records
+        twice = dataclasses.replace(adapter, records=(a, a, b))
+        for use in (decode, lambda ad: apply_adapter(base, ad),
+                    lambda ad: merge_lota(base, [ad])):
+            with pytest.raises(AlignmentError, match="'a' twice"):
+                use(twice)
+
+    def test_apply_refuses_an_adapter_that_lacks_a_base_tensor(self):
+        base, adapter = self.base_and_adapter()
+        partial = dataclasses.replace(adapter, records=adapter.records[:1])
+        with pytest.raises(AlignmentError, match="'b'"):
+            apply_adapter(base, partial)
 
 
 # bounded so that w_f - w_p cannot overflow float32

@@ -317,13 +317,10 @@ class TestMergeCommand:
         assert merged.names == pm.names
         assert (out / "merge_spec.json").exists()
 
-    def merge_forged(self, base_ckpt, tmp_path, capsys, source, mode):
-        """Exit code, error type and traced peak of a merge of a forged adapter.
-
-        The adapter is a diff against `source` whose `layer0.bias` record
-        claims dims (2**40,).
-        """
-        pm, path = base_ckpt
+    @staticmethod
+    def forged_file(tmp_path, source):
+        """A diff against `source` whose `layer0.bias` record claims dims
+        (2**40,), saved as an adapter file."""
         source_path, ft_path = tmp_path / "source.ckpt", tmp_path / "ft.ckpt"
         save_checkpoint(source, source_path)
         save_checkpoint(tweaked(source), ft_path)
@@ -335,19 +332,41 @@ class TestMergeCommand:
         )
         forged = tmp_path / "forged.lta"
         save_adapter(dataclasses.replace(adapter, records=records), forged)
-        merge_config = tmp_path / "merge.json"
-        merge_config.write_text(json.dumps(
-            {"base": str(path), "adapters": [str(forged)], **mode}
-        ))
+        return forged
+
+    @staticmethod
+    def traced_dispatch(capsys, argv):
+        """Exit code, error type and traced peak of `dispatch(argv)`."""
         capsys.readouterr()
         tracemalloc.start()
         try:
-            code = dispatch(["merge", "--config", str(merge_config),
-                             "--out", str(tmp_path / "m")])
+            code = dispatch(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return code, json.loads(capsys.readouterr().err)["error"]["type"], peak
+
+    def merge_forged(self, base_ckpt, tmp_path, capsys, source, mode):
+        """Exit code, error type and traced peak of a merge of the forged
+        adapter of `source`."""
+        forged = self.forged_file(tmp_path, source)
+        merge_config = tmp_path / "merge.json"
+        merge_config.write_text(json.dumps(
+            {"base": str(base_ckpt[1]), "adapters": [str(forged)], **mode}
+        ))
+        return self.traced_dispatch(capsys, ["merge", "--config", str(merge_config),
+                                             "--out", str(tmp_path / "m")])
+
+    def test_apply_of_forged_dims_rejected_before_allocating(self, base_ckpt, tmp_path,
+                                                             capsys):
+        pm, path = base_ckpt
+        forged = self.forged_file(tmp_path, pm)
+        code, error, peak = self.traced_dispatch(capsys, [
+            "apply", "--base", str(path), "--adapter", str(forged),
+            "--out", str(tmp_path / "m"),
+        ])
+        assert (code, error) == (2, "AlignmentError")
+        assert peak < 2**20
 
     @pytest.mark.parametrize("elect", [True, False])
     def test_forged_dims_rejected_before_decode(self, base_ckpt, tmp_path,

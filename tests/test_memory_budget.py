@@ -9,7 +9,7 @@ take one uint32 buffer of the map's size, freed before the result is
 allocated. The hash and the save stream the map's own buffer, and each
 load reads its file's payload straight into one buffer: a checkpoint's
 becomes the new map's, a mask's the new mask's, and an adapter's holds its
-values, beside a copy of each gap stream.
+gap streams and values, which its records check where they lie.
 In a publish, `sparsify` holds one uint32 scratch of the sign-cleared
 bits and its boolean result, `apply_mask` its float32 result, and
 `encode` a one-byte boolean per element for its support scan plus
@@ -52,7 +52,7 @@ BUDGET = {
     "digest": 1.0,
     "save_checkpoint": 1.0,
     "load_checkpoint": 6.0,
-    "load_adapter": 4.0,
+    "load_adapter": 1.5,
     "load_mask": 3.0,
 }
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lota import (
+    AlignmentError,
     FormatError,
     NonFiniteError,
     ParameterMap,
@@ -23,7 +24,7 @@ from lota import (
     save_checkpoint,
     save_mask,
 )
-from lota.params import serialize_checkpoint
+from lota.params import Layout, serialize_checkpoint
 from lota.sparsity import load_mask
 
 
@@ -373,6 +374,17 @@ class TestLayoutContract:
             loaded = load_mask(path) if isinstance(m, SparsityMask) else (
                 load_checkpoint(path))
             assert loaded == m
+
+    def test_require_aligned_names_the_first_difference_in_name_order(self):
+        ab = Layout({"a": (2,), "b": (3,)})
+        ab.require_aligned(Layout({"b": (3,), "a": (2,)}))
+        with pytest.raises(AlignmentError,
+                           match=r"^masks are not aligned at 'b': \(3,\) against \(1, 3\)$"):
+            ab.require_aligned(Layout({"a": (2,), "b": (1, 3)}), "masks")
+        with pytest.raises(AlignmentError, match=r"at 'a': missing against \(2,\)$"):
+            Layout({"b": (3,), "c": ()}).require_aligned(ab)
+        with pytest.raises(AlignmentError, match=r"at 'a': \(2,\) against \(\)$"):
+            ab.require_aligned(Layout({"a": (), "c": (3,)}))
 
     def test_from_flat_rejects_a_buffer_that_does_not_fit(self):
         pm = small_map()
