@@ -80,18 +80,25 @@ def _check_gaps(buf: np.ndarray, n: int, c: int) -> None:
         raise FormatError(f"index {last} out of range for n={n}")
 
 
-def decode_gaps(stream: bytes | np.ndarray, n: int, c: int) -> np.ndarray:
-    """Inverse of encode_gaps, of a stream (bytes or uint8) that `_check_gaps`
-    passes: each index is the running byte sum at the byte that ends its gap."""
-    buf = np.frombuffer(stream, dtype=np.uint8)
-    _check_gaps(buf, n, c)
+def _gap_indices(buf: np.ndarray) -> np.ndarray:
+    """The indices of a checked uint8 gap stream: each is the running byte
+    sum at the byte that ends its gap."""
     return np.cumsum(buf, dtype=np.int64)[buf != 255]
 
 
-@dataclass(frozen=True)
+def decode_gaps(stream: bytes | np.ndarray, n: int, c: int) -> np.ndarray:
+    """Inverse of encode_gaps, of a stream (bytes or uint8) that `_check_gaps`
+    passes."""
+    buf = np.frombuffer(stream, dtype=np.uint8)
+    _check_gaps(buf, n, c)
+    return _gap_indices(buf)
+
+
+@dataclass(frozen=True, eq=False)
 class AdapterRecord:
     """One tensor's sparse payload: its shape and its c nonzero coordinates.
-    Checked when it is made; both arrays are then read-only."""
+    Checked when it is made; both arrays are then read-only. Two records
+    are equal when their names, shapes and bytes are."""
 
     name: str
     shape: tuple[int, ...]
@@ -106,6 +113,14 @@ class AdapterRecord:
             raise FormatError(f"non-finite values in tensor {self.name!r}")
         _check_gaps(gaps, self.n, self.c)
         gaps.flags.writeable = values.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AdapterRecord):
+            return NotImplemented
+        return (self.name, self.shape) == (other.name, other.shape) and all(
+            a.tobytes() == b.tobytes()
+            for a, b in ((self.gap_bytes, other.gap_bytes), (self.values, other.values))
+        )
 
     @property
     def n(self) -> int:
@@ -145,7 +160,8 @@ class SparseAdapter:
         return Layout(shapes)
 
     def flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending positions in a buffer of `layout` and the values stored there."""
+        """Ascending positions in a buffer of `layout` and the values stored
+        there; each record's stream was checked when the record was made."""
         layout = self.layout
         offsets = dict(zip(layout.names, layout.offsets))
         records = sorted(self.records, key=lambda r: offsets[r.name])
@@ -153,7 +169,7 @@ class SparseAdapter:
             return np.empty(0, np.intp), np.empty(0, np.float32)
         return (
             np.concatenate([
-                decode_gaps(r.gap_bytes, r.n, r.c) + offsets[r.name] for r in records
+                _gap_indices(r.gap_bytes) + offsets[r.name] for r in records
             ]),
             np.concatenate([r.values for r in records]),
         )

@@ -43,6 +43,13 @@ _METADATA = "__metadata__"
 MAX_NDIM = 32  # the most dims any supported numpy release can hold
 
 
+def refuse_reserved(names) -> None:
+    """Refuse a tensor named like the metadata key, which a reader would
+    take for the metadata."""
+    if _METADATA in names:
+        raise ValueError(f"{_METADATA!r} is a reserved name, not a tensor name")
+
+
 def container_parts(entries: dict[str, np.ndarray], metadata: dict | None) -> list:
     """The container of `entries` (name -> float32 or uint8 ndarray) and
     `metadata`, as the byte parts that make it up, in order.
@@ -51,11 +58,9 @@ def container_parts(entries: dict[str, np.ndarray], metadata: dict | None) -> li
     tensor's buffer in name order. A C-contiguous tensor's buffer is the
     tensor itself, not a copy, so a writer or a hash can take the parts
     one by one without the container ever being joined in memory. No entry
-    may be named like the metadata key, which a reader would take for the
-    metadata.
+    may have the reserved name (`refuse_reserved`).
     """
-    if _METADATA in entries:
-        raise ValueError(f"{_METADATA!r} is a reserved name, not a tensor name")
+    refuse_reserved(entries)
     header: dict[str, dict] = {} if metadata is None else {_METADATA: metadata}
     buffers = []
     offset = 0

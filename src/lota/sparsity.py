@@ -10,6 +10,13 @@ k is found by selection, not by sorting: one partition finds the k-th
 largest magnitude, everything above it is kept, and a tie pass keeps the
 earliest elements equal to it. The selection runs on the uint32 bit
 patterns of the float32 magnitudes, which order as the floats do.
+
+A mask file is one container (see `container`), version 2 of the mask
+format, plus a `.json` sidecar with its declared sparsity. The container
+holds one U8 entry, `bits`: the mask's flat buffer as packed bits
+(`np.packbits`, most significant bit first), ceil(n / 8) bytes with the
+pad bits of the last byte zero, so each mask has one file. Its
+`__metadata__` holds {"format": "lota-mask-2", "shapes": {name: [dims]}}.
 """
 
 from __future__ import annotations
@@ -22,11 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import real
-from .container import container_parts, read_flat, write_atomic
+from .container import (
+    checked_shape, container_parts, read_container, refuse_reserved, write_atomic,
+)
 from .errors import CapacityError, FormatError
 from .params import Layout, MapDigest, ParameterMap, _FlatMap, digest
 
 SPARSITY = real("[0, 1)")
+MASK_FORMAT = "lota-mask-2"
+_BITS = "bits"  # the one entry of a mask file
 # clears a float32 bit pattern's sign bit
 _MAGNITUDE_BITS = np.uint32(0x7FFFFFFF)
 _TIE_SCAN = 2**16  # elements per step of the tie scan in `_topk_cut`
@@ -213,11 +224,19 @@ def sparsify(
 
 
 def apply_mask(tv: TaskVector, mask: SparsityMask) -> TaskVector:
-    """Zero every coordinate where the mask is false."""
+    """Zero every coordinate where the mask is false.
+
+    Branch-free: the mask widened to uint32 and negated is a word of all
+    ones where it keeps and of zeros where it drops, so its AND with the
+    values' bits is exactly `np.where(mask, values, 0.0)`: +0.0 where a
+    coordinate is dropped, the value's own bits (-0.0 too) where it is kept.
+    """
     layout = tv.entries.layout
     mask.layout.require_aligned(layout, "mask and task vector")
-    masked = np.where(mask.flat, tv.entries.flat, np.float32(0.0))
-    return TaskVector(ParameterMap.from_flat(layout, masked), tv.base_digest)
+    bits = mask.flat.astype(np.uint32)
+    np.negative(bits, out=bits)
+    np.bitwise_and(bits, tv.entries.flat.view(np.uint32), out=bits)
+    return TaskVector(ParameterMap.from_flat(layout, bits.view(np.float32)), tv.base_digest)
 
 
 def mask_union(a: SparsityMask, b: SparsityMask) -> SparsityMask:
@@ -250,12 +269,19 @@ def save_mask(
     source: str = "",
     seed: int | None = None,
 ) -> None:
-    """Write mask container plus `<path>.json` sidecar; bit-reproducible.
+    """Write the packed mask container plus `<path>.json` sidecar;
+    bit-reproducible.
 
     Both are serialized before either is written, and each is replaced
-    atomically, container first.
+    atomically, container first. A mask names the tensors of a map, so it
+    refuses the one name that the map's checkpoint refuses.
     """
-    parts = container_parts({n: a.view(np.uint8) for n, a in mask.items()}, None)
+    refuse_reserved(mask.names)
+    metadata = {
+        "format": MASK_FORMAT,
+        "shapes": {name: list(shape) for name, shape in mask.layout.shapes.items()},
+    }
+    parts = container_parts({_BITS: np.packbits(mask.flat)}, metadata)
     sidecar = {"declared_sparsity": mask.declared_sparsity, "source": source}
     if seed is not None:
         sidecar["seed"] = seed
@@ -264,14 +290,47 @@ def save_mask(
     write_atomic(str(path) + ".json", text.encode())
 
 
+def _mask_layout(meta: dict | None, entries: dict[str, np.ndarray]) -> Layout:
+    """The layout that a mask file's metadata declares, checked against its
+    one entry before anything is sized from it: ceil(n / 8) packed bytes
+    bound n by the file's size."""
+    if meta is None and entries and all(a.dtype == np.uint8 for a in entries.values()):
+        raise FormatError(
+            f"old unpacked mask format (before {MASK_FORMAT}) is not readable; "
+            "save the mask again"
+        )
+    tag = (meta or {}).get("format")
+    if tag != MASK_FORMAT:
+        raise FormatError(f"not a mask file: unknown format tag {tag!r}")
+    shapes = meta.get("shapes")
+    if not isinstance(shapes, dict):
+        raise FormatError("malformed mask metadata: shapes is not an object")
+    try:
+        layout = Layout({name: checked_shape(dims, name) for name, dims in shapes.items()})
+    except ValueError as exc:  # an empty tensor name
+        raise FormatError(f"malformed mask metadata: {exc}") from exc
+    if layout.size == 0:
+        raise FormatError("mask must cover at least one element")
+    if set(entries) != {_BITS}:
+        raise FormatError(f"mask entries are {sorted(entries)}, not [{_BITS!r}]")
+    bits, nbytes = entries[_BITS], -(-layout.size // 8)
+    if bits.dtype != np.uint8 or bits.shape != (nbytes,):
+        raise FormatError(
+            f"mask bits are {bits.dtype}{list(bits.shape)}, expected "
+            f"{nbytes} U8 bytes for {layout.size} elements"
+        )
+    used = (layout.size - 1) % 8 + 1  # bits of the last byte that hold elements
+    if bits[-1] & (0xFF >> used):
+        raise FormatError("mask bits have nonzero pad bits")
+    return layout
+
+
 def load_mask(path: str | Path) -> SparsityMask:
-    """The mask stored at `path` and its sidecar; its payload is read
+    """The mask stored at `path` and its sidecar; its bits are unpacked
     straight into the mask's buffer."""
-    shapes, flat = read_flat(path, "U8")
-    layout = Layout(shapes)
-    if (flat > 1).any():
-        bad = next(n for n, a in layout.views(flat).items() if (a > 1).any())
-        raise FormatError(f"mask tensor {bad!r} contains non-0/1 bytes")
+    entries, meta, _ = read_container(path)
+    layout = _mask_layout(meta, entries)
+    flat = np.unpackbits(entries[_BITS], count=layout.size).view(bool)
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise FormatError(f"missing mask sidecar: {sidecar_path}")
@@ -284,6 +343,6 @@ def load_mask(path: str | Path) -> SparsityMask:
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed mask sidecar: {exc}") from exc
     try:
-        return SparsityMask.from_flat(layout, flat.view(bool), declared)
-    except ValueError as exc:  # empty mask, or a declared sparsity it does not have
+        return SparsityMask.from_flat(layout, flat, declared)
+    except ValueError as exc:  # a declared sparsity it does not have
         raise FormatError(f"mask {path}: {exc}") from exc

@@ -449,7 +449,9 @@ def _epoch_order(seeds: Sequence[int], epoch: int, n: int) -> np.ndarray:
     One `(n,)` permutation that every replica shares when all have one
     seed, else the `(R, n)` stack of each replica's seed's permutation.
     """
-    perms = {s: np.random.default_rng(s ^ epoch).permutation(n) for s in seeds}
+    perms = {  # one draw per distinct seed
+        s: np.random.default_rng(s ^ epoch).permutation(n) for s in dict.fromkeys(seeds)
+    }
     if len(perms) == 1:
         (perm,) = perms.values()
         return perm

@@ -202,6 +202,15 @@ class TestEncodeDecode:
         assert back.entries["s"].shape == ()
         assert back.entries["s"].tobytes() == tv.entries["s"].tobytes()
 
+    def test_two_encodings_of_one_vector_are_equal(self):
+        tv = tv_of({"s": np.array(-0.0, np.float32), "w": np.array([0.5, 0, -2], np.float32)})
+        assert encode(tv) == encode(tv)
+        assert encode(tv).records[1] == encode(tv).records[1]
+        other = tv_of({"s": np.array(0.0, np.float32), "w": np.array([0.5, 0, -3], np.float32)})
+        assert encode(tv) != encode(other)
+        moved = tv_of({"s": np.array(0.0, np.float32), "w": np.array([0, 0.5, -2], np.float32)})
+        assert encode(tv).records[1] != encode(moved).records[1]
+
     def test_empty_record_decodes_to_zeros(self):
         tv = tv_with_indices(7, [])
         back = decode(encode(tv))

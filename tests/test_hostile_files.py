@@ -4,9 +4,10 @@ Every reader answers a damaged file with FormatError or NonFiniteError and
 nothing else. An adapter that still loads either merges and applies onto
 its true base or fails with AlignmentError or DigestMismatchError. A
 checkpoint's header is checked against the file's size before its payload
-buffer is allocated, so a forged size costs no memory: run under an
-address-space cap, a loader that sized a buffer from the header would fail
-with MemoryError.
+buffer is allocated, and a mask's declared element count against its
+packed payload before the bits are unpacked, so a forged size costs no
+memory: run under an address-space cap, a loader that sized a buffer from
+the header would fail with MemoryError.
 """
 
 import json
@@ -40,6 +41,7 @@ from lota import (
     save_mask,
     sparsify,
 )
+from lota.container import container_parts, read_container
 
 READ_ERRORS = (FormatError, NonFiniteError)
 USE_ERRORS = (AlignmentError, DigestMismatchError)
@@ -132,12 +134,12 @@ def test_undamaged_files_load(files):
     assert apply_adapter(files.base, load_adapter(files.root / "a.lta")) != files.base
 
 
-def refusal_peak(path) -> int:
-    """The traced peak of `load_checkpoint(path)`, which must raise FormatError."""
+def refusal_peak(path, load=load_checkpoint) -> int:
+    """The traced peak of `load(path)`, which must raise FormatError."""
     tracemalloc.start()
     try:
         with pytest.raises(FormatError):
-            load_checkpoint(path)
+            load(path)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,3 +198,53 @@ def test_flipped_header_length_is_refused(files, bits):
         blob[pos] ^= bits
         path.write_bytes(bytes(blob))
         assert refusal_peak(path) < 2**20
+
+
+def forged_mask(files, forge):
+    """The fixture's mask file with its entries and metadata replaced by
+    `forge(bits, metadata)`; the sidecar stays. Returns its path."""
+    entries, meta, _ = read_container(files.root / "m.bin")
+    path = files.root / "forged.bin"
+    path.write_bytes(b"".join(container_parts(*forge(entries["bits"].copy(), meta))))
+    (files.root / "forged.bin.json").write_bytes(files.sidecar)
+    return path
+
+
+def test_every_set_pad_bit_of_a_mask_is_refused(files):
+    mask = load_mask(files.root / "m.bin")
+    bits = np.packbits(mask.flat)
+    pads = 8 * bits.size - mask.total_elements
+    assert pads > 0
+    for pad in range(pads):
+        forged = bits.copy()
+        forged[-1] |= 1 << pad
+        with pytest.raises(FormatError, match="pad bits"):
+            load_mask(forged_mask(files, lambda bits, meta: ({"bits": forged}, meta)))
+
+
+@pytest.mark.parametrize("elements", [64 * 2**20, 2**33, 2**40, 2**62])
+def test_forged_mask_size_allocates_nothing(files, elements):
+    # each declares far more elements than the file's bits: 2**33 of them
+    # unpacked would be 8 GiB, past the address-space cap
+    for dims in ([elements], [elements, elements], [elements] * 32):
+        path = forged_mask(
+            files, lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": dims}})
+        )
+        assert refusal_peak(path, load_mask) < 2**20
+
+
+@pytest.mark.parametrize("forge", [
+    lambda bits, meta: ({"bits": bits[:-1]}, meta),
+    lambda bits, meta: ({"bits": np.append(bits, np.uint8(0))}, meta),
+    lambda bits, meta: ({"bits": np.concatenate([bits, bits])}, meta),
+    lambda bits, meta: ({}, meta),
+    lambda bits, meta: ({"bits": bits, "extra": bits}, meta),
+    lambda bits, meta: ({"bits": bits}, {"format": meta["format"]}),
+    lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {}}),
+    lambda bits, meta: ({"bits": bits}, {**meta, "shapes": [[51]]}),
+    lambda bits, meta: ({"bits": bits}, {**meta, "format": "lota-mask-1"}),
+    lambda bits, meta: ({n: np.ones(d, np.uint8) for n, d in meta["shapes"].items()}, None),
+], ids=["one-byte-short", "one-byte-long", "twice", "no-entry", "extra-entry", "no-shapes",
+        "no-tensors", "shapes-list", "unknown-tag", "old-unpacked"])
+def test_forged_mask_refused(files, forge):
+    assert refusal_peak(forged_mask(files, forge), load_mask) < 2**20

@@ -8,10 +8,12 @@ entries (12 bytes per stored value); the top-k cuts of its trimmed sources
 take one uint32 buffer of the map's size, freed before the result is
 allocated. The hash and the save stream the map's own buffer, and each
 load reads its file's payload straight into one buffer: a checkpoint's
-becomes the new map's, a mask's the new mask's, and an adapter's holds its
-gap streams and values, which its records check where they lie.
+becomes the new map's, and an adapter's holds its gap streams and values,
+which its records check where they lie. A mask's holds its packed bits,
+one bit per element, which unpack into the new mask's one-byte buffer.
 In a publish, `sparsify` holds one uint32 scratch of the sign-cleared
-bits and its boolean result, `apply_mask` its float32 result, and
+bits and its boolean result, `apply_mask` its uint32 widened mask, which
+becomes its float32 result, and
 `encode` a one-byte boolean per element for its support scan plus
 scratch in proportion to the kept entries. `decode` holds its float32
 result, its finite check and the adapter's entries.
@@ -53,7 +55,7 @@ BUDGET = {
     "save_checkpoint": 1.0,
     "load_checkpoint": 6.0,
     "load_adapter": 1.5,
-    "load_mask": 3.0,
+    "load_mask": 1.5,
 }
 
 

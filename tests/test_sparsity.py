@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,8 @@ from lota import (
     sparsify,
     zeros_like,
 )
-from lota.container import container_parts
+from lota.container import container_parts, read_container
+from lota.params import Layout
 from lota.sparsity import topk_keep_flat
 
 
@@ -164,6 +167,51 @@ class TestApplyMask:
         top = np.sort(flat)[::-1][:k]
         kept = np.abs(masked.entries["x"])
         np.testing.assert_array_equal(np.sort(kept[kept > 0])[::-1], top)
+
+
+# finite float32 bit patterns: a word with an all-ones exponent (inf or
+# nan) loses its exponent's top bit; plus both zeros, the smallest and the
+# largest subnormal of each sign, and the largest finite magnitude
+FINITE_BITS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda b: b & ~0x40000000 if b >> 23 & 0xFF == 0xFF else b),
+    st.sampled_from([0x00000000, 0x80000000, 0x00000001, 0x80000001,
+                     0x007FFFFF, 0x807FFFFF, 0x7F7FFFFF, 0xFF7F7FFF]),
+)
+
+
+@st.composite
+def masked_vectors(draw):
+    """A task vector of finite float32 bit patterns, one of whose tensors is
+    0-d, and a mask over it: mixed, all true or all false."""
+    layout = Layout({"s": (), "w": tuple(draw(st.lists(st.integers(1, 5), max_size=2)))})
+    words = draw(st.lists(FINITE_BITS, min_size=layout.size, max_size=layout.size))
+    values = np.array(words, np.uint32).view(np.float32)
+    keep = draw(st.one_of(
+        st.lists(st.booleans(), min_size=layout.size, max_size=layout.size),
+        st.sampled_from([[True] * layout.size, [False] * layout.size]),
+    ))
+    tv = TaskVector(ParameterMap.from_flat(layout, values), bytes(32))
+    return tv, SparsityMask.from_flat(layout, np.array(keep, bool))
+
+
+class TestApplyMaskBits:
+    """`apply_mask` is bit for bit `np.where(mask, values, 0.0)`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_vectors())
+    def test_matches_where(self, case):
+        tv, mask = case
+        out = apply_mask(tv, mask).entries.flat
+        want = np.where(mask.flat, tv.entries.flat, np.float32(0))
+        assert out.dtype == want.dtype == np.float32
+        assert out.tobytes() == want.tobytes()
+
+    def test_negative_zero_kept_and_dropped(self):
+        tv = tv_from({"s": np.array(-0.0, np.float32),
+                      "w": np.array([-0.0, -0.0, -1e-45], np.float32)})
+        mask = SparsityMask({"s": np.array(True), "w": np.array([True, False, False])}, 0.5)
+        out = apply_mask(tv, mask).entries.flat.view(np.uint32)
+        assert out.tolist() == [0x80000000, 0x80000000, 0, 0]
 
 
 def reference_topk(entries, k, allowed=None):
@@ -384,8 +432,61 @@ class TestMaskIO:
     def test_empty_or_float_mask_file_rejected(self, tmp_path):
         path = tmp_path / "m.mask"
         (tmp_path / "m.mask.json").write_text('{"declared_sparsity": 0.0}')
-        for entries, match in (({}, "at least one element"),
-                               ({"w": np.ones(2, np.float32)}, "dtype mismatch")):
-            path.write_bytes(b"".join(container_parts(entries, None)))
+        for shapes, entries, match in (
+            ({}, {}, "at least one element"),
+            ({"w": [2]}, {"bits": np.ones(1, np.float32)}, "mask bits are float32"),
+        ):
+            path.write_bytes(b"".join(container_parts(entries, packed_meta(shapes))))
             with pytest.raises(FormatError, match=match):
                 load_mask(path)
+
+    def test_packed_file_layout(self, tmp_path):
+        mask = SparsityMask({"b": np.array([1, 0, 1], bool), "a": np.ones((2, 3), bool)}, 0.1)
+        save_mask(mask, tmp_path / "m.mask")
+        entries, meta, payload = read_container(tmp_path / "m.mask")
+        assert meta == packed_meta({"a": [2, 3], "b": [3]})
+        assert list(entries) == ["bits"]
+        assert payload.tobytes() == bytes([0b11111110, 0b10000000])
+
+    def test_file_is_one_bit_per_element(self, tmp_path):
+        n = 1_071_108
+        mask = SparsityMask.from_flat(Layout({"w": (n,)}), np.arange(n) % 3 == 0)
+        save_mask(mask, tmp_path / "m.mask")
+        (header_len,) = struct.unpack("<Q", (tmp_path / "m.mask").read_bytes()[:8])
+        assert (tmp_path / "m.mask").stat().st_size == 8 + header_len + n // 8 + 1
+
+    @pytest.mark.parametrize("forge, match", [
+        (lambda bits, meta: ({"bits": bits | np.uint8([0, 1])}, meta), "nonzero pad bits"),
+        (lambda bits, meta: ({"bits": bits[:-1]}, meta), "expected 2 U8 bytes"),
+        (lambda bits, meta: ({"bits": np.append(bits, np.uint8(0))}, meta),
+         "expected 2 U8 bytes"),
+        (lambda bits, meta: ({"bits": bits.reshape(1, 2)}, meta), "expected 2 U8 bytes"),
+        (lambda bits, meta: ({}, meta), r"entries are \[\]"),
+        (lambda bits, meta: ({"bits": bits, "w": bits}, meta), "entries are"),
+        (lambda bits, meta: ({"mask": bits}, meta), "entries are"),
+        (lambda bits, meta: ({"bits": bits}, {"format": meta["format"]}), "shapes"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": [[9]]}), "shapes"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": 9}}), "non-integer"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": [4.5]}}), "non-integer"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": [9, 0]}}), "non-positive"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"": [9]}}), "invalid tensor name"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": [2**40]}}),
+         "expected 137438953472 U8 bytes"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "format": "lota-mask-1"}), "unknown format"),
+        (lambda bits, meta: ({"bits": bits}, None), "old unpacked mask format"),
+        (lambda bits, meta: ({"w": np.ones(9, np.uint8)}, None), "save the mask again"),
+        (lambda bits, meta: ({"w": np.ones(9, np.float32)}, None), "unknown format tag None"),
+    ], ids=["pad-bits", "short", "long", "2d", "no-entry", "extra-entry", "renamed-entry",
+            "no-shapes", "shapes-list", "dims-int", "dims-float", "dims-zero", "empty-name",
+            "dims-beyond-file", "unknown-tag", "no-metadata", "old-unpacked", "checkpoint"])
+    def test_forged_mask_file_rejected(self, tmp_path, forge, match):
+        path = tmp_path / "m.mask"
+        save_mask(SparsityMask({"w": np.arange(9) % 2 == 0}, 4 / 9), path)
+        entries, meta, _ = read_container(path)
+        path.write_bytes(b"".join(container_parts(*forge(entries["bits"].copy(), meta))))
+        with pytest.raises(FormatError, match=match):
+            load_mask(path)
+
+
+def packed_meta(shapes):
+    return {"format": "lota-mask-2", "shapes": shapes}
