@@ -44,24 +44,22 @@ def encode_gaps(indices: np.ndarray) -> np.ndarray:
     """Gap-encode a strictly increasing index array.
 
     Each gap g is written as g // 255 bytes of 255, then the byte g % 255.
-    The gaps are taken in the narrowest unsigned dtype that holds both the
-    last index and the stream length, which the last index plus the count
-    bounds; only the byte positions of the remainders need `intp`.
+    The gaps are taken in the narrowest unsigned dtype that holds the last
+    index. A gap below 255 is its own byte; the few that are not get their
+    remainder there and their continuation bytes inserted before it.
     """
     if indices.size == 0:
         return np.empty(0, np.uint8)
-    gaps = np.empty(indices.size, np.min_scalar_type(int(indices[-1]) + indices.size))
+    gaps = np.empty(indices.size, np.min_scalar_type(int(indices[-1])))
     gaps[0] = indices[0]
     np.subtract(indices[1:], indices[:-1], out=gaps[1:], casting="unsafe")
-    # each gap's last byte position: the running sum of g // 255 + 1, less 1
-    ends = np.empty(indices.size, np.intp)
-    np.divmod(gaps, 255, out=(ends, gaps))
-    ends += 1
-    np.cumsum(ends, out=ends)
-    ends -= 1
-    buf = np.full(int(ends[-1]) + 1, 255, dtype=np.uint8)
-    buf[ends] = gaps
-    return buf
+    stream = gaps.astype(np.uint8)
+    long = np.flatnonzero(gaps >= 255)
+    if not long.size:
+        return stream
+    runs, rest = np.divmod(gaps[long], 255)
+    stream[long] = rest
+    return np.insert(stream, np.repeat(long, runs), np.uint8(255))
 
 
 def _check_gaps(buf: np.ndarray, n: int, c: int) -> None:
@@ -80,10 +78,26 @@ def _check_gaps(buf: np.ndarray, n: int, c: int) -> None:
         raise FormatError(f"index {last} out of range for n={n}")
 
 
-def _gap_indices(buf: np.ndarray) -> np.ndarray:
-    """The indices of a checked uint8 gap stream: each is the running byte
-    sum at the byte that ends its gap."""
-    return np.cumsum(buf, dtype=np.int64)[buf != 255]
+def _gap_indices(buf: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarray:
+    """The indices of a checked uint8 gap stream, plus `offset`, written to
+    the int64 buffer `out`, which holds one per index.
+
+    The gaps are written there, the first one moved by `offset`, and one
+    running sum makes them indices. A stream with no continuation byte is
+    its gaps. In one that has some, each continuation byte adds 255 to
+    the gap that the next byte that is not one ends: that gap's position
+    in the stream less the continuation bytes before it.
+    """
+    if out.size == buf.size:
+        out[...] = buf
+    else:
+        continued = buf == 255
+        out[...] = buf[~continued]
+        runs = np.flatnonzero(continued)
+        np.add.at(out, runs - np.arange(runs.size), 255)
+    if out.size:
+        out[0] += offset
+    return np.cumsum(out, out=out)
 
 
 def decode_gaps(stream: bytes | np.ndarray, n: int, c: int) -> np.ndarray:
@@ -91,7 +105,7 @@ def decode_gaps(stream: bytes | np.ndarray, n: int, c: int) -> np.ndarray:
     passes."""
     buf = np.frombuffer(stream, dtype=np.uint8)
     _check_gaps(buf, n, c)
-    return _gap_indices(buf)
+    return _gap_indices(buf, np.empty(c, np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,18 +175,18 @@ class SparseAdapter:
 
     def flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in a buffer of `layout` and the values stored
-        there; each record's stream was checked when the record was made."""
+        there; each record's stream was checked when the record was made.
+        Each record is decoded straight into its slice of the two buffers
+        (`_gap_indices`)."""
         layout = self.layout
         offsets = dict(zip(layout.names, layout.offsets))
-        records = sorted(self.records, key=lambda r: offsets[r.name])
-        if not records:
-            return np.empty(0, np.intp), np.empty(0, np.float32)
-        return (
-            np.concatenate([
-                _gap_indices(r.gap_bytes) + offsets[r.name] for r in records
-            ]),
-            np.concatenate([r.values for r in records]),
-        )
+        idx, vals = np.empty(self.c_total, np.int64), np.empty(self.c_total, np.float32)
+        at = 0
+        for rec in sorted(self.records, key=lambda r: offsets[r.name]):
+            _gap_indices(rec.gap_bytes, idx[at : at + rec.c], offsets[rec.name])
+            vals[at : at + rec.c] = rec.values
+            at += rec.c
+        return idx, vals
 
 
 def encode(tv: TaskVector) -> SparseAdapter:

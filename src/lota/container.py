@@ -20,8 +20,7 @@ tensor's own buffer, and `write_atomic` writes them one after another
 and a hash takes them one by one, so neither copies the tensors into one
 bytes object. `read_container` is the reader: it checks the sizes in a
 file's header against the file's size, then reads the payload straight
-into one read-only buffer, of which each entry is a view. `read_flat`
-takes a single-dtype file's payload as one flat array.
+into one read-only buffer, of which each entry is a view.
 """
 
 from __future__ import annotations
@@ -214,19 +213,3 @@ def read_container(
         for name, np_dtype, shape, begin in specs
     }
     return entries, metadata, payload
-
-
-def read_flat(
-    path: str | Path, dtype_tag: str
-) -> tuple[dict[str, tuple[int, ...]], np.ndarray]:
-    """The shapes of a container file whose every entry is of `dtype_tag`,
-    and its whole payload as one flat read-only array, in name order."""
-    entries, _, payload = read_container(path)
-    np_dtype = _DTYPES[dtype_tag]
-    for name, arr in entries.items():
-        if arr.dtype != np_dtype:
-            raise FormatError(
-                f"dtype mismatch for {name!r}: expected {dtype_tag}, "
-                f"got {_TAGS[arr.dtype]}"
-            )
-    return {name: arr.shape for name, arr in entries.items()}, payload.view(np_dtype)

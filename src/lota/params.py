@@ -18,10 +18,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import container_parts, read_flat, write_atomic
-from .errors import AlignmentError, NonFiniteError
+from .container import _TAGS, container_parts, read_container, write_atomic
+from .errors import AlignmentError, FormatError, NonFiniteError
 
 MapDigest = bytes  # 32-byte SHA-256 over the canonical checkpoint serialization
+_FLOAT32 = np.dtype("<f4")  # the F32 of a checkpoint file
 
 
 class Layout:
@@ -182,9 +183,19 @@ def save_checkpoint(pm: ParameterMap, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ParameterMap:
-    """The map stored at `path`, its payload read straight into the map's buffer."""
-    shapes, flat = read_flat(path, "F32")
-    return ParameterMap.from_flat(Layout(shapes), flat)
+    """The map stored at `path`, its payload read straight into the map's buffer.
+
+    Every entry must be F32: the payload is then the map's tensors in
+    name order, which is the layout's order, so it becomes `.flat` as it is.
+    """
+    entries, _, payload = read_container(path)
+    for name, arr in entries.items():
+        if arr.dtype != _FLOAT32:
+            raise FormatError(
+                f"dtype mismatch for {name!r}: expected F32, got {_TAGS[arr.dtype]}"
+            )
+    layout = Layout({name: arr.shape for name, arr in entries.items()})
+    return ParameterMap.from_flat(layout, payload.view(_FLOAT32))
 
 
 def digest(pm: ParameterMap) -> MapDigest:

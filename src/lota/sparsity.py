@@ -7,8 +7,9 @@ parameter groups are ranked together in that order (names sorted, then
 row-major within a tensor). Ties at the threshold magnitude keep the
 earlier element in that order, so masks are fully deterministic. The top
 k is found by selection, not by sorting: one partition finds the k-th
-largest magnitude, everything above it is kept, and a tie pass keeps the
-earliest elements equal to it. The selection runs on the uint32 bit
+largest magnitude and everything above it is kept. When the partition
+splits the ties at that magnitude, a tie pass keeps the earliest of
+them; otherwise every tie is kept. The selection runs on the uint32 bit
 patterns of the float32 magnitudes, which order as the floats do.
 
 A mask file is one container (see `container`), version 2 of the mask
@@ -154,13 +155,18 @@ def _topk_cut(values: np.ndarray, k: int, scratch: np.ndarray) -> tuple[np.uint3
     (earlier wins). The bits are `values.view(np.uint32)` with the sign
     bit cleared: for finite values they order as the magnitudes do, and
     two are equal exactly when the magnitudes are. One partition in
-    `scratch`, a uint32 buffer at least values.size long, finds t; the
-    tie scan stops at the last tie kept.
+    `scratch`, a uint32 buffer at least values.size long, finds t. When
+    no key below the partition point equals t, every tie at t is kept and
+    `values >= t` is exactly the top k, so cut is n and no tie scan runs.
+    Only ties split across the partition point are scanned for, in steps
+    of `_TIE_SCAN` elements, and the scan stops at the last tie kept.
     """
     n = values.size
     keys = np.bitwise_and(values.view(np.uint32), _MAGNITUDE_BITS, out=scratch[:n])
     keys.partition(n - k)
     t = keys[n - k]
+    if keys[: n - k].max() < t:
+        return t, n
     ties = int(np.count_nonzero(keys[n - k :] == t))  # equal to t and kept
     for lo in range(0, n, _TIE_SCAN):
         part = values[lo : lo + _TIE_SCAN].view(np.uint32)
@@ -171,10 +177,13 @@ def _topk_cut(values: np.ndarray, k: int, scratch: np.ndarray) -> tuple[np.uint3
         ties -= seen
 
 
-def _kept(keys: np.ndarray, t: np.uint32, cut: int) -> np.ndarray:
+def _kept(
+    keys: np.ndarray, t: np.uint32, cut: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The top-k rule of `_topk_cut` on magnitude bits `keys`: above t, or
-    equal to t before position `cut`."""
-    keep = np.empty(keys.size, bool)
+    equal to t before position `cut`; written to the bool buffer `out` if
+    given."""
+    keep = np.empty(keys.size, bool) if out is None else out
     cut = max(cut, 0)
     np.greater_equal(keys[:cut], t, out=keep[:cut])
     np.greater(keys[cut:], t, out=keep[cut:])

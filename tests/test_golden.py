@@ -9,10 +9,17 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lota import training
+from lota import (
+    ParameterMap, ToyModel, apply_mask, digest, encode, merge_lota, sparsify,
+    ties_merge, training,
+)
 from lota.cli import dispatch
+from lota.merging import _merge
+from lota.params import serialize_checkpoint
+from lota.sparsity import TaskVector
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -167,11 +174,48 @@ def current_digests(tmp_path: Path) -> dict[str, str]:
 
 # the default specs' reports, which tests/test_conclusions.py builds and checks
 DEFAULT_PREFIX = "default/"
+# merges and masks of the kernels themselves, on a map of 273,412
+# parameters: 5 blocks of the merge walk's 2**16 columns
+KERNEL_PREFIX = "kernel/"
+KERNEL_WIDTHS = (16, 512, 512, 4)
+
+
+def kernel_digests() -> dict[str, str]:
+    """Four task vectors, 30% of each zeroed, three of them on a grid of
+    quarters: ties split at their top-k thresholds, zeros of both signs,
+    and coordinates that one to four sources cover, in every block. The
+    fourth has no ties, so its top-k cuts run no tie scan."""
+    base = ToyModel.initialize(KERNEL_WIDTHS, "tanh", "softmax-cross-entropy", 0).params
+    rng = np.random.default_rng(35)
+    n = base.total_elements
+    tvs = []
+    for i in range(4):
+        flat = rng.standard_normal(n, dtype=np.float32)
+        if i < 3:
+            flat = np.round(flat * np.float32(4)) / np.float32(4)
+        flat[rng.random(n) < 0.3] = 0.0
+        tvs.append(TaskVector(ParameterMap.from_flat(base.layout, flat), digest(base)))
+    masks = [sparsify(tv, 0.9) for tv in tvs]
+    adapters = [encode(apply_mask(tv, mask)) for tv, mask in zip(tvs, masks)]
+    merged = {
+        "ties-0.2": ties_merge(base, tvs, [0.2] * 4),
+        "ties-1.0": ties_merge(base, tvs, [1.0] * 4),
+        "merge-lota": merge_lota(base, adapters),
+        "ties-adapters-0.05": ties_merge(base, adapters, [0.05] * 4),
+        "weighted-mixed": _merge(base, [tvs[0], adapters[1], tvs[2], adapters[3]],
+                                 [0.2, 1.0, 0.5, 0.05], [0.7, 1.0, -1.3, 1e-20],
+                                 True, 0.9),
+    }
+    digests = {f"{KERNEL_PREFIX}{name}": hashlib.sha256(serialize_checkpoint(m)).hexdigest()
+               for name, m in merged.items()}
+    for name, mask in (("sparsify-0.9", masks[0]), ("sparsify-0.9-untied", masks[3])):
+        digests[f"{KERNEL_PREFIX}{name}"] = hashlib.sha256(mask.flat.tobytes()).hexdigest()
+    return digests
 
 
 def test_outputs_match_golden_digests(tmp_path):
     expected = {k: v for k, v in json.loads(GOLDEN.read_text()).items()
-                if not k.startswith(DEFAULT_PREFIX)}
+                if not k.startswith((DEFAULT_PREFIX, KERNEL_PREFIX))}
     actual = current_digests(tmp_path)
     if actual != expected:
         changed = sorted(k for k in expected.keys() | actual.keys()
@@ -180,6 +224,14 @@ def test_outputs_match_golden_digests(tmp_path):
             f"golden digests changed for {changed}; new digests:\n"
             + json.dumps(actual, sort_keys=True, indent=2)
         )
+
+
+def test_merge_kernels_match_golden_digests():
+    """Merges and a mask across many blocks and ties, bit for bit."""
+    expected = {k: v for k, v in json.loads(GOLDEN.read_text()).items()
+                if k.startswith(KERNEL_PREFIX)}
+    actual = kernel_digests()
+    assert actual == expected, json.dumps(actual, sort_keys=True, indent=2)
 
 
 def test_merge_spec_records_the_merge_it_ran(tmp_path):

@@ -267,6 +267,17 @@ class TestElectMeanOracle:
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
+    @pytest.mark.parametrize("n_rows", [7, 8, 9, 16, 300])
+    def test_one_column_of_many_rows_bitwise(self, n_rows):
+        # numpy reduces a single column pairwise from 8 values on
+        rng = np.random.default_rng(n_rows)
+        for _ in range(50):
+            stacked = rng.choice(SIGNED_POOL, (n_rows, 1)).astype(np.float32)
+            got = _trim_elect_mean(stacked)
+            want = reference_trim_elect_mean(stacked)
+            assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+
+
 class TestMergeWithoutElection:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -605,7 +616,9 @@ MANY_POOL = [0.3, -0.3, 1.0, -1.0, 3e-8, -3e-8, 0.5, -2.0]
 
 def many_sources(support, count, n, rng):
     """`count` flat task vectors over n coordinates: each dense ("shared"),
-    each on a coordinate of its own ("disjoint"), or all one ("identical")."""
+    each on a coordinate of its own ("disjoint"), each on one of its own
+    and on the last, which all share ("one-shared"), or all one
+    ("identical")."""
     if support == "identical":
         return [rng.choice(MANY_POOL, n).astype(F32)] * count
     vectors = []
@@ -613,6 +626,8 @@ def many_sources(support, count, n, rng):
         v = rng.choice(MANY_POOL, n).astype(F32)
         if support == "disjoint":
             v[np.arange(n) != i] = 0.0
+        elif support == "one-shared":
+            v[(np.arange(n) != i) & (np.arange(n) != n - 1)] = 0.0
         vectors.append(v)
     return vectors
 
@@ -623,12 +638,15 @@ class TestManySources:
     A counter that wrapped would take a coordinate of 256 sources for one
     that a single source covers, and merge it to that source's value."""
 
+    # "one-shared" has a single column that more than 8 rows cover
     @pytest.mark.parametrize("support, count", [
         ("shared", 255), ("shared", 256), ("shared", 300), ("disjoint", 300),
-        ("identical", 300),
+        ("identical", 300), ("one-shared", 300),
     ])
     def test_matches_dense_reference(self, support, count):
-        shapes = {"w": (count,)} if support == "disjoint" else LAYOUTS[1]
+        shapes = {
+            "disjoint": {"w": (count,)}, "one-shared": {"w": (count + 1,)},
+        }.get(support, LAYOUTS[1])
         n = sum(math.prod(shape) for shape in shapes.values())
         rng = np.random.default_rng(count)
         base_flat = rng.choice(MANY_POOL, n).astype(F32)
@@ -666,8 +684,9 @@ class TestBlockEdges:
 
     # a fraction of 0.75 keeps the 3 values above 0.5 and the ties at
     # 3-14, so the tie run crosses two edges of 7-column blocks and the
-    # cut lands in the last block; 0.01 keeps none (k = 0), 1.0 all
-    @pytest.mark.parametrize("fraction", [0.01, 0.75, 1.0])
+    # cut lands in the last block; 0.9 keeps every tie at 3-17, with no
+    # tie scan; 0.01 keeps none (k = 0), 1.0 all
+    @pytest.mark.parametrize("fraction", [0.01, 0.75, 0.9, 1.0])
     @pytest.mark.parametrize("elect", [True, False])
     def test_threshold_ties_across_block_edges(self, fraction, elect):
         rng = np.random.default_rng(0)
@@ -685,6 +704,64 @@ class TestBlockEdges:
         want = reference_merge(base_flat, vectors, fractions, [1.0] * 4, 1.0, True)
         for each in (tvs, sources):
             assert_bitwise(ties_merge(base, each, fractions), want)
+
+
+@pytest.fixture(params=[None, 2, 3])
+def any_blocks(request):
+    """The merge walk in its own blocks, or in blocks of 2 or 3 columns."""
+    if request.param is None:
+        yield merging._BLOCK
+    else:
+        with mock.patch.object(merging, "_BLOCK", request.param):
+            yield request.param
+
+
+# per column: 0 has one nonzero row and kept zeros of both signs; 1 only
+# zeros, some kept; 2 a value that a weight of 1e-20 underflows to a signed
+# zero beside one nonzero; 3 stored zeros beside one nonzero; 4 two nonzeros
+COVERAGE = [
+    np.array([0.5, 0.0, 1e-30, 0.0, 2.0, 0.3], F32),
+    np.array([-0.0, -0.0, 0.0, 0.0, -1.0, 0.0], F32),
+    np.array([0.0, 0.0, -1e-30, -0.25, 0.0, -0.4], F32),
+]
+# trim fractions whose cut keeps zeros: 5 of 6 in the first and
+# second vectors (ties at 0 among them), 4 of 6 in the third
+COVERAGE_FRACTIONS = [0.8, 0.8, 0.6]
+
+
+@pytest.mark.usefixtures("any_blocks")
+class TestCoverageCount:
+    """Columns that the coverage count, taken as each row is filled, counts
+    higher than their nonzero rows: each merge bit for bit against the
+    dense reference."""
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, 1.0, 1.0], [1e-20, -1e-20, 1.0], [-1.0, 1e-20, 1e-20],
+    ])
+    @pytest.mark.parametrize("elect", [True, False])
+    @pytest.mark.parametrize("fractions", [COVERAGE_FRACTIONS, [1.0, 1.0, 1.0]])
+    def test_kept_and_stored_zeros(self, weights, elect, fractions):
+        base_flat = np.array([0.1, -0.0, 1.0, -2.0, 0.0, 0.5], F32)
+        base = base_map(base_flat)
+        tvs = [tv_for(base, v) for v in COVERAGE]
+        stored = np.array([True, True, True, False, False, True])
+        adapters = [with_stored_zeros(tv, stored) for tv in tvs]
+        want = reference_merge(base_flat, COVERAGE, fractions, weights, 0.5, elect)
+        for sources in (tvs, adapters, [tvs[0], adapters[1], encode(tvs[2])]):
+            assert_bitwise(_merge(base, sources, fractions, weights, elect, 0.5), want)
+
+    def test_one_nonzero_row_and_one_kept_zero(self):
+        """A column that a trimmed dense row keeps as zero and one other row
+        covers: the count is 2, and the election merges it to the one value."""
+        base = base_map(np.zeros(4, F32))
+        vectors = [np.array([0.0, 0.0, 0.0, 1.0], F32), np.array([-0.75, 0.0, 0.5, 0.0], F32)]
+        # the first keeps its 1.0 and the zero at 0, earliest of the ties
+        fractions = [0.5, 1.0]
+        want = reference_merge(np.zeros(4, F32), vectors, fractions, [1.0, 1.0], 1.0, True)
+        assert want.tolist() == [-0.75, 0.0, 0.5, 1.0]
+        for second in (tv_for(base, vectors[1]), encode(tv_for(base, vectors[1]))):
+            merged = ties_merge(base, [tv_for(base, vectors[0]), second], fractions)
+            assert_bitwise(merged, want)
 
 
 class TestAdapterMergeChecks:

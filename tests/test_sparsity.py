@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from lota import (
 )
 from lota.container import container_parts, read_container
 from lota.params import Layout
-from lota.sparsity import topk_keep_flat
+from lota import sparsity
+from lota.sparsity import _MAGNITUDE_BITS, _kept, _topk_cut, topk_keep_flat
 
 
 def tv_from(entries):
@@ -288,6 +290,79 @@ class TestTopkOracle:
         k = data.draw(st.sampled_from(sorted({0, 1, n - 1, n})) | st.integers(0, n))
         entries = ParameterMap({"t": flat})
         np.testing.assert_array_equal(topk_keep_flat(entries, k), reference_topk(entries, k))
+
+
+def cut_of(values, k):
+    """`_topk_cut`'s cut of float32 `values` at k, and the top k it keeps."""
+    t, cut = _topk_cut(values, k, np.empty(values.size, np.uint32))
+    return cut, _kept(np.bitwise_and(values.view(np.uint32), _MAGNITUDE_BITS), t, cut)
+
+
+def splits_ties(values, k):
+    """Whether the top k of |values| keeps some ties at its threshold and
+    drops others."""
+    mags = np.abs(values)
+    return np.count_nonzero(mags >= np.sort(mags)[-k]) > k
+
+
+class TestTopkCut:
+    """Both branches of `_topk_cut` against the full-sort oracle: every tie
+    at the threshold kept (no tie scan, cut == n), or ties split across the
+    partition point (the scan)."""
+
+    # 3 values above 0.5, 4 ties at 0.5, then 0.25 and zeros of both signs
+    VALUES = np.array([0.5, 3.0, -0.5, 0.25, 2.0, 0.5, -1.0, -0.5, 0.0, -0.0], np.float32)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
+    def test_every_tie_kept_runs_no_scan(self, k):
+        entries = ParameterMap({"t": self.VALUES})
+        assert not splits_ties(self.VALUES, k)
+        with mock.patch.object(sparsity, "_TIE_SCAN", 0):  # a scan: range() step 0
+            cut, keep = cut_of(self.VALUES, k)
+            np.testing.assert_array_equal(topk_keep_flat(entries, k),
+                                          reference_topk(entries, k))
+        assert cut == self.VALUES.size
+        np.testing.assert_array_equal(keep, reference_topk(entries, k))
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 9])
+    def test_split_ties_are_scanned(self, k):
+        entries = ParameterMap({"t": self.VALUES})
+        assert splits_ties(self.VALUES, k)
+        cut, keep = cut_of(self.VALUES, k)
+        assert cut < self.VALUES.size
+        np.testing.assert_array_equal(keep, reference_topk(entries, k))
+
+    @pytest.mark.parametrize("k, split", [
+        (4, False), (5, True), (6, True), (9, True), (10, True), (11, False), (12, False),
+    ])
+    def test_ties_straddle_a_scan_step(self, k, split):
+        """7 ties at 0.5 on both sides of the first `_TIE_SCAN` edge, 4
+        values above them, and distinct small values elsewhere."""
+        n = sparsity._TIE_SCAN + 64
+        values = np.random.default_rng(k).uniform(0.0, 0.25, n).astype(np.float32)
+        values[sparsity._TIE_SCAN - 3 : sparsity._TIE_SCAN + 4] = [0.5, -0.5] * 3 + [0.5]
+        values[[5, 70000 % n, n - 1, 17]] = [2.0, -3.0, 1.0, -1.5]
+        entries = ParameterMap({"t": values})
+        cut, keep = cut_of(values, k)
+        assert splits_ties(values, k) == split
+        assert (cut < n) == split
+        np.testing.assert_array_equal(keep, reference_topk(entries, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_entries(), st.integers(1, 5), st.data())
+    def test_both_branches_in_small_scan_steps(self, entries, step, data):
+        """Steps of 1-5 elements, so that tie runs cross many step edges,
+        with and without `allowed` candidates."""
+        n = entries.total_elements
+        allowed = data.draw(
+            st.none()
+            | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+        )
+        size = n if allowed is None else int(np.count_nonzero(allowed))
+        with mock.patch.object(sparsity, "_TIE_SCAN", step):
+            for k in range(size + 1):
+                np.testing.assert_array_equal(topk_keep_flat(entries, k, allowed),
+                                              reference_topk(entries, k, allowed))
 
 
 bool_arrays = st.integers(2, 40).flatmap(
