@@ -40,11 +40,11 @@ from .training import (
     _solo,
     _together,
     _train_cache,
+    _trained,
     iterative_lota,
     lota,
     lotto,
     mixed_data_fft,
-    train,
 )
 
 SEQUENTIAL_METHOD_PAIRS = (
@@ -224,25 +224,17 @@ def _sequential_one_seed(
     b_train, b_test = spec.task_b.reseeded(derive_seed("task-b", seed)).make()
     config = _train_config(spec.train, derive_seed("train", seed))
 
-    yield [(model, a_train, config), (model, b_train, config)]
-    w_fft_a, _ = train(model, a_train, config)
+    (w_fft_a, _), (w_fft_b, _) = yield from _trained(
+        [(model, a_train, config), (model, b_train, config)]
+    )
     lota_a = yield from lota.lockstep(model, a_train, spec.sparsity, config)
-    w_fft_b, _ = train(model, b_train, config)
-    baseline_b = evaluate(model.with_params(w_fft_b), b_test)
-    baselines_a = {
-        "fft": evaluate(model.with_params(w_fft_a), a_test),
-        "lota": evaluate(model.with_params(lota_a.w_final), a_test),
-    }
-
-    out = {
-        "baseline_a": baselines_a,
-        "baseline_b": baseline_b,
-        "pairs": {},
-    }
     starts = {
         "fft": model.with_params(w_fft_a),
         "lota": model.with_params(lota_a.w_final),
     }
+    baselines_a = {method: evaluate(start, a_test) for method, start in starts.items()}
+    baseline_b = evaluate(model.with_params(w_fft_b), b_test)
+    out = {"baseline_a": baselines_a, "baseline_b": baseline_b, "pairs": {}}
     pairs = [pair.split("->") for pair in spec.method_pairs]
     # every pair's B phase in lockstep: the dense arms train as one stack,
     # and so do the LoTA and LoTTO phases' calibrations, then their retrains
@@ -251,8 +243,8 @@ def _sequential_one_seed(
         for method_a, method_b in pairs
     ])
     for pair, (method_a, _), (w_ab, extras) in zip(spec.method_pairs, pairs, phases):
-        utility_a = evaluate(model.with_params(w_ab), a_test)
-        utility_b = evaluate(model.with_params(w_ab), b_test)
+        trained = model.with_params(w_ab)
+        utility_a, utility_b = evaluate(trained, a_test), evaluate(trained, b_test)
         out["pairs"][pair] = {
             "utility_a": utility_a,
             "utility_b": utility_b,
@@ -270,8 +262,7 @@ def _b_phase(
     """One pair's training on task B from `start`, as a lockstep generator:
     it returns the trained weights and the pair's extra report fields."""
     if method_b == "fft":
-        yield [(start, b_train, config)]
-        w_ab, _ = train(start, b_train, config)
+        ((w_ab, _),) = yield from _trained([(start, b_train, config)])
         return w_ab, {}
     if method_b == "lota":
         result = yield from lota.lockstep(start, b_train, spec.sparsity, config)
@@ -420,8 +411,7 @@ def _calibration_one_seed(
         base_config = _train_config(
             spec.base_train or spec.train, derive_seed("train", seed)
         )
-        yield [(model, base_train_data, base_config)]
-        w_p, _ = train(model, base_train_data, base_config)
+        ((w_p, _),) = yield from _trained([(model, base_train_data, base_config)])
         model = model.with_params(w_p)
     config = _train_config(spec.train, derive_seed("train", seed))
     grid = yield from _together([
@@ -487,9 +477,9 @@ def _merging_one_seed(
     config = _train_config(spec.train, derive_seed("train", seed))
     w_p = model.params
 
-    yield [(model, a_train, config), (model, b_train, config)]
-    w_fft_a, _ = train(model, a_train, config)
-    w_fft_b, _ = train(model, b_train, config)
+    (w_fft_a, _), (w_fft_b, _) = yield from _trained(
+        [(model, a_train, config), (model, b_train, config)]
+    )
     lota_a, lota_b = yield from _together(
         [lota.lockstep(model, d, spec.sparsity, config) for d in (a_train, b_train)]
     )

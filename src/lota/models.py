@@ -29,10 +29,11 @@ class Dataset:
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float32)
         if inputs.ndim != 2:
             raise ValueError("inputs must be a 2-D array (examples x features)")
-        if self.targets.ndim == 1:
-            targets = np.ascontiguousarray(self.targets, dtype=np.int64)
+        targets = np.asarray(self.targets)
+        if targets.ndim == 1:
+            targets = np.ascontiguousarray(targets, dtype=np.int64)
         else:
-            targets = np.ascontiguousarray(self.targets, dtype=np.float32)
+            targets = np.ascontiguousarray(targets, dtype=np.float32)
             if not np.isfinite(targets).all():
                 raise ValueError("non-finite regression targets")
         if len(targets) != len(inputs):

@@ -226,10 +226,13 @@ def sparsify(
     tv: TaskVector, s: float, allowed: SparsityMask | None = None
 ) -> SparsityMask:
     """Mask keeping the round((1-s)*n) largest-magnitude delta coordinates,
-    within `allowed` if given."""
+    within `allowed` if given, which must be aligned with `tv`."""
+    layout = tv.entries.layout
+    if allowed is not None:
+        allowed.layout.require_aligned(layout, "allowed mask and task vector")
     k = _kept_count(s, tv.total_elements, allowed)
     kept = topk_keep_flat(tv.entries, k, None if allowed is None else allowed.flat)
-    return SparsityMask.from_flat(tv.entries.layout, kept, declared_sparsity=s)
+    return SparsityMask.from_flat(layout, kept, declared_sparsity=s)
 
 
 def apply_mask(tv: TaskVector, mask: SparsityMask) -> TaskVector:

@@ -43,12 +43,13 @@ nothing reads it again. It is not cached, so its `train` call raises as
 before, and neither is one whose weights overflow while its loss stays
 finite; the others in its stack keep their results.
 
-Each driver is written once, as a lockstep generator: it yields each list
-of runs it is about to train and then makes its `train` calls, which hit.
-`_solo` drives one such generator alone, training each list it yields as
-one `_train_batch` while a memo is open, and each public driver is `_solo`
-over its generator, which it keeps as `.lockstep`. `_together` drives
-several as one generator that yields the union of their runs:
+Each driver is written once, as a lockstep generator, and it trains only
+through `yield from _trained(runs)`: that yields the runs, so that the
+driver above trains them ahead, and then returns their `train` calls,
+which hit. `_solo` drives one such generator alone, training each list it
+yields as one `_train_batch` while a memo is open, and each public driver
+is `_solo` over its generator, which it keeps as `.lockstep`. `_together`
+drives several as one generator that yields the union of their runs:
 `harness.run_experiment` drives one per seed this way, and a sequential
 seed its method pairs' task-B phases.
 
@@ -289,15 +290,6 @@ def train(
 Run = tuple[ToyModel, Dataset, TrainConfig]
 
 
-def _architecture(model: ToyModel) -> tuple:
-    return model.widths, model.activation, model.head
-
-
-def _shared_config(config: TrainConfig) -> TrainConfig:
-    """What the configs of one replica stack must share."""
-    return config.replace(mask=None, seed=0)
-
-
 def _train_batch(
     runs: Sequence[Run],
 ) -> list[tuple[ParameterMap, RunRecord] | LotaError]:
@@ -305,7 +297,7 @@ def _train_batch(
 
     Returns, per run, what `train` returns for it, or the error that
     `train` raises: the `ConfigError` or `AlignmentError` of a run that
-    `_check_run` refuses, which joins no stack, a `DivergenceError`, or a
+    `_check_data` refuses, which joins no stack, a `DivergenceError`, or a
     `NonFiniteError` for weights that overflowed while the loss stayed
     finite. Runs whose models differ only in their params, whose configs
     differ only in `mask` and `seed` and whose datasets share one shape
@@ -315,20 +307,25 @@ def _train_batch(
     later `train` call is a hit.
     """
     cache = _TRAIN_CACHE.get()
+    if cache is None:  # outside a memo, one of this call's own
+        cache = {}
     results: list = [None] * len(runs)
     stacks: dict[tuple, dict[bytes, list[int]]] = {}  # stack -> key -> its runs
     for i, (model, dataset, config) in enumerate(runs):
         try:
-            _check_run(model, dataset, config)
+            _check_data(model, dataset, config.mask)
         except LotaError as exc:
             results[i] = exc
             continue
         key = _train_key(model, digest(model.params).hex(), dataset, config)
-        if cache is not None and key in cache:
+        if key in cache:
             final, record = cache[key]
             results[i] = (final, copy.deepcopy(record))
             continue
-        stack = (_architecture(model), _shared_config(config), _data_shape(dataset))
+        # one stack per architecture, config but for mask and seed, and data shapes
+        stack = (model.widths, model.activation, model.head,
+                 config.replace(mask=None, seed=0),
+                 dataset.inputs.shape, dataset.targets.shape, dataset.targets.dtype)
         stacks.setdefault(stack, {}).setdefault(key, []).append(i)
     for misses in stacks.values():
         firsts = [runs[ids[0]] for ids in misses.values()]
@@ -339,8 +336,7 @@ def _train_batch(
         for (key, ids), record, final in zip(misses.items(), records, finals):
             if not isinstance(final, LotaError):
                 record.final_digest = digest(final).hex()
-                if cache is not None:
-                    cache[key] = (final, record)
+                cache[key] = (final, record)
             for i in ids:
                 results[i] = (
                     final if isinstance(final, LotaError)
@@ -359,6 +355,13 @@ def _solo(steps: Generator[list[Run], None, object]):
             return stop.value
         if _TRAIN_CACHE.get() is not None:
             _train_batch(runs)  # a failed run is not cached: `train` raises it
+
+
+def _trained(runs: list[Run]) -> Generator[list[Run], None, list]:
+    """The one place a lockstep generator trains: yield `runs`, so that its
+    driver trains them ahead, then return `train` of each, in order."""
+    yield runs
+    return [train(*run) for run in runs]
 
 
 def _together(
@@ -407,8 +410,11 @@ def _driver(steps):
     return solo
 
 
-def _check_data(model: ToyModel, dataset: Dataset) -> None:
-    """Refuse a dataset that is empty or does not fit the model's input and head."""
+def _check_data(
+    model: ToyModel, dataset: Dataset, mask: SparsityMask | None = None
+) -> None:
+    """Refuse a run before any step: a dataset that is empty or does not fit
+    the model's input and head, or a mask not aligned with the model's params."""
     if len(dataset) == 0:
         raise ConfigError("dataset must be nonempty")
     width, outputs = model.widths[0], model.widths[-1]
@@ -426,21 +432,8 @@ def _check_data(model: ToyModel, dataset: Dataset) -> None:
         raise ConfigError(
             f"a mean-squared-error head needs float targets of width {outputs}"
         )
-
-
-def _check_run(model: ToyModel, dataset: Dataset, config: TrainConfig) -> None:
-    """Refuse a run before any step: data that `_check_data` refuses, or a
-    mask that is not aligned with the model's params."""
-    _check_data(model, dataset)
-    if config.mask is not None:
-        config.mask.layout.require_aligned(
-            model.params.layout, "mask and model parameters"
-        )
-
-
-def _data_shape(dataset: Dataset) -> tuple:
-    """What the datasets of one replica stack must share."""
-    return dataset.inputs.shape, dataset.targets.shape, dataset.targets.dtype
+    if mask is not None:
+        mask.layout.require_aligned(model.params.layout, "mask and model parameters")
 
 
 def _epoch_order(seeds: Sequence[int], epoch: int, n: int) -> np.ndarray:
@@ -600,8 +593,7 @@ def _retrain(
     """The retrain-and-encode half of a LoTA phase, as a lockstep generator:
     w_P trained under `mask`."""
     run = (model, dataset, config.replace(mask=mask))
-    yield [run]
-    w_final, train_record = train(*run)
+    ((w_final, train_record),) = yield from _trained([run])
     tv = apply_mask(compute_task_vector(w_final, model.params), mask)
     return LotaResult(encode(tv), mask, w_final, calibration_record, train_record)
 
@@ -615,7 +607,7 @@ def _lota_phase(
 
     It checks its arguments, yields its calibration on the first `fraction`
     of the data, extracts the top-k mask, yields its retrain and returns the
-    `LotaResult`. At fraction 0 it yields an empty list and draws the mask
+    `LotaResult`. At fraction 0 it yields no runs and draws the mask
     at random over all coordinates instead, so that a grid of phases driven
     by `_together` yields every retrain in one round.
     """
@@ -624,7 +616,7 @@ def _lota_phase(
         raise ConfigError("LoTA builds its own masks; config.mask must be None")
     _kept_count(s, model.params.total_elements, allowed)
     if fraction == 0.0:
-        yield []
+        yield from _trained([])
         mask, record = random_mask(model.params, s, config.seed), None
     else:
         cal = config.calibration_epochs
@@ -632,8 +624,7 @@ def _lota_phase(
             dataset.take(np.arange(math.ceil(fraction * len(dataset)))),
             config.replace(epochs=config.epochs if cal is None else cal, mask=allowed),
         )
-        yield [(model, *calibration)]
-        w_c, record = train(model, *calibration)
+        ((w_c, record),) = yield from _trained([(model, *calibration)])
         mask = sparsify(compute_task_vector(w_c, model.params), s, allowed)
     return (yield from _retrain(model, dataset, config, mask, record))
 
@@ -721,5 +712,4 @@ def mixed_data_fft(
         rng = np.random.default_rng(config.seed)
         idx = rng.choice(len(dataset_a), size=k, replace=k > len(dataset_a))
         data = concat_datasets([dataset_b, dataset_a.take(idx)])
-    yield [(model, data, config)]
-    return train(model, data, config)
+    return (yield from _trained([(model, data, config)]))[0]

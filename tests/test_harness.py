@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -575,3 +576,33 @@ class TestLockstepOracle:
             run_experiment(spec)
         assert str(from_lockstep.value) == str(from_loop.value) == raised
         assert finished == alone
+
+
+class TestLockstepProtocol:
+    """Inside `run_experiment` every run trains in a stack that a lockstep
+    driver formed ahead of its `train` call, so that call is a memo hit."""
+
+    # the replicas of each step loop of a kind's two-seed spec, in order
+    stacks = {
+        "sequential": [4, 2, 2, 4, 4, 2, 4],
+        "sparsity-ablation": [2, 12, 2],
+        "calibration-ablation": [2, 2, 2, 6],
+        "merging": [4, 4],
+    }
+
+    @pytest.mark.parametrize("kind", list(stacks))
+    def test_no_step_loop_runs_under_train(self, kind, monkeypatch):
+        train_code = training.train.__code__
+        loops = []  # (replicas, whether a `train` call is on the stack)
+        original = training._step_loop
+
+        def recording(runs, records):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not train_code:
+                frame = frame.f_back
+            loops.append((len(runs), frame is not None))
+            return original(runs, records)
+
+        monkeypatch.setattr(training, "_step_loop", recording)
+        run_experiment(dataclasses.replace(lockstep_specs()[kind], seeds=(0, 1)))
+        assert loops == [(replicas, False) for replicas in self.stacks[kind]]

@@ -89,6 +89,15 @@ class TestDataset:
         merged = concat_datasets([sub, sub])
         assert len(merged) == 4
 
+    def test_array_like_targets(self):
+        classes = Dataset(np.zeros((3, 2)), [0, 1, 2])
+        assert classes.is_classification and classes.targets.dtype == np.int64
+        np.testing.assert_array_equal(classes.targets, [0, 1, 2])
+        regression = Dataset([[0.0, 1.0]] * 2, [[0.5], [1.5]])
+        assert not regression.is_classification
+        assert regression.targets.dtype == np.float32
+        np.testing.assert_array_equal(regression.targets, [[0.5], [1.5]])
+
     def test_mixed_kinds_rejected(self):
         cls = Dataset(np.zeros((2, 2), np.float32), np.zeros(2, np.int64))
         reg = Dataset(np.zeros((2, 2), np.float32), np.zeros((2, 1), np.float32))

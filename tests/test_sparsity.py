@@ -141,6 +141,17 @@ class TestSparsify:
         for name in arrs:
             np.testing.assert_array_equal(mask[name], mask2["z" + name])
 
+    @pytest.mark.parametrize("shapes", [
+        pytest.param({"c": (46,)}, id="same-size-other-names"),
+        pytest.param({"a.weight": (5, 7), "b.bias": (11,), "c": (4,)}, id="larger"),
+    ])
+    def test_allowed_mask_not_aligned_refused(self, shapes):
+        tv = random_tv(0)
+        keyspace = ParameterMap({n: np.zeros(s, np.float32) for n, s in shapes.items()})
+        allowed = mask_complement(all_false_mask(keyspace))
+        with pytest.raises(AlignmentError, match="allowed mask and task vector"):
+            sparsify(tv, 0.5, allowed)
+
 
 class TestApplyMask:
     def test_all_true_identity(self):
