@@ -10,32 +10,31 @@ An adapter file is one container (see `container`), version 3 of the
 adapter format. A tensor with c > 0 stored values has two entries:
 `<name>/gaps` (U8, its gap stream) and `<name>/values` (F32, its c values).
 A tensor with c = 0 has none, because the container stores no empty
-entry. The header's `__metadata__` holds
-  {"base_digest": <64 hex digits>, "format": "lota-adapter-3",
-   "shapes": {name: [dims], ...}}
-with every tensor's dense shape, so the entry set follows from the shapes
-and the stored counts. The tensor's element count n is the product of its
-dims (1 for a 0-d tensor). Every dim is positive, n fits in int64, and
-ndim is at most `container.MAX_NDIM`. A record is checked once, when it
-is made, and its gap stream is a uint8 array; an adapter is aligned with
-a base by its `layout`, as a map or a mask is.
+entry. The header's `__metadata__` is the declaration of
+`params.tagged_metadata`, tag lota-adapter-3 and each tensor's dense shape,
+plus the 64-hex-digit `base_digest`. `params.declared_layout` checks the
+declaration when a file is read; `load_adapter` checks the digest and that
+the entry set follows from the shapes and stored counts. A tensor's n is
+the product of its dims (1 for 0-d). A record is checked once, when it is
+made. An adapter holds its records in name order and their `layout`, built
+once when it is made, by which it is aligned with a base.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .container import checked_shape, container_parts, read_container, write_atomic
+from .container import container_parts, read_container, write_atomic
 from .errors import AlignmentError, DigestMismatchError, FormatError
-from .params import Layout, MapDigest, ParameterMap, digest
+from .params import (Layout, MapDigest, ParameterMap, declared_layout, digest,
+                     tagged_metadata)
 from .sparsity import TaskVector
 
 FORMAT = "lota-adapter-3"
-_INT64_MAX = 2**63 - 1
 # the first bytes of an adapter file from before the container format
 _LTA_MAGIC = b"LTA1"
 
@@ -100,14 +99,6 @@ def _gap_indices(buf: np.ndarray, out: np.ndarray, offset: int = 0) -> np.ndarra
     return np.cumsum(out, out=out)
 
 
-def decode_gaps(stream: bytes | np.ndarray, n: int, c: int) -> np.ndarray:
-    """Inverse of encode_gaps, of a stream (bytes or uint8) that `_check_gaps`
-    passes."""
-    buf = np.frombuffer(stream, dtype=np.uint8)
-    _check_gaps(buf, n, c)
-    return _gap_indices(buf, np.empty(c, np.int64))
-
-
 @dataclass(frozen=True, eq=False)
 class AdapterRecord:
     """One tensor's sparse payload: its shape and its c nonzero coordinates.
@@ -147,12 +138,20 @@ class AdapterRecord:
 
 @dataclass(frozen=True)
 class SparseAdapter:
+    """A base digest and one record per tensor, held in name order with their
+    `layout`; a tensor held twice is an AlignmentError when it is made."""
+
     base_digest: MapDigest
     records: tuple[AdapterRecord, ...]
+    layout: Layout = field(init=False, compare=False)
 
-    @property
-    def n_total(self) -> int:
-        return sum(r.n for r in self.records)
+    def __post_init__(self):
+        records = tuple(sorted(self.records, key=lambda r: r.name))
+        for a, b in zip(records, records[1:]):
+            if a.name == b.name:
+                raise AlignmentError(f"adapter holds tensor {a.name!r} twice")
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "layout", Layout({r.name: r.shape for r in records}))
 
     @property
     def c_total(self) -> int:
@@ -160,30 +159,17 @@ class SparseAdapter:
 
     @property
     def declared_sparsity(self) -> float:
-        n = self.n_total
+        n = self.layout.size
         return 1.0 - self.c_total / n if n else 1.0
-
-    @property
-    def layout(self) -> Layout:
-        """The `Layout` of the records; a tensor held twice is an AlignmentError."""
-        shapes = {}
-        for rec in self.records:
-            if rec.name in shapes:
-                raise AlignmentError(f"adapter holds tensor {rec.name!r} twice")
-            shapes[rec.name] = rec.shape
-        return Layout(shapes)
 
     def flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending positions in a buffer of `layout` and the values stored
-        there; each record's stream was checked when the record was made.
-        Each record is decoded straight into its slice of the two buffers
-        (`_gap_indices`)."""
-        layout = self.layout
-        offsets = dict(zip(layout.names, layout.offsets))
+        there. Each record, its stream checked when it was made, is decoded
+        straight into its slice of the two buffers at its `layout` offset."""
         idx, vals = np.empty(self.c_total, np.int64), np.empty(self.c_total, np.float32)
         at = 0
-        for rec in sorted(self.records, key=lambda r: offsets[r.name]):
-            _gap_indices(rec.gap_bytes, idx[at : at + rec.c], offsets[rec.name])
+        for rec, offset in zip(self.records, self.layout.offsets):
+            _gap_indices(rec.gap_bytes, idx[at : at + rec.c], offset)
             vals[at : at + rec.c] = rec.values
             at += rec.c
         return idx, vals
@@ -201,17 +187,14 @@ def encode(tv: TaskVector) -> SparseAdapter:
 
 def decode(adapter: SparseAdapter) -> TaskVector:
     """Exact reconstruction of the encoded task vector: the stored values
-    scattered into one zeroed buffer of the adapter's own layout.
-
-    The summed size is checked before anything is allocated.
+    scattered into one zeroed buffer of the adapter's own layout. A size
+    that numpy cannot allocate (any from 2**62 float32s up) is a FormatError.
     """
     layout = adapter.layout
-    names = ", ".join(map(repr, layout.names))
-    if layout.size > _INT64_MAX:
-        raise FormatError(f"tensors {names} hold {layout.size} elements, past int64")
     try:
         flat = np.zeros(layout.size, dtype=np.float32)
     except (MemoryError, ValueError) as exc:
+        names = ", ".join(map(repr, layout.names))
         raise FormatError(f"cannot allocate {layout.size} elements for {names}") from exc
     idx, vals = adapter.flat_entries()
     flat[idx] = vals
@@ -228,9 +211,7 @@ def apply_adapter(
     position, not bitwise.
     """
     if check_digest and digest(w_p) != adapter.base_digest:
-        raise DigestMismatchError(
-            "adapter was built against a different base model"
-        )
+        raise DigestMismatchError("adapter was built against a different base model")
     adapter.layout.require_aligned(w_p.layout, "adapter and base")
     idx, vals = adapter.flat_entries()
     out = w_p.flat.copy()
@@ -250,7 +231,7 @@ class CompressionReport:
 
 def compression_report(adapter: SparseAdapter) -> CompressionReport:
     """Compression accounting vs dense 32-bit storage of all n parameters."""
-    n_total = adapter.n_total
+    n_total = adapter.layout.size
     c_total = adapter.c_total
     payload_bits = sum(8 * len(r.gap_bytes) + 32 * r.c for r in adapter.records)
     total_bits = 8 * sum(map(len, _container_parts(adapter)))
@@ -273,11 +254,9 @@ def _container_parts(adapter: SparseAdapter) -> list:
         if rec.c:
             entries[f"{rec.name}/gaps"] = rec.gap_bytes
             entries[f"{rec.name}/values"] = rec.values
-    metadata = {
-        "base_digest": adapter.base_digest.hex(),
-        "format": FORMAT,
-        "shapes": {rec.name: list(rec.shape) for rec in adapter.records},
-    }
+    metadata = tagged_metadata(
+        FORMAT, adapter.layout, base_digest=adapter.base_digest.hex()
+    )
     return container_parts(entries, metadata)
 
 
@@ -294,28 +273,19 @@ def load_adapter(path: str | Path) -> SparseAdapter:
                 "encode the adapter again"
             )
     entries, meta, _ = read_container(path)
-    tag = (meta or {}).get("format")
-    if tag != FORMAT:
-        raise FormatError(f"not an adapter file: unknown format tag {tag!r}")
+    layout = declared_layout(meta, FORMAT, "adapter")
     try:
         base_digest = bytes.fromhex(meta["base_digest"])
-        shapes = meta["shapes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed adapter metadata: {exc!r}") from exc
-    if len(base_digest) != 32 or not isinstance(shapes, dict):
-        raise FormatError("malformed adapter metadata: base digest or shapes")
-    stored = {name for name in shapes if f"{name}/values" in entries}
+    if len(base_digest) != 32:
+        raise FormatError("malformed adapter metadata: base digest")
+    stored = {name for name in layout.names if f"{name}/values" in entries}
     if set(entries) != {f"{n}/{part}" for n in stored for part in ("gaps", "values")}:
         raise FormatError("adapter entries do not match its tensor shapes")
-    records = []
-    for name in sorted(shapes):
-        if not name:
-            raise FormatError("empty tensor name")
-        shape = checked_shape(shapes[name], name)
-        if math.prod(shape) > _INT64_MAX:
-            raise FormatError(f"element count of {name!r} overflows int64")
-        records.append(AdapterRecord(
-            name, shape, entries.get(f"{name}/gaps", np.empty(0, np.uint8)),
-            entries.get(f"{name}/values", np.empty(0, np.float32)),
-        ))
-    return SparseAdapter(base_digest=base_digest, records=tuple(records))
+    records = tuple(
+        AdapterRecord(name, shape, entries.get(f"{name}/gaps", np.empty(0, np.uint8)),
+                      entries.get(f"{name}/values", np.empty(0, np.float32)))
+        for name, shape in layout.shapes.items()
+    )
+    return SparseAdapter(base_digest=base_digest, records=records)

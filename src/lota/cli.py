@@ -19,7 +19,9 @@ Exit codes: 0 success, 1 usage/config error (a missing input file too),
 2 validation error (digest mismatch, misalignment, malformed file,
 capacity), 3 runtime failure (divergence, failed harness assertion, any
 other I/O error such as a full disk, an allocation that the memory cannot
-hold). Errors print a JSON object on stderr.
+hold). Errors print a JSON object on stderr. `lota inspect` whose reader
+has closed its stdout (`lota inspect ... | head -1`) exits 0 with nothing
+on stderr: the output was not wanted, so it is not an error.
 """
 
 from __future__ import annotations
@@ -353,7 +355,12 @@ def cmd_inspect(args) -> None:
                 for n, a in mask.items()
             ],
         }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the flush at
+        # exit does not meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _experiment_spec_from_config(config: dict):

@@ -20,7 +20,8 @@ HEADS = ("softmax-cross-entropy", "mean-squared-error")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs plus targets (class indices or regression vectors)."""
+    """Inputs plus targets: 1-D class indices, which must have an integer or
+    bool dtype (float labels would be truncated), or regression vectors."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -31,6 +32,8 @@ class Dataset:
             raise ValueError("inputs must be a 2-D array (examples x features)")
         targets = np.asarray(self.targets)
         if targets.ndim == 1:
+            if targets.dtype.kind not in "biu":
+                raise ValueError(f"1-D targets are class indices, not {targets.dtype}")
             targets = np.ascontiguousarray(targets, dtype=np.int64)
         else:
             targets = np.ascontiguousarray(targets, dtype=np.float32)

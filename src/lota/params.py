@@ -5,7 +5,8 @@ order, each tensor row-major at its offset, no gaps. Global top-k, the
 training state, merging and the checkpoint payload all use this one
 order. A `ParameterMap` (float32) and a `SparsityMask` (bool) each own
 one read-only buffer in that order, exposed as `.flat`; `m[name]` is a
-view of it, built once.
+view of it, built once. An adapter or a mask file declares its tensors in
+its `__metadata__`, which `tagged_metadata` writes and `declared_layout` reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import _TAGS, container_parts, read_container, write_atomic
+from .container import _TAGS, checked_shape, container_parts, read_container, write_atomic
 from .errors import AlignmentError, FormatError, NonFiniteError
 
 MapDigest = bytes  # 32-byte SHA-256 over the canonical checkpoint serialization
@@ -80,6 +81,34 @@ class Layout:
 
     def __repr__(self) -> str:
         return f"Layout({len(self.names)} tensors, {self.size} elements)"
+
+
+def tagged_metadata(tag: str, layout: Layout, **extra) -> dict:
+    """The `__metadata__` declaring the tensors of `layout` in a container
+    tagged `tag`, with a format's own `extra` keys."""
+    shapes = {name: list(shape) for name, shape in layout.shapes.items()}
+    return {"format": tag, "shapes": shapes, **extra}
+
+
+def declared_layout(meta: dict | None, tag: str, what: str) -> Layout:
+    """The `Layout` that `meta` declares, `what` naming the artifact in a
+    FormatError. Checked in order before anything is sized: the tag, `shapes`
+    as an object, no empty name, each tensor's dims (`checked_shape`), and
+    an element total within int64."""
+    found = (meta or {}).get("format")
+    if found != tag:
+        article = "an" if what[0] in "aeiou" else "a"
+        raise FormatError(f"not {article} {what} file: unknown format tag {found!r}")
+    shapes = meta.get("shapes")
+    if not isinstance(shapes, dict):
+        raise FormatError(f"malformed {what} metadata: shapes is not an object")
+    if "" in shapes:
+        raise FormatError(f"malformed {what} metadata: empty tensor name")
+    dims = {name: checked_shape(shapes[name], name) for name in shapes}
+    total = sum(math.prod(shape) for shape in dims.values())
+    if total >= 2**63:
+        raise FormatError(f"{what} declares {total} elements, which overflows int64")
+    return Layout(dims)
 
 
 class _FlatMap:

@@ -17,7 +17,8 @@ format, plus a `.json` sidecar with its declared sparsity. The container
 holds one U8 entry, `bits`: the mask's flat buffer as packed bits
 (`np.packbits`, most significant bit first), ceil(n / 8) bytes with the
 pad bits of the last byte zero, so each mask has one file. Its
-`__metadata__` holds {"format": "lota-mask-2", "shapes": {name: [dims]}}.
+`__metadata__` is the declaration of `params.tagged_metadata`, tag
+lota-mask-2; `params.declared_layout` checks it when a file is read.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import real
-from .container import (
-    checked_shape, container_parts, read_container, refuse_reserved, write_atomic,
-)
+from .container import container_parts, read_container, refuse_reserved, write_atomic
 from .errors import CapacityError, FormatError
-from .params import Layout, MapDigest, ParameterMap, _FlatMap, digest
+from .params import (Layout, MapDigest, ParameterMap, _FlatMap, declared_layout, digest,
+                     tagged_metadata)
 
 SPARSITY = real("[0, 1)")
 MASK_FORMAT = "lota-mask-2"
@@ -289,10 +289,7 @@ def save_mask(
     refuses the one name that the map's checkpoint refuses.
     """
     refuse_reserved(mask.names)
-    metadata = {
-        "format": MASK_FORMAT,
-        "shapes": {name: list(shape) for name, shape in mask.layout.shapes.items()},
-    }
+    metadata = tagged_metadata(MASK_FORMAT, mask.layout)
     parts = container_parts({_BITS: np.packbits(mask.flat)}, metadata)
     sidecar = {"declared_sparsity": mask.declared_sparsity, "source": source}
     if seed is not None:
@@ -311,16 +308,7 @@ def _mask_layout(meta: dict | None, entries: dict[str, np.ndarray]) -> Layout:
             f"old unpacked mask format (before {MASK_FORMAT}) is not readable; "
             "save the mask again"
         )
-    tag = (meta or {}).get("format")
-    if tag != MASK_FORMAT:
-        raise FormatError(f"not a mask file: unknown format tag {tag!r}")
-    shapes = meta.get("shapes")
-    if not isinstance(shapes, dict):
-        raise FormatError("malformed mask metadata: shapes is not an object")
-    try:
-        layout = Layout({name: checked_shape(dims, name) for name, dims in shapes.items()})
-    except ValueError as exc:  # an empty tensor name
-        raise FormatError(f"malformed mask metadata: {exc}") from exc
+    layout = declared_layout(meta, MASK_FORMAT, "mask")
     if layout.size == 0:
         raise FormatError("mask must cover at least one element")
     if set(entries) != {_BITS}:

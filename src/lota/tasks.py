@@ -81,9 +81,6 @@ class SyntheticTaskSpec:
         test = maker(self, split=1)
         return train, test
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _make_clusters(spec: SyntheticTaskSpec, split: int) -> Dataset:
     structure = np.random.default_rng([spec.seed, 100])

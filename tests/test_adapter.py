@@ -13,6 +13,7 @@ from lota import (
     DigestMismatchError,
     FormatError,
     ParameterMap,
+    SparseAdapter,
     TaskVector,
     apply_adapter,
     compression_report,
@@ -21,13 +22,20 @@ from lota import (
     digest,
     encode,
     load_adapter,
-    merge_lota,
     save_adapter,
     save_checkpoint,
     zeros_like,
 )
-from lota.adapter import FORMAT, AdapterRecord, decode_gaps, encode_gaps
+from lota.adapter import FORMAT, AdapterRecord, _check_gaps, _gap_indices, encode_gaps
 from lota.container import container_parts
+
+
+def decode_gaps(stream, n, c):
+    """The indices of a gap stream (bytes or uint8), refused as a record
+    refuses it: the codec's own check, then its decoder."""
+    buf = np.frombuffer(stream, dtype=np.uint8)
+    _check_gaps(buf, n, c)
+    return _gap_indices(buf, np.empty(c, np.int64))
 
 
 def tv_with_indices(n, indices, values=None, name="w"):
@@ -337,14 +345,17 @@ class TestAdapterFile:
         with pytest.raises(FormatError, match="cannot allocate .* for 'w'"):
             decode(adapter)
 
-    def test_records_past_int64_in_all_rejected_by_decode(self, tmp_path):
-        # each of 2**62 elements fits int64, their sum does not: decode must
-        # refuse the sum before it allocates or offsets a record
+    def test_records_past_int64_in_all_rejected_by_load(self, tmp_path):
+        # each of 2**62 elements fits int64, their sum does not: the reader
+        # refuses the sum before it sizes or offsets a record
         shapes = {name: [2**62] for name in "abc"}
-        adapter = load_bytes(forged_adapter((1,), shapes=shapes), tmp_path)
-        assert [r.c for r in adapter.records] == [0, 0, 0]
-        with pytest.raises(FormatError, match="past int64"):
-            decode(adapter)
+        with pytest.raises(FormatError, match="overflows int64"):
+            load_bytes(forged_adapter((1,), shapes=shapes), tmp_path)
+        # such an adapter made by hand is refused by decode, which allocates nothing
+        empty = np.empty(0, np.uint8), np.empty(0, np.float32)
+        records = tuple(AdapterRecord(name, (2**62,), *empty) for name in "abc")
+        with pytest.raises(FormatError, match="cannot allocate"):
+            decode(SparseAdapter(bytes(32), records))
 
     def test_not_an_adapter_file_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -383,6 +394,13 @@ class TestAdapterFile:
     def test_forged_entries_rejected(self, tmp_path, entries, metadata, match):
         with pytest.raises(FormatError, match=match):
             load_bytes(forged_adapter((10,), entries, **metadata), tmp_path)
+
+    def test_short_base_digest_refused_before_writing(self, tmp_path):
+        adapter = encode(tv_with_indices(50, [3, 7]))
+        short = dataclasses.replace(adapter, base_digest=adapter.base_digest[:31])
+        with pytest.raises(ValueError, match="base digest must be 32 bytes"):
+            save_adapter(short, tmp_path / "a.lta")
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated(self, tmp_path):
         blob = adapter_bytes(encode(tv_with_indices(50, [3, 7])), tmp_path)
@@ -496,14 +514,20 @@ class TestAdapterChecks:
         AdapterRecord("w", (10,), gaps, values)
         assert not gaps.flags.writeable and not values.flags.writeable
 
-    def test_tensor_held_twice_refused_by_decode_apply_and_merge(self):
+    def test_tensor_held_twice_refused_when_adapter_is_made(self):
+        _, adapter = self.base_and_adapter()
+        a, b = adapter.records
+        for records in ((a, a, b), (a, b, a)):
+            with pytest.raises(AlignmentError, match="'a' twice"):
+                dataclasses.replace(adapter, records=records)
+
+    def test_records_held_in_name_order_with_their_layout(self):
         base, adapter = self.base_and_adapter()
         a, b = adapter.records
-        twice = dataclasses.replace(adapter, records=(a, a, b))
-        for use in (decode, lambda ad: apply_adapter(base, ad),
-                    lambda ad: merge_lota(base, [ad])):
-            with pytest.raises(AlignmentError, match="'a' twice"):
-                use(twice)
+        swapped = dataclasses.replace(adapter, records=(b, a))
+        assert swapped.records == (a, b) and swapped == adapter
+        assert swapped.layout == base.layout
+        assert decode(swapped).entries == decode(adapter).entries
 
     def test_apply_refuses_an_adapter_that_lacks_a_base_tensor(self):
         base, adapter = self.base_and_adapter()

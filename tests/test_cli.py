@@ -3,6 +3,8 @@ import errno
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -204,6 +206,27 @@ class TestCodecCommands:
 
     def test_inspect_requires_one_target(self, capsys):
         assert dispatch(["inspect"]) == 1
+
+    @pytest.mark.parametrize("target", ["--adapter", "--mask"])
+    def test_inspect_into_a_closed_pipe_exits_0_quietly(self, tmp_path, target):
+        tv = ParameterMap({"w": np.arange(10, dtype=np.float32)})
+        save_checkpoint(tv, tmp_path / "delta.ckpt")
+        save_checkpoint(ParameterMap({"w": np.zeros(10, np.float32)}), tmp_path / "z.ckpt")
+        dispatch(["encode", "--base", str(tmp_path / "z.ckpt"),
+                  "--delta", str(tmp_path / "delta.ckpt"), "--out", str(tmp_path / "e")])
+        save_mask(SparsityMask({"w": np.arange(10) < 3}, 0.7), tmp_path / "m.bin")
+        path = tmp_path / ("e/adapter.lta" if target == "--adapter" else "m.bin")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "lota.cli", "inspect", target, str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (0, b"")
 
 
 def lotto_task(seed, output_dim=3):
@@ -450,6 +473,7 @@ class TestMergeCommand:
             ({"adapters": {"a": "a.lta"}}, "adapters"),
             ({"base": 7}, "base"),
             ({"adapters": []}, "adapters"),
+            ({"entries": [{"weight": 1.0}, {"weight": 0.5}]}, "one entries item per adapter"),
         ],
     )
     def test_bad_config_exits_1_before_loading(
@@ -488,6 +512,18 @@ class TestConfigObject:
         assert error == {
             "type": "ConfigError", "message": f"config {path} must be a JSON object"
         }
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "lota", "lotto", "merge", "experiment"])
+    def test_malformed_json_config_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text('{"model": ')
+        out = tmp_path / "o"
+        assert dispatch([command, "--config", str(path), "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"malformed JSON config {path}: ")
         assert not out.exists()
 
 

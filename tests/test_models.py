@@ -104,6 +104,47 @@ class TestDataset:
         with pytest.raises(ValueError):
             concat_datasets([cls, reg])
 
+    def test_no_parts_rejected(self):
+        with pytest.raises(ValueError, match="at least one dataset"):
+            concat_datasets([])
+
+    @pytest.mark.parametrize("inputs, targets, match", [
+        (np.zeros(3), np.zeros(3, np.int64), "2-D array"),
+        (np.zeros((1, 3, 2)), np.zeros(1, np.int64), "2-D array"),
+        (np.zeros((2, 2)), np.array([[0.5], [np.nan]]), "non-finite regression"),
+        (np.zeros((2, 2)), np.array([[np.inf], [0.0]]), "non-finite regression"),
+        # float labels would truncate: 0.5, 1.5, 2.7 would read as 0, 1, 2
+        (np.zeros((3, 2)), np.array([0.5, 1.5, 2.7]), "class indices, not float64"),
+        (np.zeros((3, 2)), np.array([0.0, 1.0, 2.0], np.float32), "not float32"),
+        (np.zeros((1, 2)), np.array([np.nan]), "class indices, not float64"),
+        (np.zeros((2, 2)), ["0", "1"], "class indices, not <U1"),
+    ], ids=["1-d-inputs", "3-d-inputs", "nan-vector", "inf-vector", "float-labels",
+            "whole-float-labels", "nan-label", "string-labels"])
+    def test_malformed_data_rejected(self, inputs, targets, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(inputs, targets)
+
+    @pytest.mark.parametrize("targets", [[0, 1, 2], np.array([True, False, True]),
+                                         np.array([0, 1, 2], np.uint8)])
+    def test_integer_and_bool_labels_are_class_indices(self, targets):
+        data = Dataset(np.zeros((3, 2)), targets)
+        assert data.is_classification and data.targets.dtype == np.int64
+        np.testing.assert_array_equal(data.targets, np.asarray(targets, np.int64))
+
+
+class TestToyModelChecks:
+    @pytest.mark.parametrize("widths, activation, head, match", [
+        ((4,), "tanh", "mean-squared-error", "widths must be"),
+        ((4, 0), "tanh", "mean-squared-error", "widths must be"),
+        ((4, 2), "sigmoid", "mean-squared-error", "unknown activation 'sigmoid'"),
+        ((4, 2), "tanh", "hinge", "unknown head 'hinge'"),
+        ((4, 3), "tanh", "mean-squared-error", "does not match architecture"),
+    ], ids=["one-width", "zero-width", "activation", "head", "params"])
+    def test_refused_when_made(self, widths, activation, head, match):
+        params = ToyModel.initialize((4, 2), "tanh", "mean-squared-error", 0).params
+        with pytest.raises(ValueError, match=match):
+            ToyModel(widths, activation, head, params)
+
 
 def out_of_place(z, activation):
     return np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0)

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,17 @@ from lota import (
     compute_task_vector,
     digest,
     encode,
+    load_adapter,
     load_checkpoint,
     random_mask,
     save_adapter,
     save_checkpoint,
     save_mask,
 )
-from lota.params import Layout, serialize_checkpoint
-from lota.sparsity import load_mask
+from lota.adapter import FORMAT as ADAPTER_FORMAT
+from lota.container import container_parts
+from lota.params import Layout, declared_layout, serialize_checkpoint, tagged_metadata
+from lota.sparsity import MASK_FORMAT, load_mask
 
 
 def small_map(seed=0):
@@ -172,6 +176,18 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "deep.ckpt"
         path.write_bytes(struct.pack("<Q", len(header)) + header)
         with pytest.raises(FormatError, match="malformed header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, match", [
+        ([], "not a JSON object"),
+        ({"__metadata__": [1]}, "__metadata__ is not a JSON object"),
+        ({"": {"data_offsets": [0, 4], "dtype": "F32", "shape": [1]}}, "empty tensor name"),
+    ], ids=["list", "metadata-list", "empty-name"])
+    def test_malformed_header_rejected(self, tmp_path, header, match):
+        raw = json.dumps(header).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(4))
+        with pytest.raises(FormatError, match=f"malformed header: {match}"):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -403,3 +419,61 @@ class TestLayoutContract:
         flat[-1] = np.inf
         with pytest.raises(NonFiniteError, match="layer0.weight"):
             ParameterMap.from_flat(pm.layout, flat)
+
+
+def forged_declaration(path, load, **forged):
+    """A file that `load` (load_adapter or load_mask) reads, whose metadata
+    declares one tensor 'w' of 10 elements, then has the keys of `forged`."""
+    tag, entries, extra = {
+        load_adapter: (ADAPTER_FORMAT, {}, {"base_digest": "00" * 32}),
+        load_mask: (MASK_FORMAT, {"bits": np.zeros(2, np.uint8)}, {}),
+    }[load]
+    meta = {**tagged_metadata(tag, Layout({"w": (10,)}), **extra), **forged}
+    path.write_bytes(b"".join(container_parts(entries, meta)))
+    Path(f"{path}.json").write_text('{"declared_sparsity": 1.0}')
+    return path
+
+
+class TestTensorDeclaration:
+    """An adapter and a mask file declare their tensors the one way, and
+    refuse a forged declaration alike, before anything is sized from it."""
+
+    @pytest.mark.parametrize("meta, match", [
+        ({"shapes": [["w", [10]]]}, "shapes is not an object"),
+        ({"shapes": {"": [10]}}, "empty tensor name"),
+        ({"shapes": {"w": [1.5]}}, "non-integer shape"),
+        ({"shapes": {"w": [4, 0]}}, "non-positive dimension"),
+        ({"shapes": {"w": [1] * 33}}, "33 dims, more than 32"),
+        ({"shapes": {"a": [2**62], "b": [2**62]}}, "9223372036854775808 elements"),
+        ({"format": "lota-other-1"}, "unknown format tag 'lota-other-1'"),
+    ], ids=["list", "empty-name", "float-dim", "zero-dim", "33-dims", "past-int64",
+            "wrong-tag"])
+    @pytest.mark.parametrize("load", [load_adapter, load_mask], ids=["adapter", "mask"])
+    def test_forged_declaration_refused(self, tmp_path, load, meta, match):
+        path = forged_declaration(tmp_path / "forged", load, **meta)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=match):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("load", [load_adapter, load_mask], ids=["adapter", "mask"])
+    def test_declaration_as_written_is_read(self, tmp_path, load):
+        assert load(forged_declaration(tmp_path / "f", load)).layout == Layout({"w": (10,)})
+
+    def test_written_declaration_reads_back_as_its_layout(self):
+        layout = Layout({"b": (2, 3), "a": (), "c": (1,) * 32})
+        meta = tagged_metadata("lota-x-1", layout, base_digest="ab")
+        assert meta == {"base_digest": "ab", "format": "lota-x-1",
+                        "shapes": {"a": [], "b": [2, 3], "c": [1] * 32}}
+        assert declared_layout(json.loads(json.dumps(meta)), "lota-x-1", "x") == layout
+
+    @pytest.mark.parametrize("meta", [None, {}, {"format": None}])
+    def test_untagged_metadata_names_the_artifact(self, meta):
+        with pytest.raises(FormatError, match="^not an adapter file: unknown format tag None$"):
+            declared_layout(meta, ADAPTER_FORMAT, "adapter")
+        with pytest.raises(FormatError, match="^not a mask file"):
+            declared_layout(meta, MASK_FORMAT, "mask")

@@ -468,6 +468,13 @@ class TestSparsityCheck:
             build(pm, s)
 
 
+class TestMaskEntries:
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int64])
+    def test_non_bool_entry_refused(self, dtype):
+        with pytest.raises(ValueError, match="mask tensor 'b' must be boolean"):
+            SparsityMask({"a": np.ones(2, bool), "b": np.ones(2, dtype)}, 0.0)
+
+
 class TestMaskIO:
     def test_round_trip(self, tmp_path):
         pm = ParameterMap({"w": np.ones((4, 5), np.float32)})
@@ -504,15 +511,19 @@ class TestMaskIO:
         (1, "[0.75]"),
         (1, "{"),
         (1, "[" * 100_000),
+        (1, None),  # no sidecar at all
     ], ids=["disagrees", "above-1", "inf", "huge-int", "list", "string", "bool",
-            "no-key", "not-object", "cut", "deep"])
+            "no-key", "not-object", "cut", "deep", "missing"])
     def test_bad_sidecar_rejected(self, tmp_path, kept, sidecar):
         path = tmp_path / "m.mask"
         mask = SparsityMask({"w": np.arange(4) < kept}, 1.0 - kept / 4)
         save_mask(mask, path)
         assert load_mask(path).declared_sparsity == 1.0 - kept / 4
-        (tmp_path / "m.mask.json").write_text(sidecar)
-        with pytest.raises(FormatError):
+        if sidecar is None:
+            (tmp_path / "m.mask.json").unlink()
+        else:
+            (tmp_path / "m.mask.json").write_text(sidecar)
+        with pytest.raises(FormatError, match="missing" if sidecar is None else None):
             load_mask(path)
 
     def test_empty_or_float_mask_file_rejected(self, tmp_path):
@@ -555,7 +566,7 @@ class TestMaskIO:
         (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": 9}}), "non-integer"),
         (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": [4.5]}}), "non-integer"),
         (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": [9, 0]}}), "non-positive"),
-        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"": [9]}}), "invalid tensor name"),
+        (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"": [9]}}), "empty tensor name"),
         (lambda bits, meta: ({"bits": bits}, {**meta, "shapes": {"w": [2**40]}}),
          "expected 137438953472 U8 bytes"),
         (lambda bits, meta: ({"bits": bits}, {**meta, "format": "lota-mask-1"}), "unknown format"),

@@ -79,10 +79,13 @@ class TestGenerators:
         ({"params": {"separation": "x"}}, "separation"),
         ({"params": {"sparation": 2.0}}, "sparation"),
         ({"params": {"parity_dims": 2}}, "parity_dims"),
+        ({"generator": "parity-slice-classification", "output_dim": 2,
+          "params": {"parity_dims": 9}}, "parity_dims out of range"),
+        ({"generator": "parity-slice-classification"}, "output_dim must be 2"),
     ])
     def test_hostile_spec_refused_when_built(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
-            spec_for("gaussian-cluster-classification", **overrides)
+            spec_for(**{"generator": "gaussian-cluster-classification", **overrides})
 
     SCALES = [("gaussian-cluster-classification", "noise"),
               ("gaussian-cluster-classification", "separation"),

@@ -286,6 +286,10 @@ class TestDataFitsModel:
             train(model, data, quick_config())
         assert step_counter == []
 
+    def test_empty_dataset_refused(self, step_counter):
+        empty = toy_task().take(np.arange(0))
+        self.refused(step_counter, toy_model(), empty, "dataset must be nonempty")
+
     def test_input_width_refused(self, step_counter):
         self.refused(step_counter, toy_model(dim=6), toy_task(dim=5),
                      r"inputs have width 5; the model takes 6")
@@ -1171,6 +1175,18 @@ class TestLota:
         with pytest.raises(ConfigError):
             lota(model, data, 0.9, quick_config(), calibration_fraction=1.5)
 
+    @pytest.mark.parametrize("run, match", [
+        (lambda model, data, config: lota(model, data, 0.9, config), "builds its own masks"),
+        (lambda model, data, config: mixed_data_fft(model, data, data, 0.5, config),
+         "mixed-data training is dense"),
+    ], ids=["lota", "mixed-data"])
+    def test_config_mask_refused(self, step_counter, run, match):
+        model, data = toy_model(), toy_task()
+        mask = random_mask(model.params, 0.5, seed=1)
+        with pytest.raises(ConfigError, match=match):
+            run(model, data, quick_config().replace(mask=mask))
+        assert step_counter == []
+
 
 class TestIterativeLota:
     def test_single_stage_matches_lota(self):
@@ -1229,6 +1245,10 @@ class TestLotto:
             model, [data], 0.9, quick_config(), initial_constraints=blocked
         )
         assert np.count_nonzero(result.mask.flat & blocked.flat) == 0
+
+    def test_no_datasets_refused(self):
+        with pytest.raises(ConfigError, match="at least one dataset"):
+            lotto(toy_model(), [], 0.9, quick_config())
 
     def test_constraint_exhaustion(self):
         model, data = toy_model(14), toy_task(14)
